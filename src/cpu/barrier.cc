@@ -8,15 +8,13 @@
 namespace pcsim
 {
 
-BarrierDriver::BarrierDriver(EventQueue &eq, std::vector<Hub *> hubs,
-                             Addr base, std::uint32_t line_bytes,
-                             Tick spin_delay)
-    : _eq(eq),
-      _hubs(std::move(hubs)),
+BarrierDriver::BarrierDriver(std::vector<Hub *> hubs, Addr base,
+                             std::uint32_t line_bytes, Tick spin_delay)
+    : _hubs(std::move(hubs)),
       _base(base),
       _lineBytes(line_bytes),
       _spinDelay(spin_delay),
-      _genOfCpu(_hubs.size(), 0)
+      _cpus(_hubs.size())
 {
     if (_hubs.empty())
         fatal("barrier driver needs at least one CPU");
@@ -31,85 +29,85 @@ BarrierDriver::regionBytes() const
 void
 BarrierDriver::arrive(unsigned cpu, std::function<void()> done)
 {
-    const std::uint64_t gen = ++_genOfCpu.at(cpu);
+    CpuState &c = _cpus.at(cpu);
+    ++c.gen;
+    c.done = std::move(done);
 
     if (_hubs.size() == 1) {
         // Degenerate single-CPU system.
-        cpuPassed(cpu, gen, std::move(done));
+        cpuPassed(cpu);
         return;
     }
 
     if (cpu == 0) {
         // Master: first post its own arrival implicitly by starting to
         // collect the slaves' arrival flags.
-        masterCollect(1, gen, std::move(done));
+        c.nextSlave = 1;
+        masterCollect(cpu);
     } else {
         // Slave: publish arrival (one write), then spin on release.
-        _hubs[cpu]->cpuAccess(
-            /*is_write=*/true, arrivalLine(cpu),
-            [this, cpu, gen, done = std::move(done)](Version) mutable {
-                slaveSpin(cpu, gen, std::move(done));
-            });
+        _hubs[cpu]->cpuAccess(/*is_write=*/true, arrivalLine(cpu),
+                              [this, cpu](Version) {
+                                  pollUntil(cpu, releaseLine(),
+                                            &BarrierDriver::cpuPassed);
+                              });
     }
 }
 
 void
-BarrierDriver::masterCollect(unsigned next_slave, std::uint64_t gen,
-                             std::function<void()> done)
+BarrierDriver::masterCollect(unsigned cpu)
 {
-    if (next_slave >= _hubs.size()) {
+    CpuState &c = _cpus[cpu];
+    if (c.nextSlave >= _hubs.size()) {
         // Everyone arrived: publish the release (one write), then the
         // master itself may pass.
-        _hubs[0]->cpuAccess(
-            /*is_write=*/true, releaseLine(),
-            [this, gen, done = std::move(done)](Version) mutable {
-                cpuPassed(0, gen, std::move(done));
-            });
+        _hubs[cpu]->cpuAccess(/*is_write=*/true, releaseLine(),
+                              [this, cpu](Version) { cpuPassed(cpu); });
         return;
     }
-
-    _hubs[0]->cpuAccess(
-        /*is_write=*/false, arrivalLine(next_slave),
-        [this, next_slave, gen,
-         done = std::move(done)](Version v) mutable {
-            if (v >= gen) {
-                masterCollect(next_slave + 1, gen, std::move(done));
-            } else {
-                // Respin on the master hub's shard queue (== _eq under
-                // the sequential kernel).
-                _hubs[0]->eventQueue().scheduleIn(
-                    _spinDelay, [this, next_slave, gen,
-                                 done = std::move(done)]() mutable {
-                        masterCollect(next_slave, gen, std::move(done));
-                    });
-            }
-        });
+    pollUntil(cpu, arrivalLine(c.nextSlave++),
+              &BarrierDriver::masterCollect);
 }
 
 void
-BarrierDriver::slaveSpin(unsigned cpu, std::uint64_t gen,
-                         std::function<void()> done)
+BarrierDriver::pollUntil(unsigned cpu, Addr line,
+                         void (BarrierDriver::*then)(unsigned))
 {
-    _hubs[cpu]->cpuAccess(
-        /*is_write=*/false, releaseLine(),
-        [this, cpu, gen, done = std::move(done)](Version v) mutable {
-            if (v >= gen) {
-                cpuPassed(cpu, gen, std::move(done));
-            } else {
-                _hubs[cpu]->eventQueue().scheduleIn(
-                    _spinDelay, [this, cpu, gen,
-                                 done = std::move(done)]() mutable {
-                        slaveSpin(cpu, gen, std::move(done));
-                    });
-            }
-        });
+    CpuState &c = _cpus[cpu];
+    c.pollLine = line;
+    c.then = then;
+    poll(cpu);
 }
 
 void
-BarrierDriver::cpuPassed(unsigned cpu, std::uint64_t gen,
-                         std::function<void()> done)
+BarrierDriver::poll(unsigned cpu)
 {
-    (void)gen;
+    _hubs[cpu]->cpuAccess(/*is_write=*/false, _cpus[cpu].pollLine,
+                          [this, cpu](Version v) { polled(cpu, v); });
+}
+
+void
+BarrierDriver::polled(unsigned cpu, Version v)
+{
+    CpuState &c = _cpus[cpu];
+    if (v >= c.gen) {
+        (this->*c.then)(cpu);
+        return;
+    }
+    // Stale: park until the flag changes, or re-poll after the spin
+    // delay when the next poll would not be a plain L1 hit. Both run
+    // on the CPU's hub's shard queue (== the only queue under the
+    // sequential kernel).
+    Hub &hub = *_hubs[cpu];
+    if (hub.parkSpin(c.pollLine, v, _spinDelay,
+                     [this, cpu](Version pv) { polled(cpu, pv); }))
+        return;
+    hub.eventQueue().scheduleIn(_spinDelay, [this, cpu]() { poll(cpu); });
+}
+
+void
+BarrierDriver::cpuPassed(unsigned cpu)
+{
     const Tick pass_tick = _hubs[cpu]->eventQueue().curTick();
     std::uint64_t completed = 0;
     Tick max_pass = 0;
@@ -126,6 +124,7 @@ BarrierDriver::cpuPassed(unsigned cpu, std::uint64_t gen,
     }
     if (completed && _onGeneration)
         _onGeneration(completed, max_pass);
+    std::function<void()> done = std::move(_cpus[cpu].done);
     done();
 }
 

@@ -17,6 +17,12 @@
  * Data values are line Versions: CPU s's arrival for generation g is
  * observed once its arrival line's version reaches g (each barrier
  * performs exactly one write per flag line).
+ *
+ * Both spin loops (the master collecting arrivals, slaves awaiting the
+ * release) run through one poll-until-version helper. A stale poll
+ * that would hit the L1 again parks on the CPU's hub instead of
+ * re-polling (barrier-spin fast-forward, src/protocol/spin_watch.hh),
+ * so a barrier that can never complete leaves the event queue empty.
  */
 
 #ifndef PCSIM_CPU_BARRIER_HH
@@ -27,7 +33,6 @@
 #include <mutex>
 #include <vector>
 
-#include "src/sim/event_queue.hh"
 #include "src/sim/types.hh"
 
 namespace pcsim
@@ -45,7 +50,7 @@ class BarrierDriver
      * @param line_bytes coherence line size (flag spacing).
      * @param spin_delay cycles between spin polls.
      */
-    BarrierDriver(EventQueue &eq, std::vector<Hub *> hubs, Addr base,
+    BarrierDriver(std::vector<Hub *> hubs, Addr base,
                   std::uint32_t line_bytes, Tick spin_delay = 30);
 
     /** CPU @p cpu reached a barrier; @p done fires when it may pass. */
@@ -78,20 +83,38 @@ class BarrierDriver
     }
     Addr releaseLine() const { return _base; }
 
-    void masterCollect(unsigned next_slave, std::uint64_t gen,
-                       std::function<void()> done);
-    void slaveSpin(unsigned cpu, std::uint64_t gen,
-                   std::function<void()> done);
-    void cpuPassed(unsigned cpu, std::uint64_t gen,
-                   std::function<void()> done);
+    /** Per-CPU barrier episode state; only the CPU's own shard
+     *  thread touches its entry. */
+    struct CpuState
+    {
+        std::uint64_t gen = 0;
+        std::function<void()> done;
+        /** The line being polled and what to do once its version
+         *  reaches gen. */
+        Addr pollLine = 0;
+        void (BarrierDriver::*then)(unsigned cpu) = nullptr;
+        /** Master only: the slave whose arrival is being collected. */
+        unsigned nextSlave = 0;
+    };
 
-    EventQueue &_eq;
+    /** Master: collect the next slave's arrival, or release everyone
+     *  once all have arrived. */
+    void masterCollect(unsigned cpu);
+    void cpuPassed(unsigned cpu);
+
+    /** Poll @p line from @p cpu until its version reaches the CPU's
+     *  generation, then call (this->*then)(cpu). */
+    void pollUntil(unsigned cpu, Addr line,
+                   void (BarrierDriver::*then)(unsigned));
+    void poll(unsigned cpu);
+    void polled(unsigned cpu, Version v);
+
     std::vector<Hub *> _hubs;
     Addr _base;
     std::uint32_t _lineBytes;
     Tick _spinDelay;
 
-    std::vector<std::uint64_t> _genOfCpu;
+    std::vector<CpuState> _cpus;
     /** Guards the pass bookkeeping below: under the parallel kernel
      *  CPUs pass on their shard's worker thread. */
     std::mutex _passMutex;

@@ -48,6 +48,35 @@ CacheController::l2State(Addr line, Version &version) const
     return e->state;
 }
 
+bool
+CacheController::readHitReturns(Addr line, Version v) const
+{
+    const L2Entry *e = _l2.find(line);
+    return _l1.contains(line) && e && canRead(e->state) &&
+           e->version == v;
+}
+
+void
+CacheController::creditReadHits(Addr line, std::uint64_t n)
+{
+    if (n == 0)
+        return;
+    L2Entry *e = _l2.find(line, /*touch=*/false);
+    if (!e || !canRead(e->state))
+        panic("node %u: crediting spin hits on 0x%llx without a "
+              "readable copy",
+              _hub.id(), (unsigned long long)line);
+    NodeStats &st = _hub.stats();
+    st.reads += n;
+    st.l1Hits += n;
+    e->staleUpdates = 0;
+    _hub.checker().creditLoads(n);
+    if (verify::TransitionObserver *obs = _hub.observer()) {
+        const auto s = static_cast<verify::StateId>(e->state);
+        obs->credit(verify::Ctrl::Cache, s, verify::PEvent::CpuLoad, s, n);
+    }
+}
+
 void
 CacheController::performStore(Addr line, L2Entry &entry)
 {
@@ -790,6 +819,13 @@ CacheController::localDowngrade(Addr line, Version fallback)
         _hub.observer(), verify::Ctrl::Cache, _hub.id(), line,
         verify::PEvent::LocalDowngrade,
         [this, line]() { return cacheStateGetter(*this, line); });
+
+    // The only local state change that bypasses Hub::handleMessage,
+    // so it must never hit a parked spinner's flag. It cannot: the
+    // producer of a flag is its writer, which never spins on it.
+    if (_hub.spinWatch().watching(line))
+        panic("node %u: local downgrade of its own spin flag 0x%llx",
+              _hub.id(), (unsigned long long)line);
 
     L2Entry *e = _l2.find(line);
     if (!e || e->state == LineState::Invalid)

@@ -92,6 +92,22 @@ class CacheController
     /** L2 state probe (checker / ProducerController). */
     LineState l2State(Addr line, Version &version) const;
 
+    /** @name Barrier-spin fast-forward (src/protocol/spin_watch.hh). */
+    /// @{
+    Tick l1HitLatency() const { return _l1.hitLatency(); }
+
+    /** Would a read of @p line now hit the L1 and return @p v? A
+     *  probe: no LRU or counter changes. */
+    bool readHitReturns(Addr line, Version v) const;
+
+    /** Account @p n L1 read hits on @p line that a parked spinner
+     *  skipped, exactly as access() would have: reads, l1Hits, the
+     *  update-stream reset, checker loads and conformance counts. The
+     *  L1/L2 recency bumps are left out: nothing fills a parked
+     *  node's caches before its next real poll touches the line. */
+    void creditReadHits(Addr line, std::uint64_t n);
+    /// @}
+
     /** Number of outstanding transactions (drain detection). */
     std::size_t outstanding() { return _mshrs.size(); }
 

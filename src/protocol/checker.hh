@@ -132,6 +132,11 @@ class CoherenceChecker
     /** A load by @p node of @p line returned @p version. */
     void loadPerformed(NodeId node, Addr line, Version version);
 
+    /** Count @p n loads a parked barrier spinner skipped. Each re-read
+     *  the version its node last loaded of that line, which nothing
+     *  has changed since, so each is a check that passes. */
+    void creditLoads(std::uint64_t n);
+
     /**
      * Full-system check, valid only when no transactions are in
      * flight (end of run / directed tests).

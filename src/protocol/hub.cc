@@ -48,6 +48,43 @@ Hub::cpuAccess(bool is_write, Addr addr, AccessCallback done)
     _cacheCtrl->access(is_write, addr, std::move(done));
 }
 
+bool
+Hub::parkSpin(Addr line, Version v, Tick spin_delay,
+               AccessCallback on_poll)
+{
+    if (!_cacheCtrl->readHitReturns(line, v))
+        return false;
+    _spin.arm(line, v, curTick() + spin_delay, _eq.childOrder(),
+              _cacheCtrl->l1HitLatency(), spin_delay, std::move(on_poll));
+    return true;
+}
+
+void
+Hub::settleSpin(Tick boundary)
+{
+    if (_spin.armed())
+        _cacheCtrl->creditReadHits(_spin.line(), _spin.settle(boundary));
+}
+
+void
+Hub::wakeSpin()
+{
+    const Addr line = _spin.line();
+    SpinWatch::Resume r = _spin.wake(curTick(), _eq.executing());
+    _cacheCtrl->creditReadHits(line, r.polls);
+    if (r.completion) {
+        _eq.scheduleAsIf(r.when, r.order,
+                         [done = std::move(r.onPoll), v = r.version]() {
+                             done(v);
+                         });
+    } else {
+        _eq.scheduleAsIf(r.when, r.order,
+                         [this, line, done = std::move(r.onPoll)]() mutable {
+                             cpuAccess(false, line, std::move(done));
+                         });
+    }
+}
+
 void
 Hub::send(const Message &msg)
 {
@@ -84,6 +121,11 @@ Hub::handleMessage(const Message &msg)
 
     if (_trace)
         _trace->record(msg, curTick());
+
+    // A parked spinner's polls read the flag as it was before this
+    // delivery: settle the elided chain before anything changes.
+    if (_spin.watching(msg.addr))
+        wakeSpin();
 
     switch (msg.type) {
       case MsgType::ReqShared:

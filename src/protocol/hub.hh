@@ -32,6 +32,7 @@
 #include "src/protocol/dir_controller.hh"
 #include "src/protocol/node_stats.hh"
 #include "src/protocol/producer_controller.hh"
+#include "src/protocol/spin_watch.hh"
 #include "src/sim/event_queue.hh"
 #include "src/sim/stats.hh"
 
@@ -145,6 +146,25 @@ class Hub : public SimObject,
      *  receives the resulting line version. */
     void cpuAccess(bool is_write, Addr addr, AccessCallback done);
 
+    /**
+     * Barrier-spin fast-forward (src/protocol/spin_watch.hh). A
+     * spinner whose poll of @p line just completed stale with version
+     * @p v, and whose next poll -- a cpuAccess read of @p line that
+     * calls @p on_poll -- is due @p spin_delay ticks from now, parks
+     * instead of scheduling it. Parks (and returns true) only when
+     * that poll would be an L1 hit returning @p v; otherwise the
+     * caller schedules the poll as usual. Must run inside the
+     * completing poll's event.
+     */
+    bool parkSpin(Addr line, Version v, Tick spin_delay,
+                  AccessCallback on_poll);
+
+    /** Credit a parked spinner's polls at ticks below @p boundary
+     *  before the stats reset there. */
+    void settleSpin(Tick boundary);
+
+    const SpinWatch &spinWatch() const { return _spin; }
+
     /** Convenience sender: stamps src with this node's id. */
     void send(const Message &msg);
 
@@ -208,6 +228,9 @@ class Hub : public SimObject,
     DirEntry homeDirEntry(Addr line) const override;
 
   private:
+    /** Resume the parked spinner's chain at the executing delivery. */
+    void wakeSpin();
+
     NodeId _id;
     const ProtocolConfig &_cfg;
     Network &_net;
@@ -221,6 +244,7 @@ class Hub : public SimObject,
     verify::MessageTrace *_trace = nullptr;
 
     NackStormWindow _nackStorm;
+    SpinWatch _spin;
 
     Histogram *_consumerHist = nullptr;
     Addr _histExcludeBase = 0;

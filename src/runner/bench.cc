@@ -412,6 +412,9 @@ runScaleSweep(const ScaleOptions &opt)
     doc["workload"] = JsonValue(opt.workload);
     doc["scale"] = JsonValue(opt.scale);
     doc["repeats"] = JsonValue(std::uint64_t(opt.repeats));
+    // Wall-clock columns depend on the host; record its core count.
+    doc["hostCores"] = JsonValue(
+        std::uint64_t(std::thread::hardware_concurrency()));
     JsonValue arr = JsonValue::array();
     for (const auto &p : points)
         arr.push(toJson(p));

@@ -6,12 +6,21 @@
  * sequence numbers break same-tick ties in schedule order, so a
  * simulation run is fully reproducible for a given seed.
  *
+ * Same-tick order is also explicit. Every event carries an
+ * EventOrder: the append key (2 * tick + phase) of the event that
+ * scheduled it, and that event's own key. Events are scheduled in
+ * execution order, so each tick's list is sorted by EventOrder and
+ * schedule order breaks only exact ties; scheduleAsIf() uses this to
+ * insert an event at the position it would hold had some earlier,
+ * elided event scheduled it (barrier-spin fast-forward, see
+ * src/protocol/spin_watch.hh).
+ *
  * Internals (see DESIGN.md, "Simulation kernel internals"): the queue
  * is a two-level calendar. Events within a 4096-tick window of the
  * current one land in per-tick FIFO lists of pooled event nodes
  * (append = schedule order, so same-tick FIFO is structural); rarer
- * far-future events wait in a (tick, seq)-ordered binary heap and
- * migrate into the lists when their window becomes current. A
+ * far-future events wait in a (tick, order, seq)-ordered binary heap
+ * and migrate into the lists when their window becomes current. A
  * callback is constructed in place inside a recycled node and never
  * moves afterwards, so the common scheduleIn(delta, lambda) path
  * performs zero heap allocations and reuses cache-warm storage.
@@ -21,6 +30,7 @@
 #define PCSIM_SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -50,6 +60,21 @@ struct EventQueueStats
     std::uint64_t overflowEvents = 0;
     /** Calendar-window advances (overflow migrations). */
     std::uint64_t windowAdvances = 0;
+};
+
+/**
+ * Same-tick position of an event. @c key is the append key
+ * (2 * tick + phase, phase 0 for tick-start events and 1 for normal
+ * ones) of the event that scheduled it; @c parent is that event's own
+ * key. Within one tick and phase, events execute in ascending
+ * (key, parent) order, and in schedule order on exact ties.
+ */
+struct EventOrder
+{
+    std::uint64_t key = 0;
+    std::uint64_t parent = 0;
+
+    auto operator<=>(const EventOrder &) const = default;
 };
 
 /**
@@ -104,6 +129,53 @@ class EventQueue
     scheduleIn(Tick delta, F &&f)
     {
         schedule(_curTick + delta, std::forward<F>(f));
+    }
+
+    /** Append key of a tick and phase: the EventOrder::key an event
+     *  scheduled by an event at that position carries. */
+    static constexpr std::uint64_t
+    appendKey(Tick tick, bool phase0)
+    {
+        return 2 * tick + (phase0 ? 0 : 1);
+    }
+
+    /** Order of the event now executing (of the last one executed,
+     *  between runs). */
+    EventOrder executing() const { return _curOrder; }
+
+    /** Order a schedule() issued right now stamps on its event. */
+    EventOrder
+    childOrder() const
+    {
+        return {appendKey(_curTick, _curPhase0), _curOrder.key};
+    }
+
+    /**
+     * Schedule normal-phase callable @p f at tick @p when as if an
+     * event at @p order had scheduled it: it runs after every event
+     * at @p when whose order is <= @p order and before every event
+     * whose order is greater. Replaying a chain of elided events
+     * this way puts its next real event exactly where the chain
+     * would have. The position must lie after the executing event,
+     * and @p order must be no later than childOrder(): the elided
+     * scheduler ran before now.
+     */
+    template <typename F>
+    void
+    scheduleAsIf(Tick when, EventOrder order, F &&f)
+    {
+        if (when < _curTick ||
+            (when == _curTick && !_curPhase0 && order < executing()) ||
+            childOrder() < order)
+            panic("scheduleAsIf: position (%llu, %llu, %llu) is not "
+                  "between the executing event and its children",
+                  (unsigned long long)when,
+                  (unsigned long long)order.key,
+                  (unsigned long long)order.parent);
+        EventNode *n = allocNode();
+        emplace(n, std::forward<F>(f));
+        n->order = order;
+        insert<true>(when, n, false);
     }
 
     /** Number of events not yet executed. */
@@ -182,6 +254,8 @@ class EventQueue
         _ringCount = 0;
         _curWindow = 0;
         _curTick = 0;
+        _curPhase0 = false;
+        _curOrder = EventOrder{};
         _nextFarSeq = 0;
         _stopRequested = false;
         _stats = EventQueueStats{};
@@ -189,6 +263,23 @@ class EventQueue
 
     /** Kernel telemetry accumulated since construction / reset(). */
     const EventQueueStats &stats() const { return _stats; }
+
+    /** Invariant probe (tests): every pending tick's phase-0 and
+     *  normal lists are sorted by EventOrder. */
+    bool
+    sameTickOrderHolds() const
+    {
+        for (const Slot &s : _slots) {
+            for (const EventNode *list : {s.head0, s.head}) {
+                for (const EventNode *n = list; n && n->next;
+                     n = n->next) {
+                    if (n->next->order < n->order)
+                        return false;
+                }
+            }
+        }
+        return true;
+    }
 
   private:
     /** log2 of the near-future horizon, in ticks. 4096 covers every
@@ -214,11 +305,14 @@ class EventQueue
         /** Null for trivially-destructible inline callables; frees
          *  the heap copy for oversized ones. */
         void (*dtor)(void *);
+        /** Same-tick position (see EventOrder). */
+        EventOrder order;
         alignas(std::max_align_t)
             unsigned char buf[inlineCallbackBytes];
     };
     static_assert(sizeof(EventNode) % alignof(std::max_align_t) == 0,
                   "node stride must preserve buffer alignment");
+    static_assert(sizeof(EventNode) == 128, "two cache lines per node");
 
     /** One tick's worth of events: a phase-0 FIFO (drained first)
      *  and the normal FIFO, each in schedule order. */
@@ -231,10 +325,13 @@ class EventQueue
         bool empty() const { return !head0 && !head; }
     };
 
-    /** An event beyond the near horizon, heap-ordered by (when, seq). */
+    /** An event beyond the near horizon, heap-ordered by (when,
+     *  order, seq). Real events are scheduled in order, so for them
+     *  this is (when, seq); scheduleAsIf events take their place. */
     struct FarEvent
     {
         Tick when;
+        EventOrder order;
         std::uint64_t seq;
         EventNode *node;
         bool phase0;
@@ -248,6 +345,8 @@ class EventQueue
         {
             if (a.when != b.when)
                 return a.when > b.when;
+            if (a.order != b.order)
+                return a.order > b.order;
             return a.seq > b.seq;
         }
     };
@@ -308,17 +407,30 @@ class EventQueue
                   (unsigned long long)when, (unsigned long long)_curTick);
         EventNode *n = allocNode();
         emplace(n, std::forward<F>(f));
-        ++_stats.scheduled;
+        n->order = childOrder();
+        insert<false>(when, n, phase0);
+    }
 
+    /** File @p n (order already stamped) under tick @p when: appended
+     *  to its list, or placed by order when @p Sorted (a template
+     *  parameter so the append path stays small enough to inline). */
+    template <bool Sorted>
+    void
+    insert(Tick when, EventNode *n, bool phase0)
+    {
+        ++_stats.scheduled;
         const std::uint64_t w = when >> kLogBuckets;
         if (w == _curWindow) {
-            appendSlot(static_cast<std::size_t>(when & kSlotMask), n,
-                       phase0);
+            const auto slot = static_cast<std::size_t>(when & kSlotMask);
+            if constexpr (Sorted)
+                insertSlot(slot, n);
+            else
+                appendSlot(slot, n, phase0);
             ++_ringCount;
         } else {
             ++_stats.overflowEvents;
-            _overflow.push_back(FarEvent{when, _nextFarSeq++, n,
-                                         phase0});
+            _overflow.push_back(FarEvent{when, n->order, _nextFarSeq++,
+                                         n, phase0});
             std::push_heap(_overflow.begin(), _overflow.end(),
                            FarLater{});
         }
@@ -341,6 +453,28 @@ class EventQueue
         else
             head = n;
         tail = n;
+    }
+
+    /** Place @p n in @p slot's normal list after every node whose
+     *  order is <= its own. */
+    void
+    insertSlot(std::size_t slot, EventNode *n)
+    {
+        Slot &s = _slots[slot];
+        if (!s.head || !(n->order < s.tail->order)) {
+            appendSlot(slot, n, false);
+            return;
+        }
+        if (n->order < s.head->order) {
+            n->next = s.head;
+            s.head = n;
+            return;
+        }
+        EventNode *p = s.head;
+        while (!(n->order < p->next->order))
+            p = p->next;
+        n->next = p->next;
+        p->next = n;
     }
 
     /** First occupied slot >= from, or -1. */
@@ -396,9 +530,9 @@ class EventQueue
     }
 
     /** Make the overflow's earliest window current, migrating its
-     *  events into the slots. Heap order is (when, seq), and any
-     *  future append to those slots carries a later sequence, so
-     *  same-tick FIFO order is preserved across the migration. */
+     *  events into the slots. Heap order is (when, order, seq), and
+     *  any future append to those slots is scheduled later, hence
+     *  carries no earlier order, so each list stays sorted. */
     void
     advanceWindow()
     {
@@ -440,6 +574,8 @@ class EventQueue
                 ~(std::uint64_t(1) << (slot & 63));
         --_ringCount;
         _curTick = when;
+        _curPhase0 = phase0;
+        _curOrder = n->order;
         n->invoke(n->buf);
         if (n->dtor)
             n->dtor(n->buf);
@@ -486,6 +622,10 @@ class EventQueue
     std::size_t _slabUsed = kNodesPerSlab;
 
     Tick _curTick = 0;
+    /** Phase and order of the executing event (the last executed one
+     *  between runs); childOrder() derives new events' order. */
+    bool _curPhase0 = false;
+    EventOrder _curOrder;
     bool _stopRequested = false;
     EventQueueStats _stats;
 };

@@ -250,6 +250,13 @@ SimKernel::barrierWait()
     }
 }
 
+bool
+SimKernel::empty() const
+{
+    return std::all_of(_queues.begin(), _queues.end(),
+                       [](const auto &q) { return q->empty(); });
+}
+
 Tick
 SimKernel::maxCurTick() const
 {

@@ -132,6 +132,10 @@ class SimKernel
      */
     std::uint64_t run(Tick limit = maxTick);
 
+    /** True when no shard has an event pending (channels drain at
+     *  every window barrier, so the queues decide). */
+    bool empty() const;
+
     /** Largest current tick across shards (== the sequential queue's
      *  curTick after a drain; content-determined, so S-invariant). */
     Tick maxCurTick() const;

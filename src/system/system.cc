@@ -67,8 +67,8 @@ System::System(const MachineConfig &cfg)
         hub_ptrs.push_back(_hubs.back().get());
     }
     _barrier = std::make_unique<BarrierDriver>(
-        _kernel.queue(0), hub_ptrs, cfg.barrierBase,
-        cfg.proto.lineBytes, cfg.barrierSpinDelay);
+        hub_ptrs, cfg.barrierBase, cfg.proto.lineBytes,
+        cfg.barrierSpinDelay);
 
     // Fault plan LAST, and only when enabled: fault-free runs draw the
     // exact same fork sequence as before, keeping their results
@@ -177,10 +177,14 @@ System::run(Workload &workload, Tick max_ticks)
     // reset must happen at a content-determined global time, so it is
     // requested as a kernel action: it applies at the next action-grid
     // boundary B after the generation's last pass tick, once every
-    // event before B (on every shard) has executed.
+    // event before B (on every shard) has executed. Parked spinners'
+    // elided polls before B belong to init, so they are credited
+    // first.
     _barrier->setOnGeneration([this](std::uint64_t gen, Tick at) {
         if (gen == 1) {
             _kernel.requestGlobalAction(at, [this](Tick boundary) {
+                for (auto &hub : _hubs)
+                    hub->settleSpin(boundary);
                 resetStats();
                 _statsResetTick = boundary;
             });
@@ -190,10 +194,17 @@ System::run(Workload &workload, Tick max_ticks)
     const auto wall_start = std::chrono::steady_clock::now();
     _kernel.run(max_ticks);
 
-    if (running.load() != 0)
+    if (running.load() != 0) {
+        // Parked spinners queue nothing, so a barrier that some CPU
+        // never reaches drains the queue rather than spinning forever.
+        if (_kernel.empty())
+            fatal("event queue drained with %u CPUs unfinished (a "
+                  "barrier some CPU never reaches, or a deadlock)",
+                  running.load());
         fatal("simulation hit the tick limit with %u CPUs unfinished "
               "(deadlock or limit too small)",
               running.load());
+    }
 
     // Drain any leftover protocol work (pending delayed interventions
     // push updates after the CPUs finish) before the quiescent check.

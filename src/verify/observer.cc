@@ -51,15 +51,21 @@ TransitionObserver::end(StateId post)
         violation(f, "next state outside the spec's allowed set",
                   "went to " + _spec.stateName(f.ctrl, post));
     }
-    const std::uint32_t key =
-        (static_cast<std::uint32_t>(f.ctrl) << 24) |
-        (static_cast<std::uint32_t>(f.pre) << 16) |
-        (static_cast<std::uint32_t>(f.event) << 8) |
-        static_cast<std::uint32_t>(post);
+    credit(f.ctrl, f.pre, f.event, post, 1);
+}
+
+void
+TransitionObserver::credit(Ctrl c, StateId pre, PEvent ev, StateId post,
+                           std::uint64_t n)
+{
+    const std::uint32_t key = (static_cast<std::uint32_t>(c) << 24) |
+                              (static_cast<std::uint32_t>(pre) << 16) |
+                              (static_cast<std::uint32_t>(ev) << 8) |
+                              static_cast<std::uint32_t>(post);
     std::unique_lock<std::mutex> lk(_mutex, std::defer_lock);
     if (_parallel)
         lk.lock();
-    ++_counts[key];
+    _counts[key] += n;
 }
 
 std::vector<TransitionCount>

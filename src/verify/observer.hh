@@ -67,6 +67,12 @@ class TransitionObserver
     /** Close the innermost frame with the observed next state. */
     void end(StateId post);
 
+    /** Count @p n occurrences of a transition; end() counts checked
+     *  ones, barrier-spin fast-forward credits a parked spinner's
+     *  elided L1-hit polls (repeats of one it already checked). */
+    void credit(Ctrl c, StateId pre, PEvent ev, StateId post,
+                std::uint64_t n);
+
     /** Observed transitions, sorted (deterministic). */
     std::vector<TransitionCount> coverage() const;
 

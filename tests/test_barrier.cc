@@ -53,11 +53,13 @@ TEST(Barrier, StaggeredArrivalsStillComplete)
 {
     Harness h(presets::base(16));
     unsigned passed = 0;
-    // The master arrives first and must wait for every slave. Spin
-    // loops re-poll forever, so run with a bounded horizon until the
-    // last slave shows up.
+    // The master arrives first and must wait for every slave. Stale
+    // spinners park on their flag line instead of re-polling, so each
+    // bounded run drains its queue; the arriving slaves' writes wake
+    // the master, which collects them all once the last one shows up.
     h.sys.barrier().arrive(0, [&passed]() { ++passed; });
     h.sys.eventQueue().run(h.sys.eventQueue().curTick() + 20000);
+    EXPECT_TRUE(h.sys.eventQueue().empty());
     EXPECT_EQ(passed, 0u);
     for (unsigned c = 1; c < 16; ++c) {
         h.sys.barrier().arrive(c, [&passed]() { ++passed; });
@@ -77,6 +79,42 @@ TEST(Barrier, LastArriverReleasesPromptly)
     h.sys.barrier().arrive(0, [&passed]() { ++passed; });
     h.sys.eventQueue().run(h.sys.eventQueue().curTick() + 50000);
     EXPECT_EQ(passed, 16u);
+}
+
+namespace
+{
+
+/** Every CPU writes its own line and enters a barrier, except the
+ *  last, which skips it. */
+class SkippedBarrier : public TraceWorkload
+{
+  public:
+    explicit SkippedBarrier(unsigned cpus)
+        : TraceWorkload("SkippedBarrier", cpus)
+    {
+        for (unsigned c = 0; c < cpus; ++c) {
+            cpuTrace(c).push_back(MemOp::write(testLine(c)));
+            if (c + 1 < cpus)
+                cpuTrace(c).push_back(MemOp::barrier());
+        }
+    }
+};
+
+} // namespace
+
+TEST(BarrierDeath, NeverCompletingBarrierEndsTheRun)
+{
+    // The 15 CPUs waiting on CPU 15 park on their flags, the queue
+    // drains, and the run reports the stuck CPUs instead of spinning
+    // to the tick limit.
+    EXPECT_EXIT(
+        {
+            System sys(presets::base(16));
+            SkippedBarrier wl(16);
+            sys.run(wl);
+        },
+        ::testing::ExitedWithCode(1),
+        "event queue drained with 15 CPUs unfinished");
 }
 
 TEST(Barrier, GeneratesCoherenceTraffic)

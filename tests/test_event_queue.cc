@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -263,10 +264,12 @@ TEST(EventQueue, StatsCountersTrackActivity)
 namespace
 {
 
-/** Reference model: (tick, seq)-ordered std::priority_queue. */
+/** Reference model: (tick, order, seq)-ordered std::priority_queue,
+ *  which for events scheduled in order is plain (tick, seq). */
 struct RefEvent
 {
     Tick when;
+    EventOrder order;
     std::uint64_t seq;
     int id;
 };
@@ -278,6 +281,8 @@ struct RefLater
     {
         if (a.when != b.when)
             return a.when > b.when;
+        if (a.order != b.order)
+            return a.order > b.order;
         return a.seq > b.seq;
     }
 };
@@ -302,8 +307,9 @@ TEST(EventQueue, RandomizedStressMatchesReferenceModel)
 {
     // Drive the calendar queue and a textbook priority queue with the
     // same randomized schedule (mixed near/far deltas, same-tick
-    // bursts, events scheduling events) and demand identical
-    // execution order.
+    // bursts, events scheduling events, scheduleAsIf insertions at
+    // earlier events' child positions) and demand identical execution
+    // order, with every tick's list sorted by EventOrder throughout.
     for (std::uint64_t seed : {1ull, 42ull, 0xdeadbeefull}) {
         EventQueue eq;
         std::priority_queue<RefEvent, std::vector<RefEvent>, RefLater>
@@ -311,10 +317,13 @@ TEST(EventQueue, RandomizedStressMatchesReferenceModel)
         std::uint64_t refSeq = 0;
         XorShift rng{seed};
         std::vector<int> gotOrder, refOrder;
+        std::vector<EventOrder> pastOrders;
         int nextId = 0;
+        bool sorted = true;
 
         std::function<void(int, int)> spawn = [&](int id, int depth) {
             gotOrder.push_back(id);
+            sorted = sorted && eq.sameTickOrderHolds();
             if (depth > 0 && (rng.next() & 3) == 0) {
                 // Occasionally reschedule a child relative to now,
                 // mirrored into the reference model with the same
@@ -323,12 +332,31 @@ TEST(EventQueue, RandomizedStressMatchesReferenceModel)
                 Tick delta = (r & 1) ? Tick(r % 4096)
                                      : Tick(4096 + r % 100000);
                 const int child = nextId++;
-                ref.push(RefEvent{eq.curTick() + delta, refSeq++,
+                const EventOrder order = eq.childOrder();
+                pastOrders.push_back(order);
+                ref.push(RefEvent{eq.curTick() + delta, order, refSeq++,
                                   child});
                 eq.scheduleIn(delta,
                               [&, child, depth]() {
                                   spawn(child, depth - 1);
                               });
+            }
+            if (depth > 0 && (rng.next() & 7) == 0 &&
+                !pastOrders.empty()) {
+                // Or insert one as if an earlier event had scheduled
+                // it, at a later tick (any such order is valid there).
+                const std::uint64_t r = rng.next();
+                const Tick delta = 1 + ((r & 1) ? Tick(r % 4096)
+                                                : Tick(r % 100000));
+                const EventOrder order =
+                    pastOrders[rng.next() % pastOrders.size()];
+                const int child = nextId++;
+                ref.push(RefEvent{eq.curTick() + delta, order, refSeq++,
+                                  child});
+                eq.scheduleAsIf(eq.curTick() + delta, order,
+                                [&, child, depth]() {
+                                    spawn(child, depth - 1);
+                                });
             }
         };
 
@@ -342,9 +370,10 @@ TEST(EventQueue, RandomizedStressMatchesReferenceModel)
             default: when = r % 10000000; break;     // far future
             }
             const int id = nextId++;
-            ref.push(RefEvent{when, refSeq++, id});
+            ref.push(RefEvent{when, eq.childOrder(), refSeq++, id});
             eq.schedule(when, [&, id]() { spawn(id, 3); });
         }
+        EXPECT_TRUE(eq.sameTickOrderHolds()) << "seed " << seed;
 
         eq.run();
 
@@ -356,8 +385,145 @@ TEST(EventQueue, RandomizedStressMatchesReferenceModel)
         // the reference pop order is (when, seq), matching run().
         ASSERT_EQ(gotOrder.size(), refOrder.size()) << "seed " << seed;
         EXPECT_EQ(gotOrder, refOrder) << "seed " << seed;
+        EXPECT_TRUE(sorted) << "seed " << seed;
         EXPECT_TRUE(eq.empty());
     }
+}
+
+namespace
+{
+
+/**
+ * Three events at ticks 10, 20 and 30 each schedule one event, r0..r2,
+ * at @p target; a fourth at tick 40 then inserts @p extra events with
+ * scheduleAsIf. The three schedulers were scheduled before the run
+ * (key 1), so r0..r2 carry orders {21, 1}, {41, 1} and {61, 1}.
+ * Returns the order in which everything at @p target ran.
+ */
+std::vector<std::string>
+runAsIf(Tick target,
+        std::vector<std::pair<std::string, EventOrder>> extra)
+{
+    EventQueue eq;
+    std::vector<std::string> ran;
+    static const char *const names[] = {"r0", "r1", "r2"};
+    for (int i = 0; i < 3; ++i) {
+        eq.schedule(Tick(10 + 10 * i), [&, i]() {
+            eq.schedule(target, [&, i]() { ran.push_back(names[i]); });
+        });
+    }
+    eq.schedule(40, [&]() {
+        for (auto &[name, order] : extra) {
+            eq.scheduleAsIf(target, order,
+                            [&ran, name = name]() { ran.push_back(name); });
+        }
+    });
+    eq.run();
+    return ran;
+}
+
+} // namespace
+
+TEST(EventQueue, ScheduleAsIfLandsByOrderWithinTheWindow)
+{
+    using V = std::vector<std::string>;
+    EXPECT_EQ(runAsIf(100, {{"a", {51, 0}}}), (V{"r0", "r1", "a", "r2"}));
+    EXPECT_EQ(runAsIf(100, {{"a", {1, 0}}}), (V{"a", "r0", "r1", "r2"}));
+    EXPECT_EQ(runAsIf(100, {{"a", {79, 0}}}), (V{"r0", "r1", "r2", "a"}));
+    // The parent key breaks key ties.
+    EXPECT_EQ(runAsIf(100, {{"a", {41, 0}}}), (V{"r0", "a", "r1", "r2"}));
+    EXPECT_EQ(runAsIf(100, {{"a", {41, 2}}}), (V{"r0", "r1", "a", "r2"}));
+    // Several insertions keep their relative order too.
+    EXPECT_EQ(runAsIf(100, {{"b", {61, 0}}, {"a", {31, 0}}}),
+              (V{"r0", "a", "r1", "b", "r2"}));
+}
+
+TEST(EventQueue, ScheduleAsIfLandsByOrderAcrossAWindowBoundary)
+{
+    // Tick 5000 lies beyond the first 4096-tick window: both the real
+    // events and the insertion wait in the overflow heap and migrate
+    // into the calendar together.
+    using V = std::vector<std::string>;
+    EXPECT_EQ(runAsIf(5000, {{"a", {51, 0}}}), (V{"r0", "r1", "a", "r2"}));
+    EXPECT_EQ(runAsIf(5000, {{"a", {1, 0}}}), (V{"a", "r0", "r1", "r2"}));
+    EXPECT_EQ(runAsIf(5000, {{"a", {41, 0}}}), (V{"r0", "a", "r1", "r2"}));
+    EXPECT_EQ(runAsIf(5000, {{"b", {61, 0}}, {"a", {31, 0}}}),
+              (V{"r0", "a", "r1", "b", "r2"}));
+}
+
+TEST(EventQueue, ScheduleAsIfFollowsEqualOrders)
+{
+    // An exact tie falls back to schedule order, and the insertion is
+    // scheduled last: it runs right after the event it ties.
+    using V = std::vector<std::string>;
+    EXPECT_EQ(runAsIf(100, {{"a", {41, 1}}}), (V{"r0", "r1", "a", "r2"}));
+    EXPECT_EQ(runAsIf(5000, {{"a", {41, 1}}}), (V{"r0", "r1", "a", "r2"}));
+    EXPECT_EQ(runAsIf(100, {{"a", {61, 1}}, {"b", {61, 1}}}),
+              (V{"r0", "r1", "r2", "a", "b"}));
+}
+
+TEST(EventQueue, ScheduleAsIfAtTheCurrentTick)
+{
+    // Same-tick insertion behind the executing event (scheduled at
+    // tick 7) but ahead of its sibling scheduled at tick 9.
+    EventQueue eq;
+    std::vector<int> ran;
+    eq.schedule(5, [&]() {
+        eq.schedule(50, [&]() { ran.push_back(1); });
+    });
+    eq.schedule(7, [&]() {
+        eq.schedule(50, [&]() {
+            ran.push_back(2);
+            eq.scheduleAsIf(50, {EventQueue::appendKey(8, false), 0},
+                            [&]() { ran.push_back(3); });
+        });
+    });
+    eq.schedule(9, [&]() {
+        eq.schedule(50, [&]() { ran.push_back(4); });
+    });
+    eq.run();
+    EXPECT_EQ(ran, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(EventQueue, ExecutingReportsTheScheduledOrder)
+{
+    EventQueue eq;
+    EventOrder stamped, seen;
+    eq.schedule(3, [&]() {
+        stamped = eq.childOrder();
+        eq.schedulePhase0(8, [&]() {
+            // Phase-0 schedulers stamp even keys.
+            EXPECT_EQ(eq.childOrder().key, EventQueue::appendKey(8, true));
+            eq.schedule(9, [&]() { seen = eq.executing(); });
+        });
+    });
+    eq.run();
+    EXPECT_EQ(stamped.key, 7u);
+    EXPECT_EQ(seen.key, EventQueue::appendKey(8, true));
+    EXPECT_EQ(seen.parent, stamped.key);
+}
+
+TEST(EventQueueDeath, ScheduleAsIfRejectsExecutedPositions)
+{
+    EventQueue eq;
+    eq.schedule(10, [&]() {
+        eq.schedule(20, [&]() {
+            // Order {1, 0} at tick 20 sorts before this very event.
+            eq.scheduleAsIf(20, {1, 0}, []() {});
+        });
+    });
+    EXPECT_DEATH(eq.run(), "scheduleAsIf");
+}
+
+TEST(EventQueueDeath, ScheduleAsIfRejectsFutureSchedulers)
+{
+    EventQueue eq;
+    eq.schedule(10, [&]() {
+        // No event at tick 30 has run yet to schedule this.
+        eq.scheduleAsIf(40, {EventQueue::appendKey(30, false), 0},
+                        []() {});
+    });
+    EXPECT_DEATH(eq.run(), "scheduleAsIf");
 }
 
 TEST(EventQueue, Phase0RunsBeforeNormalEventsAtTheSameTick)
