@@ -6,13 +6,20 @@
  * replacement (LRU or random). The number of sets need not be a power
  * of two, which lets us model the "equal silicon area" 1.04 MB L2 of
  * Figure 8 exactly.
+ *
+ * Memory follows the sets a run touches, not the modelled capacity: a
+ * set takes storage on its first allocate() (DESIGN.md, "Per-node
+ * state on first touch").
  */
 
 #ifndef PCSIM_CACHE_CACHE_ARRAY_HH
 #define PCSIM_CACHE_CACHE_ARRAY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -36,20 +43,19 @@ enum class ReplPolicy
  * EntryT is any default-constructible struct; the array adds tag,
  * valid bit and recency. Addresses passed in are byte addresses and
  * are aligned internally to the line size.
+ *
+ * Storage is materialized per set on first allocate(): a per-set
+ * index (null = never allocated) points at the set's ways in
+ * append-only slabs, packed in first-touch order. Lookups on an
+ * untouched set return null and allocate nothing; payload pointers
+ * stay valid until their line leaves. A payload lives exactly while
+ * its line is valid: allocate() constructs it, and invalidation,
+ * eviction, clear() and destruction end it.
  */
 template <typename EntryT>
 class CacheArray
 {
   public:
-    /** A slot: management bits plus the user payload. */
-    struct Slot
-    {
-        bool valid = false;
-        Addr addr = invalidAddr; ///< line-aligned address
-        std::uint64_t lastUse = 0;
-        EntryT data{};
-    };
-
     CacheArray(std::string name, std::size_t num_sets, std::size_t ways,
                std::uint32_t line_bytes, ReplPolicy policy, Rng rng)
         : _name(std::move(name)),
@@ -58,7 +64,7 @@ class CacheArray
           _lineBytes(line_bytes),
           _policy(policy),
           _rng(rng),
-          _slots(num_sets * ways)
+          _sets(num_sets, nullptr)
     {
         if (num_sets == 0 || ways == 0 || line_bytes == 0)
             fatal("%s: bad cache geometry", _name.c_str());
@@ -72,6 +78,9 @@ class CacheArray
         return _numSets * _ways * _lineBytes;
     }
 
+    /** Sets that have taken storage so far (footprint probe). */
+    std::size_t materializedSets() const { return _materialized; }
+
     /** Align a byte address down to its line. */
     Addr lineAlign(Addr a) const { return a - (a % _lineBytes); }
 
@@ -82,7 +91,7 @@ class CacheArray
     EntryT *
     find(Addr a, bool touch = true)
     {
-        Slot *slot = findSlot(a);
+        Slot *slot = findSlot(lineAlign(a));
         if (!slot)
             return nullptr;
         if (touch)
@@ -118,18 +127,17 @@ class CacheArray
                  = nullptr)
     {
         const Addr line = lineAlign(a);
-        if (Slot *hit = findSlot(line)) {
-            hit->lastUse = ++_useClock;
-            return &hit->data;
-        }
-
-        Slot *set = setBase(line);
+        const std::size_t s = setIndex(line);
+        Slot *set = _sets[s] ? _sets[s] : materialize(s);
+        // A hit wins; otherwise prefer the first invalid slot.
         Slot *victim = nullptr;
-        // Prefer an invalid slot.
         for (std::size_t w = 0; w < _ways; ++w) {
             if (!set[w].valid) {
-                victim = &set[w];
-                break;
+                if (!victim)
+                    victim = &set[w];
+            } else if (set[w].addr == line) {
+                set[w].lastUse = ++_useClock;
+                return &set[w].data;
             }
         }
         if (!victim) {
@@ -138,11 +146,14 @@ class CacheArray
                 return nullptr;
             if (on_evict)
                 on_evict(victim->addr, victim->data);
+            // The callback may already have invalidated the victim.
+            if (victim->valid)
+                release(*victim);
         }
+        ::new (static_cast<void *>(&victim->data)) EntryT{};
         victim->valid = true;
         victim->addr = line;
         victim->lastUse = ++_useClock;
-        victim->data = EntryT{};
         return &victim->data;
     }
 
@@ -150,31 +161,39 @@ class CacheArray
     bool
     invalidate(Addr a)
     {
-        Slot *slot = findSlot(a);
+        Slot *slot = findSlot(lineAlign(a));
         if (!slot)
             return false;
-        slot->valid = false;
-        slot->addr = invalidAddr;
-        slot->data = EntryT{};
+        release(*slot);
         return true;
     }
 
-    /** Visit every valid line: fn(addr, payload). */
+    /** Visit every valid line in set-index, then way, order:
+     *  fn(addr, payload). */
     void
     forEach(const std::function<void(Addr, EntryT &)> &fn)
     {
-        for (auto &slot : _slots) {
-            if (slot.valid)
-                fn(slot.addr, slot.data);
-        }
+        forEachValid([&](Slot &s) { fn(s.addr, s.data); });
     }
 
     void
     forEach(const std::function<void(Addr, const EntryT &)> &fn) const
     {
-        for (const auto &slot : _slots) {
-            if (slot.valid)
-                fn(slot.addr, slot.data);
+        forEachValid([&](const Slot &s) { fn(s.addr, s.data); });
+    }
+
+    /** Visit the valid lines of the set @p a maps to, in way order:
+     *  fn(addr, payload). */
+    void
+    forEachInSet(Addr a,
+                 const std::function<void(Addr, const EntryT &)> &fn) const
+    {
+        const Slot *set = _sets[setIndex(lineAlign(a))];
+        if (!set)
+            return;
+        for (std::size_t w = 0; w < _ways; ++w) {
+            if (set[w].valid)
+                fn(set[w].addr, set[w].data);
         }
     }
 
@@ -182,9 +201,9 @@ class CacheArray
     std::size_t
     setOccupancy(Addr a) const
     {
-        const Addr line = lineAlign(a);
-        const Slot *set =
-            &_slots[setIndex(line) * _ways];
+        const Slot *set = _sets[setIndex(lineAlign(a))];
+        if (!set)
+            return 0;
         std::size_t n = 0;
         for (std::size_t w = 0; w < _ways; ++w)
             n += set[w].valid ? 1 : 0;
@@ -196,41 +215,101 @@ class CacheArray
     occupancy() const
     {
         std::size_t n = 0;
-        for (const auto &slot : _slots)
-            n += slot.valid ? 1 : 0;
+        forEachValid([&](const Slot &) { ++n; });
         return n;
     }
 
-    /** Drop everything. */
+    /** Drop everything (materialized sets keep their storage). */
     void
     clear()
     {
-        for (auto &slot : _slots) {
-            slot.valid = false;
-            slot.addr = invalidAddr;
-            slot.data = EntryT{};
-        }
+        forEachValid([](Slot &s) { release(s); });
     }
 
   private:
+    /** A slot: management bits plus the user payload. */
+    struct Slot
+    {
+        Slot() {}
+        ~Slot()
+        {
+            if (valid)
+                data.~EntryT();
+        }
+        Slot(const Slot &) = delete;
+        Slot &operator=(const Slot &) = delete;
+
+        bool valid = false;
+        Addr addr = invalidAddr; ///< line-aligned address
+        std::uint64_t lastUse = 0;
+        /** Constructed exactly while @c valid. */
+        union
+        {
+            EntryT data;
+        };
+    };
+
+    /** Slabs double in sets up to this many. */
+    static constexpr std::size_t maxSlabSets = 64;
+
     std::size_t
     setIndex(Addr line) const
     {
         return static_cast<std::size_t>((line / _lineBytes) % _numSets);
     }
 
-    Slot *setBase(Addr line) { return &_slots[setIndex(line) * _ways]; }
+    /** Give set @p s storage: the next ways in the newest slab. */
+    Slot *
+    materialize(std::size_t s)
+    {
+        if (_slabUsed == _slabSets) {
+            // Doubling keeps sparse arrays small and dense ones to
+            // few allocations.
+            _slabSets = std::min({std::max<std::size_t>(_materialized, 1),
+                                  maxSlabSets, _numSets - _materialized});
+            _slabs.push_back(std::make_unique<Slot[]>(_slabSets * _ways));
+            _slabUsed = 0;
+        }
+        ++_materialized;
+        _sets[s] = _slabs.back().get() + _slabUsed++ * _ways;
+        return _sets[s];
+    }
 
     Slot *
-    findSlot(Addr a)
+    findSlot(Addr line)
     {
-        const Addr line = lineAlign(a);
-        Slot *set = setBase(line);
+        Slot *set = _sets[setIndex(line)];
+        if (!set)
+            return nullptr;
         for (std::size_t w = 0; w < _ways; ++w) {
             if (set[w].valid && set[w].addr == line)
                 return &set[w];
         }
         return nullptr;
+    }
+
+    /** End a valid slot's payload and free the way. */
+    static void
+    release(Slot &s)
+    {
+        s.data.~EntryT();
+        s.valid = false;
+        s.addr = invalidAddr;
+    }
+
+    /** fn(slot) for every valid slot, in set-index then way order. */
+    template <typename Fn>
+    void
+    forEachValid(Fn &&fn) const
+    {
+        for (Slot *set : _sets) {
+            if (!set)
+                continue;
+            for (std::size_t w = 0; w < _ways; ++w) {
+                if (set[w].valid)
+                    fn(set[w]);
+            }
+        }
     }
 
     Slot *
@@ -265,7 +344,13 @@ class CacheArray
     std::uint32_t _lineBytes;
     ReplPolicy _policy;
     Rng _rng;
-    std::vector<Slot> _slots;
+    /** Per set: its first way, or null while never allocated. */
+    std::vector<Slot *> _sets;
+    /** Append-only storage; sets are packed in first-touch order. */
+    std::vector<std::unique_ptr<Slot[]>> _slabs;
+    std::size_t _slabSets = 0; ///< sets the newest slab holds
+    std::size_t _slabUsed = 0; ///< of which materialized
+    std::size_t _materialized = 0;
     std::uint64_t _useClock = 0;
 };
 

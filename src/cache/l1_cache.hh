@@ -55,6 +55,12 @@ class L1Cache
     /** True if @p a is present; no recency update. */
     bool contains(Addr a) const { return _array.find(a) != nullptr; }
 
+    /** Sets that have taken storage so far (footprint probe). */
+    std::size_t materializedSets() const
+    {
+        return _array.materializedSets();
+    }
+
     /** Fill the L1 line containing @p a (evicting silently). */
     void fill(Addr a) { _array.allocate(a); }
 

@@ -106,6 +106,13 @@ class DelegateCache
 
     const DelegateCacheConfig &config() const { return _cfg; }
 
+    /** Sets both tables have materialized so far (footprint probe). */
+    std::size_t
+    materializedSets() const
+    {
+        return _producer.materializedSets() + _consumer.materializedSets();
+    }
+
   private:
     DelegateCacheConfig _cfg;
     CacheArray<ProducerEntry> _producer;

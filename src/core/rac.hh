@@ -85,9 +85,9 @@ class Rac
     /**
      * Insert and pin the surrogate-memory copy for a freshly delegated
      * line. May displace unpinned entries. If the set is full of
-     * pinned entries, @p evict_pinned is invoked with the
-     * least-recently-used pinned victim so the caller can undelegate
-     * it first (undelegation reason 2); the insert is then retried.
+     * pinned entries, @p evict_pinned is invoked with the set's first
+     * pinned entry in way order so the caller can undelegate it first
+     * (undelegation reason 2); the insert is then retried.
      *
      * @return the entry, or nullptr if no room could be made.
      */
@@ -148,34 +148,21 @@ class Rac
 
     std::size_t occupancy() const { return _array.occupancy(); }
     std::size_t capacityBytes() const { return _array.capacityBytes(); }
-
-    void
-    forEach(const std::function<void(Addr, const RacEntry &)> &fn) const
+    std::size_t materializedSets() const
     {
-        _array.forEach(fn);
+        return _array.materializedSets();
     }
 
   private:
-    /** LRU pinned entry in the set @p line maps to. */
+    /** First pinned entry, in way order, of the set @p line maps to
+     *  (recency is not consulted); invalidAddr if none. */
     Addr
-    pinnedVictimInSetOf(Addr line)
+    pinnedVictimInSetOf(Addr line) const
     {
-        // Walk the whole array (sets are small; this is rare).
         Addr victim = invalidAddr;
-        std::uint64_t bestUse = ~0ull;
-        const std::size_t set =
-            (line / _cfg.lineBytes) % _array.numSets();
-        _array.forEach([&](Addr a, RacEntry &e) {
-            if (!e.pinned)
-                return;
-            if ((a / _cfg.lineBytes) % _array.numSets() != set)
-                return;
-            // Recency is not exposed; approximate with address order
-            // determinism. First found is fine: pinned sets are tiny.
-            if (bestUse == ~0ull) {
+        _array.forEachInSet(line, [&](Addr a, const RacEntry &e) {
+            if (e.pinned && victim == invalidAddr)
                 victim = a;
-                bestUse = 0;
-            }
         });
         return victim;
     }

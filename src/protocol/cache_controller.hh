@@ -108,6 +108,18 @@ class CacheController
     void creditReadHits(Addr line, std::uint64_t n);
     /// @}
 
+    /** @name Footprint probes (CacheArray::materializedSets). */
+    /// @{
+    std::size_t l1MaterializedSets() const
+    {
+        return _l1.materializedSets();
+    }
+    std::size_t l2MaterializedSets() const
+    {
+        return _l2.materializedSets();
+    }
+    /// @}
+
     /** Number of outstanding transactions (drain detection). */
     std::size_t outstanding() { return _mshrs.size(); }
 

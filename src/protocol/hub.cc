@@ -42,6 +42,18 @@ Hub::Hub(EventQueue &eq, Network &net, MemoryMap &mem_map,
 
 Hub::~Hub() = default;
 
+MaterializedSets
+Hub::materializedSets() const
+{
+    MaterializedSets m;
+    m.l1 = _cacheCtrl->l1MaterializedSets();
+    m.l2 = _cacheCtrl->l2MaterializedSets();
+    m.rac = _rac ? _rac->materializedSets() : 0;
+    m.dirCache = _dirCtrl->dirCache().materializedSets();
+    m.delegate = _delegate ? _delegate->materializedSets() : 0;
+    return m;
+}
+
 void
 Hub::cpuAccess(bool is_write, Addr addr, AccessCallback done)
 {

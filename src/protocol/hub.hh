@@ -89,6 +89,23 @@ class NackStormWindow
     Tick _curBucket = 0;
 };
 
+/** Sets each of a node's set-associative arrays has materialized so
+ *  far (CacheArray::materializedSets); zero for an absent structure. */
+struct MaterializedSets
+{
+    std::size_t l1 = 0;
+    std::size_t l2 = 0;
+    std::size_t rac = 0;
+    std::size_t dirCache = 0;
+    std::size_t delegate = 0; ///< producer + consumer tables
+
+    std::size_t
+    total() const
+    {
+        return l1 + l2 + rac + dirCache + delegate;
+    }
+};
+
 /** One node's hub. */
 class Hub : public SimObject,
             public MessageHandler,
@@ -119,6 +136,9 @@ class Hub : public SimObject,
     /** Optional structures (null when the config disables them). */
     Rac *rac() { return _rac.get(); }
     DelegateCache *delegateCache() { return _delegate.get(); }
+
+    /** Footprint probe: read-only, allocates nothing. */
+    MaterializedSets materializedSets() const;
 
     /** Table-3 instrumentation: consumers invalidated per write to a
      *  producer-consumer line. Owned by the System; the barrier flag

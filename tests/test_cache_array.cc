@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -177,3 +178,159 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(1, 1), std::make_tuple(1, 4),
                       std::make_tuple(8, 2), std::make_tuple(13, 4),
                       std::make_tuple(64, 4), std::make_tuple(256, 8)));
+
+// ---- Storage materialized per set on first allocate() ----
+
+TEST(CacheArrayStorage, ProbesOfUntouchedSetsAllocateNothing)
+{
+    auto c = makeArray(8, 2);
+    const auto &cc = c;
+    EXPECT_EQ(c.materializedSets(), 0u);
+    for (Addr a = 0; a < 8 * 128; a += 128) {
+        EXPECT_EQ(c.find(a), nullptr);
+        EXPECT_EQ(c.find(a, false), nullptr);
+        EXPECT_EQ(cc.find(a), nullptr);
+        EXPECT_FALSE(c.invalidate(a));
+        EXPECT_EQ(c.setOccupancy(a), 0u);
+    }
+    EXPECT_EQ(c.occupancy(), 0u);
+    EXPECT_EQ(c.materializedSets(), 0u);
+
+    c.allocate(3 * 128);
+    EXPECT_EQ(c.materializedSets(), 1u);
+    c.allocate(3 * 128 + 8 * 128); // same set, second way
+    EXPECT_EQ(c.materializedSets(), 1u);
+    EXPECT_EQ(c.setOccupancy(3 * 128), 2u);
+    EXPECT_EQ(c.setOccupancy(4 * 128), 0u);
+    EXPECT_EQ(c.occupancy(), 2u);
+}
+
+TEST(CacheArrayStorage, ForEachRunsInSetThenWayOrder)
+{
+    auto c = makeArray(4, 2);
+    // Touch set 3, then 0, then 2: first-touch order differs from
+    // set-index order.
+    c.allocate(3 * 128);
+    c.allocate(0 * 128);
+    c.allocate(2 * 128);
+    c.allocate(4 * 128); // set 0, way 1
+    std::vector<Addr> seen;
+    c.forEach([&](Addr a, Payload &) { seen.push_back(a); });
+    EXPECT_EQ(seen, (std::vector<Addr>{0, 4 * 128, 2 * 128, 3 * 128}));
+
+    // A way freed in set 0 is refilled in place: way order holds.
+    c.invalidate(0);
+    c.allocate(8 * 128);
+    seen.clear();
+    const auto &cc = c;
+    cc.forEach([&](Addr a, const Payload &) { seen.push_back(a); });
+    EXPECT_EQ(seen, (std::vector<Addr>{8 * 128, 4 * 128, 2 * 128, 3 * 128}));
+
+    seen.clear();
+    c.forEachInSet(0, [&](Addr a, const Payload &) { seen.push_back(a); });
+    EXPECT_EQ(seen, (std::vector<Addr>{8 * 128, 4 * 128}));
+    seen.clear();
+    c.forEachInSet(1 * 128,
+                   [&](Addr a, const Payload &) { seen.push_back(a); });
+    EXPECT_TRUE(seen.empty());
+}
+
+TEST(CacheArrayStorage, PayloadPointersSurviveOtherSetsMaterializing)
+{
+    auto c = makeArray(512, 4);
+    Payload *first = c.allocate(0);
+    first->value = 42;
+    // Touch every other set, several slabs' worth.
+    for (Addr s = 1; s < 512; ++s)
+        c.allocate(s * 128)->value = static_cast<int>(s);
+    EXPECT_EQ(c.materializedSets(), 512u);
+    EXPECT_EQ(c.find(0), first);
+    EXPECT_EQ(first->value, 42);
+    for (Addr s = 1; s < 512; ++s)
+        EXPECT_EQ(c.find(s * 128)->value, static_cast<int>(s));
+}
+
+namespace
+{
+
+/** Records every construction and destruction by instance id. */
+struct Counted
+{
+    static inline int nextId = 0;
+    static inline std::vector<int> destroyed;
+    static inline int live = 0;
+
+    Counted() : id(nextId++) { ++live; }
+    Counted(const Counted &) = delete;
+    Counted &operator=(const Counted &) = delete;
+    ~Counted()
+    {
+        --live;
+        destroyed.push_back(id);
+    }
+
+    int id;
+};
+
+} // namespace
+
+TEST(CacheArrayStorage, EachPayloadIsDestroyedExactlyOnce)
+{
+    Counted::nextId = 0;
+    Counted::destroyed.clear();
+    Counted::live = 0;
+    {
+        CacheArray<Counted> c("counted", 2, 2, 128, ReplPolicy::LRU,
+                              Rng(1));
+        c.allocate(0);       // id 0, set 0
+        c.allocate(2 * 128); // id 1, set 0
+        c.allocate(1 * 128); // id 2, set 1
+        EXPECT_EQ(Counted::live, 3);
+        EXPECT_TRUE(Counted::destroyed.empty());
+
+        EXPECT_TRUE(c.invalidate(1 * 128));
+        EXPECT_EQ(Counted::destroyed, (std::vector<int>{2}));
+
+        // Set 0 is full: the LRU line (id 0) is evicted.
+        int evicted = -1;
+        c.allocate(4 * 128, nullptr,
+                   [&](Addr, Counted &v) { evicted = v.id; });
+        EXPECT_EQ(evicted, 0);
+        EXPECT_EQ(Counted::destroyed, (std::vector<int>{2, 0}));
+        EXPECT_EQ(Counted::live, 2);
+
+        // An eviction callback that invalidates its own victim (as
+        // producer-table undelegation does) still ends it only once.
+        c.allocate(6 * 128, nullptr,
+                   [&](Addr a, Counted &) { c.invalidate(a); });
+        EXPECT_EQ(Counted::destroyed, (std::vector<int>{2, 0, 1}));
+
+        c.clear();
+        EXPECT_EQ(Counted::live, 0);
+        c.allocate(3 * 128); // id 5
+        EXPECT_EQ(Counted::live, 1);
+    }
+    EXPECT_EQ(Counted::live, 0);
+    std::vector<int> ids = Counted::destroyed;
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(ids, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(CacheArrayStorage, RandomVictimsMatchTheDenseArray)
+{
+    // Victims the dense (fully pre-built) array chose for this exact
+    // sequence: materializing sets on first touch must not change the
+    // replacement draws.
+    CacheArray<Payload> c("rand", 4, 4, 128, ReplPolicy::Random, Rng(5));
+    std::vector<Addr> victims;
+    for (int i = 0; i < 48; ++i) {
+        // Lines scattered over the sets, set 3 touched first.
+        const Addr a = static_cast<Addr>((i * 7 + 3) % 32) * 128;
+        c.allocate(
+            a, [](Addr v, const Payload &) { return (v / 128) % 3 != 0; },
+            [&](Addr v, Payload &) { victims.push_back(v / 128); });
+    }
+    EXPECT_EQ(victims,
+              (std::vector<Addr>{31, 2, 5, 20, 23, 10, 1, 8, 19, 26, 29, 4,
+                                 11, 22, 25, 16, 14, 7, 28, 10, 20, 31, 17}));
+}

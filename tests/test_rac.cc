@@ -78,6 +78,30 @@ TEST(Rac, PinnedPressureInvokesUndelegationCallback)
     EXPECT_EQ(r.find(2 * 128)->version, 3u);
 }
 
+TEST(Rac, PinnedPressurePicksFirstPinnedWayOfTheSet)
+{
+    Rac r = makeRac(4 * 128, 2); // two sets, two ways
+    // A pinned line in set 0 comes first in whole-array order; it must
+    // never be offered for a set-1 conflict.
+    ASSERT_NE(r.insertPinned(0 * 128, 1, nullptr), nullptr);
+    // Set 1: way 0 = line 1, way 1 = line 3, both pinned.
+    ASSERT_NE(r.insertPinned(1 * 128, 2, nullptr), nullptr);
+    ASSERT_NE(r.insertPinned(3 * 128, 3, nullptr), nullptr);
+    // Touch line 1 so line 3 is the set's LRU entry: the victim is
+    // still way 0 (recency is not consulted).
+    r.find(1 * 128);
+    std::vector<Addr> evicted;
+    RacEntry *e = r.insertPinned(5 * 128, 4, [&](Addr victim) {
+        evicted.push_back(victim);
+        r.unpin(victim, /*keep_data=*/false);
+    });
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(evicted, (std::vector<Addr>{1 * 128}));
+    EXPECT_NE(r.find(0 * 128), nullptr);
+    EXPECT_NE(r.find(3 * 128), nullptr);
+    EXPECT_EQ(r.find(5 * 128)->version, 4u);
+}
+
 TEST(Rac, UpdatePinnedRefreshesData)
 {
     Rac r = makeRac();

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "harness.hh"
 #include "src/workload/micro.hh"
 
@@ -125,6 +128,39 @@ TEST(SystemTest, SeedChangesNothingForDeterministicWorkloads)
     RunResult rb = runWorkload(b, wl, "b");
     EXPECT_NEAR(double(ra.cycles), double(rb.cycles),
                 0.1 * double(ra.cycles));
+}
+
+TEST(SystemTest, FootprintFollowsTouchedSetsOnly)
+{
+    {
+        // Building a machine materializes no cache or directory set.
+        System sys(presets::large(1024));
+        for (unsigned i = 0; i < sys.numNodes(); ++i)
+            ASSERT_EQ(sys.hub(i).materializedSets().total(), 0u)
+                << "node " << i;
+    }
+
+    // The checker probes every node's L2 on every store and the
+    // conformance hook probes controller state; neither may allocate.
+    auto perNode = [](bool verify) {
+        MachineConfig cfg = presets::large(16);
+        cfg.proto.checkerEnabled = verify;
+        cfg.proto.conformanceEnabled = verify;
+        ProducerConsumerMicro wl(16);
+        System sys(cfg);
+        sys.run(wl);
+        std::vector<std::size_t> sets;
+        for (unsigned i = 0; i < sys.numNodes(); ++i) {
+            const MaterializedSets m = sys.hub(i).materializedSets();
+            sets.insert(sets.end(),
+                        {m.l1, m.l2, m.rac, m.dirCache, m.delegate});
+        }
+        return sets;
+    };
+    const std::vector<std::size_t> plain = perNode(false);
+    EXPECT_GT(std::accumulate(plain.begin(), plain.end(), std::size_t{0}),
+              0u);
+    EXPECT_EQ(perNode(true), plain);
 }
 
 TEST(SystemTest, HubLineAlignment)
