@@ -25,7 +25,7 @@ main()
     MachineConfig inter = presets::small(16);
     inter.proto.l2SizeBytes = 1024 * 1024;
 
-    // 1.04 MB with 4 ways and 128 B lines: 2129 sets (non-power-of-2,
+    // 1 MB + 40 KB with 4 ways and 128 B lines: 2128 sets (non-power-of-2,
     // supported by the cache array exactly for this experiment).
     MachineConfig equal = presets::base(16);
     equal.proto.l2SizeBytes = 1024 * 1024;

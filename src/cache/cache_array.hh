@@ -3,9 +3,11 @@
  * Generic set-associative cache array.
  *
  * Stores user-defined per-line payloads and manages tags, validity and
- * replacement (LRU or random). The number of sets need not be a power
- * of two, which lets us model the "equal silicon area" 1.04 MB L2 of
- * Figure 8 exactly.
+ * replacement (LRU or random). The line size must be a power of two;
+ * the number of sets need not be, which lets us model the "equal
+ * silicon area" 1.04 MB L2 of Figure 8 exactly. Lines align by mask
+ * and power-of-two set counts index by shift and mask; only other set
+ * counts pay a division (DESIGN.md, "Hot-path data structures").
  *
  * Memory follows the sets a run touches, not the modelled capacity: a
  * set takes storage on its first allocate() (DESIGN.md, "Per-node
@@ -16,11 +18,13 @@
 #define PCSIM_CACHE_CACHE_ARRAY_HH
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/logging.hh"
@@ -62,12 +66,18 @@ class CacheArray
           _numSets(num_sets),
           _ways(ways),
           _lineBytes(line_bytes),
+          _lineShift(static_cast<unsigned>(std::countr_zero(line_bytes))),
+          _setMask(num_sets - 1),
+          _setsPow2(isPowerOfTwo(num_sets)),
           _policy(policy),
           _rng(rng),
           _sets(num_sets, nullptr)
     {
         if (num_sets == 0 || ways == 0 || line_bytes == 0)
             fatal("%s: bad cache geometry", _name.c_str());
+        if (!isPowerOfTwo(line_bytes))
+            fatal("%s: line size %u is not a power of two", _name.c_str(),
+                  line_bytes);
     }
 
     std::uint32_t lineBytes() const { return _lineBytes; }
@@ -82,7 +92,7 @@ class CacheArray
     std::size_t materializedSets() const { return _materialized; }
 
     /** Align a byte address down to its line. */
-    Addr lineAlign(Addr a) const { return a - (a % _lineBytes); }
+    Addr lineAlign(Addr a) const { return a & ~Addr{_lineBytes - 1}; }
 
     /**
      * Look up @p a. Returns the payload or nullptr.
@@ -109,22 +119,23 @@ class CacheArray
      * Allocate a slot for @p a, evicting if necessary.
      *
      * @param a            byte address (aligned internally).
-     * @param can_evict    predicate deciding whether a valid slot may
-     *                     be displaced (e.g. skip pinned RAC entries);
+     * @param can_evict    predicate (addr, const payload) -> bool
+     *                     deciding whether a valid slot may be
+     *                     displaced (e.g. skip pinned RAC entries);
      *                     pass nullptr to allow any.
      * @param on_evict     called with (addr, payload) of the victim
-     *                     before reuse.
+     *                     before reuse; nullptr for none.
      * @return payload pointer, or nullptr if the set is full and no
      *         slot is evictable.
      *
-     * If @p a is already present its existing slot is returned.
+     * If @p a is already present its existing slot is returned. Both
+     * callables are inlined: no type erasure on the fill path.
      */
+    template <typename CanEvict = std::nullptr_t,
+              typename OnEvict = std::nullptr_t>
     EntryT *
-    allocate(Addr a,
-             const std::function<bool(Addr, const EntryT &)> &can_evict
-                 = nullptr,
-             const std::function<void(Addr, EntryT &)> &on_evict
-                 = nullptr)
+    allocate(Addr a, CanEvict &&can_evict = nullptr,
+             OnEvict &&on_evict = nullptr)
     {
         const Addr line = lineAlign(a);
         const std::size_t s = setIndex(line);
@@ -144,7 +155,7 @@ class CacheArray
             victim = pickVictim(set, can_evict);
             if (!victim)
                 return nullptr;
-            if (on_evict)
+            if constexpr (!isNull<OnEvict>)
                 on_evict(victim->addr, victim->data);
             // The callback may already have invalidated the victim.
             if (victim->valid)
@@ -170,23 +181,25 @@ class CacheArray
 
     /** Visit every valid line in set-index, then way, order:
      *  fn(addr, payload). */
+    template <typename Fn>
     void
-    forEach(const std::function<void(Addr, EntryT &)> &fn)
+    forEach(Fn &&fn)
     {
         forEachValid([&](Slot &s) { fn(s.addr, s.data); });
     }
 
+    template <typename Fn>
     void
-    forEach(const std::function<void(Addr, const EntryT &)> &fn) const
+    forEach(Fn &&fn) const
     {
         forEachValid([&](const Slot &s) { fn(s.addr, s.data); });
     }
 
     /** Visit the valid lines of the set @p a maps to, in way order:
-     *  fn(addr, payload). */
+     *  fn(addr, const payload). */
+    template <typename Fn>
     void
-    forEachInSet(Addr a,
-                 const std::function<void(Addr, const EntryT &)> &fn) const
+    forEachInSet(Addr a, Fn &&fn) const
     {
         const Slot *set = _sets[setIndex(lineAlign(a))];
         if (!set)
@@ -252,10 +265,21 @@ class CacheArray
     /** Slabs double in sets up to this many. */
     static constexpr std::size_t maxSlabSets = 64;
 
+    /** Is callable type @p F a nullptr placeholder? */
+    template <typename F>
+    static constexpr bool isNull =
+        std::is_null_pointer_v<std::remove_cvref_t<F>>;
+
+    /** Set of line address @p line: shift and mask, except for a
+     *  set count that is not a power of two (Figure 8's 2128-set
+     *  equal-area L2), which keeps the modulo. */
     std::size_t
     setIndex(Addr line) const
     {
-        return static_cast<std::size_t>((line / _lineBytes) % _numSets);
+        const Addr n = line >> _lineShift;
+        if (_setsPow2)
+            return static_cast<std::size_t>(n & _setMask);
+        return static_cast<std::size_t>(n % _numSets);
     }
 
     /** Give set @p s storage: the next ways in the newest slab. */
@@ -312,17 +336,24 @@ class CacheArray
         }
     }
 
+    template <typename CanEvict>
     Slot *
-    pickVictim(Slot *set,
-               const std::function<bool(Addr, const EntryT &)> &can_evict)
+    pickVictim(Slot *set, CanEvict &can_evict)
     {
+        const auto evictable = [&](const Slot *s) -> bool {
+            if constexpr (isNull<CanEvict>)
+                return true;
+            else
+                return can_evict(s->addr, s->data);
+        };
         if (_policy == ReplPolicy::Random) {
             // Random: up to `ways` probes starting at a random way.
             const std::size_t start = _rng.below(_ways);
-            for (std::size_t i = 0; i < _ways; ++i) {
-                Slot *s = &set[(start + i) % _ways];
-                if (!can_evict || can_evict(s->addr, s->data))
-                    return s;
+            for (std::size_t i = 0, w = start; i < _ways; ++i) {
+                if (evictable(&set[w]))
+                    return &set[w];
+                if (++w == _ways)
+                    w = 0;
             }
             return nullptr;
         }
@@ -330,7 +361,7 @@ class CacheArray
         Slot *best = nullptr;
         for (std::size_t w = 0; w < _ways; ++w) {
             Slot *s = &set[w];
-            if (can_evict && !can_evict(s->addr, s->data))
+            if (!evictable(s))
                 continue;
             if (!best || s->lastUse < best->lastUse)
                 best = s;
@@ -342,6 +373,9 @@ class CacheArray
     std::size_t _numSets;
     std::size_t _ways;
     std::uint32_t _lineBytes;
+    unsigned _lineShift; ///< log2(_lineBytes)
+    std::size_t _setMask; ///< _numSets - 1 (used when _setsPow2)
+    bool _setsPow2;
     ReplPolicy _policy;
     Rng _rng;
     /** Per set: its first way, or null while never allocated. */

@@ -11,10 +11,12 @@
 #define PCSIM_CACHE_MSHR_HH
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
+#include "src/cache/access_callback.hh"
 #include "src/net/message.hh"
+#include "src/sim/pool.hh"
 #include "src/sim/types.hh"
 
 namespace pcsim
@@ -65,7 +67,7 @@ struct Mshr
     bool thirdParty = false;
     /** Completion callback back into the CPU (receives the final
      *  line version -- the data abstraction). */
-    std::function<void(Version)> onComplete;
+    AccessCallback onComplete;
 
     /** All ingredients present to finish the transaction? */
     bool
@@ -86,46 +88,77 @@ struct Mshr
     }
 };
 
-/** Table of MSHRs indexed by line address. */
+/**
+ * Table of MSHRs indexed by line address.
+ *
+ * A node has a handful of misses outstanding at most (one blocking
+ * CPU), so lookup is a linear scan over the live (line, MSHR) pairs --
+ * no hashing. MSHRs come from a per-table pool: an Mshr* stays valid
+ * until its line is freed, whatever else is allocated or freed
+ * meanwhile, and memory grows only to the peak number of outstanding
+ * misses.
+ */
 class MshrTable
 {
   public:
-    explicit MshrTable(std::size_t capacity) : _capacity(capacity) {}
+    explicit MshrTable(std::size_t capacity)
+        : _capacity(capacity), _pool(1)
+    {
+    }
 
-    bool full() const { return _table.size() >= _capacity; }
-    std::size_t size() const { return _table.size(); }
+    bool full() const { return _live.size() >= _capacity; }
+    std::size_t size() const { return _live.size(); }
 
     Mshr *
     find(Addr line)
     {
-        auto it = _table.find(line);
-        return it == _table.end() ? nullptr : &it->second;
+        for (const auto &[a, m] : _live) {
+            if (a == line)
+                return m;
+        }
+        return nullptr;
     }
 
-    /** Allocate an MSHR; returns nullptr if full or already present. */
+    /** Allocate a default MSHR for @p line; returns nullptr if full or
+     *  already present. */
     Mshr *
     allocate(Addr line)
     {
-        if (full() || _table.count(line))
+        if (full() || find(line))
             return nullptr;
-        Mshr &m = _table[line];
-        m.addr = line;
-        return &m;
+        Mshr *m = _pool.acquire();
+        *m = Mshr{};
+        m->addr = line;
+        _live.emplace_back(line, m);
+        return m;
     }
 
-    void free(Addr line) { _table.erase(line); }
+    void
+    free(Addr line)
+    {
+        for (std::size_t i = 0; i < _live.size(); ++i) {
+            if (_live[i].first == line) {
+                _pool.release(_live[i].second);
+                _live[i] = _live.back();
+                _live.pop_back();
+                return;
+            }
+        }
+    }
 
     template <typename Fn>
     void
     forEach(Fn &&fn)
     {
-        for (auto &[line, mshr] : _table)
-            fn(mshr);
+        for (const auto &[line, mshr] : _live)
+            fn(*mshr);
     }
 
   private:
     std::size_t _capacity;
-    std::unordered_map<Addr, Mshr> _table;
+    /** Live MSHRs, unordered. */
+    std::vector<std::pair<Addr, Mshr *>> _live;
+    Pool<Mshr> _pool;
 };
 
 } // namespace pcsim

@@ -10,9 +10,10 @@
 #ifndef PCSIM_MEM_MEMORY_MAP_HH
 #define PCSIM_MEM_MEMORY_MAP_HH
 
+#include <bit>
 #include <cstdint>
-#include <unordered_map>
 
+#include "src/sim/flat_map.hh"
 #include "src/sim/logging.hh"
 #include "src/sim/types.hh"
 
@@ -26,21 +27,32 @@ enum class Placement
     RoundRobin,
 };
 
-/** Maps pages of the simulated physical address space to home nodes. */
+/**
+ * Maps pages of the simulated physical address space to home nodes.
+ *
+ * Page and line sizes are powers of two, so the page and interleave
+ * indices are shifts; the placed-page table is a FlatMap whose const
+ * lookups never write, which keeps a frozen map safe to read from
+ * every shard worker.
+ */
 class MemoryMap
 {
   public:
     MemoryMap(unsigned num_nodes, std::uint32_t page_bytes = 16 * 1024,
               Placement policy = Placement::FirstTouch)
-        : _numNodes(num_nodes), _pageBytes(page_bytes), _policy(policy)
+        : _numNodes(num_nodes),
+          _pageBytes(page_bytes),
+          _pageShift(static_cast<unsigned>(std::countr_zero(page_bytes))),
+          _policy(policy)
     {
         if (num_nodes == 0)
             fatal("memory map needs nodes");
         if (num_nodes >= invalidNode)
             fatal("memory map: %u nodes exceed the NodeId range",
                   num_nodes);
-        if (page_bytes == 0)
-            fatal("memory map needs a nonzero page size");
+        if (!isPowerOfTwo(page_bytes))
+            fatal("memory map page size %u is not a power of two",
+                  page_bytes);
     }
 
     std::uint32_t pageBytes() const { return _pageBytes; }
@@ -58,9 +70,12 @@ class MemoryMap
     void
     setInterleavedRegion(Addr base, Addr size, std::uint32_t line_bytes)
     {
+        if (!isPowerOfTwo(line_bytes))
+            fatal("interleaved region line size %u is not a power of two",
+                  line_bytes);
         _ilBase = base;
         _ilSize = size;
-        _ilLineBytes = line_bytes;
+        _ilLineShift = static_cast<unsigned>(std::countr_zero(line_bytes));
     }
 
     /**
@@ -70,48 +85,43 @@ class MemoryMap
     NodeId
     homeOf(Addr addr, NodeId toucher)
     {
-        if (addr - _ilBase < _ilSize) {
-            return static_cast<NodeId>((addr - _ilBase) / _ilLineBytes %
-                                       _numNodes);
-        }
-        const Addr page = addr / _pageBytes;
+        if (addr - _ilBase < _ilSize)
+            return nodeOf((addr - _ilBase) >> _ilLineShift);
+        const Addr page = addr >> _pageShift;
         if (_policy == Placement::RoundRobin)
-            return static_cast<NodeId>(page % _numNodes);
+            return nodeOf(page);
         if (_frozen) {
-            auto it = _pages.find(page);
-            if (it == _pages.end())
+            const NodeId *home = _pages.find(page);
+            if (!home)
                 panic("homeOf: page of 0x%llx touched after the map "
                       "was frozen (pre-placement missed it)",
                       (unsigned long long)addr);
-            return it->second;
+            return *home;
         }
-        auto [it, inserted] = _pages.try_emplace(page, toucher);
-        (void)inserted;
-        return it->second;
+        return *_pages.tryEmplace(page, toucher).first;
     }
 
     /** Home of an already-placed page (panics if unplaced). */
     NodeId
     homeOf(Addr addr) const
     {
-        if (addr - _ilBase < _ilSize) {
-            return static_cast<NodeId>((addr - _ilBase) / _ilLineBytes %
-                                       _numNodes);
-        }
+        if (addr - _ilBase < _ilSize)
+            return nodeOf((addr - _ilBase) >> _ilLineShift);
+        const Addr page = addr >> _pageShift;
         if (_policy == Placement::RoundRobin)
-            return static_cast<NodeId>((addr / _pageBytes) % _numNodes);
-        auto it = _pages.find(addr / _pageBytes);
-        if (it == _pages.end())
+            return nodeOf(page);
+        const NodeId *home = _pages.find(page);
+        if (!home)
             panic("homeOf: page of 0x%llx not placed",
                   (unsigned long long)addr);
-        return it->second;
+        return *home;
     }
 
     /** Pre-place a page explicitly (workload initialization). */
     void
     place(Addr addr, NodeId home)
     {
-        _pages[addr / _pageBytes] = home;
+        _pages[addr >> _pageShift] = home;
     }
 
     std::size_t numPlacedPages() const { return _pages.size(); }
@@ -126,17 +136,25 @@ class MemoryMap
     bool frozen() const { return _frozen; }
 
   private:
+    /** Node @p i of a round-robin sequence. */
+    NodeId
+    nodeOf(Addr i) const
+    {
+        return static_cast<NodeId>(i % _numNodes);
+    }
+
     unsigned _numNodes;
     std::uint32_t _pageBytes;
+    unsigned _pageShift;
     Placement _policy;
     /** Line-interleaved region (size 0 = none); the subtraction in
      *  homeOf wraps for addr < base, making the range check one
      *  compare. */
     Addr _ilBase = 0;
     Addr _ilSize = 0;
-    std::uint32_t _ilLineBytes = 1;
+    unsigned _ilLineShift = 0;
     bool _frozen = false;
-    std::unordered_map<Addr, NodeId> _pages;
+    FlatMap<Addr, NodeId> _pages;
 };
 
 } // namespace pcsim

@@ -72,7 +72,7 @@ Message::sizeBytes() const
     // NUMALink-4 minimum packet is 32 bytes; data packets add a full
     // 128-byte coherence line. Undele may be header-only when clean,
     // but we conservatively always charge the data payload for it.
-    return msgCarriesData(type) ? 32 + 128 : 32;
+    return msgCarriesData(type) ? dataPacketBytes : headerPacketBytes;
 }
 
 std::string

@@ -125,6 +125,11 @@ struct Message
      */
     std::uint32_t retries = 0;
 
+    /** Wire sizes of the two packet classes: the NUMALink-4 minimum
+     *  packet, and one carrying a full 128-byte coherence line. */
+    static constexpr std::uint32_t headerPacketBytes = 32;
+    static constexpr std::uint32_t dataPacketBytes = 32 + 128;
+
     /** Wire size in bytes: 32 B header; +128 B if data-carrying. */
     std::uint32_t sizeBytes() const;
 

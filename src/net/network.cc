@@ -9,11 +9,28 @@
 namespace pcsim
 {
 
+namespace
+{
+
+/** Ticks a packet of @p bytes holds an NI at @p bytes_per_cycle. */
+Tick
+niOccupancy(std::uint32_t bytes, std::uint32_t bytes_per_cycle)
+{
+    if (bytes_per_cycle == 0)
+        fatal("network: niBytesPerCycle must be nonzero");
+    return std::max<Tick>(1, bytes / bytes_per_cycle);
+}
+
+} // namespace
+
 Network::Network(EventQueue &eq, unsigned num_nodes, NetworkConfig cfg)
     : SimObject(eq, "network"),
       _cfg(cfg),
       _topo(num_nodes),
       _handlers(num_nodes, nullptr),
+      _niOccupancy{
+          niOccupancy(Message::headerPacketBytes, cfg.niBytesPerCycle),
+          niOccupancy(Message::dataPacketBytes, cfg.niBytesPerCycle)},
       _nodeQueue(num_nodes, &eq),
       _shardOf(num_nodes, 0),
       _egressFree(num_nodes, 0),
@@ -109,8 +126,7 @@ Network::sendAcquired(Message *pm)
     }
 
     const std::uint32_t bytes = msg.sizeBytes();
-    const Tick occupancy =
-        std::max<Tick>(1, bytes / _cfg.niBytesPerCycle);
+    const Tick occupancy = _niOccupancy[msgCarriesData(msg.type) ? 1 : 0];
     const unsigned hops = _topo.hops(src, dst);
 
     // Serialize injection at the source NI; a fault-injected stall
@@ -171,7 +187,9 @@ Network::insertArrival(const RouteEntry &e)
     _arrivals[dst].push(e);
     // One phase-0 drain per distinct (node, arrival tick): the event
     // count is a function of content, never of insertion order.
-    if (_drainArmed[dst].insert(e.arrive).second) {
+    std::vector<Tick> &armed = _drainArmed[dst];
+    if (std::find(armed.begin(), armed.end(), e.arrive) == armed.end()) {
+        armed.push_back(e.arrive);
         _nodeQueue[dst]->schedulePhase0(
             e.arrive, [this, dst]() { drainArrivals(dst); });
     }
@@ -182,7 +200,13 @@ Network::drainArrivals(NodeId dst)
 {
     EventQueue &q = *_nodeQueue[dst];
     const Tick now = q.curTick();
-    _drainArmed[dst].erase(now);
+    std::vector<Tick> &armed = _drainArmed[dst];
+    auto it = std::find(armed.begin(), armed.end(), now);
+    if (it == armed.end())
+        panic("network: node %u drains at %llu without an armed drain",
+              dst, (unsigned long long)now);
+    *it = armed.back();
+    armed.pop_back();
     ArrivalHeap &heap = _arrivals[dst];
     MessageHandler *handler = _handlers[dst];
     while (!heap.empty() && heap.top().arrive == now) {

@@ -30,11 +30,11 @@
 #ifndef PCSIM_NET_NETWORK_HH
 #define PCSIM_NET_NETWORK_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/net/message.hh"
@@ -225,6 +225,9 @@ class Network : public SimObject
     FatTreeTopology _topo;
     std::vector<MessageHandler *> _handlers;
 
+    /** NI occupancy of a header-only [0] and a data [1] packet. */
+    std::array<Tick, 2> _niOccupancy;
+
     /** Per-node shard queue (all point at the constructor queue until
      *  a kernel is attached). */
     std::vector<EventQueue *> _nodeQueue;
@@ -240,10 +243,14 @@ class Network : public SimObject
      *  numbering never depends on the global send interleaving). */
     std::vector<std::uint64_t> _srcSeq;
 
-    /** Per-destination-node in-flight arrivals and the set of ticks
-     *  with an armed phase-0 drain event. */
+    /** Per-destination-node in-flight arrivals and the ticks with an
+     *  armed phase-0 drain event, unordered and scanned. A node holds
+     *  about 10 armed ticks on average and under 100 at its peak in
+     *  the workloads measured (DESIGN.md, "Hot-path data
+     *  structures"); a FlatMap here was no faster and its 16-byte
+     *  slots raised peak memory. */
     std::vector<ArrivalHeap> _arrivals;
-    std::vector<std::unordered_set<Tick>> _drainArmed;
+    std::vector<std::vector<Tick>> _drainArmed;
 
     /** Cross-shard channels, indexed src_shard * S + dst_shard; the
      *  source worker appends during a window, the destination worker

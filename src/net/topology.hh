@@ -12,6 +12,8 @@
 #ifndef PCSIM_NET_TOPOLOGY_HH
 #define PCSIM_NET_TOPOLOGY_HH
 
+#include <array>
+#include <bit>
 #include <cstdint>
 
 #include "src/sim/logging.hh"
@@ -20,7 +22,7 @@
 namespace pcsim
 {
 
-/** Radix-8 fat tree over @c numNodes leaves. */
+/** Fat tree over @c numNodes leaves; power-of-two radix, 8 by default. */
 class FatTreeTopology
 {
   public:
@@ -32,11 +34,11 @@ class FatTreeTopology
         if (num_nodes >= invalidNode)
             fatal("topology: %u leaves exceed the NodeId range",
                   num_nodes);
-        if (radix < 2)
-            fatal("router radix must be >= 2");
+        if (radix < 2 || !isPowerOfTwo(radix))
+            fatal("router radix %u must be a power of two >= 2", radix);
         // Any leaf count is legal, not just powers of the radix: a
         // partially filled last router level simply leaves ports
-        // unused, and hops() only ever divides by the radix.
+        // unused, and hops() only ever compares id bits.
         // Depth of the tree: number of router levels needed so that
         // radix^depth >= numNodes.
         _depth = 1;
@@ -45,6 +47,12 @@ class FatTreeTopology
             reach *= _radix;
             ++_depth;
         }
+        // Radix 2^k groups ids by their bits above k * level, so the
+        // common ancestor of src and dst sits ceil(w / k) levels up,
+        // w = bit_width(src ^ dst).
+        const unsigned k = static_cast<unsigned>(std::countr_zero(_radix));
+        for (unsigned w = 0; w < _hopsByWidth.size(); ++w)
+            _hopsByWidth[w] = static_cast<std::uint8_t>((w + k - 1) / k);
     }
 
     unsigned numNodes() const { return _numNodes; }
@@ -60,10 +68,17 @@ class FatTreeTopology
     unsigned
     hops(NodeId src, NodeId dst) const
     {
+        return _hopsByWidth[static_cast<unsigned>(
+            std::bit_width(static_cast<unsigned>(src ^ dst)))];
+    }
+
+    /** hops() by definition: divide both ids by the radix until they
+     *  meet. The reference the tests hold hops()' table to. */
+    unsigned
+    hopsByDivision(NodeId src, NodeId dst) const
+    {
         if (src == dst)
             return 0;
-        // Find the level of the lowest common ancestor: divide both
-        // ids by radix until they match.
         unsigned level = 1;
         std::uint64_t a = src / _radix;
         std::uint64_t b = dst / _radix;
@@ -106,6 +121,9 @@ class FatTreeTopology
     unsigned _numNodes;
     unsigned _radix;
     unsigned _depth;
+    /** Hops indexed by bit_width(src ^ dst): hops() is one table
+     *  load instead of a division loop. */
+    std::array<std::uint8_t, 33> _hopsByWidth{};
 };
 
 } // namespace pcsim

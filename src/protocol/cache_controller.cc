@@ -722,24 +722,31 @@ CacheController::handleIntervention(const Message &msg)
 void
 CacheController::recordTombstone(Addr line, Version version)
 {
-    auto [it, inserted] = _tombstones.try_emplace(line, version);
+    auto [v, inserted] = _tombstones.tryEmplace(line, version);
     if (!inserted) {
-        if (version > it->second)
-            it->second = version;
+        if (version > *v)
+            *v = version;
         return;
     }
-    _tombstoneFifo.push_back(line);
-    if (_tombstoneFifo.size() > tombstoneCapacity) {
-        _tombstones.erase(_tombstoneFifo.front());
-        _tombstoneFifo.pop_front();
+    if (!_tombstoneRing) {
+        _tombstoneRing =
+            std::make_unique_for_overwrite<Addr[]>(tombstoneCapacity);
     }
+    if (_tombstones.size() <= tombstoneCapacity) {
+        _tombstoneRing[_tombstones.size() - 1] = line;
+        return;
+    }
+    // Full: the new line replaces the oldest in the ring.
+    _tombstones.erase(_tombstoneRing[_tombstoneHead]);
+    _tombstoneRing[_tombstoneHead] = line;
+    _tombstoneHead = (_tombstoneHead + 1) % tombstoneCapacity;
 }
 
 bool
 CacheController::staleByTombstone(Addr line, Version version) const
 {
-    auto it = _tombstones.find(line);
-    return it != _tombstones.end() && version <= it->second;
+    const Version *v = _tombstones.find(line);
+    return v && version <= *v;
 }
 
 void

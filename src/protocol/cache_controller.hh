@@ -18,16 +18,16 @@
 #ifndef PCSIM_PROTOCOL_CACHE_CONTROLLER_HH
 #define PCSIM_PROTOCOL_CACHE_CONTROLLER_HH
 
-#include <deque>
-#include <functional>
-#include <unordered_map>
+#include <memory>
 
+#include "src/cache/access_callback.hh"
 #include "src/cache/cache_array.hh"
 #include "src/cache/l1_cache.hh"
 #include "src/cache/line_state.hh"
 #include "src/cache/mshr.hh"
 #include "src/net/message.hh"
 #include "src/protocol/config.hh"
+#include "src/sim/flat_map.hh"
 #include "src/sim/random.hh"
 #include "src/sim/types.hh"
 
@@ -45,10 +45,6 @@ struct L2Entry
      *  read (the adaptive hybrid's self-invalidation counter). */
     std::uint32_t staleUpdates = 0;
 };
-
-/** Completion callback: delivers the line version that was read or
- *  produced (the data abstraction; see DESIGN.md). */
-using AccessCallback = std::function<void(Version)>;
 
 /** The processor-side controller. */
 class CacheController
@@ -168,11 +164,16 @@ class CacheController
      * AFTER the next writer's invalidation (no point-to-point
      * ordering between the two sources). Each Inval records the
      * superseded epoch here; updates at or below it are dropped.
-     * Modeled as a small FIFO, as the hardware would build it.
+     * Modeled as a small FIFO, as the hardware would build it: a
+     * fixed ring of the recorded lines, oldest evicted first.
      */
-    std::unordered_map<Addr, Version> _tombstones;
-    std::deque<Addr> _tombstoneFifo;
     static constexpr std::size_t tombstoneCapacity = 128;
+    FlatMap<Addr, Version> _tombstones;
+    /** The recorded lines, oldest at _tombstoneHead once full.
+     *  Allocated by the first tombstone (many nodes never record one)
+     *  and written before read, so never initialized. */
+    std::unique_ptr<Addr[]> _tombstoneRing;
+    std::size_t _tombstoneHead = 0;
 
     std::uint64_t _nextTxnId = 0;
 };

@@ -30,6 +30,7 @@
 #include "src/cache/line_state.hh"
 #include "src/core/delegate_cache.hh"
 #include "src/mem/directory.hh"
+#include "src/sim/flat_map.hh"
 #include "src/sim/types.hh"
 
 namespace pcsim
@@ -46,25 +47,26 @@ class VersionAuthority
   public:
     Version current(Addr line) const
     {
-        auto it = _versions.find(line);
-        return it == _versions.end() ? 0 : it->second;
+        const Version *v = _versions.find(line);
+        return v ? *v : 0;
     }
 
     /** A store performed: advance the line's epoch. */
     Version bump(Addr line) { return ++_versions[line]; }
 
+    /** fn(line, version) for every stored-to line, in no particular
+     *  order. */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
     {
-        for (const auto &[line, v] : _versions)
-            fn(line, v);
+        _versions.forEach(fn);
     }
 
     std::size_t numLines() const { return _versions.size(); }
 
   private:
-    std::unordered_map<Addr, Version> _versions;
+    FlatMap<Addr, Version> _versions;
 };
 
 /** What the checker can see of one node (implemented by Hub). */

@@ -142,6 +142,11 @@ ProtocolConfig::validateError() const
         return "arbQueueDepth must be at least 1 when a parked-request "
                "arbitration mode is selected";
 
+    // Cache arrays align lines by mask, so every line size must be a
+    // power of two.
+    if (!isPowerOfTwo(l1.lineBytes))
+        return format("l1.lineBytes %llu must be a power of two",
+                      l1.lineBytes);
     if (l1.sizeBytes == 0 || l1.ways == 0 ||
         l1.sizeBytes < l1.ways * l1.lineBytes)
         return "L1 geometry is degenerate (size/ways/lineBytes)";
@@ -156,6 +161,9 @@ ProtocolConfig::validateError() const
                       dirCache.entries, dirCache.ways);
 
     if (racEnabled) {
+        if (!isPowerOfTwo(rac.lineBytes))
+            return format("rac.lineBytes %llu must be a power of two",
+                          rac.lineBytes);
         if (rac.sizeBytes == 0 || rac.ways == 0 ||
             rac.sizeBytes < rac.ways * rac.lineBytes)
             return "RAC geometry is degenerate (size/ways/lineBytes)";
@@ -166,6 +174,10 @@ ProtocolConfig::validateError() const
                    protocolKindName(kind) +
                    "' requires a RAC (pinned surrogate memory): "
                    "enable racEnabled";
+        if (!isPowerOfTwo(delegate.lineBytes))
+            return format("delegate.lineBytes %llu must be a power of "
+                          "two",
+                          delegate.lineBytes);
         if (delegate.producerEntries == 0 ||
             delegate.consumerEntries == 0 || delegate.ways == 0)
             return "delegate cache needs nonzero producer/consumer "

@@ -14,6 +14,7 @@ Hub::Hub(EventQueue &eq, Network &net, MemoryMap &mem_map,
     : SimObject(eq, "hub" + std::to_string(id)),
       _id(id),
       _cfg(cfg),
+      _lineMask(~Addr{cfg.lineBytes - 1}),
       _net(net),
       _memMap(mem_map),
       _checker(checker),

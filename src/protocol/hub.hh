@@ -231,8 +231,9 @@ class Hub : public SimObject,
     }
     verify::TransitionObserver *observer() { return _observer; }
 
-    /** Line-align an address at coherence granularity. */
-    Addr lineOf(Addr a) const { return a - (a % _cfg.lineBytes); }
+    /** Line-align an address at coherence granularity (a mask: the
+     *  validated line size is a power of two). */
+    Addr lineOf(Addr a) const { return a & _lineMask; }
 
     /** Home node of @p line (first-touch assigns to this node). */
     NodeId homeOf(Addr line) { return _memMap.homeOf(line, _id); }
@@ -253,6 +254,7 @@ class Hub : public SimObject,
 
     NodeId _id;
     const ProtocolConfig &_cfg;
+    Addr _lineMask;
     Network &_net;
     MemoryMap &_memMap;
     CoherenceChecker &_checker;

@@ -291,9 +291,8 @@ ProducerController::serveLocalWrite(const Message &msg, ProducerEntry &e)
     // burst short (Section 3.3.1's "5-cycle" effect). A re-upgrade
     // shortly after the downgrade means the burst was still going.
     constexpr Tick burstWindow = 200;
-    auto ld = _lastDowngrade.find(line);
-    if (ld != _lastDowngrade.end() &&
-        _hub.curTick() - ld->second < burstWindow) {
+    const Tick *ld = _lastDowngrade.find(line);
+    if (ld && _hub.curTick() - *ld < burstWindow) {
         ++_hub.stats().extraWriteMisses;
     }
 
@@ -427,8 +426,8 @@ ProducerController::fireDelayedIntervention(Addr line,
         verify::PEvent::DelayedInterv,
         [this, line]() { return producerStateGetter(_hub, line); });
 
-    auto it = _timerTokens.find(line);
-    if (it == _timerTokens.end() || it->second != token)
+    const std::uint64_t *armed = _timerTokens.find(line);
+    if (!armed || *armed != token)
         return; // undelegated or re-armed since
 
     DelegateCache *dc = _hub.delegateCache();

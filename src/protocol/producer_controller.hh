@@ -20,12 +20,12 @@
 #define PCSIM_PROTOCOL_PRODUCER_CONTROLLER_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "src/core/delegate_cache.hh"
 #include "src/net/message.hh"
 #include "src/protocol/arbiter.hh"
 #include "src/protocol/config.hh"
+#include "src/sim/flat_map.hh"
 #include "src/sim/types.hh"
 
 namespace pcsim
@@ -96,10 +96,10 @@ class ProducerController
     const ProtocolConfig &_cfg;
     LineArbiter _arb;
     /** Timer-validity tokens (re-delegation invalidates old timers). */
-    std::unordered_map<Addr, std::uint64_t> _timerTokens;
+    FlatMap<Addr, std::uint64_t> _timerTokens;
     std::uint64_t _nextToken = 1;
     /** Last downgrade tick per line, for the extra-write-miss stat. */
-    std::unordered_map<Addr, Tick> _lastDowngrade;
+    FlatMap<Addr, Tick> _lastDowngrade;
 };
 
 } // namespace pcsim

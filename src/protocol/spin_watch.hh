@@ -28,7 +28,7 @@
 
 #include <cstdint>
 
-#include "src/protocol/cache_controller.hh"
+#include "src/cache/access_callback.hh"
 #include "src/sim/event_queue.hh"
 #include "src/sim/types.hh"
 

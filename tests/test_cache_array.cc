@@ -129,6 +129,36 @@ TEST(CacheArray, NonPowerOfTwoSets)
         EXPECT_NE(c.find(a), nullptr);
 }
 
+TEST(CacheArray, SetIndexIsLineNumberModuloSets)
+{
+    // Power-of-two set counts index by mask, others (Figure 8's 2128
+    // sets) by modulo; both must put line n in set n % sets.
+    for (std::size_t sets : {1u, 8u, 13u, 2048u, 2128u}) {
+        auto c = makeArray(sets, 1);
+        const std::vector<Addr> bases = {0, 0x7000'0000'0000ull};
+        for (Addr base : bases) {
+            for (Addr n = 0; n < 3 * sets; n += 1 + n / 7) {
+                const Addr x = base + n * 128 + (n % 128);
+                ASSERT_NE(c.allocate(x), nullptr);
+                for (Addr m = 0; m < 3 * sets; m += 1 + m / 5) {
+                    const Addr y = base + m * 128 + 5;
+                    unsigned seen = 0;
+                    c.forEachInSet(y, [&](Addr a, const Payload &) {
+                        EXPECT_EQ(a, c.lineAlign(x));
+                        ++seen;
+                    });
+                    const Addr line_x = x / 128;
+                    const Addr line_y = y / 128;
+                    ASSERT_EQ(seen, line_x % sets == line_y % sets ? 1u : 0u)
+                        << sets << " sets, lines " << line_x << " and "
+                        << line_y;
+                }
+                ASSERT_TRUE(c.invalidate(x));
+            }
+        }
+    }
+}
+
 TEST(CacheArray, CapacityBytes)
 {
     auto c = makeArray(8, 4);

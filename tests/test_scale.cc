@@ -68,6 +68,34 @@ TEST(TopologyAtScale, KnownHopCounts)
     FatTreeTopology small(3);
     EXPECT_EQ(small.depth(), 1u);
     EXPECT_EQ(small.hops(0, 2), 1u);
+
+    // hops() reads a table indexed by the highest differing id bit;
+    // it must agree with the division loop on every pair, for the
+    // default radix and other powers of two.
+    for (unsigned radix : {2u, 4u, 8u, 16u}) {
+        for (unsigned n : {2u, 9u, 100u, 1024u, 4096u}) {
+            if (radix != 8 && n > 1024)
+                continue; // the default radix covers the largest size
+            FatTreeTopology ft(n, radix);
+            unsigned mismatches = 0;
+            for (unsigned a = 0; a < n; ++a) {
+                for (unsigned b = 0; b < n; ++b) {
+                    const auto s = static_cast<NodeId>(a);
+                    const auto d = static_cast<NodeId>(b);
+                    mismatches += ft.hops(s, d) != ft.hopsByDivision(s, d);
+                }
+            }
+            EXPECT_EQ(mismatches, 0u) << "radix " << radix << ", " << n
+                                      << " nodes";
+        }
+    }
+
+    // The table only exists for a power-of-two radix; any other
+    // radix is a configuration error.
+    EXPECT_EXIT(FatTreeTopology(300, 6), ::testing::ExitedWithCode(1),
+                "radix 6 must be a power of two");
+    EXPECT_EXIT(FatTreeTopology(16, 1), ::testing::ExitedWithCode(1),
+                "radix 1 must be a power of two");
 }
 
 // --- Memory map at odd and large node counts -----------------------
@@ -129,6 +157,23 @@ TEST(ConfigValidate, RejectsDegenerateConfigs)
     c = ProtocolConfig{};
     c.lineBytes = 96; // not a power of two
     EXPECT_NE(c.validateError().find("lineBytes"), std::string::npos);
+
+    // Every cache array aligns lines by mask.
+    c = ProtocolConfig{};
+    c.l1.lineBytes = 48;
+    EXPECT_EQ(c.validateError(), "l1.lineBytes 48 must be a power of two");
+
+    c = ProtocolConfig{};
+    c.racEnabled = true;
+    c.rac.lineBytes = 96;
+    EXPECT_EQ(c.validateError(), "rac.lineBytes 96 must be a power of two");
+
+    c = ProtocolConfig{};
+    c.kind = ProtocolKind::Delegation;
+    c.racEnabled = true;
+    c.delegate.lineBytes = 192;
+    EXPECT_EQ(c.validateError(),
+              "delegate.lineBytes 192 must be a power of two");
 
     c = ProtocolConfig{};
     c.numNodes = 16;

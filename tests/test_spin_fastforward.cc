@@ -38,47 +38,13 @@
 #include "src/sim/json.hh"
 #include "src/system/presets.hh"
 #include "src/system/system.hh"
+#include "node_stats_doc.hh"
 
 using namespace pcsim;
+using namespace pcsim::golden;
 
 namespace
 {
-
-/** Every scalar NodeStats counter, serialized or not. */
-#define SPIN_NODE_FIELDS(X)                                               \
-    X(reads) X(writes) X(l1Hits) X(l2Hits) X(localMisses)                 \
-    X(remoteMisses) X(racHits) X(twoHopMisses) X(threeHopMisses)          \
-    X(nacksReceived) X(retries) X(mshrConflictRetries)                    \
-    X(dirRehandleRetries) X(maxRetriesPerLine) X(nackStormPeak)           \
-    X(maxLineWaitTicks) X(queueDepthPeak) X(homeRequests) X(nacksSent)    \
-    X(interventionsSent) X(dirCacheHits) X(dirCacheMisses)                \
-    X(delegationsGranted) X(delegationsReceived)                          \
-    X(undelegationsCapacity) X(undelegationsFlush)                        \
-    X(undelegationsConflict) X(forwardedRequests) X(delegatedLocalOps)    \
-    X(delayedInterventions) X(updatesSent) X(updatesReceived)             \
-    X(updatesConsumed) X(updatesDropped) X(extraWriteMisses)              \
-    X(writebacks) X(updateEpisodes) X(updatesApplied) X(adaptiveDrops)
-
-const std::vector<std::string> &
-fieldNames()
-{
-    static const std::vector<std::string> names = {
-#define X(f) #f,
-        SPIN_NODE_FIELDS(X)
-#undef X
-    };
-    return names;
-}
-
-std::vector<std::uint64_t>
-fieldValues(const NodeStats &s)
-{
-    return {
-#define X(f) static_cast<std::uint64_t>(s.f),
-        SPIN_NODE_FIELDS(X)
-#undef X
-    };
-}
 
 /** One recorded machine run. */
 struct Case
@@ -87,13 +53,6 @@ struct Case
     MachineConfig cfg;
     std::string workload;
     double scale = 1.0;
-};
-
-/** What a run leaves behind: cycles plus every node's counters. */
-struct Observed
-{
-    std::uint64_t cycles = 0;
-    std::vector<std::vector<std::uint64_t>> nodes;
 };
 
 MachineConfig
@@ -171,11 +130,7 @@ runCase(const Case &c, unsigned shards)
         c.workload, cfg.proto.numNodes, c.scale);
     System sys(cfg);
     const RunResult r = sys.run(*wl);
-    Observed o;
-    o.cycles = r.cycles;
-    for (unsigned n = 0; n < sys.numNodes(); ++n)
-        o.nodes.push_back(fieldValues(sys.hub(n).stats()));
-    return o;
+    return observe(sys, r);
 }
 
 std::string
@@ -190,25 +145,10 @@ void
 writeGolden(const std::string &path, const std::vector<Case> &all,
             const std::vector<Observed> &obs)
 {
-    std::ostringstream out;
-    out << "{\n  \"fields\": [";
-    for (std::size_t i = 0; i < fieldNames().size(); ++i)
-        out << (i ? ", " : "") << '"' << fieldNames()[i] << '"';
-    out << "],\n  \"cases\": [\n";
-    for (std::size_t c = 0; c < all.size(); ++c) {
-        out << "    {\"name\": \"" << JsonValue::escape(all[c].name)
-            << "\", \"cycles\": " << obs[c].cycles
-            << ", \"nodes\": [\n";
-        for (std::size_t n = 0; n < obs[c].nodes.size(); ++n) {
-            out << "      [";
-            for (std::size_t f = 0; f < obs[c].nodes[n].size(); ++f)
-                out << (f ? "," : "") << obs[c].nodes[n][f];
-            out << (n + 1 < obs[c].nodes.size() ? "],\n" : "]\n");
-        }
-        out << (c + 1 < all.size() ? "    ]},\n" : "    ]}\n");
-    }
-    out << "  ]\n}\n";
-    std::ofstream(path) << out.str();
+    std::vector<std::string> names;
+    for (const Case &c : all)
+        names.push_back(c.name);
+    std::ofstream(path) << nodeStatsDoc(names, obs);
 }
 
 JsonValue

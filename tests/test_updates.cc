@@ -204,11 +204,14 @@ TEST(Updates, ExtraWriteMissWhenDelayTooShort)
     // previous one's completion, like a real CPU): the 1-cycle
     // intervention cuts it, forcing re-upgrades.
     int remaining = 6;
+    // A continuation must be trivially copyable: the recursive
+    // std::function rides along by reference.
     std::function<void(Version)> burst = [&](Version) {
         if (--remaining > 0)
-            h.sys.hub(5).cpuAccess(true, a, burst);
+            h.sys.hub(5).cpuAccess(true, a,
+                                   [&burst](Version v) { burst(v); });
     };
-    h.sys.hub(5).cpuAccess(true, a, burst);
+    h.sys.hub(5).cpuAccess(true, a, [&burst](Version v) { burst(v); });
     h.sys.eventQueue().run();
     EXPECT_EQ(remaining, 0);
     EXPECT_GT(h.stats(5).extraWriteMisses, 0u);
