@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "src/mem/sharer_set.hh"
 #include "src/sim/types.hh"
@@ -84,28 +85,24 @@ bool msgCarriesData(MsgType t);
  * their defaults. Data payloads are abstracted to a line Version (see
  * DESIGN.md): the version is the write-epoch stamp the coherence
  * checker validates.
+ *
+ * The layout is one cache line and trivially copyable: every send
+ * copies a message into pooled storage and every delivery reads it
+ * back, so the widest fields come first and the sharing vector -- the
+ * only variable-size payload, carried by Delegate and Undele alone --
+ * lives in pooled side storage (Network::acquireSharers()).
+ *
+ * Side-set ownership: the set a Delegate or Undele points at belongs
+ * to the message until the handler that consumes the message takes
+ * it (copies it out and releases it, or forwards it in the message it
+ * sends on). A handler that keeps a copy of the message past its
+ * return -- a local re-handle -- keeps the set alive until that copy
+ * is handled. The pooled message itself never owns the set, so
+ * recycling a delivered message never recycles a set still in use.
  */
 struct Message
 {
-    MsgType type = MsgType::Nack;
     Addr addr = invalidAddr;    ///< line-aligned address
-    NodeId src = invalidNode;   ///< sending hub
-    NodeId dst = invalidNode;   ///< receiving hub
-    NodeId requester = invalidNode; ///< original requester (3-hop flows)
-
-    Version version = 0;        ///< line write-epoch (data abstraction)
-    bool dirty = false;         ///< data differs from home memory
-    SharerSet sharers;          ///< sharing vector (Delegate/Undele)
-    std::uint16_t ackCount = 0; ///< invalidation acks to expect
-    NodeId hintHome = invalidNode; ///< delegated home (HomeHint)
-    NodeId owner = invalidNode; ///< owner field (Delegate/Undele)
-
-    /** Undele: a pending exclusive request the home should service. */
-    NodeId pendingReq = invalidNode;
-    MsgType pendingType = MsgType::Nack;
-
-    /** Monotone id for tracing. Assigned by the Network on send. */
-    std::uint64_t msgId = 0;
 
     /**
      * Transaction id: stamped on requests by the requester's MSHR and
@@ -116,6 +113,12 @@ struct Message
      */
     std::uint64_t txnId = 0;
 
+    /** Sharing vector (Delegate/Undele only; null = empty), in side
+     *  storage owned as described above. */
+    SharerSet *sharers = nullptr;
+
+    Version version = 0;        ///< line write-epoch (data abstraction)
+
     /**
      * Retry attempt count, stamped on requests from the requester's
      * MSHR on every (re)send: 0 on the first issue, incremented per
@@ -124,6 +127,19 @@ struct Message
      * parked-request queue overflows back into NACK mode.
      */
     std::uint32_t retries = 0;
+
+    NodeId src = invalidNode;   ///< sending hub
+    NodeId dst = invalidNode;   ///< receiving hub
+    NodeId requester = invalidNode; ///< original requester (3-hop flows)
+    NodeId hintHome = invalidNode; ///< delegated home (HomeHint)
+    NodeId owner = invalidNode; ///< owner field (Delegate/Undele)
+    /** Undele: a pending exclusive request the home should service. */
+    NodeId pendingReq = invalidNode;
+    std::uint16_t ackCount = 0; ///< invalidation acks to expect
+
+    MsgType type = MsgType::Nack;
+    MsgType pendingType = MsgType::Nack; ///< Undele: pendingReq's type
+    bool dirty = false;         ///< data differs from home memory
 
     /** Wire sizes of the two packet classes: the NUMALink-4 minimum
      *  packet, and one carrying a full 128-byte coherence line. */
@@ -135,6 +151,10 @@ struct Message
 
     std::string toString() const;
 };
+
+static_assert(std::is_trivially_copyable_v<Message>,
+              "messages are copied wholesale into pooled storage");
+static_assert(sizeof(Message) <= 64, "a message fits one cache line");
 
 /** Abstract sink for delivered messages (implemented by node hubs). */
 class MessageHandler

@@ -27,51 +27,41 @@ Network::Network(EventQueue &eq, unsigned num_nodes, NetworkConfig cfg)
     : SimObject(eq, "network"),
       _cfg(cfg),
       _topo(num_nodes),
-      _handlers(num_nodes, nullptr),
       _niOccupancy{
           niOccupancy(Message::headerPacketBytes, cfg.niBytesPerCycle),
           niOccupancy(Message::dataPacketBytes, cfg.niBytesPerCycle)},
-      _nodeQueue(num_nodes, &eq),
-      _shardOf(num_nodes, 0),
-      _egressFree(num_nodes, 0),
-      _ingressFree(num_nodes, 0),
-      _srcSeq(num_nodes, 0),
-      _arrivals(num_nodes),
-      _drainArmed(num_nodes),
+      _ports(num_nodes),
       _banks(1)
 {
-    _pools.emplace_back(std::make_unique<Pool<Message>>());
+    for (Port &p : _ports)
+        p.queue = &eq;
+    _pools.emplace_back(std::make_unique<ShardPools>());
 }
 
 void
 Network::attachKernel(SimKernel &kernel)
 {
     const unsigned shards = kernel.numShards();
+    _kernel = &kernel;
     _numShards = shards;
-    for (NodeId n = 0; n < _handlers.size(); ++n) {
-        _shardOf[n] = kernel.shardOf(n);
-        _nodeQueue[n] = &kernel.queueForNode(n);
+    for (NodeId n = 0; n < _ports.size(); ++n) {
+        _ports[n].shard = kernel.shardOf(n);
+        _ports[n].queue = &kernel.queueForNode(n);
     }
     _channels.assign(std::size_t(shards) * shards, {});
     _banks.resize(shards);
     while (_pools.size() < shards)
-        _pools.emplace_back(std::make_unique<Pool<Message>>());
+        _pools.emplace_back(std::make_unique<ShardPools>());
     kernel.setFlushHook(
         [this](unsigned dst_shard) { flushShard(dst_shard); });
-}
-
-unsigned
-Network::callerShard() const
-{
-    return currentShardId();
 }
 
 void
 Network::registerHandler(NodeId node, MessageHandler *handler)
 {
-    if (node >= _handlers.size())
+    if (node >= _ports.size())
         panic("registerHandler: node %u out of range", node);
-    _handlers[node] = handler;
+    _ports[node].handler = handler;
 }
 
 void
@@ -90,35 +80,33 @@ Network::setFaultPlan(const FaultPlan *plan)
     // same-(src,dst) arrivals; arm the FIFO clamp only then so the
     // fault-free fast path stays map-free.
     _fifoClamp = plan && plan->anyLatencyFaults();
-    if (_fifoClamp && _lastArrive.empty())
-        _lastArrive.resize(_handlers.size());
 }
 
 void
 Network::sendAcquired(Message *pm)
 {
     Message &msg = *pm;
-    if (msg.src >= _handlers.size() || msg.dst >= _handlers.size())
+    if (msg.src >= _ports.size() || msg.dst >= _ports.size())
         panic("send: bad endpoints %u -> %u", msg.src, msg.dst);
     const NodeId src = msg.src;
     const NodeId dst = msg.dst;
-    MessageHandler *handler = _handlers[dst];
-    if (!handler)
-        panic("send: no handler registered for node %u", dst);
+    Port &sp = _ports[src];
 
-    const Tick now = _nodeQueue[src]->curTick();
-    const std::uint64_t seq = ++_srcSeq[src];
-    msg.msgId = (std::uint64_t(src) << 40) | seq;
+    const Tick now = sp.queue->curTick();
+    const std::uint64_t seq = ++sp.seq;
 
     if (src == dst) {
         // Hub-internal transfer: small fixed latency, no NI occupancy,
         // not network traffic.
-        ++_banks[_shardOf[src]].numLocal;
+        ++_banks[sp.shard].numLocal;
         const Tick deliver = now + _cfg.localLatency;
         PCSIM_DPRINTF(DebugNet, now, "net: %s deliver@%llu",
                       msg.toString().c_str(),
                       (unsigned long long)deliver);
-        _nodeQueue[src]->schedule(deliver, [this, handler, pm]() {
+        MessageHandler *handler = sp.handler;
+        if (!handler)
+            panic("send: no handler registered for node %u", dst);
+        sp.queue->schedule(deliver, [this, handler, pm]() {
             handler->handleMessage(*pm);
             releaseMessage(pm);
         });
@@ -126,19 +114,20 @@ Network::sendAcquired(Message *pm)
     }
 
     const std::uint32_t bytes = msg.sizeBytes();
-    const Tick occupancy = _niOccupancy[msgCarriesData(msg.type) ? 1 : 0];
+    const bool data = msgCarriesData(msg.type);
+    const Tick occupancy = _niOccupancy[data ? 1 : 0];
     const unsigned hops = _topo.hops(src, dst);
 
     // Serialize injection at the source NI; a fault-injected stall
     // window pauses injection entirely.
-    Tick inject = std::max(now, _egressFree[src]);
+    Tick inject = std::max(now, sp.egressFree);
     Tick fault_delay = 0;
     if (_faults) {
         const Tick clear = _faults->stallClearTick(src, inject);
         fault_delay += clear - inject;
         inject = clear;
     }
-    _egressFree[src] = inject + occupancy;
+    sp.egressFree = inject + occupancy;
 
     // Wire latency across the fat tree, plus any gray-link / hot-spot
     // degradation. The fault delay accumulated so far is carried with
@@ -152,15 +141,15 @@ Network::sendAcquired(Message *pm)
     // NI serialization alone keeps per-(src,dst) arrivals monotone;
     // fault-injected extra latency can reorder them, so clamp the
     // arrival tick to preserve point-to-point FIFO (ties then break
-    // by per-source sequence in the arrival heap).
+    // by per-source sequence in the arrival run).
     if (_fifoClamp) {
-        Tick &last = _lastArrive[src][dst];
+        Tick &last = sp.lastArrive[dst];
         if (arrive < last)
             arrive = last;
         last = arrive;
     }
 
-    Bank &bank = _banks[_shardOf[src]];
+    Bank &bank = _banks[sp.shard];
     ++bank.numMessages;
     bank.numBytes += bytes;
     ++bank.perType[static_cast<std::size_t>(msg.type)];
@@ -169,65 +158,99 @@ Network::sendAcquired(Message *pm)
     PCSIM_DPRINTF(DebugNet, now, "net: %s arrive@%llu",
                   msg.toString().c_str(), (unsigned long long)arrive);
 
-    const RouteEntry e{arrive, occupancy, fault_delay, seq, src, pm};
-    const unsigned dst_shard = _shardOf[dst];
-    if (dst_shard == _shardOf[src]) {
-        insertArrival(e);
+    Arrival a;
+    a.arrive = arrive;
+    a.key = (std::uint64_t(src) << 40) | seq;
+    a.pm = pm;
+    a.faultDelay = fault_delay;
+    a.data = data;
+    const unsigned dst_shard = _numShards > 1 ? _kernel->shardOf(dst) : 0;
+    if (dst_shard == sp.shard) {
+        insertArrival(dst, a);
     } else {
         ++bank.crossShard;
-        _channels[std::size_t(_shardOf[src]) * _numShards + dst_shard]
-            .push_back(e);
+        _channels[std::size_t(sp.shard) * _numShards + dst_shard]
+            .push_back(a);
     }
 }
 
 void
-Network::insertArrival(const RouteEntry &e)
+Network::Port::reserveOne()
 {
-    const NodeId dst = e.pm->dst;
-    _arrivals[dst].push(e);
-    // One phase-0 drain per distinct (node, arrival tick): the event
-    // count is a function of content, never of insertion order.
-    std::vector<Tick> &armed = _drainArmed[dst];
-    if (std::find(armed.begin(), armed.end(), e.arrive) == armed.end()) {
-        armed.push_back(e.arrive);
-        _nodeQueue[dst]->schedulePhase0(
-            e.arrive, [this, dst]() { drainArrivals(dst); });
+    const std::uint32_t live = size - head;
+    Arrival *from = run.get();
+    if (2 * live < cap) {
+        std::copy(from + head, from + size, from);
+    } else {
+        const std::uint32_t grown = cap ? 2 * cap : 16;
+        std::unique_ptr<Arrival[]> bigger(new Arrival[grown]);
+        std::copy(from + head, from + size, bigger.get());
+        run = std::move(bigger);
+        cap = grown;
     }
+    head = 0;
+    size = live;
+}
+
+void
+Network::insertArrival(NodeId dst, const Arrival &a)
+{
+    Port &p = _ports[dst];
+    if (p.size == p.cap)
+        p.reserveOne();
+    // Arrivals mostly come in order: walk back from the tail past the
+    // live entries that sort after the new one.
+    Arrival *run = p.run.get();
+    std::uint32_t i = p.size;
+    while (i > p.head && run[i - 1].after(a)) {
+        run[i] = run[i - 1];
+        --i;
+    }
+    run[i] = a;
+    ++p.size;
+    // One phase-0 drain per distinct (node, arrival tick), so the
+    // event count is a function of content, never of insertion order.
+    // Same-tick entries are adjacent: a drain is already armed iff a
+    // neighbour shares the tick.
+    const bool armed = (i > p.head && run[i - 1].arrive == a.arrive) ||
+                       (i + 1 < p.size && run[i + 1].arrive == a.arrive);
+    if (!armed)
+        p.queue->schedulePhase0(a.arrive,
+                                [this, dst]() { drainArrivals(dst); });
 }
 
 void
 Network::drainArrivals(NodeId dst)
 {
-    EventQueue &q = *_nodeQueue[dst];
+    Port &p = _ports[dst];
+    EventQueue &q = *p.queue;
     const Tick now = q.curTick();
-    std::vector<Tick> &armed = _drainArmed[dst];
-    auto it = std::find(armed.begin(), armed.end(), now);
-    if (it == armed.end())
-        panic("network: node %u drains at %llu without an armed drain",
-              dst, (unsigned long long)now);
-    *it = armed.back();
-    armed.pop_back();
-    ArrivalHeap &heap = _arrivals[dst];
-    MessageHandler *handler = _handlers[dst];
-    while (!heap.empty() && heap.top().arrive == now) {
-        const RouteEntry e = heap.top();
-        heap.pop();
+    const Arrival *run = p.run.get();
+    if (p.head == p.size || run[p.head].arrive != now)
+        panic("network: node %u drains at %llu without an arrival", dst,
+              (unsigned long long)now);
+    MessageHandler *handler = p.handler;
+    if (!handler)
+        panic("send: no handler registered for node %u", dst);
+    do {
+        const Arrival &e = run[p.head++];
 
         // Serialize ejection at the destination NI (also stallable)
         // in (arrive, src, seq) order -- the content order, however
         // the sends interleaved.
-        Tick eject = std::max(e.arrive, _ingressFree[dst]);
+        const Tick occupancy = _niOccupancy[e.data];
+        Tick eject = std::max(now, p.ingressFree);
         Tick fault_delay = e.faultDelay;
         if (_faults) {
             const Tick clear = _faults->stallClearTick(dst, eject);
             fault_delay += clear - eject;
             eject = clear;
         }
-        _ingressFree[dst] = eject + e.occupancy;
-        const Tick deliver = eject + e.occupancy;
+        const Tick deliver = eject + occupancy;
+        p.ingressFree = deliver;
 
         if (fault_delay) {
-            Bank &bank = _banks[_shardOf[dst]];
+            Bank &bank = _banks[p.shard];
             ++bank.faultDelayed;
             bank.faultExtraTicks += fault_delay;
         }
@@ -240,7 +263,9 @@ Network::drainArrivals(NodeId dst)
             handler->handleMessage(*pm);
             releaseMessage(pm);
         });
-    }
+    } while (p.head < p.size && run[p.head].arrive == now);
+    if (p.head == p.size)
+        p.head = p.size = 0;
 }
 
 void
@@ -249,8 +274,8 @@ Network::flushShard(unsigned dst_shard)
     for (unsigned src_shard = 0; src_shard < _numShards; ++src_shard) {
         auto &ch =
             _channels[std::size_t(src_shard) * _numShards + dst_shard];
-        for (const RouteEntry &e : ch)
-            insertArrival(e);
+        for (const Arrival &a : ch)
+            insertArrival(a.pm->dst, a);
         ch.clear();
     }
 }
@@ -260,7 +285,7 @@ Network::poolStats() const
 {
     Pool<Message>::Stats sum;
     for (const auto &p : _pools) {
-        const Pool<Message>::Stats &s = p->stats();
+        const Pool<Message>::Stats &s = p->messages.stats();
         sum.acquires += s.acquires;
         sum.reuses += s.reuses;
         sum.releases += s.releases;

@@ -16,15 +16,20 @@
  *
  * Timing model (identical under the sequential and parallel kernels):
  * injection is booked at the source NI when the message is sent, on
- * the sender's shard thread; the in-flight message then rides a
- * per-destination-node arrival heap ordered by (arrive, src, seq),
- * and ejection is booked when the destination's phase-0 "drain" event
- * runs at the arrival tick. Ejection booking therefore depends only
- * on the *content-ordered* arrival sequence at that node -- never on
- * the global order sends happened to execute in -- which is what
+ * the sender's shard thread; the in-flight message is then filed in
+ * the destination port's arrival run, kept sorted by (arrive, src,
+ * seq), and ejection is booked when the destination's phase-0 "drain"
+ * event runs at the arrival tick. Ejection booking therefore depends
+ * only on the *content-ordered* arrival sequence at that node -- never
+ * on the global order sends happened to execute in -- which is what
  * makes the parallel kernel byte-identical to the sequential oracle.
  * Cross-shard sends park in per-(src-shard, dst-shard) channels that
- * the destination worker flushes into its heaps at window barriers.
+ * the destination worker flushes into its ports at window barriers.
+ *
+ * Per-node NI state lives in one cache-line-aligned Port record that
+ * only the node's own shard touches; see DESIGN.md, "Hot-path data
+ * structures", for the port layout, the sorted arrival run and its
+ * armed-iff-live drain invariant.
  */
 
 #ifndef PCSIM_NET_NETWORK_HH
@@ -33,13 +38,13 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
 #include "src/net/message.hh"
 #include "src/net/topology.hh"
 #include "src/sim/event_queue.hh"
+#include "src/sim/kernel.hh"
 #include "src/sim/pool.hh"
 #include "src/sim/stats.hh"
 #include "src/sim/types.hh"
@@ -48,7 +53,6 @@ namespace pcsim
 {
 
 class FaultPlan;
-class SimKernel;
 
 /** Configuration for the interconnect. */
 struct NetworkConfig
@@ -95,21 +99,28 @@ class Network : public SimObject
      * storage is recycled after the handler runs. Pools are per
      * shard: acquire takes from the calling shard's pool and release
      * returns to the calling shard's pool (slabs live until the
-     * network dies, so cross-shard frees are safe).
+     * network dies, so cross-shard frees are safe). A sequential run
+     * has one pool and never asks which shard is calling.
      */
     /// @{
-    Message *acquireMessage()
-    {
-        return _pools[callerShard()]->acquire();
-    }
-    void releaseMessage(Message *pm)
-    {
-        _pools[callerShard()]->release(pm);
-    }
+    Message *acquireMessage() { return shardPools().messages.acquire(); }
+    void releaseMessage(Message *pm) { shardPools().messages.release(pm); }
     /** Inject a message previously obtained from acquireMessage().
      *  Ownership passes to the network; storage is recycled after
      *  delivery. */
     void sendAcquired(Message *pm);
+    /// @}
+
+    /** @name Sharer side storage for Delegate and Undele
+     *
+     * Pooled per shard like messages. A sender acquires a set, fills
+     * it and stores the pointer in Message::sharers; the handler that
+     * consumes the message releases it (see Message for the ownership
+     * rule). Storage is not reset: the acquirer assigns the whole set.
+     */
+    /// @{
+    SharerSet *acquireSharers() { return shardPools().sharers.acquire(); }
+    void releaseSharers(SharerSet *s) { shardPools().sharers.release(s); }
     /// @}
 
     /** Pool recycling counters summed across shards (acquire counts
@@ -157,43 +168,80 @@ class Network : public SimObject
     void resetStats();
 
     /** Drain every (src shard -> @p dst_shard) channel into the
-     *  destination nodes' arrival heaps; runs on @p dst_shard's
-     *  worker at a window barrier (the kernel's flush hook). */
+     *  destination ports' arrival runs; runs on @p dst_shard's worker
+     *  at a window barrier (the kernel's flush hook). */
     void flushShard(unsigned dst_shard);
 
   private:
-    /** One remote message in flight between injection and ejection. */
-    struct RouteEntry
+    /** One remote message in flight between injection and ejection,
+     *  filed in its destination port's arrival run (32 bytes). */
+    struct Arrival
     {
         Tick arrive;
-        Tick occupancy;
+        /** (src << 40) | per-source seq: orders exactly like
+         *  (src, seq), which breaks same-tick arrival ties. */
+        std::uint64_t key;
+        Message *pm;
         /** Source-side fault delay (stall + gray-link), carried so
          *  the whole message counts once, at ejection. */
-        Tick faultDelay;
-        /** Per-source sequence; with the source id it breaks
-         *  same-tick arrival ties deterministically. */
-        std::uint64_t seq;
-        NodeId src;
-        Message *pm;
-    };
+        Tick faultDelay : 63;
+        /** Packet class, indexing _niOccupancy: 1 = data-carrying. */
+        Tick data : 1;
 
-    /** Min-heap order on (arrive, src, seq). */
-    struct RouteLater
-    {
+        /** Sorts after @p o in (arrive, src, seq) order. */
         bool
-        operator()(const RouteEntry &a, const RouteEntry &b) const
+        after(const Arrival &o) const
         {
-            if (a.arrive != b.arrive)
-                return a.arrive > b.arrive;
-            if (a.src != b.src)
-                return a.src > b.src;
-            return a.seq > b.seq;
+            return arrive != o.arrive ? arrive > o.arrive : key > o.key;
         }
     };
+    static_assert(sizeof(Arrival) == 32, "arrival entries are 32 bytes");
 
-    using ArrivalHeap =
-        std::priority_queue<RouteEntry, std::vector<RouteEntry>,
-                            RouteLater>;
+    /**
+     * One node's network interface. The first cache line holds
+     * everything a send or a drain touches; only the node's own shard
+     * ever reads or writes the record, and the alignment keeps
+     * neighbouring nodes' ports out of each other's lines.
+     *
+     * The arrival run holds the in-flight arrivals at this node in
+     * run[head, size), sorted by (arrive, src, seq); run[0, head) is
+     * the consumed prefix. A drain is armed for tick T exactly when a
+     * live entry has arrive == T.
+     */
+    struct alignas(64) Port
+    {
+        MessageHandler *handler = nullptr;
+        /** The shard queue the node's events run on. */
+        EventQueue *queue = nullptr;
+        /** NI next-free ticks (egress = injection, ingress =
+         *  ejection). */
+        Tick egressFree = 0;
+        Tick ingressFree = 0;
+        /** Last per-source sequence number (ids are (src, seq), so
+         *  numbering never depends on the global send order). */
+        std::uint64_t seq = 0;
+        std::uint32_t head = 0;
+        std::uint32_t size = 0;
+        std::uint32_t cap = 0;
+        unsigned shard = 0;
+        std::unique_ptr<Arrival[]> run;
+
+        /** Fault runs with extra link latency only: last arrival tick
+         *  per destination, to clamp arrivals monotone (see
+         *  setFaultPlan). */
+        std::unordered_map<NodeId, Tick> lastArrive;
+
+        /** Make room for one more entry: compact the consumed prefix
+         *  away, growing the buffer unless it is under half live. */
+        void reserveOne();
+    };
+
+    /** Per-shard recycled storage. */
+    struct ShardPools
+    {
+        Pool<Message> messages;
+        Pool<SharerSet> sharers;
+    };
 
     /** Per-shard statistics bank. */
     struct Bank
@@ -216,60 +264,42 @@ class Network : public SimObject
         void reset();
     };
 
-    unsigned callerShard() const;
-    EventQueue &queueOf(NodeId node) { return *_nodeQueue[node]; }
-    void insertArrival(const RouteEntry &e);
+    ShardPools &
+    shardPools()
+    {
+        return *_pools[_numShards > 1 ? currentShardId() : 0];
+    }
+    void insertArrival(NodeId dst, const Arrival &a);
     void drainArrivals(NodeId dst);
 
     NetworkConfig _cfg;
     FatTreeTopology _topo;
-    std::vector<MessageHandler *> _handlers;
 
     /** NI occupancy of a header-only [0] and a data [1] packet. */
     std::array<Tick, 2> _niOccupancy;
 
-    /** Per-node shard queue (all point at the constructor queue until
-     *  a kernel is attached). */
-    std::vector<EventQueue *> _nodeQueue;
-    std::vector<unsigned> _shardOf;
+    std::vector<Port> _ports;
+
+    /** The sharded kernel (null = one queue, the constructor's);
+     *  cross-shard routing reads the destination's shard from it, so
+     *  a sender never touches another shard's port. */
+    const SimKernel *_kernel = nullptr;
     unsigned _numShards = 1;
-
-    /** Per-node NI next-free times (egress = injection, ingress =
-     *  ejection); each entry is only touched by its node's shard. */
-    std::vector<Tick> _egressFree;
-    std::vector<Tick> _ingressFree;
-
-    /** Per-source message sequence numbers (ids are (src, seq) so
-     *  numbering never depends on the global send interleaving). */
-    std::vector<std::uint64_t> _srcSeq;
-
-    /** Per-destination-node in-flight arrivals and the ticks with an
-     *  armed phase-0 drain event, unordered and scanned. A node holds
-     *  about 10 armed ticks on average and under 100 at its peak in
-     *  the workloads measured (DESIGN.md, "Hot-path data
-     *  structures"); a FlatMap here was no faster and its 16-byte
-     *  slots raised peak memory. */
-    std::vector<ArrivalHeap> _arrivals;
-    std::vector<std::vector<Tick>> _drainArmed;
 
     /** Cross-shard channels, indexed src_shard * S + dst_shard; the
      *  source worker appends during a window, the destination worker
      *  drains at the next barrier (never concurrently). */
-    std::vector<std::vector<RouteEntry>> _channels;
+    std::vector<std::vector<Arrival>> _channels;
 
-    /** Per-(src,dst) last arrival tick, maintained only when the
-     *  fault plan can inject extra link latency (the one mechanism
-     *  that can reorder arrivals); clamps arrivals monotone so
-     *  point-to-point FIFO survives faults. */
-    std::vector<std::unordered_map<NodeId, Tick>> _lastArrive;
+    /** Clamp per-(src,dst) arrivals monotone (Port::lastArrive). */
     bool _fifoClamp = false;
 
     std::vector<Bank> _banks;
 
     const FaultPlan *_faults = nullptr;
 
-    /** Recycled storage for in-flight messages, one pool per shard. */
-    std::vector<std::unique_ptr<Pool<Message>>> _pools;
+    /** Recycled message and sharer storage, one set per shard. */
+    std::vector<std::unique_ptr<ShardPools>> _pools;
 };
 
 } // namespace pcsim

@@ -229,7 +229,8 @@ DirController::delegate(Addr line, NodeId producer, DirCacheEntry &e,
     del.requester = producer;
     del.txnId = txn_id;
     del.version = d.memVersion; // Shared/Unowned: memory is current
-    del.sharers = d.sharers;
+    del.sharers = _hub.network().acquireSharers();
+    *del.sharers = d.sharers;
     del.owner = producer;
 
     d.state = DirState::Dele;
@@ -452,7 +453,9 @@ DirController::handleUndele(const Message &msg)
     DirCacheEntry *e = access(msg.addr, ready);
     if (!e) {
         // Like a writeback, an UNDELE carries protocol state that
-        // cannot be dropped or NACKed: bounded local re-handle.
+        // cannot be dropped or NACKed: bounded local re-handle. The
+        // copy keeps the sharer side set, which is released only when
+        // the copy is finally handled.
         Message again = msg;
         _hub.eventQueue().scheduleIn(
             rehandleBackoff(msg, "Undele"),
@@ -470,15 +473,18 @@ DirController::handleUndele(const Message &msg)
         d.state = DirState::Excl;
         d.owner = msg.owner;
         d.sharers.clear();
-    } else if (!msg.sharers.empty()) {
+    } else if (msg.sharers && !msg.sharers->empty()) {
         d.state = DirState::Shared;
-        d.sharers = msg.sharers;
+        d.sharers = *msg.sharers;
         d.owner = invalidNode;
     } else {
         d.state = DirState::Unowned;
         d.sharers.clear();
         d.owner = invalidNode;
     }
+    // The snapshot is consumed: the side set goes back to the pool.
+    if (msg.sharers)
+        _hub.network().releaseSharers(msg.sharers);
 
     // Service the exclusive request that forced the undelegation.
     if (msg.pendingReq != invalidNode) {

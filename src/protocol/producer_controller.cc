@@ -100,7 +100,7 @@ ProducerController::handleDelegate(const Message &msg)
         und.addr = line;
         und.dst = _hub.homeOf(line);
         und.version = msg.version;
-        und.sharers = msg.sharers;
+        und.sharers = msg.sharers; // the Undele takes over the set
         und.owner = invalidNode;
         und.pendingReq = _hub.id();
         und.pendingType = pending_type;
@@ -110,7 +110,8 @@ ProducerController::handleDelegate(const Message &msg)
     }
 
     e->dir.state = DirState::Shared;
-    e->dir.sharers = msg.sharers;
+    e->dir.sharers = *msg.sharers;
+    _hub.network().releaseSharers(msg.sharers);
     e->dir.owner = invalidNode;
     e->dir.memVersion = msg.version;
 
@@ -136,7 +137,7 @@ ProducerController::handleDelegate(const Message &msg)
     PCSIM_DPRINTF(DebugDelegate, _hub.curTick(),
                   "node %u: delegated 0x%llx (sharers=%s)", _hub.id(),
                   (unsigned long long)line,
-                  msg.sharers.toString().c_str());
+                  e->dir.sharers.toString().c_str());
 
     // The delegation was triggered by our own pending write: serve it
     // now as the acting home (Figure 4a step 8: "convert delegate msg
@@ -558,8 +559,9 @@ ProducerController::undelegate(Addr line, ProducerEntry &e,
         und.owner = invalidNode;
         // We keep a plain S copy in the RAC; make sure the restored
         // directory covers us.
-        und.sharers = e.dir.sharers;
-        und.sharers.add(_hub.id());
+        und.sharers = _hub.network().acquireSharers();
+        *und.sharers = e.dir.sharers;
+        und.sharers->add(_hub.id());
         rac->unpin(line, /*keep_data=*/true);
     }
 

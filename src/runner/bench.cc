@@ -271,6 +271,9 @@ runBenchSuite(const BenchOptions &opt)
     doc["generator"] = JsonValue("pcsim bench");
     doc["kernelEvents"] = JsonValue(opt.kernelEvents);
     doc["repeats"] = JsonValue(std::uint64_t(opt.repeats));
+    // Events/sec depend on the host; record its core count.
+    doc["hostCores"] = JsonValue(
+        std::uint64_t(std::thread::hardware_concurrency()));
     JsonValue arr = JsonValue::array();
     for (const auto &br : results) {
         JsonValue v = toJson(br);

@@ -16,14 +16,15 @@
  * src/protocol/spin_watch.hh).
  *
  * Internals (see DESIGN.md, "Simulation kernel internals"): the queue
- * is a two-level calendar. Events within a 4096-tick window of the
- * current one land in per-tick FIFO lists of pooled event nodes
- * (append = schedule order, so same-tick FIFO is structural); rarer
- * far-future events wait in a (tick, order, seq)-ordered binary heap
- * and migrate into the lists when their window becomes current. A
- * callback is constructed in place inside a recycled node and never
- * moves afterwards, so the common scheduleIn(delta, lambda) path
- * performs zero heap allocations and reuses cache-warm storage.
+ * is a two-level calendar. Events less than 4096 ticks ahead of the
+ * current tick land in a ring of per-tick FIFO lists of pooled event
+ * nodes (append = schedule order, so same-tick FIFO is structural);
+ * the horizon rolls with the current tick. Rarer far-future events
+ * wait in a (tick, order, seq)-ordered binary heap and migrate into
+ * the ring as soon as the current tick brings them inside the
+ * horizon. A callback is constructed in place inside a recycled node
+ * and never moves afterwards, so the common scheduleIn(delta, lambda)
+ * path performs zero heap allocations and reuses cache-warm storage.
  */
 
 #ifndef PCSIM_SIM_EVENT_QUEUE_HH
@@ -56,9 +57,10 @@ struct EventQueueStats
     std::uint64_t inlineCallbacks = 0;
     /** Callbacks that fell back to a heap allocation. */
     std::uint64_t heapCallbacks = 0;
-    /** Events scheduled beyond the near-future window. */
+    /** Events scheduled 4096 or more ticks ahead of the current tick
+     *  (they wait in the overflow heap). */
     std::uint64_t overflowEvents = 0;
-    /** Calendar-window advances (overflow migrations). */
+    /** Tick advances that migrated overflow events into the ring. */
     std::uint64_t windowAdvances = 0;
 };
 
@@ -88,8 +90,9 @@ class EventQueue
 {
   public:
     /** Inline callback capacity per event node: sized for the largest
-     *  hot protocol closure (a controller pointer plus one 64-byte
-     *  Message). Larger callables fall back to one heap allocation. */
+     *  hot protocol closure (a controller pointer plus one Message, at
+     *  most 64 bytes). Larger callables fall back to one heap
+     *  allocation. */
     static constexpr std::size_t inlineCallbackBytes = 80;
 
     EventQueue() = default;
@@ -252,7 +255,6 @@ class EventQueue
     {
         destroyPending();
         _ringCount = 0;
-        _curWindow = 0;
         _curTick = 0;
         _curPhase0 = false;
         _curOrder = EventOrder{};
@@ -284,7 +286,7 @@ class EventQueue
   private:
     /** log2 of the near-future horizon, in ticks. 4096 covers every
      *  latency in Table 1 (hops, DRAM, NI occupancy, retry backoff)
-     *  so virtually all protocol events take the in-window path. */
+     *  so virtually all protocol events take the ring path. */
     static constexpr unsigned kLogBuckets = 12;
     static constexpr std::size_t kNumBuckets = std::size_t(1)
                                                << kLogBuckets;
@@ -325,7 +327,7 @@ class EventQueue
         bool empty() const { return !head0 && !head; }
     };
 
-    /** An event beyond the near horizon, heap-ordered by (when,
+    /** An event beyond the horizon, heap-ordered by (when,
      *  order, seq). Real events are scheduled in order, so for them
      *  this is (when, seq); scheduleAsIf events take their place. */
     struct FarEvent
@@ -419,8 +421,7 @@ class EventQueue
     insert(Tick when, EventNode *n, bool phase0)
     {
         ++_stats.scheduled;
-        const std::uint64_t w = when >> kLogBuckets;
-        if (w == _curWindow) {
+        if (when - _curTick < kNumBuckets) {
             const auto slot = static_cast<std::size_t>(when & kSlotMask);
             if constexpr (Sorted)
                 insertSlot(slot, n);
@@ -496,30 +497,23 @@ class EventQueue
         }
     }
 
-    /** Slot scanning starts at curTick when it lies in the current
-     *  window (earlier slots are already drained), else at 0 (the
-     *  window was advanced ahead of curTick by a migration). */
-    std::size_t
-    scanStart() const
-    {
-        return (_curTick >> kLogBuckets) == _curWindow
-                   ? static_cast<std::size_t>(_curTick & kSlotMask)
-                   : 0;
-    }
-
-    /** Tick of the next event, without executing. In-window events
-     *  always precede overflow events (the overflow holds later
-     *  windows only), so the ring is authoritative while non-empty. */
+    /** Tick of the next event, without executing. The ring holds
+     *  every pending event less than a horizon ahead of curTick and
+     *  the overflow only later ones, so the ring is authoritative
+     *  while non-empty; its scan starts at curTick's slot and wraps
+     *  (earlier slots hold the horizon's far end). */
     bool
     findNextTick(Tick &when) const
     {
         if (_ringCount) {
-            const int slot = nextOccupied(scanStart());
+            const auto cur = static_cast<std::size_t>(_curTick & kSlotMask);
+            int slot = nextOccupied(cur);
+            if (slot < 0)
+                slot = nextOccupied(0);
             if (slot < 0)
                 panic("event ring count %llu but no occupied slot",
                       (unsigned long long)_ringCount);
-            when = (_curWindow << kLogBuckets) |
-                   static_cast<Tick>(slot);
+            when = _curTick + ((static_cast<Tick>(slot) - cur) & kSlotMask);
             return true;
         }
         if (!_overflow.empty()) {
@@ -529,18 +523,17 @@ class EventQueue
         return false;
     }
 
-    /** Make the overflow's earliest window current, migrating its
-     *  events into the slots. Heap order is (when, order, seq), and
-     *  any future append to those slots is scheduled later, hence
-     *  carries no earlier order, so each list stays sorted. */
+    /** Move every overflow event less than a horizon past @p now (the
+     *  tick about to become current) into the ring. Heap order is
+     *  (when, order, seq); the ring never accepted those ticks while
+     *  they lay beyond the horizon, and any later append to them is
+     *  scheduled later, hence carries no earlier order, so each list
+     *  stays sorted. */
     void
-    advanceWindow()
+    migrate(Tick now)
     {
-        const std::uint64_t w = _overflow.front().when >> kLogBuckets;
-        _curWindow = w;
         ++_stats.windowAdvances;
-        while (!_overflow.empty() &&
-               (_overflow.front().when >> kLogBuckets) == w) {
+        do {
             std::pop_heap(_overflow.begin(), _overflow.end(),
                           FarLater{});
             const FarEvent fe = _overflow.back();
@@ -548,15 +541,19 @@ class EventQueue
             appendSlot(static_cast<std::size_t>(fe.when & kSlotMask),
                        fe.node, fe.phase0);
             ++_ringCount;
-        }
+        } while (!_overflow.empty() &&
+                 _overflow.front().when - now < kNumBuckets);
     }
 
     /** Execute the next event; @p when must come from findNextTick. */
     void
     executeOne(Tick when)
     {
-        if (!_ringCount)
-            advanceWindow();
+        // Advancing time rolls the horizon forward: events it now
+        // covers join the ring before anything at the new tick runs.
+        if (when != _curTick && !_overflow.empty() &&
+            _overflow.front().when - when < kNumBuckets)
+            migrate(when);
         const std::size_t slot =
             static_cast<std::size_t>(when & kSlotMask);
         Slot &s = _slots[slot];
@@ -612,7 +609,6 @@ class EventQueue
     Slot _slots[kNumBuckets];
     std::uint64_t _occupied[kWords] = {};
     std::uint64_t _ringCount = 0;
-    std::uint64_t _curWindow = 0;
 
     std::vector<FarEvent> _overflow;
     std::uint64_t _nextFarSeq = 0;

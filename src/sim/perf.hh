@@ -37,9 +37,13 @@ struct RunPerf
     std::uint64_t inlineCallbacks = 0;
     /** Callbacks that fell back to a heap allocation. */
     std::uint64_t heapCallbacks = 0;
-    /** Events scheduled beyond the near-future bucket horizon. */
+    /** Events scheduled 4096 or more ticks ahead of the scheduling
+     *  tick: they wait in the overflow heap instead of the calendar
+     *  ring (EventQueue's rolling horizon). */
     std::uint64_t overflowEvents = 0;
-    /** Calendar-window advances (overflow migrations). */
+    /** Tick advances that migrated overflow events into the ring (the
+     *  name predates the rolling horizon, when it counted aligned
+     *  4096-tick window switches). */
     std::uint64_t windowAdvances = 0;
 
     // Message pool counters.

@@ -258,3 +258,79 @@ TEST(Delegation, RacingConflictDuringDelegationResolves)
     const DirEntry d = h.dir(a);
     EXPECT_TRUE(d.state == DirState::Excl || d.state == DirState::Dele);
 }
+
+TEST(Delegation, UndeleReHandleKeepsItsSharerSet)
+{
+    // The sharer set an Undele carries lives in pooled side storage.
+    // When the home re-handles the Undele later (no free directory
+    // way), the re-handle's copy of the message must keep that set
+    // alive: another Delegate/Undele delivered in between recycles
+    // pooled storage, and must not overwrite the snapshot the home is
+    // about to restore. 128 nodes, so the set spans two words.
+    MachineConfig cfg = presets::delegationOnly(32, 32 * 1024, 128);
+    // One directory way per home: a busy line wedges the home.
+    cfg.proto.dirCache.entries = 1;
+    cfg.proto.dirCache.ways = 1;
+    // The re-handle waits long enough for the second Undele to be
+    // delivered and consumed first.
+    cfg.proto.retryBase = 2000;
+    Harness h(cfg);
+    EventQueue &eq = h.sys.eventQueue();
+    const Addr a = testLine(0);
+    const Addr b = testLine(1);
+    const Addr c = testLine(1024); // another page, another home
+
+    // Line a: home 0, delegated to 2, read by 100, 70 and 127.
+    h.read(0, a);
+    saturate(h, a, 2, 100);
+    h.write(2, a);
+    ASSERT_TRUE(h.delegated(2, a));
+    h.read(70, a);
+    h.read(127, a);
+    SharerSet want = h.sys.hub(2).producerEntry(a)->dir.sharers;
+    want.add(2); // the producer keeps a plain copy in its RAC
+    ASSERT_TRUE(want.contains(70) && want.contains(100) &&
+                want.contains(127));
+
+    // Line b: home 0, exclusive at 3. Line c: home 1, delegated to 4
+    // and read by 90.
+    h.read(0, b);
+    h.write(3, b);
+    h.read(1, c);
+    saturate(h, c, 4, 90);
+    h.write(4, c);
+    h.read(90, c);
+    ASSERT_TRUE(h.delegated(4, c));
+    ASSERT_EQ(h.home(b), 0);
+    ASSERT_EQ(h.home(c), 1);
+
+    // Node 5 reads b: home 0 holds b busy while it recalls the data
+    // from owner 3, and its one directory way cannot be evicted.
+    bool done = false;
+    h.sys.hub(5).cpuAccess(false, b, [&](Version) { done = true; });
+    while (!h.dir(b).busy())
+        ASSERT_TRUE(eq.step());
+
+    // Undelegate a now: its Undele reaches the wedged home and is
+    // queued for a local re-handle.
+    const std::uint64_t rehandles = h.stats(0).dirRehandleRetries;
+    h.sys.hub(2).prodCtrl().undelegateForRacPressure(a);
+    while (h.stats(0).dirRehandleRetries == rehandles)
+        ASSERT_TRUE(eq.step());
+    ASSERT_EQ(h.dir(a).state, DirState::Dele);
+
+    // Before the re-handle fires, undelegate c: its Undele takes side
+    // storage, is delivered to home 1 and consumed.
+    h.sys.hub(4).prodCtrl().undelegateForRacPressure(c);
+    while (h.dir(c).state == DirState::Dele)
+        ASSERT_TRUE(eq.step());
+    ASSERT_EQ(h.dir(a).state, DirState::Dele);
+
+    eq.run();
+    EXPECT_TRUE(done);
+    const DirEntry d = h.dir(a);
+    EXPECT_EQ(d.state, DirState::Shared);
+    EXPECT_EQ(d.sharers, want) << d.sharers.toString() << " vs "
+                               << want.toString();
+    EXPECT_GT(h.stats(0).dirRehandleRetries, rehandles);
+}

@@ -171,10 +171,10 @@ TEST(EventQueue, RunClearsStaleStopRequest)
     EXPECT_FALSE(eq.stopRequested());
 }
 
-TEST(EventQueue, FarFutureEventsCrossWindows)
+TEST(EventQueue, FarFutureEventsCrossTheHorizon)
 {
-    // Deltas far beyond the 4096-tick near window exercise the
-    // overflow heap and window migration.
+    // Deltas far beyond the 4096-tick horizon exercise the overflow
+    // heap and migration into the ring.
     EventQueue eq;
     std::vector<Tick> seen;
     for (Tick t : {Tick(1), Tick(5000), Tick(70000), Tick(4096),
@@ -187,12 +187,12 @@ TEST(EventQueue, FarFutureEventsCrossWindows)
     EXPECT_GT(eq.stats().windowAdvances, 0u);
 }
 
-TEST(EventQueue, SameTickFifoSurvivesWindowMigration)
+TEST(EventQueue, SameTickFifoSurvivesHorizonMigration)
 {
-    // Two events on one far-future tick, interleaved with a nearer
-    // event whose callback appends a third to the same far tick. All
-    // three must still fire in schedule order after migrating from
-    // the overflow heap into the calendar ring.
+    // Two events on one tick beyond the horizon, interleaved with a
+    // nearer event whose callback appends a third to the same tick.
+    // All three must still fire in schedule order after migrating
+    // from the overflow heap into the calendar ring.
     EventQueue eq;
     const Tick far = 123456;
     std::vector<int> order;
@@ -203,6 +203,44 @@ TEST(EventQueue, SameTickFifoSurvivesWindowMigration)
     eq.schedule(far, [&]() { order.push_back(1); });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventQueue, HorizonRollsWithTheCurrentTick)
+{
+    // At tick 4000, an event 100 ticks ahead crosses the aligned 4096
+    // boundary but lies inside the rolling horizon: it takes the ring.
+    EventQueue eq;
+    std::vector<Tick> seen;
+    eq.schedule(4000, [&]() {
+        eq.schedule(4100, [&]() { seen.push_back(eq.curTick()); });
+        eq.schedule(4000 + 4095, [&]() { seen.push_back(eq.curTick()); });
+    });
+    eq.run();
+    EXPECT_EQ(seen, (std::vector<Tick>{4100, 8095}));
+    EXPECT_EQ(eq.stats().overflowEvents, 0u);
+    EXPECT_EQ(eq.stats().windowAdvances, 0u);
+}
+
+TEST(EventQueue, OverflowEventMigratesAheadOfLaterSameTickEvents)
+{
+    // Scheduled at tick 10, tick 4106 is exactly a horizon ahead: it
+    // waits in the overflow heap. The advance to tick 11 migrates it
+    // before the tick-11 event runs, so the same-tick event that one
+    // schedules lands behind it.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(10, [&]() {
+        eq.schedule(4106, [&]() { order.push_back(0); });
+    });
+    eq.schedule(11, [&]() {
+        EXPECT_EQ(eq.stats().windowAdvances, 1u);
+        eq.schedule(4106, [&]() { order.push_back(1); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+    EXPECT_EQ(eq.stats().overflowEvents, 1u);
+    EXPECT_EQ(eq.stats().windowAdvances, 1u);
+    EXPECT_TRUE(eq.empty());
 }
 
 TEST(EventQueue, ResetAllowsFullReuse)
@@ -306,10 +344,11 @@ struct XorShift
 TEST(EventQueue, RandomizedStressMatchesReferenceModel)
 {
     // Drive the calendar queue and a textbook priority queue with the
-    // same randomized schedule (mixed near/far deltas, same-tick
-    // bursts, events scheduling events, scheduleAsIf insertions at
-    // earlier events' child positions) and demand identical execution
-    // order, with every tick's list sorted by EventOrder throughout.
+    // same randomized schedule (deltas inside, at the edge of and
+    // beyond the 4096-tick horizon, same-tick bursts, events
+    // scheduling events, scheduleAsIf insertions at earlier events'
+    // child positions) and demand identical execution order, with
+    // every tick's list sorted by EventOrder throughout.
     for (std::uint64_t seed : {1ull, 42ull, 0xdeadbeefull}) {
         EventQueue eq;
         std::priority_queue<RefEvent, std::vector<RefEvent>, RefLater>
@@ -329,8 +368,13 @@ TEST(EventQueue, RandomizedStressMatchesReferenceModel)
                 // mirrored into the reference model with the same
                 // delta and a fresh id.
                 const std::uint64_t r = rng.next();
-                Tick delta = (r & 1) ? Tick(r % 4096)
-                                     : Tick(4096 + r % 100000);
+                Tick delta;
+                switch (r & 3) {
+                case 0: delta = r % 4096; break;            // ring
+                case 1: delta = 4090 + r % 11; break;       // the edge
+                case 2: delta = r % (3 * 4096); break;      // a few out
+                default: delta = 4096 + r % 100000; break;  // far
+                }
                 const int child = nextId++;
                 const EventOrder order = eq.childOrder();
                 pastOrders.push_back(order);
@@ -346,8 +390,13 @@ TEST(EventQueue, RandomizedStressMatchesReferenceModel)
                 // Or insert one as if an earlier event had scheduled
                 // it, at a later tick (any such order is valid there).
                 const std::uint64_t r = rng.next();
-                const Tick delta = 1 + ((r & 1) ? Tick(r % 4096)
-                                                : Tick(r % 100000));
+                Tick delta;
+                switch (r & 3) {
+                case 0: delta = 1 + r % 4096; break;
+                case 1: delta = 4090 + r % 11; break;
+                case 2: delta = 1 + r % (3 * 4096); break;
+                default: delta = 1 + r % 100000; break;
+                }
                 const EventOrder order =
                     pastOrders[rng.next() % pastOrders.size()];
                 const int child = nextId++;
@@ -365,8 +414,8 @@ TEST(EventQueue, RandomizedStressMatchesReferenceModel)
             Tick when;
             switch (r & 3) {
             case 0: when = r % 64; break;            // same-tick bursts
-            case 1: when = r % 4096; break;          // in-window
-            case 2: when = 4096 + r % 262144; break; // few windows out
+            case 1: when = r % 4096; break;          // in the ring
+            case 2: when = 4096 + r % 262144; break; // past the horizon
             default: when = r % 10000000; break;     // far future
             }
             const int id = nextId++;
@@ -424,7 +473,7 @@ runAsIf(Tick target,
 
 } // namespace
 
-TEST(EventQueue, ScheduleAsIfLandsByOrderWithinTheWindow)
+TEST(EventQueue, ScheduleAsIfLandsByOrderInsideTheHorizon)
 {
     using V = std::vector<std::string>;
     EXPECT_EQ(runAsIf(100, {{"a", {51, 0}}}), (V{"r0", "r1", "a", "r2"}));
@@ -438,11 +487,11 @@ TEST(EventQueue, ScheduleAsIfLandsByOrderWithinTheWindow)
               (V{"r0", "a", "r1", "b", "r2"}));
 }
 
-TEST(EventQueue, ScheduleAsIfLandsByOrderAcrossAWindowBoundary)
+TEST(EventQueue, ScheduleAsIfLandsByOrderBeyondTheHorizon)
 {
-    // Tick 5000 lies beyond the first 4096-tick window: both the real
-    // events and the insertion wait in the overflow heap and migrate
-    // into the calendar together.
+    // Tick 5000 lies more than a horizon past ticks 10-40: both the
+    // real events and the insertion wait in the overflow heap and
+    // migrate into the calendar together.
     using V = std::vector<std::string>;
     EXPECT_EQ(runAsIf(5000, {{"a", {51, 0}}}), (V{"r0", "r1", "a", "r2"}));
     EXPECT_EQ(runAsIf(5000, {{"a", {1, 0}}}), (V{"a", "r0", "r1", "r2"}));
@@ -567,7 +616,7 @@ TEST(EventQueue, Phase0SchedulesFromEventsAndFarFuture)
     EventQueue eq;
     std::vector<Tick> ticks;
     // A normal event books a far-future phase-0 event (overflow path)
-    // plus same-window ones; each drains at the head of its tick.
+    // plus in-horizon ones; each drains at the head of its tick.
     eq.schedule(1, [&]() {
         eq.schedulePhase0(1000000, [&]() {
             ticks.push_back(eq.curTick());

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "src/net/faults.hh"
+#include "src/sim/random.hh"
 #include "src/net/network.hh"
 #include "src/net/topology.hh"
 #include "src/sim/event_queue.hh"
@@ -174,6 +180,158 @@ TEST_F(NetFixture, PointToPointOrderingHolds)
     for (int i = 0; i < 50; ++i)
         EXPECT_EQ(sinks[9].got[i].msg.version,
                   static_cast<Version>(i));
+}
+
+TEST_F(NetFixture, SameTickArrivalsEjectInSourceOrder)
+{
+    // Nodes 3, 2 and 1 share node 0's leaf, so messages they inject
+    // at tick 0 all arrive at tick 108. Sent in descending source
+    // order, they still eject in (src, seq) order, each holding the
+    // ingress NI for its 8-tick occupancy.
+    for (NodeId src : {NodeId(3), NodeId(2), NodeId(1)})
+        net.send(msg(src, 0));
+    eq.run();
+    ASSERT_EQ(sinks[0].got.size(), 3u);
+    for (unsigned i = 0; i < 3; ++i) {
+        EXPECT_EQ(sinks[0].got[i].msg.src, NodeId(i + 1));
+        EXPECT_EQ(sinks[0].got[i].when, 116u + 8 * i);
+    }
+}
+
+TEST_F(NetFixture, EarlierArrivalOvertakesEarlierSend)
+{
+    // Node 8 (two hops away) sends first and arrives at 208; node 1
+    // (one hop) sends at tick 50 and arrives at 158, so it ejects
+    // first although it was filed behind node 8's message.
+    net.send(msg(8, 0));
+    eq.schedule(50, [&]() { net.send(msg(1, 0)); });
+    eq.run();
+    ASSERT_EQ(sinks[0].got.size(), 2u);
+    EXPECT_EQ(sinks[0].got[0].msg.src, 1);
+    EXPECT_EQ(sinks[0].got[0].when, 166u);
+    EXPECT_EQ(sinks[0].got[1].msg.src, 8);
+    EXPECT_EQ(sinks[0].got[1].when, 216u);
+}
+
+TEST_F(NetFixture, OneDrainPerNodeAndArrivalTick)
+{
+    // k = 7 messages over m = 3 distinct (node, arrival tick) pairs:
+    // nodes 1-3 reach node 0 at 108, nodes 8-10 reach it at 208, and
+    // node 5 reaches node 4 at 108. Sends interleave the two ticks so
+    // arrivals are filed out of order. Each pair costs one drain
+    // event, each message one delivery.
+    for (NodeId src : {NodeId(8), NodeId(1), NodeId(9), NodeId(2),
+                       NodeId(10), NodeId(3)})
+        net.send(msg(src, 0));
+    net.send(msg(5, 4));
+    const std::uint64_t before = eq.stats().executed;
+    eq.run();
+    EXPECT_EQ(eq.stats().executed - before, 3u + 7u);
+    ASSERT_EQ(sinks[0].got.size(), 6u);
+    const NodeId want[] = {1, 2, 3, 8, 9, 10};
+    for (unsigned i = 0; i < 6; ++i)
+        EXPECT_EQ(sinks[0].got[i].msg.src, want[i]);
+    EXPECT_EQ(sinks[4].got.size(), 1u);
+}
+
+TEST_F(NetFixture, PointToPointOrderingSurvivesLinkLatencyFaults)
+{
+    // Every link turns gray for 2000 of every 4000 ticks and then
+    // adds 5000 ticks of latency, so a message injected just before a
+    // window closes would arrive long after its successors. The FIFO
+    // clamp holds them back: delivery order is still send order.
+    FaultConfig f;
+    f.enabled = true;
+    f.grayLinkFraction = 1.0;
+    f.grayExtraLatency = 5000;
+    f.grayPeriod = 4000;
+    f.grayDuration = 2000;
+    FaultPlan plan(f, 16, Rng(3));
+    ASSERT_TRUE(plan.linkIsGray(4, 9));
+    net.setFaultPlan(&plan);
+    for (int i = 0; i < 100; ++i) {
+        eq.schedule(Tick(100) * i, [this, i]() {
+            Message m = msg(4, 9);
+            m.version = i;
+            net.send(m);
+        });
+    }
+    eq.run();
+    ASSERT_EQ(sinks[9].got.size(), 100u);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(sinks[9].got[i].msg.version, static_cast<Version>(i));
+    // Both delayed and undelayed messages were in the stream.
+    EXPECT_GT(net.faultDelayedMessages(), 0u);
+    EXPECT_LT(net.faultDelayedMessages(), 100u);
+}
+
+TEST_F(NetFixture, RandomTrafficMatchesTheTimingModel)
+{
+    // 3000 remote messages of both packet classes between random
+    // nodes at random ticks, many sharing a tick, so arrival runs
+    // grow, compact and take out-of-order inserts. An independent
+    // model of the NI timing -- injection booked in send order,
+    // ejection in (arrive, src, seq) order per node -- must predict
+    // every delivery's node, order and tick, and the event count
+    // must be one send, one drain per (node, arrival tick) and one
+    // delivery per message.
+    struct Send
+    {
+        Tick when;
+        NodeId src, dst;
+        bool data;
+    };
+    Rng rng(7);
+    std::vector<Send> sends(3000);
+    for (Send &x : sends) {
+        x.when = rng.below(20000);
+        x.src = static_cast<NodeId>(rng.below(16));
+        x.dst = static_cast<NodeId>((x.src + 1 + rng.below(15)) % 16);
+        x.data = rng.below(2) == 1;
+    }
+    std::stable_sort(sends.begin(), sends.end(),
+                     [](const Send &a, const Send &b) {
+                         return a.when < b.when;
+                     });
+
+    // (arrive, src, seq, occupancy, id) per destination.
+    using Arr = std::tuple<Tick, NodeId, std::uint64_t, Tick, Version>;
+    std::vector<std::vector<Arr>> arrivals(16);
+    std::vector<Tick> egress(16, 0);
+    std::vector<std::uint64_t> seq(16, 0);
+    std::set<std::pair<NodeId, Tick>> drains;
+    for (std::size_t i = 0; i < sends.size(); ++i) {
+        const Send &x = sends[i];
+        const Tick occ = x.data ? 40 : 8;
+        const Tick inject = std::max(x.when, egress[x.src]);
+        egress[x.src] = inject + occ;
+        const Tick arrive = inject + occ +
+                            cfg.hopLatency * net.topology().hops(x.src, x.dst);
+        arrivals[x.dst].emplace_back(arrive, x.src, ++seq[x.src], occ,
+                                     static_cast<Version>(i));
+        drains.emplace(x.dst, arrive);
+        eq.schedule(x.when, [this, x, i]() {
+            Message m = msg(x.src, x.dst,
+                            x.data ? MsgType::RespSharedData
+                                   : MsgType::ReqShared);
+            m.version = static_cast<Version>(i);
+            net.send(m);
+        });
+    }
+    eq.run();
+    EXPECT_EQ(eq.stats().executed, 2 * sends.size() + drains.size());
+
+    for (NodeId n = 0; n < 16; ++n) {
+        std::sort(arrivals[n].begin(), arrivals[n].end());
+        ASSERT_EQ(sinks[n].got.size(), arrivals[n].size()) << "node " << n;
+        Tick ingress = 0;
+        for (std::size_t k = 0; k < arrivals[n].size(); ++k) {
+            const auto &[arrive, src, sq, occ, id] = arrivals[n][k];
+            ingress = std::max(arrive, ingress) + occ;
+            EXPECT_EQ(sinks[n].got[k].msg.version, id) << "node " << n;
+            EXPECT_EQ(sinks[n].got[k].when, ingress) << "node " << n;
+        }
+    }
 }
 
 TEST_F(NetFixture, StatsTrackMessagesAndBytes)
