@@ -1,0 +1,45 @@
+# Runs one pcsim command line (the arguments after "--") and checks
+# its outcome; tests/CMakeLists.txt registers every use.
+#
+#   cmake -DOUTPUT=F -DREFERENCE=R -P cli_check.cmake -- pcsim ...
+#       exit 0, and the file F the command wrote is byte-identical to R
+#   cmake -DEXPECT_ERROR=MSG -P cli_check.cmake -- pcsim ...
+#       exit 1, with MSG on stderr
+
+set(cmd)
+set(in_cmd FALSE)
+math(EXPR last "${CMAKE_ARGC} - 1")
+foreach(i RANGE ${last})
+    if(in_cmd)
+        list(APPEND cmd "${CMAKE_ARGV${i}}")
+    elseif("${CMAKE_ARGV${i}}" STREQUAL "--")
+        set(in_cmd TRUE)
+    endif()
+endforeach()
+
+if(DEFINED OUTPUT)
+    file(REMOVE "${OUTPUT}")
+endif()
+execute_process(COMMAND ${cmd} RESULT_VARIABLE rc
+                OUTPUT_QUIET ERROR_VARIABLE err)
+
+if(DEFINED EXPECT_ERROR)
+    if(NOT rc EQUAL 1)
+        message(FATAL_ERROR "expected exit 1, got '${rc}'; stderr:\n${err}")
+    endif()
+    string(FIND "${err}" "${EXPECT_ERROR}" at)
+    if(at EQUAL -1)
+        message(FATAL_ERROR "stderr lacks '${EXPECT_ERROR}':\n${err}")
+    endif()
+    return()
+endif()
+
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "exit '${rc}'; stderr:\n${err}")
+endif()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                        "${OUTPUT}" "${REFERENCE}"
+                RESULT_VARIABLE differ)
+if(differ)
+    message(FATAL_ERROR "${OUTPUT} differs from ${REFERENCE}")
+endif()
