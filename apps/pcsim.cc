@@ -195,17 +195,10 @@ usage(std::FILE *out)
 "                         reported (default: 3)\n"
 "  --baseline PATH        prior bench JSON; adds per-benchmark\n"
 "                         speedup columns\n"
-"  --parallel             shard-scaling suite: PCmicro and a 256-node\n"
-"                         serving run at 1/2/4/8 kernel shards\n"
-"                         (default --json: BENCH_parallel.json)\n"
 "\n"
 "common options:\n"
 "  -j N, --jobs N         worker threads; 0 = all cores\n"
 "                         (default: 1 for run, all cores for sweep)\n"
-"  --parallel-run[=S]     run each simulation on the parallel event\n"
-"                         kernel with S shards (default 4; clamped to\n"
-"                         the topology's leaf count). Results are\n"
-"                         byte-identical to the sequential kernel\n"
 "  --json PATH            write JSON results; '-' = stdout\n"
 "  --csv PATH             write CSV results; '-' = stdout\n"
 "  --timing               include host wall-clock perf rates in the\n"
@@ -256,9 +249,6 @@ struct Options
     std::string reproPath;        ///< lint --liveness: PCTR repro out
     unsigned threads = 0;
     bool threadsSet = false;
-    /** --parallel-run shard count (1 = sequential oracle kernel). */
-    unsigned parallelShards = 1;
-    bool parallelBench = false; ///< bench: shard-scaling suite
     std::string jsonPath;
     std::string csvPath;
     bool timing = false;
@@ -383,25 +373,6 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
                 std::fprintf(stderr, "pcsim: bad --scale '%s'\n", v);
                 return false;
             }
-        } else if (arg == "--parallel-run") {
-            // Bare flag defaults to 4 shards; never consumes the next
-            // argument (the count rides inline as --parallel-run=S).
-            if (inline_value) {
-                char *end = nullptr;
-                opt.parallelShards =
-                    unsigned(std::strtoul(inline_value, &end, 10));
-                if (end == inline_value || *end != '\0' ||
-                    opt.parallelShards == 0) {
-                    std::fprintf(stderr,
-                                 "pcsim: bad --parallel-run '%s'\n",
-                                 inline_value);
-                    return false;
-                }
-            } else {
-                opt.parallelShards = 4;
-            }
-        } else if (arg == "--parallel") {
-            opt.parallelBench = true;
         } else if (arg == "-j" || arg == "--jobs") {
             const char *v = value();
             if (!v)
@@ -663,9 +634,6 @@ runCommand(const Options &opt)
         }
     }
 
-    for (auto &j : set.jobs())
-        j.cfg.shards = opt.parallelShards;
-
     runner::RunnerOptions ropts;
     ropts.threads = opt.threadsSet ? opt.threads : 1;
     ropts.progress = !opt.quiet;
@@ -728,9 +696,6 @@ sweepCommand(const Options &opt)
                      "2\n");
         return 1;
     }
-
-    for (auto &j : set.jobs())
-        j.cfg.shards = opt.parallelShards;
 
     runner::RunnerOptions ropts;
     ropts.threads = opt.threadsSet ? opt.threads : 0; // 0 = all cores
@@ -1270,7 +1235,6 @@ main(int argc, char **argv)
         sopt.timing = opt.timing;
         sopt.deterministicCheck = opt.deterministicCheck;
         sopt.table = opt.table;
-        sopt.parallelShards = opt.parallelShards;
         return runner::runServeSweep(sopt);
     }
 
@@ -1290,7 +1254,6 @@ main(int argc, char **argv)
         copt.timing = opt.timing;
         copt.deterministicCheck = opt.deterministicCheck;
         copt.table = opt.table;
-        copt.parallelShards = opt.parallelShards;
         return runner::runCompareSweep(copt);
     }
 
@@ -1324,7 +1287,6 @@ main(int argc, char **argv)
             sopt.repeats = opt.benchRepeats;
         sopt.jsonPath = opt.jsonPath;
         sopt.quiet = opt.quiet;
-        sopt.parallelShards = opt.parallelShards;
         return runner::runScaleSweep(sopt);
     }
     if (cmd == "faults" || cmd == "qos") {
@@ -1368,7 +1330,6 @@ main(int argc, char **argv)
         fopt.quiet = opt.quiet;
         fopt.deterministicCheck = opt.deterministicCheck;
         fopt.table = opt.table;
-        fopt.parallelShards = opt.parallelShards;
         return runner::runFaultSweep(fopt);
     }
     if (cmd == "bench") {
@@ -1378,11 +1339,6 @@ main(int argc, char **argv)
         bopt.jsonPath = opt.jsonPath;
         bopt.baselinePath = opt.baselinePath;
         bopt.quiet = opt.quiet;
-        if (opt.parallelBench) {
-            if (bopt.jsonPath.empty())
-                bopt.jsonPath = "BENCH_parallel.json";
-            return runner::runParallelBench(bopt);
-        }
         return runner::runBenchSuite(bopt);
     }
 

@@ -1,7 +1,5 @@
 #include "src/cpu/barrier.hh"
 
-#include <algorithm>
-
 #include "src/protocol/hub.hh"
 #include "src/sim/logging.hh"
 
@@ -95,9 +93,7 @@ BarrierDriver::polled(unsigned cpu, Version v)
         return;
     }
     // Stale: park until the flag changes, or re-poll after the spin
-    // delay when the next poll would not be a plain L1 hit. Both run
-    // on the CPU's hub's shard queue (== the only queue under the
-    // sequential kernel).
+    // delay when the next poll would not be a plain L1 hit.
     Hub &hub = *_hubs[cpu];
     if (hub.parkSpin(c.pollLine, v, _spinDelay,
                      [this, cpu](Version pv) { polled(cpu, pv); }))
@@ -108,22 +104,12 @@ BarrierDriver::polled(unsigned cpu, Version v)
 void
 BarrierDriver::cpuPassed(unsigned cpu)
 {
-    const Tick pass_tick = _hubs[cpu]->eventQueue().curTick();
-    std::uint64_t completed = 0;
-    Tick max_pass = 0;
-    {
-        std::lock_guard<std::mutex> lk(_passMutex);
-        _maxPassTick = std::max(_maxPassTick, pass_tick);
-        if (++_passedCount == _hubs.size()) {
-            _passedCount = 0;
-            ++_gensDone;
-            completed = _gensDone;
-            max_pass = _maxPassTick;
-            _maxPassTick = 0;
-        }
+    if (++_passedCount == _hubs.size()) {
+        _passedCount = 0;
+        ++_gensDone;
+        if (_onGeneration)
+            _onGeneration(_gensDone, _hubs[cpu]->eventQueue().curTick());
     }
-    if (completed && _onGeneration)
-        _onGeneration(completed, max_pass);
     std::function<void()> done = std::move(_cpus[cpu].done);
     done();
 }

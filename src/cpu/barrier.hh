@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <vector>
 
 #include "src/sim/types.hh"
@@ -57,16 +56,13 @@ class BarrierDriver
     void arrive(unsigned cpu, std::function<void()> done);
 
     /**
-     * Invoked each time every CPU has passed generation @p gen.
-     * @p max_pass_tick is the largest shard-local tick at which any
-     * CPU passed -- a commutative max, so it is the same value no
-     * matter which order the per-shard pass events were observed in
-     * (the System derives the S-invariant stats-reset boundary from
-     * it).
+     * Invoked each time every CPU has passed generation @p gen, at
+     * @p last_pass_tick, the tick of the last CPU's pass (the System
+     * derives the stats-reset boundary from it).
      */
     void
     setOnGeneration(
-        std::function<void(std::uint64_t gen, Tick max_pass_tick)> fn)
+        std::function<void(std::uint64_t gen, Tick last_pass_tick)> fn)
     {
         _onGeneration = std::move(fn);
     }
@@ -83,8 +79,7 @@ class BarrierDriver
     }
     Addr releaseLine() const { return _base; }
 
-    /** Per-CPU barrier episode state; only the CPU's own shard
-     *  thread touches its entry. */
+    /** Per-CPU barrier episode state. */
     struct CpuState
     {
         std::uint64_t gen = 0;
@@ -115,12 +110,8 @@ class BarrierDriver
     Tick _spinDelay;
 
     std::vector<CpuState> _cpus;
-    /** Guards the pass bookkeeping below: under the parallel kernel
-     *  CPUs pass on their shard's worker thread. */
-    std::mutex _passMutex;
     std::uint64_t _gensDone = 0;
     unsigned _passedCount = 0;
-    Tick _maxPassTick = 0;
     std::function<void(std::uint64_t, Tick)> _onGeneration;
 };
 

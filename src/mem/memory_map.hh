@@ -31,9 +31,7 @@ enum class Placement
  * Maps pages of the simulated physical address space to home nodes.
  *
  * Page and line sizes are powers of two, so the page and interleave
- * indices are shifts; the placed-page table is a FlatMap whose const
- * lookups never write, which keeps a frozen map safe to read from
- * every shard worker.
+ * indices are shifts; the placed-page table is a FlatMap.
  */
 class MemoryMap
 {
@@ -128,8 +126,8 @@ class MemoryMap
 
     /**
      * Forbid further first-touch inserts. The System freezes the map
-     * after deterministic trace-based pre-placement so concurrent
-     * shard workers only ever *read* it; a touch of an unplaced page
+     * after deterministic trace-based pre-placement, which checks
+     * that pre-placement was complete: a touch of an unplaced page
      * afterwards is a pre-placement bug and panics.
      */
     void freeze() { _frozen = true; }

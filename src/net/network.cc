@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/net/faults.hh"
-#include "src/sim/kernel.hh"
 #include "src/sim/logging.hh"
 
 namespace pcsim
@@ -30,30 +29,8 @@ Network::Network(EventQueue &eq, unsigned num_nodes, NetworkConfig cfg)
       _niOccupancy{
           niOccupancy(Message::headerPacketBytes, cfg.niBytesPerCycle),
           niOccupancy(Message::dataPacketBytes, cfg.niBytesPerCycle)},
-      _ports(num_nodes),
-      _banks(1)
+      _ports(num_nodes)
 {
-    for (Port &p : _ports)
-        p.queue = &eq;
-    _pools.emplace_back(std::make_unique<ShardPools>());
-}
-
-void
-Network::attachKernel(SimKernel &kernel)
-{
-    const unsigned shards = kernel.numShards();
-    _kernel = &kernel;
-    _numShards = shards;
-    for (NodeId n = 0; n < _ports.size(); ++n) {
-        _ports[n].shard = kernel.shardOf(n);
-        _ports[n].queue = &kernel.queueForNode(n);
-    }
-    _channels.assign(std::size_t(shards) * shards, {});
-    _banks.resize(shards);
-    while (_pools.size() < shards)
-        _pools.emplace_back(std::make_unique<ShardPools>());
-    kernel.setFlushHook(
-        [this](unsigned dst_shard) { flushShard(dst_shard); });
 }
 
 void
@@ -92,13 +69,13 @@ Network::sendAcquired(Message *pm)
     const NodeId dst = msg.dst;
     Port &sp = _ports[src];
 
-    const Tick now = sp.queue->curTick();
+    const Tick now = _eq.curTick();
     const std::uint64_t seq = ++sp.seq;
 
     if (src == dst) {
         // Hub-internal transfer: small fixed latency, no NI occupancy,
         // not network traffic.
-        ++_banks[sp.shard].numLocal;
+        ++_stats.numLocal;
         const Tick deliver = now + _cfg.localLatency;
         PCSIM_DPRINTF(DebugNet, now, "net: %s deliver@%llu",
                       msg.toString().c_str(),
@@ -106,7 +83,7 @@ Network::sendAcquired(Message *pm)
         MessageHandler *handler = sp.handler;
         if (!handler)
             panic("send: no handler registered for node %u", dst);
-        sp.queue->schedule(deliver, [this, handler, pm]() {
+        _eq.schedule(deliver, [this, handler, pm]() {
             handler->handleMessage(*pm);
             releaseMessage(pm);
         });
@@ -149,11 +126,10 @@ Network::sendAcquired(Message *pm)
         last = arrive;
     }
 
-    Bank &bank = _banks[sp.shard];
-    ++bank.numMessages;
-    bank.numBytes += bytes;
-    ++bank.perType[static_cast<std::size_t>(msg.type)];
-    bank.hopHist.sample(hops);
+    ++_stats.numMessages;
+    _stats.numBytes += bytes;
+    ++_stats.perType[static_cast<std::size_t>(msg.type)];
+    _stats.hopHist.sample(hops);
 
     PCSIM_DPRINTF(DebugNet, now, "net: %s arrive@%llu",
                   msg.toString().c_str(), (unsigned long long)arrive);
@@ -164,14 +140,7 @@ Network::sendAcquired(Message *pm)
     a.pm = pm;
     a.faultDelay = fault_delay;
     a.data = data;
-    const unsigned dst_shard = _numShards > 1 ? _kernel->shardOf(dst) : 0;
-    if (dst_shard == sp.shard) {
-        insertArrival(dst, a);
-    } else {
-        ++bank.crossShard;
-        _channels[std::size_t(sp.shard) * _numShards + dst_shard]
-            .push_back(a);
-    }
+    insertArrival(dst, a);
 }
 
 void
@@ -215,16 +184,14 @@ Network::insertArrival(NodeId dst, const Arrival &a)
     const bool armed = (i > p.head && run[i - 1].arrive == a.arrive) ||
                        (i + 1 < p.size && run[i + 1].arrive == a.arrive);
     if (!armed)
-        p.queue->schedulePhase0(a.arrive,
-                                [this, dst]() { drainArrivals(dst); });
+        _eq.schedulePhase0(a.arrive, [this, dst]() { drainArrivals(dst); });
 }
 
 void
 Network::drainArrivals(NodeId dst)
 {
     Port &p = _ports[dst];
-    EventQueue &q = *p.queue;
-    const Tick now = q.curTick();
+    const Tick now = _eq.curTick();
     const Arrival *run = p.run.get();
     if (p.head == p.size || run[p.head].arrive != now)
         panic("network: node %u drains at %llu without an arrival", dst,
@@ -250,140 +217,21 @@ Network::drainArrivals(NodeId dst)
         p.ingressFree = deliver;
 
         if (fault_delay) {
-            Bank &bank = _banks[p.shard];
-            ++bank.faultDelayed;
-            bank.faultExtraTicks += fault_delay;
+            ++_stats.faultDelayed;
+            _stats.faultExtraTicks += fault_delay;
         }
 
         Message *pm = e.pm;
         PCSIM_DPRINTF(DebugNet, now, "net: %s deliver@%llu",
                       pm->toString().c_str(),
                       (unsigned long long)deliver);
-        q.schedule(deliver, [this, handler, pm]() {
+        _eq.schedule(deliver, [this, handler, pm]() {
             handler->handleMessage(*pm);
             releaseMessage(pm);
         });
     } while (p.head < p.size && run[p.head].arrive == now);
     if (p.head == p.size)
         p.head = p.size = 0;
-}
-
-void
-Network::flushShard(unsigned dst_shard)
-{
-    for (unsigned src_shard = 0; src_shard < _numShards; ++src_shard) {
-        auto &ch =
-            _channels[std::size_t(src_shard) * _numShards + dst_shard];
-        for (const Arrival &a : ch)
-            insertArrival(a.pm->dst, a);
-        ch.clear();
-    }
-}
-
-Pool<Message>::Stats
-Network::poolStats() const
-{
-    Pool<Message>::Stats sum;
-    for (const auto &p : _pools) {
-        const Pool<Message>::Stats &s = p->messages.stats();
-        sum.acquires += s.acquires;
-        sum.reuses += s.reuses;
-        sum.releases += s.releases;
-        sum.slabs += s.slabs;
-    }
-    return sum;
-}
-
-std::uint64_t
-Network::numMessages() const
-{
-    std::uint64_t n = 0;
-    for (const Bank &b : _banks)
-        n += b.numMessages;
-    return n;
-}
-
-std::uint64_t
-Network::numBytes() const
-{
-    std::uint64_t n = 0;
-    for (const Bank &b : _banks)
-        n += b.numBytes;
-    return n;
-}
-
-std::uint64_t
-Network::numLocalMessages() const
-{
-    std::uint64_t n = 0;
-    for (const Bank &b : _banks)
-        n += b.numLocal;
-    return n;
-}
-
-std::uint64_t
-Network::numByType(MsgType t) const
-{
-    std::uint64_t n = 0;
-    for (const Bank &b : _banks)
-        n += b.perType[static_cast<std::size_t>(t)];
-    return n;
-}
-
-Histogram
-Network::hopHistogram() const
-{
-    Histogram merged(8);
-    for (const Bank &b : _banks)
-        merged.merge(b.hopHist);
-    return merged;
-}
-
-std::uint64_t
-Network::crossShardMessages() const
-{
-    std::uint64_t n = 0;
-    for (const Bank &b : _banks)
-        n += b.crossShard;
-    return n;
-}
-
-std::uint64_t
-Network::faultDelayedMessages() const
-{
-    std::uint64_t n = 0;
-    for (const Bank &b : _banks)
-        n += b.faultDelayed;
-    return n;
-}
-
-std::uint64_t
-Network::faultExtraTicks() const
-{
-    std::uint64_t n = 0;
-    for (const Bank &b : _banks)
-        n += b.faultExtraTicks;
-    return n;
-}
-
-void
-Network::Bank::reset()
-{
-    numMessages = 0;
-    numBytes = 0;
-    numLocal = 0;
-    faultDelayed = 0;
-    faultExtraTicks = 0;
-    crossShard = 0;
-    std::fill(perType.begin(), perType.end(), 0);
-    hopHist.reset();
-}
-
-void
-Network::resetStats()
-{
-    for (Bank &b : _banks)
-        b.reset();
 }
 
 } // namespace pcsim

@@ -14,22 +14,17 @@
  * delivered after a small local latency and are NOT counted as network
  * traffic.
  *
- * Timing model (identical under the sequential and parallel kernels):
- * injection is booked at the source NI when the message is sent, on
- * the sender's shard thread; the in-flight message is then filed in
- * the destination port's arrival run, kept sorted by (arrive, src,
- * seq), and ejection is booked when the destination's phase-0 "drain"
- * event runs at the arrival tick. Ejection booking therefore depends
- * only on the *content-ordered* arrival sequence at that node -- never
- * on the global order sends happened to execute in -- which is what
- * makes the parallel kernel byte-identical to the sequential oracle.
- * Cross-shard sends park in per-(src-shard, dst-shard) channels that
- * the destination worker flushes into its ports at window barriers.
+ * Timing model: injection is booked at the source NI when the message
+ * is sent; the in-flight message is then filed in the destination
+ * port's arrival run, kept sorted by (arrive, src, seq), and ejection
+ * is booked when the destination's phase-0 "drain" event runs at the
+ * arrival tick. Ejection booking therefore depends only on the
+ * *content-ordered* arrival sequence at that node -- never on the
+ * order in which same-tick sends happened to execute.
  *
- * Per-node NI state lives in one cache-line-aligned Port record that
- * only the node's own shard touches; see DESIGN.md, "Hot-path data
- * structures", for the port layout, the sorted arrival run and its
- * armed-iff-live drain invariant.
+ * Per-node NI state lives in one cache-line-aligned Port record; see
+ * DESIGN.md, "Hot-path data structures", for the port layout, the
+ * sorted arrival run and its armed-iff-live drain invariant.
  */
 
 #ifndef PCSIM_NET_NETWORK_HH
@@ -44,7 +39,6 @@
 #include "src/net/message.hh"
 #include "src/net/topology.hh"
 #include "src/sim/event_queue.hh"
-#include "src/sim/kernel.hh"
 #include "src/sim/pool.hh"
 #include "src/sim/stats.hh"
 #include "src/sim/types.hh"
@@ -74,16 +68,6 @@ class Network : public SimObject
   public:
     Network(EventQueue &eq, unsigned num_nodes, NetworkConfig cfg = {});
 
-    /**
-     * Route deliveries through a sharded kernel: per-node scheduling
-     * moves to each node's shard queue, message storage and traffic
-     * counters split into per-shard banks, and cross-shard sends are
-     * exchanged at the kernel's window barriers. Without this call
-     * the network behaves exactly as before on the single queue
-     * passed to the constructor (tests drive it that way).
-     */
-    void attachKernel(SimKernel &kernel);
-
     /** Attach the hub that receives messages for @p node. */
     void registerHandler(NodeId node, MessageHandler *handler);
 
@@ -96,15 +80,11 @@ class Network : public SimObject
      * can acquire pooled storage, fill it in place, and hand it back
      * via sendAcquired(). The delivery closure then captures only a
      * pointer (24 bytes instead of a by-value Message copy) and the
-     * storage is recycled after the handler runs. Pools are per
-     * shard: acquire takes from the calling shard's pool and release
-     * returns to the calling shard's pool (slabs live until the
-     * network dies, so cross-shard frees are safe). A sequential run
-     * has one pool and never asks which shard is calling.
+     * storage is recycled after the handler runs.
      */
     /// @{
-    Message *acquireMessage() { return shardPools().messages.acquire(); }
-    void releaseMessage(Message *pm) { shardPools().messages.release(pm); }
+    Message *acquireMessage() { return _messages.acquire(); }
+    void releaseMessage(Message *pm) { _messages.release(pm); }
     /** Inject a message previously obtained from acquireMessage().
      *  Ownership passes to the network; storage is recycled after
      *  delivery. */
@@ -113,20 +93,21 @@ class Network : public SimObject
 
     /** @name Sharer side storage for Delegate and Undele
      *
-     * Pooled per shard like messages. A sender acquires a set, fills
-     * it and stores the pointer in Message::sharers; the handler that
+     * Pooled like messages. A sender acquires a set, fills it and
+     * stores the pointer in Message::sharers; the handler that
      * consumes the message releases it (see Message for the ownership
      * rule). Storage is not reset: the acquirer assigns the whole set.
      */
     /// @{
-    SharerSet *acquireSharers() { return shardPools().sharers.acquire(); }
-    void releaseSharers(SharerSet *s) { shardPools().sharers.release(s); }
+    SharerSet *acquireSharers() { return _sharers.acquire(); }
+    void releaseSharers(SharerSet *s) { _sharers.release(s); }
     /// @}
 
-    /** Pool recycling counters summed across shards (acquire counts
-     *  are content-determined; reuse counts are shard-layout
-     *  dependent and only serialized under the timing opt-in). */
-    Pool<Message>::Stats poolStats() const;
+    /** Message-pool recycling counters. */
+    const Pool<Message>::Stats &poolStats() const
+    {
+        return _messages.stats();
+    }
 
     const FatTreeTopology &topology() const { return _topo; }
     const NetworkConfig &config() const { return _cfg; }
@@ -143,34 +124,32 @@ class Network : public SimObject
     void setFaultPlan(const FaultPlan *plan);
     const FaultPlan *faultPlan() const { return _faults; }
     /** Remote messages that picked up any fault-induced delay. */
-    std::uint64_t faultDelayedMessages() const;
+    std::uint64_t faultDelayedMessages() const
+    {
+        return _stats.faultDelayed;
+    }
     /** Total fault-induced delay ticks across those messages. */
-    std::uint64_t faultExtraTicks() const;
+    std::uint64_t faultExtraTicks() const
+    {
+        return _stats.faultExtraTicks;
+    }
     /// @}
 
-    /** @name Traffic statistics (remote messages only).
-     *
-     * Counters accumulate into per-shard banks (send-side counters in
-     * the sender's bank, ejection-side in the receiver's) and are
-     * summed on read, so totals are independent of the shard layout.
-     */
+    /** @name Traffic statistics (remote messages, except the local
+     *  count). */
     /// @{
-    std::uint64_t numMessages() const;
-    std::uint64_t numBytes() const;
-    std::uint64_t numLocalMessages() const;
-    std::uint64_t numByType(MsgType t) const;
-    Histogram hopHistogram() const;
-    /** Remote messages that crossed a shard boundary (0 under the
-     *  sequential kernel; host-telemetry, timing-gated). */
-    std::uint64_t crossShardMessages() const;
+    std::uint64_t numMessages() const { return _stats.numMessages; }
+    std::uint64_t numBytes() const { return _stats.numBytes; }
+    std::uint64_t numLocalMessages() const { return _stats.numLocal; }
+    std::uint64_t
+    numByType(MsgType t) const
+    {
+        return _stats.perType[static_cast<std::size_t>(t)];
+    }
+    const Histogram &hopHistogram() const { return _stats.hopHist; }
     /// @}
 
-    void resetStats();
-
-    /** Drain every (src shard -> @p dst_shard) channel into the
-     *  destination ports' arrival runs; runs on @p dst_shard's worker
-     *  at a window barrier (the kernel's flush hook). */
-    void flushShard(unsigned dst_shard);
+    void resetStats() { _stats = Stats{}; }
 
   private:
     /** One remote message in flight between injection and ejection,
@@ -199,8 +178,7 @@ class Network : public SimObject
 
     /**
      * One node's network interface. The first cache line holds
-     * everything a send or a drain touches; only the node's own shard
-     * ever reads or writes the record, and the alignment keeps
+     * everything a send or a drain touches, and the alignment keeps
      * neighbouring nodes' ports out of each other's lines.
      *
      * The arrival run holds the in-flight arrivals at this node in
@@ -211,8 +189,6 @@ class Network : public SimObject
     struct alignas(64) Port
     {
         MessageHandler *handler = nullptr;
-        /** The shard queue the node's events run on. */
-        EventQueue *queue = nullptr;
         /** NI next-free ticks (egress = injection, ingress =
          *  ejection). */
         Tick egressFree = 0;
@@ -223,7 +199,6 @@ class Network : public SimObject
         std::uint32_t head = 0;
         std::uint32_t size = 0;
         std::uint32_t cap = 0;
-        unsigned shard = 0;
         std::unique_ptr<Arrival[]> run;
 
         /** Fault runs with extra link latency only: last arrival tick
@@ -236,39 +211,20 @@ class Network : public SimObject
         void reserveOne();
     };
 
-    /** Per-shard recycled storage. */
-    struct ShardPools
-    {
-        Pool<Message> messages;
-        Pool<SharerSet> sharers;
-    };
-
-    /** Per-shard statistics bank. */
-    struct Bank
+    /** Traffic counters; resetStats() starts a fresh copy. */
+    struct Stats
     {
         std::uint64_t numMessages = 0;
         std::uint64_t numBytes = 0;
         std::uint64_t numLocal = 0;
         std::uint64_t faultDelayed = 0;
         std::uint64_t faultExtraTicks = 0;
-        std::uint64_t crossShard = 0;
-        std::vector<std::uint64_t> perType;
-        Histogram hopHist;
-
-        Bank()
-            : perType(static_cast<std::size_t>(MsgType::NumMsgTypes),
-                      0),
-              hopHist(8)
-        {
-        }
-        void reset();
+        std::array<std::uint64_t,
+                   static_cast<std::size_t>(MsgType::NumMsgTypes)>
+            perType{};
+        Histogram hopHist{8};
     };
 
-    ShardPools &
-    shardPools()
-    {
-        return *_pools[_numShards > 1 ? currentShardId() : 0];
-    }
     void insertArrival(NodeId dst, const Arrival &a);
     void drainArrivals(NodeId dst);
 
@@ -280,26 +236,16 @@ class Network : public SimObject
 
     std::vector<Port> _ports;
 
-    /** The sharded kernel (null = one queue, the constructor's);
-     *  cross-shard routing reads the destination's shard from it, so
-     *  a sender never touches another shard's port. */
-    const SimKernel *_kernel = nullptr;
-    unsigned _numShards = 1;
-
-    /** Cross-shard channels, indexed src_shard * S + dst_shard; the
-     *  source worker appends during a window, the destination worker
-     *  drains at the next barrier (never concurrently). */
-    std::vector<std::vector<Arrival>> _channels;
-
     /** Clamp per-(src,dst) arrivals monotone (Port::lastArrive). */
     bool _fifoClamp = false;
 
-    std::vector<Bank> _banks;
+    Stats _stats;
 
     const FaultPlan *_faults = nullptr;
 
-    /** Recycled message and sharer storage, one set per shard. */
-    std::vector<std::unique_ptr<ShardPools>> _pools;
+    /** Recycled message and sharer storage. */
+    Pool<Message> _messages;
+    Pool<SharerSet> _sharers;
 };
 
 } // namespace pcsim

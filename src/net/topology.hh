@@ -93,30 +93,6 @@ class FatTreeTopology
     /** Largest hop count possible in this topology. */
     unsigned maxHops() const { return _depth; }
 
-    /** Fewest hops any message between two *different leaf routers*
-     *  can traverse: 2 (up to the parent, down again) whenever the
-     *  system spans more than one leaf, else there is no cross-leaf
-     *  pair and the minimum degenerates to hops between distinct
-     *  nodes (1) or zero for a single node. */
-    unsigned
-    minCrossLeafHops() const
-    {
-        if (_numNodes > _radix)
-            return 2;
-        return _numNodes > 1 ? 1 : 0;
-    }
-
-    /** Network latency floor for any message between nodes on
-     *  different leaf routers, given the per-hop latency. This is the
-     *  conservative-parallel lookahead source: with leaf-aligned
-     *  shards, every cross-shard message spends at least this long in
-     *  router hops before it can arrive. */
-    Tick
-    minCrossLeafLatencyTicks(Tick hop_latency) const
-    {
-        return hop_latency * minCrossLeafHops();
-    }
-
   private:
     unsigned _numNodes;
     unsigned _radix;

@@ -33,10 +33,6 @@ Version
 CoherenceChecker::storePerformed(NodeId node, Addr line,
                                  Version copy_version)
 {
-    std::unique_lock<std::mutex> lk(_mutex, std::defer_lock);
-    if (_parallel)
-        lk.lock();
-
     if (!_enabled)
         return _authority.bump(line);
 
@@ -51,14 +47,9 @@ CoherenceChecker::storePerformed(NodeId node, Addr line,
 
     // Single-writer: no other node may hold any readable copy at the
     // instant a store performs (all invalidation acks collected).
-    // Under the parallel kernel other shards sit at different local
-    // ticks mid-window, so their caches may legitimately still show
-    // copies this store's invalidations will erase "later"; skip the
-    // instantaneous scan there (quiescent checks still cover it).
     // Update-based policies skip it by design: sharers keep readable
     // copies while the writer's episode is open (setUpdateBased).
-    for (std::size_t n = 0;
-         !_parallel && !_updateBased && n < _nodes.size(); ++n) {
+    for (std::size_t n = 0; !_updateBased && n < _nodes.size(); ++n) {
         if (n == node)
             continue;
         Version v;
@@ -89,10 +80,6 @@ CoherenceChecker::loadPerformed(NodeId node, Addr line, Version version)
     if (!_enabled)
         return;
 
-    std::unique_lock<std::mutex> lk(_mutex, std::defer_lock);
-    if (_parallel)
-        lk.lock();
-
     ++_numChecks;
     const Version cur = _authority.current(line);
     if (version > cur) {
@@ -115,9 +102,6 @@ CoherenceChecker::creditLoads(std::uint64_t n)
 {
     if (!_enabled)
         return;
-    std::unique_lock<std::mutex> lk(_mutex, std::defer_lock);
-    if (_parallel)
-        lk.lock();
     _numChecks += n;
 }
 

@@ -23,7 +23,6 @@
 #define PCSIM_PROTOCOL_CHECKER_HH
 
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -98,16 +97,6 @@ class CoherenceChecker
     void setEnabled(bool on) { _enabled = on; }
 
     /**
-     * Parallel-kernel mode: guard the version authority and the
-     * monotonic-read map with a mutex (stores/loads perform on shard
-     * worker threads), and skip the instantaneous cross-node
-     * single-writer scan -- other shards' caches are at different
-     * local ticks mid-window, so reading them would false-positive.
-     * Every skipped invariant is still verified at quiescence.
-     */
-    void setParallel(bool on) { _parallel = on; }
-
-    /**
      * Update-based policy mode (write-update / adaptive hybrid): the
      * single-writer invariant does not hold -- sharers legitimately
      * keep readable copies while a store performs, and the writer's
@@ -167,12 +156,7 @@ class CoherenceChecker
         __attribute__((format(printf, 4, 5)));
 
     bool _enabled;
-    bool _parallel = false;
     bool _updateBased = false;
-    /** Guards _authority, _lastSeen and _numChecks in parallel mode
-     *  (the version authority runs even with checking disabled: it
-     *  is the data-value oracle for every store). */
-    mutable std::mutex _mutex;
     const verify::MessageTrace *_trace = nullptr;
     std::vector<CheckerNodeView *> _nodes;
     VersionAuthority _authority;

@@ -151,8 +151,7 @@ DirController::maybeDrain(Addr line)
     const Message req = _arb.pop(line, _hub.curTick(), _hub.stats());
     _arb.markDrainPending(line);
     // Re-enter like a fresh arrival after the hub's processing
-    // latency; on the home's own event queue, so parallel-kernel runs
-    // stay shard-local and byte-identical to sequential.
+    // latency.
     _hub.eventQueue().scheduleIn(_cfg.hubLatency, [this, req]() {
         _arb.clearDrainPending(req.addr);
         handleRequestCore(req);

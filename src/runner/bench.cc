@@ -368,7 +368,6 @@ runScaleSweep(const ScaleOptions &opt)
         for (const auto &nc : presets::scaleConfigs(n)) {
             MachineConfig cfg = nc.cfg;
             cfg.proto.checkerEnabled = false;
-            cfg.shards = opt.parallelShards;
             const std::string err = cfg.proto.validateError();
             if (!err.empty()) {
                 std::fprintf(stderr,
@@ -438,138 +437,6 @@ runScaleSweep(const ScaleOptions &opt)
     if (!opt.jsonPath.empty() &&
         !writeTextFile(opt.jsonPath, doc.dump(2) + "\n"))
         return 1;
-    return 0;
-}
-
-// --- parallel-kernel shard scaling -------------------------------
-
-namespace
-{
-
-/** One workload x machine of the shard-scaling suite. */
-struct ParallelSpec
-{
-    const char *name;
-    const char *workload;
-    const char *config;
-    unsigned nodes;
-    double scale;
-};
-
-} // namespace
-
-int
-runParallelBench(const BenchOptions &opt)
-{
-    // PCmicro is the paper's producer-consumer stressor; the 256-node
-    // KVServe point is the serving-scale machine the CI release job
-    // byte-diffs against the sequential golden. 64 nodes cap at 8
-    // leaf-aligned shards, so the 8-shard point is the topology limit.
-    static const ParallelSpec specs[] = {
-        {"parallel-pcmicro-64", "PCmicro", "large", 64, 4.0},
-        {"parallel-kvserve-256", "KVServe", "base", 256, 1.0},
-    };
-    static const unsigned shard_counts[] = {1, 2, 4, 8};
-
-    bool identical = true;
-    JsonValue benches = JsonValue::array();
-    std::printf("%-22s | %6s | %9s | %10s | %12s | %7s\n", "benchmark",
-                "shards", "(actual)", "wall(s)", "events/sec",
-                "speedup");
-    for (const auto &spec : specs) {
-        MachineConfig cfg;
-        std::string cname;
-        if (!namedMachineConfig(spec.config, spec.nodes, cfg, cname))
-            panic("bench --parallel: unknown config '%s'",
-                  spec.config);
-        cfg.proto.checkerEnabled = false;
-
-        std::string oracle; // serialized shards=1 statistics
-        double oracle_wall = 0.0;
-        JsonValue points = JsonValue::array();
-        for (unsigned shards : shard_counts) {
-            cfg.shards = shards;
-            std::uint64_t events = 0;
-            std::uint32_t effective = 1;
-            double wall = 0.0;
-            std::string serialized;
-            for (unsigned rep = 0; rep < opt.repeats; ++rep) {
-                System sys(cfg);
-                auto wl = makeRunnerWorkload(spec.workload,
-                                             sys.numNodes(),
-                                             spec.scale);
-                RunResult r = sys.run(*wl);
-                if (rep == 0 || r.perf.wallSeconds < wall) {
-                    wall = r.perf.wallSeconds;
-                    events = r.perf.eventsExecuted;
-                }
-                effective = r.perf.shards;
-                // Every repeat must serialize identically -- the
-                // deterministic fields carry no trace of S or the
-                // host, so one capture per point suffices.
-                if (rep == 0)
-                    serialized =
-                        toJson(r, /*with_timing=*/false).dump(2);
-            }
-            if (shards == 1) {
-                oracle = serialized;
-                oracle_wall = wall;
-            }
-            const bool point_ok = serialized == oracle;
-            identical &= point_ok;
-            const double eps =
-                wall > 0 ? double(events) / wall : 0.0;
-            const double speedup = wall > 0 ? oracle_wall / wall : 0.0;
-
-            JsonValue p = JsonValue::object();
-            p["shards"] = JsonValue(std::uint64_t(shards));
-            p["effectiveShards"] = JsonValue(std::uint64_t(effective));
-            p["events"] = JsonValue(events);
-            p["wallSeconds"] = JsonValue(wall);
-            p["eventsPerSec"] = JsonValue(eps);
-            p["speedupVsSequential"] = JsonValue(speedup);
-            p["identicalToSequential"] = JsonValue(point_ok);
-            points.push(std::move(p));
-
-            std::printf("%-22s | %6u | %9u | %10.4f | %12.0f | "
-                        "%6.2fx%s\n",
-                        spec.name, shards, effective, wall, eps,
-                        speedup, point_ok ? "" : "  IDENTITY FAIL");
-            if (!opt.quiet)
-                std::fprintf(stderr,
-                             "bench: %s x%u done (%s)\n", spec.name,
-                             shards, point_ok ? "identical" : "DIFF");
-        }
-
-        JsonValue b = JsonValue::object();
-        b["name"] = JsonValue(std::string(spec.name));
-        b["workload"] = JsonValue(std::string(spec.workload));
-        b["config"] = JsonValue(cname);
-        b["nodes"] = JsonValue(std::uint64_t(spec.nodes));
-        b["scale"] = JsonValue(spec.scale);
-        b["points"] = std::move(points);
-        benches.push(std::move(b));
-    }
-
-    JsonValue doc = JsonValue::object();
-    doc["schemaVersion"] = JsonValue(std::uint64_t(1));
-    doc["generator"] = JsonValue("pcsim bench --parallel");
-    doc["repeats"] = JsonValue(std::uint64_t(opt.repeats));
-    // Speedup is bounded by the host: a single-core runner reports
-    // ~1x (barrier overhead and all), and the document says so.
-    doc["hostCores"] = JsonValue(
-        std::uint64_t(std::thread::hardware_concurrency()));
-    doc["identicalToSequential"] = JsonValue(identical);
-    doc["benchmarks"] = std::move(benches);
-
-    if (!opt.jsonPath.empty() &&
-        !writeTextFile(opt.jsonPath, doc.dump(2) + "\n"))
-        return 1;
-    if (!identical) {
-        std::fprintf(stderr, "bench --parallel: parallel kernel "
-                             "diverged from the sequential oracle\n");
-        return 2;
-    }
     return 0;
 }
 

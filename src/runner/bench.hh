@@ -44,20 +44,6 @@ struct BenchOptions
 /** Run the suite; returns a process exit code (0 ok, 1 I/O error). */
 int runBenchSuite(const BenchOptions &opt);
 
-/**
- * The parallel-kernel scaling suite (`pcsim bench --parallel`):
- * PCmicro at 64 nodes and a 256-node KVServe serving scenario, each at
- * 1/2/4/8 shards. The shards=1 point is the sequential oracle and the
- * in-document baseline for the per-point speedup fields; every point's
- * deterministic statistics are byte-compared against that oracle, so
- * the benchmark doubles as an identity check (any divergence fails
- * with exit code 2). The document also records the host's core count:
- * single-core hosts cannot speed up and the numbers say so honestly.
- * The committed reference is BENCH_parallel.json.
- * @return process exit code (0 ok, 1 I/O error, 2 identity mismatch).
- */
-int runParallelBench(const BenchOptions &opt);
-
 /** Options for the node-count scaling sweep (`pcsim scale`). */
 struct ScaleOptions
 {
@@ -73,8 +59,6 @@ struct ScaleOptions
      *  the committed reference is BENCH_scale.json. */
     std::string jsonPath;
     bool quiet = false;
-    /** Parallel-kernel shards per simulation (1 = sequential). */
-    unsigned parallelShards = 1;
 };
 
 /**

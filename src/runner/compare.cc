@@ -38,7 +38,6 @@ compareJobs(const CompareOptions &opt)
                 Job j;
                 j.workload = scen;
                 j.cfg = named.cfg;
-                j.cfg.shards = opt.parallelShards;
                 if (!j.cfg.proto.validateError().empty())
                     return {};
                 j.configName = named.name;

@@ -54,9 +54,6 @@ struct CompareOptions
     bool deterministicCheck = false;
     /** Print the scenario x policy summary table. */
     bool table = true;
-    /** Parallel-kernel shards per simulation (1 = sequential oracle;
-     *  any value produces byte-identical documents). */
-    unsigned parallelShards = 1;
 };
 
 /** Build the scenario x node-count x policy JobSet (exposed for

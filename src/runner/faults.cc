@@ -52,7 +52,6 @@ faultJobs(const FaultsOptions &opt)
                 Job j;
                 j.workload = opt.workload;
                 j.cfg = named.cfg;
-                j.cfg.shards = opt.parallelShards;
                 j.cfg.proto.faults = scen.faults;
                 // The whole point: the protocol must stay provably
                 // coherent and in-spec while being perturbed.

@@ -57,9 +57,6 @@ struct FaultsOptions
     bool deterministicCheck = false;
     /** Print the scenario x mechanism summary table. */
     bool table = true;
-    /** Parallel-kernel shards per simulation (1 = sequential oracle;
-     *  any value produces byte-identical documents). */
-    unsigned parallelShards = 1;
 };
 
 /** Build the scenario x mechanism JobSet (exposed for tests).

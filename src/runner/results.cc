@@ -44,8 +44,8 @@ namespace runner
     X(writebacks)
 
 /** RunPerf counters that are pure functions of the simulated content:
- *  byte-identical across hosts, thread counts and kernel shard
- *  counts. Only these go into default (determinism-checked) JSON. */
+ *  byte-identical across hosts and thread counts. Only these go into
+ *  default (determinism-checked) JSON. */
 #define PCSIM_RUN_PERF_DET_FIELDS(X)                                      \
     X(eventsExecuted)                                                     \
     X(eventsScheduled)                                                    \
@@ -54,10 +54,11 @@ namespace runner
     X(poolAcquires)                                                       \
     X(simTicks)
 
-/** RunPerf counters whose values depend on how the run was sharded
- *  (queue shapes, pool recycling); serialized only with_timing, like
- *  the wall-clock rates (schemaVersion 3 moved them there). */
-#define PCSIM_RUN_PERF_SHARDED_FIELDS(X)                                  \
+/** Queue-shape and pool-recycling counters. They are deterministic
+ *  too, but schemaVersion 3 moved them behind with_timing, next to the
+ *  wall-clock rates, and moving them back would change every committed
+ *  golden document. */
+#define PCSIM_RUN_PERF_SHAPE_FIELDS(X)                                    \
     X(peakQueueDepth)                                                     \
     X(overflowEvents)                                                     \
     X(windowAdvances)                                                     \
@@ -109,17 +110,8 @@ toJson(const RunResult &r, bool with_timing)
 #undef X
     if (with_timing) {
 #define X(field) perf[#field] = JsonValue(r.perf.field);
-        PCSIM_RUN_PERF_SHARDED_FIELDS(X)
+        PCSIM_RUN_PERF_SHAPE_FIELDS(X)
 #undef X
-        perf["shards"] = JsonValue(std::uint64_t(r.perf.shards));
-        JsonValue se = JsonValue::array();
-        for (std::uint64_t e : r.perf.shardEvents)
-            se.push(JsonValue(e));
-        perf["shardEvents"] = std::move(se);
-        perf["kernelWindows"] = JsonValue(r.perf.kernelWindows);
-        perf["kernelBarriers"] = JsonValue(r.perf.kernelBarriers);
-        perf["crossShardMessages"] =
-            JsonValue(r.perf.crossShardMessages);
         perf["wallSeconds"] = JsonValue(r.perf.wallSeconds);
         perf["eventsPerSec"] = JsonValue(r.perf.eventsPerSec());
         perf["ticksPerSec"] = JsonValue(r.perf.ticksPerSec());
@@ -229,7 +221,8 @@ runResultFromJson(const JsonValue &v)
     r.consumerHist.assign(std::move(counts));
 
     // Telemetry arrived in schemaVersion 2; tolerate its absence so
-    // old documents still load.
+    // old documents still load. Keys this reader does not know (such
+    // as the retired parallel-kernel counters) are ignored.
     if (const JsonValue *perf = v.find("perf")) {
 #define X(field)                                                          \
         if (const JsonValue *f = perf->find(#field))                      \
@@ -238,18 +231,6 @@ runResultFromJson(const JsonValue &v)
 #undef X
         if (const JsonValue *w = perf->find("wallSeconds"))
             r.perf.wallSeconds = w->asDouble();
-        if (const JsonValue *s = perf->find("shards"))
-            r.perf.shards = static_cast<std::uint32_t>(s->asUInt());
-        if (const JsonValue *se = perf->find("shardEvents")) {
-            for (std::size_t i = 0; i < se->size(); ++i)
-                r.perf.shardEvents.push_back(se->at(i).asUInt());
-        }
-        if (const JsonValue *f = perf->find("kernelWindows"))
-            r.perf.kernelWindows = f->asUInt();
-        if (const JsonValue *f = perf->find("kernelBarriers"))
-            r.perf.kernelBarriers = f->asUInt();
-        if (const JsonValue *f = perf->find("crossShardMessages"))
-            r.perf.crossShardMessages = f->asUInt();
     }
 
     // Optional: only runs with conformance checking emit it.

@@ -26,9 +26,6 @@
  *           // determinism-checked documents):
  *           "peakQueueDepth": N, "overflowEvents": N,
  *           "windowAdvances": N, "poolReuses": N,
- *           "shards": N, "shardEvents": [N, ...],
- *           "kernelWindows": N, "kernelBarriers": N,
- *           "crossShardMessages": N,
  *           "wallSeconds": F, "eventsPerSec": F, "ticksPerSec": F
  *         }
  *       }, ...
@@ -36,13 +33,13 @@
  *   }
  *
  * The default "perf" counters are pure functions of the simulated
- * machine + workload; wall-clock rates are host noise, and the
- * queue-shape/shard counters depend on the parallel kernel's shard
- * layout (schemaVersion 3 moved them behind the opt-in). The default
- * (with_timing = false) drops all of those so the document is
- * byte-identical across thread counts, shard counts and hosts — the
- * repo-wide guarantee the determinism checks diff. Opting in (pcsim
- * --timing) trades that diffability for throughput visibility.
+ * machine + workload; wall-clock rates are host noise. The default
+ * (with_timing = false) drops the rates, and with them the
+ * queue-shape and pool-recycling counters that schemaVersion 3 moved
+ * behind the opt-in, so the document is byte-identical across thread
+ * counts and hosts — the repo-wide guarantee the determinism checks
+ * diff. Opting in (pcsim --timing) trades that diffability for
+ * throughput visibility.
  */
 
 #ifndef PCSIM_RUNNER_RESULTS_HH

@@ -43,7 +43,6 @@ serveJobs(const ServeOptions &opt)
                 Job j;
                 j.workload = scen;
                 j.cfg = named.cfg;
-                j.cfg.shards = opt.parallelShards;
                 if (!j.cfg.proto.validateError().empty())
                     return {};
                 j.configName = named.name;

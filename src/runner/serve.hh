@@ -52,9 +52,6 @@ struct ServeOptions
     bool deterministicCheck = false;
     /** Print the scenario x config summary table. */
     bool table = true;
-    /** Parallel-kernel shards per simulation (1 = sequential oracle;
-     *  any value produces byte-identical documents). */
-    unsigned parallelShards = 1;
 };
 
 /** Build the scenario x node-count x mechanism JobSet (exposed for

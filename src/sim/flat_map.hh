@@ -10,9 +10,7 @@
  * allocation (DESIGN.md, "Hot-path data structures").
  *
  * Nothing is allocated until the first insert, and the const
- * operations (find, size, forEach) never write: a map that
- * several threads only read (MemoryMap once frozen, read by every
- * PDES shard worker) is safe without a lock.
+ * operations (find, size, forEach) never write.
  *
  * Iteration follows slot order, which depends only on the sequence
  * of inserts and erases; callers that need a content order sort.

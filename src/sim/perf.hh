@@ -5,21 +5,18 @@
  * RunPerf aggregates, per simulation run, the kernel's hot-path
  * counters (events executed/scheduled, queue depth, callback storage
  * classes, calendar-queue overflow traffic), the message-pool
- * recycling counters, and host wall-clock time. The event totals,
- * pool acquires and simTicks are pure functions of the simulated
- * machine + workload and are therefore byte-identical across hosts,
- * thread counts and kernel shard counts; queue-shape counters
- * (peakQueueDepth, overflowEvents, windowAdvances, poolReuses) and
- * the per-shard telemetry depend on how the run was sharded, so
- * serialization keeps them with the volatile timing fields, out of
- * determinism-checked documents (see src/runner/results.hh).
+ * recycling counters, and host wall-clock time. Every counter is a
+ * pure function of the simulated machine + workload, byte-identical
+ * across hosts and thread counts; only wallSeconds is host noise.
+ * Serialization keeps the queue-shape counters (peakQueueDepth,
+ * overflowEvents, windowAdvances, poolReuses) with the timing fields,
+ * out of the default documents (see src/runner/results.hh).
  */
 
 #ifndef PCSIM_SIM_PERF_HH
 #define PCSIM_SIM_PERF_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "src/sim/types.hh"
 
@@ -52,22 +49,6 @@ struct RunPerf
 
     /** Final simulated time of the run. */
     Tick simTicks = 0;
-
-    // Parallel-kernel (PDES) telemetry. The totals above are pure
-    // functions of the simulated content and stay byte-identical
-    // across shard counts; the per-shard split below depends on the
-    // shard map, so serialization keeps it with the host-timing
-    // fields (opt-in only).
-    /** Shard count the run executed with (1 = sequential kernel). */
-    std::uint32_t shards = 1;
-    /** Events executed per shard (size == shards when parallel). */
-    std::vector<std::uint64_t> shardEvents;
-    /** Conservative windows the kernel planned. */
-    std::uint64_t kernelWindows = 0;
-    /** Barrier passes across all windows. */
-    std::uint64_t kernelBarriers = 0;
-    /** Messages that crossed a shard boundary in the network. */
-    std::uint64_t crossShardMessages = 0;
 
     /** Host wall-clock seconds (volatile across hosts/runs). */
     double wallSeconds = 0.0;

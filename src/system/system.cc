@@ -1,7 +1,6 @@
 #include "src/system/system.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 
 #include "src/protocol/policy.hh"
@@ -12,36 +11,20 @@ namespace pcsim
 
 System::System(const MachineConfig &cfg)
     : _cfg(cfg),
-      _kernel(ShardMap::leafAligned(
-                  cfg.proto.numNodes,
-                  FatTreeTopology(cfg.proto.numNodes).radix(),
-                  cfg.shards),
-              // Action grid G: 1 + hop latency lower-bounds every
-              // cross-shard (hence >= 2 hop) latency, and depends only
-              // on the config, so action boundaries are S-invariant.
-              1 + cfg.net.hopLatency,
-              1 + FatTreeTopology(cfg.proto.numNodes)
-                      .minCrossLeafLatencyTicks(cfg.net.hopLatency)),
       _checker(cfg.proto.checkerEnabled),
       _memMap(cfg.proto.numNodes, cfg.pageBytes),
-      _net(_kernel.queue(0), cfg.proto.numNodes, cfg.net)
+      _net(_eq, cfg.proto.numNodes, cfg.net)
 {
     cfg.proto.validate();
-    const bool parallel = _kernel.numShards() > 1;
-    if (cfg.proto.checkerEnabled || cfg.proto.conformanceEnabled) {
+    if (cfg.proto.checkerEnabled || cfg.proto.conformanceEnabled)
         _trace = std::make_unique<verify::MessageTrace>();
-        _trace->setParallel(parallel);
-    }
     if (cfg.proto.conformanceEnabled) {
         // Each policy is held to its own transition spec.
         _observer = std::make_unique<verify::TransitionObserver>(
             policyFor(cfg.proto.kind).spec(), _trace.get());
-        _observer->setParallel(parallel);
     }
     _checker.setTrace(_trace.get());
-    _checker.setParallel(parallel);
     _checker.setUpdateBased(cfg.proto.updateBased());
-    _net.attachKernel(_kernel);
     // Barrier flags share a page; interleave their homes by line so
     // placement is content-determined and no single directory absorbs
     // every CPU's synchronization traffic (flag k homes at node k,
@@ -50,18 +33,15 @@ System::System(const MachineConfig &cfg)
         cfg.barrierBase,
         Addr(cfg.proto.numNodes + 1) * cfg.proto.lineBytes,
         cfg.proto.lineBytes);
-    _shardConsumerHists.assign(_kernel.numShards(), Histogram(17));
     Rng root(cfg.seed);
     std::vector<Hub *> hub_ptrs;
     for (unsigned n = 0; n < cfg.proto.numNodes; ++n) {
         _hubs.push_back(std::make_unique<Hub>(
-            _kernel.queueForNode(static_cast<NodeId>(n)), _net, _memMap,
-            _checker, _cfg.proto, static_cast<NodeId>(n),
+            _eq, _net, _memMap, _checker, _cfg.proto,
+            static_cast<NodeId>(n),
             forkNodeRng(root, static_cast<NodeId>(n))));
         _hubs.back()->setConsumerHist(
-            &_shardConsumerHists[_kernel.shardOf(
-                static_cast<NodeId>(n))],
-            cfg.barrierBase,
+            &_consumerHist, cfg.barrierBase,
             (cfg.proto.numNodes + 1) * cfg.proto.lineBytes);
         _hubs.back()->setConformance(_observer.get(), _trace.get());
         hub_ptrs.push_back(_hubs.back().get());
@@ -88,23 +68,20 @@ System::resetStats()
     for (auto &hub : _hubs)
         hub->stats().reset();
     _net.resetStats();
-    for (auto &h : _shardConsumerHists)
-        h.reset();
-    _statsResetTick = _kernel.queue(0).curTick();
+    _consumerHist.reset();
+    _statsResetTick = _eq.curTick();
 }
 
 /**
  * Deterministic first-touch page placement, computed from the traces
- * before any event runs. The classic policy assigns a page to the
- * first CPU that touches it *in execution order*; under the parallel
- * kernel that order does not exist, so we use the schedule-independent
- * equivalent: scan all CPU streams round-robin by op index and let the
- * first Read/Write claim each page. (The barrier flag region is not
- * part of any trace; it is line-interleaved by the memory map, see
- * setInterleavedRegion.) The map is then frozen so shard workers only
- * ever read it. Runs with any shard count (including the sequential
- * oracle) use the same placement, which is one of the pillars of byte
- * identity.
+ * before any event runs: scan all CPU streams round-robin by op index
+ * and let the first Read/Write claim each page, so placement depends
+ * only on the traces, never on the order CPUs happen to execute in.
+ * (The barrier flag region is not part of any trace; it is
+ * line-interleaved by the memory map, see setInterleavedRegion.) The
+ * map is then frozen, which checks that pre-placement was complete: a
+ * later first touch of an unplaced page panics. Workloads without op
+ * streams keep classic dynamic first-touch.
  */
 void
 System::preplacePages(Workload &workload)
@@ -113,15 +90,8 @@ System::preplacePages(Workload &workload)
     std::vector<const std::vector<MemOp> *> ops(n_cpus);
     for (unsigned n = 0; n < n_cpus; ++n) {
         ops[n] = workload.cpuOps(n);
-        if (!ops[n]) {
-            if (_kernel.numShards() > 1) {
-                fatal("parallel kernel needs a trace-backed workload "
-                      "for deterministic page pre-placement ('%s' "
-                      "exposes no op streams)",
-                      workload.name().c_str());
-            }
-            return; // sequential: classic dynamic first-touch
-        }
+        if (!ops[n])
+            return;
     }
 
     std::size_t max_ops = 0;
@@ -141,6 +111,29 @@ System::preplacePages(Workload &workload)
     _memMap.freeze();
 }
 
+void
+System::drain(Tick limit)
+{
+    while (true) {
+        _eq.run(_resetBoundary ? std::min(limit, _resetBoundary - 1)
+                               : limit);
+        if (!_resetBoundary)
+            return;
+        Tick next;
+        if (_eq.peekNextTick(next) && next < _resetBoundary) {
+            if (next > limit)
+                return;
+            continue; // the stop that armed the reset; keep going
+        }
+        const Tick boundary = _resetBoundary;
+        _resetBoundary = 0;
+        for (auto &hub : _hubs)
+            hub->settleSpin(boundary);
+        resetStats();
+        _statsResetTick = boundary;
+    }
+}
+
 RunResult
 System::run(Workload &workload, Tick max_ticks)
 {
@@ -152,63 +145,51 @@ System::run(Workload &workload, Tick max_ticks)
     _cpus.clear();
     preplacePages(workload);
 
-    std::atomic<unsigned> running{numNodes()};
-    std::atomic<Tick> last_done{0};
+    unsigned running = numNodes();
+    Tick last_done = 0;
     for (unsigned n = 0; n < numNodes(); ++n) {
-        _cpus.push_back(std::make_unique<Cpu>(
-            _kernel.queueForNode(static_cast<NodeId>(n)), *_hubs[n],
-            workload, *_barrier, n));
+        _cpus.push_back(std::make_unique<Cpu>(_eq, *_hubs[n], workload,
+                                              *_barrier, n));
         Cpu *c = _cpus.back().get();
         c->setOnDone([&running, &last_done, c]() {
-            running.fetch_sub(1, std::memory_order_relaxed);
-            // Commutative max: the final value is independent of the
-            // order in which shard workers report completion.
-            Tick t = c->finishedAt();
-            Tick cur = last_done.load(std::memory_order_relaxed);
-            while (t > cur &&
-                   !last_done.compare_exchange_weak(
-                       cur, t, std::memory_order_relaxed)) {
-            }
+            --running;
+            last_done = std::max(last_done, c->finishedAt());
         });
         c->start();
     }
 
     // Parallel-phase convention: barrier generation 1 ends init. The
-    // reset must happen at a content-determined global time, so it is
-    // requested as a kernel action: it applies at the next action-grid
-    // boundary B after the generation's last pass tick, once every
-    // event before B (on every shard) has executed. Parked spinners'
-    // elided polls before B belong to init, so they are credited
-    // first.
+    // stats reset applies at the first multiple of 1 + hop latency
+    // after the generation's last pass tick, between events: once
+    // every event before that boundary has run and before any at or
+    // after it. Parked spinners' elided polls before the boundary
+    // belong to init, so drain() credits them first.
     _barrier->setOnGeneration([this](std::uint64_t gen, Tick at) {
         if (gen == 1) {
-            _kernel.requestGlobalAction(at, [this](Tick boundary) {
-                for (auto &hub : _hubs)
-                    hub->settleSpin(boundary);
-                resetStats();
-                _statsResetTick = boundary;
-            });
+            const Tick grid = 1 + _cfg.net.hopLatency;
+            _resetBoundary = (at / grid + 1) * grid;
+            _eq.requestStop();
         }
     });
 
     const auto wall_start = std::chrono::steady_clock::now();
-    _kernel.run(max_ticks);
+    drain(max_ticks);
 
-    if (running.load() != 0) {
+    if (running != 0) {
         // Parked spinners queue nothing, so a barrier that some CPU
         // never reaches drains the queue rather than spinning forever.
-        if (_kernel.empty())
+        if (_eq.empty())
             fatal("event queue drained with %u CPUs unfinished (a "
                   "barrier some CPU never reaches, or a deadlock)",
-                  running.load());
+                  running);
         fatal("simulation hit the tick limit with %u CPUs unfinished "
               "(deadlock or limit too small)",
-              running.load());
+              running);
     }
 
     // Drain any leftover protocol work (pending delayed interventions
     // push updates after the CPUs finish) before the quiescent check.
-    _kernel.run(maxTick);
+    drain(maxTick);
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
@@ -221,8 +202,8 @@ System::run(Workload &workload, Tick max_ticks)
 
     RunResult r;
     r.workload = workload.name();
-    const Tick done = last_done.load();
-    r.cycles = done > _statsResetTick ? done - _statsResetTick : done;
+    r.cycles = last_done > _statsResetTick ? last_done - _statsResetTick
+                                           : last_done;
     for (auto &hub : _hubs) {
         // Worst-node percentiles, taken per node BEFORE the sum
         // (merging the histograms first would average the unlucky
@@ -241,11 +222,9 @@ System::run(Workload &workload, Tick max_ticks)
     r.nackMessages = _net.numByType(MsgType::Nack) +
                      _net.numByType(MsgType::NackNotHome);
     r.updateMessages = _net.numByType(MsgType::Update);
-    r.consumerHist = _shardConsumerHists[0];
-    for (unsigned s = 1; s < _kernel.numShards(); ++s)
-        r.consumerHist.merge(_shardConsumerHists[s]);
+    r.consumerHist = _consumerHist;
 
-    const EventQueueStats eqs = _kernel.aggregateStats();
+    const EventQueueStats &eqs = _eq.stats();
     r.perf.eventsExecuted = eqs.executed;
     r.perf.eventsScheduled = eqs.scheduled;
     r.perf.peakQueueDepth = eqs.peakPending;
@@ -256,14 +235,7 @@ System::run(Workload &workload, Tick max_ticks)
     const Pool<Message>::Stats pool_stats = _net.poolStats();
     r.perf.poolAcquires = pool_stats.acquires;
     r.perf.poolReuses = pool_stats.reuses;
-    r.perf.simTicks = _kernel.maxCurTick();
-    r.perf.shards = _kernel.numShards();
-    r.perf.shardEvents.reserve(_kernel.numShards());
-    for (unsigned s = 0; s < _kernel.numShards(); ++s)
-        r.perf.shardEvents.push_back(_kernel.queue(s).stats().executed);
-    r.perf.kernelWindows = _kernel.stats().windows;
-    r.perf.kernelBarriers = _kernel.stats().barriers;
-    r.perf.crossShardMessages = _net.crossShardMessages();
+    r.perf.simTicks = _eq.curTick();
     r.perf.wallSeconds = wall;
     if (_observer)
         r.conformance = _observer->coverage();

@@ -20,7 +20,6 @@
 #include "src/protocol/config.hh"
 #include "src/protocol/hub.hh"
 #include "src/sim/event_queue.hh"
-#include "src/sim/kernel.hh"
 #include "src/sim/perf.hh"
 #include "src/sim/stats.hh"
 #include "src/verify/observer.hh"
@@ -40,11 +39,6 @@ struct MachineConfig
     /** Base address of the barrier flag region (above workload data). */
     Addr barrierBase = 0xB0000000ull;
     Tick barrierSpinDelay = 30;
-    /** Requested parallel-kernel shard count (1 = the sequential
-     *  oracle). Clamped to the topology's leaf-router count so shards
-     *  stay leaf aligned; results are byte-identical for every value
-     *  (see DESIGN.md, "Parallel event kernel"). */
-    unsigned shards = 1;
 };
 
 /** Aggregated results of one run (parallel phase only). */
@@ -116,9 +110,7 @@ class System
     explicit System(const MachineConfig &cfg);
     ~System();
 
-    /** Shard 0's queue (the only queue when running sequentially). */
-    EventQueue &eventQueue() { return _kernel.queue(0); }
-    SimKernel &kernel() { return _kernel; }
+    EventQueue &eventQueue() { return _eq; }
     Network &network() { return _net; }
     MemoryMap &memMap() { return _memMap; }
     CoherenceChecker &checker() { return _checker; }
@@ -147,8 +139,12 @@ class System
     /** Trace-scan first-touch pre-placement + map freeze (see .cc). */
     void preplacePages(Workload &workload);
 
+    /** Run events up to @p limit, applying a pending stats reset
+     *  between events once every event before its boundary ran. */
+    void drain(Tick limit);
+
     MachineConfig _cfg;
-    SimKernel _kernel;
+    EventQueue _eq;
     /** Per-line recent-message ring, feeding checker and conformance
      *  failure reports (null when both are disabled). */
     std::unique_ptr<verify::MessageTrace> _trace;
@@ -162,10 +158,10 @@ class System
     std::vector<std::unique_ptr<Hub>> _hubs;
     std::unique_ptr<BarrierDriver> _barrier;
     std::vector<std::unique_ptr<Cpu>> _cpus;
-    /** One consumers-per-write histogram per shard (each hub samples
-     *  into its shard's copy, lock-free); merged in shard order --
-     *  commutative bucket sums -- into RunResult::consumerHist. */
-    std::vector<Histogram> _shardConsumerHists;
+    /** Consumers-per-write histogram every hub samples into. */
+    Histogram _consumerHist{17};
+    /** Boundary of the pending end-of-init stats reset (0 = none). */
+    Tick _resetBoundary = 0;
     Tick _statsResetTick = 0;
 };
 

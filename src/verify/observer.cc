@@ -8,13 +8,6 @@
 namespace pcsim::verify
 {
 
-std::vector<TransitionObserver::Frame> &
-TransitionObserver::stack()
-{
-    static thread_local std::vector<Frame> frames;
-    return frames;
-}
-
 void
 TransitionObserver::begin(Ctrl c, NodeId node, Addr line, StateId pre,
                           PEvent ev)
@@ -27,15 +20,15 @@ TransitionObserver::begin(Ctrl c, NodeId node, Addr line, StateId pre,
                       : "no rule for this (state, event) pair",
                   "");
     }
-    stack().push_back(f);
+    _frames.push_back(f);
 }
 
 void
 TransitionObserver::noteSend(const Message &msg)
 {
-    if (stack().empty())
+    if (_frames.empty())
         return;
-    const Frame &f = stack().back();
+    const Frame &f = _frames.back();
     if (!f.rule->allowsSend(msg.type)) {
         violation(f, "handler sent a message the spec does not allow",
                   std::string("sent ") + msgTypeName(msg.type));
@@ -45,8 +38,8 @@ TransitionObserver::noteSend(const Message &msg)
 void
 TransitionObserver::end(StateId post)
 {
-    const Frame f = stack().back();
-    stack().pop_back();
+    const Frame f = _frames.back();
+    _frames.pop_back();
     if (!f.rule->allowsNext(post)) {
         violation(f, "next state outside the spec's allowed set",
                   "went to " + _spec.stateName(f.ctrl, post));
@@ -62,9 +55,6 @@ TransitionObserver::credit(Ctrl c, StateId pre, PEvent ev, StateId post,
                               (static_cast<std::uint32_t>(pre) << 16) |
                               (static_cast<std::uint32_t>(ev) << 8) |
                               static_cast<std::uint32_t>(post);
-    std::unique_lock<std::mutex> lk(_mutex, std::defer_lock);
-    if (_parallel)
-        lk.lock();
     _counts[key] += n;
 }
 

@@ -27,7 +27,6 @@
 #define PCSIM_VERIFY_OBSERVER_HH
 
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -78,12 +77,6 @@ class TransitionObserver
 
     const TransitionSpec &spec() const { return _spec; }
 
-    /** Parallel-kernel mode: guard the coverage counts with a mutex
-     *  (handlers run on shard worker threads). Frames themselves live
-     *  in thread-local storage -- they nest strictly within one event
-     *  execution -- so begin/noteSend stay lock-free. */
-    void setParallel(bool on) { _parallel = on; }
-
   private:
     struct Frame
     {
@@ -95,17 +88,13 @@ class TransitionObserver
         PEvent event;
     };
 
-    /** The calling thread's frame stack (empty between events, so
-     *  sharing one per thread across observers is safe). */
-    static std::vector<Frame> &stack();
-
     [[noreturn]] void violation(const Frame &f, const char *what,
                                 const std::string &detail) const;
 
     const TransitionSpec &_spec;
     const MessageTrace *_trace;
-    bool _parallel = false;
-    mutable std::mutex _mutex;
+    /** Open frames; they nest strictly within one event execution. */
+    std::vector<Frame> _frames;
     std::unordered_map<std::uint32_t, std::uint64_t> _counts;
 };
 

@@ -8,9 +8,6 @@ namespace pcsim::verify
 void
 MessageTrace::record(const Message &msg, Tick when)
 {
-    std::unique_lock<std::mutex> lk(_mutex, std::defer_lock);
-    if (_parallel)
-        lk.lock();
     Ring &ring = _byLine[msg.addr];
     Record &r = ring.recs[ring.head];
     r.when = when;
@@ -28,9 +25,6 @@ MessageTrace::record(const Message &msg, Tick when)
 std::string
 MessageTrace::format(Addr line) const
 {
-    std::unique_lock<std::mutex> lk(_mutex, std::defer_lock);
-    if (_parallel)
-        lk.lock();
     auto it = _byLine.find(line);
     if (it == _byLine.end() || it->second.count == 0)
         return "  (no messages recorded for this line)\n";

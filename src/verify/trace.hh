@@ -13,7 +13,6 @@
 
 #include <array>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 
@@ -48,10 +47,6 @@ class MessageTrace
      *  (oldest first), or a placeholder when nothing was seen. */
     std::string format(Addr line) const;
 
-    /** Parallel-kernel mode: guard the ring map with a mutex
-     *  (deliveries record on shard worker threads). */
-    void setParallel(bool on) { _parallel = on; }
-
   private:
     struct Ring
     {
@@ -60,8 +55,6 @@ class MessageTrace
         std::size_t count = 0; ///< valid records (<= depth)
     };
 
-    bool _parallel = false;
-    mutable std::mutex _mutex;
     std::unordered_map<Addr, Ring> _byLine;
 };
 

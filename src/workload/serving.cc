@@ -52,7 +52,7 @@ KvServingWorkload::KvServingWorkload(unsigned num_cpus, Params p)
 
     // Init: keys striped across nodes; node n first-touches key lines
     // with k % numCpus == n, so homes are spread like a real store's
-    // shards.
+    // partitions.
     for (unsigned cpu = 0; cpu < num_cpus; ++cpu) {
         auto &t = cpuTrace(cpu);
         for (unsigned k = cpu; k < _p.keyLines; k += num_cpus)

@@ -92,7 +92,7 @@ class Workload
      * trace-backed, else null. The System scans these streams before
      * a run to pre-compute first-touch page placement (round-robin
      * across CPUs by op index, the schedule-independent equivalent of
-     * touch order), so shard workers never race on the memory map.
+     * touch order).
      */
     virtual const std::vector<MemOp> *
     cpuOps(unsigned cpu) const

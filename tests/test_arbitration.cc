@@ -271,38 +271,3 @@ TEST(ArbitrationIdentity, QueuedModesByteIdenticalAcrossThreads)
             .dump(2);
     EXPECT_EQ(a, b);
 }
-
-TEST(ArbitrationIdentity, QueuedModesMatchSequentialShardOracle)
-{
-    // Parked-queue drains are scheduled on the home shard's own event
-    // queue, so the conservative parallel kernel must serialize the
-    // new modes byte-identically too.
-    MachineConfig cfg;
-    std::string cname;
-    ASSERT_TRUE(runner::namedMachineConfig("delegation", 32, cfg,
-                                           cname));
-    cfg.proto.checkerEnabled = true;
-    cfg.proto.conformanceEnabled = true;
-    for (Arbitration a : {Arbitration::Queue,
-                          Arbitration::AgedPriority}) {
-        cfg.proto.arbitration = a;
-        std::string oracle, sharded;
-        {
-            MachineConfig c1 = cfg;
-            c1.shards = 1;
-            System sys(c1);
-            auto wl = runner::makeRunnerWorkload("PCmicro",
-                                                 sys.numNodes(), 0.5);
-            oracle = runner::toJson(sys.run(*wl), false).dump(2);
-        }
-        {
-            MachineConfig c2 = cfg;
-            c2.shards = 4;
-            System sys(c2);
-            auto wl = runner::makeRunnerWorkload("PCmicro",
-                                                 sys.numNodes(), 0.5);
-            sharded = runner::toJson(sys.run(*wl), false).dump(2);
-        }
-        EXPECT_EQ(sharded, oracle) << arbitrationName(a);
-    }
-}

@@ -3,8 +3,7 @@
  * Barrier-spin fast-forward exactness: runs whose barrier spinning is
  * heavy and timing-sensitive must reproduce, node by node, the
  * statistics recorded from a simulator that executed every spin poll
- * as a real event (tests/golden/spin_fastforward.json), on the
- * sequential kernel and on 4 shards.
+ * as a real event (tests/golden/spin_fastforward.json).
  *
  * The cases cover what makes fast-forward hard to get exactly right:
  *  - Ocean on "32-entry deledc & 32K RAC" at seed 2, where a resumed
@@ -18,8 +17,8 @@
  *    arbitration (checker and conformance hook on).
  *
  * Setting PCSIM_SPIN_GOLDEN_OUT=<path> writes the recorded document
- * from the sequential runs instead of comparing; only do that with a
- * simulator whose results are known to be right.
+ * instead of comparing; only do that with a simulator whose results
+ * are known to be right.
  */
 
 #include <gtest/gtest.h>
@@ -122,13 +121,11 @@ cases()
 }
 
 Observed
-runCase(const Case &c, unsigned shards)
+runCase(const Case &c)
 {
-    MachineConfig cfg = c.cfg;
-    cfg.shards = shards;
     std::unique_ptr<Workload> wl = runner::makeRunnerWorkload(
-        c.workload, cfg.proto.numNodes, c.scale);
-    System sys(cfg);
+        c.workload, c.cfg.proto.numNodes, c.scale);
+    System sys(c.cfg);
     const RunResult r = sys.run(*wl);
     return observe(sys, r);
 }
@@ -186,7 +183,7 @@ TEST(SpinFastForward, NodeStatsMatchRecordedPollingRuns)
     if (const char *out = std::getenv("PCSIM_SPIN_GOLDEN_OUT")) {
         std::vector<Observed> obs;
         for (const Case &c : all)
-            obs.push_back(runCase(c, 1));
+            obs.push_back(runCase(c));
         writeGolden(out, all, obs);
         GTEST_SKIP() << "wrote " << out;
     }
@@ -202,10 +199,6 @@ TEST(SpinFastForward, NodeStatsMatchRecordedPollingRuns)
     for (std::size_t c = 0; c < all.size(); ++c) {
         const JsonValue &rec = recorded.at(c);
         ASSERT_EQ(rec.at("name").asString(), all[c].name);
-        for (unsigned shards : {1u, 4u}) {
-            expectMatches(rec, runCase(all[c], shards),
-                          all[c].name + " @ " + std::to_string(shards) +
-                              " shard(s)");
-        }
+        expectMatches(rec, runCase(all[c]), all[c].name);
     }
 }
