@@ -16,9 +16,13 @@
  */
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -255,8 +259,8 @@ struct Options
     bool deterministicCheck = false;
     bool table = true;
     bool quiet = false;
-    int figure = 0;   ///< 7, 9 or 10
-    int tableNum = 0; ///< 2
+    unsigned figure = 0;   ///< 7, 9 or 10
+    unsigned tableNum = 0; ///< 2
     std::vector<std::string> scenarioList; ///< faults: scenario names
     /** faults/qos: arbitration mode names to cross in. */
     std::vector<std::string> arbitrationList;
@@ -284,6 +288,29 @@ argValue(int argc, char **argv, int &i, const char *inline_value)
         return nullptr;
     }
     return argv[++i];
+}
+
+/**
+ * Parse @p v, the value of option @p opt, as a base-10 integer in
+ * [@p lo, @p hi] spelled by the whole string: no sign, space, suffix
+ * or exponent. On failure print "pcsim: bad <opt> '<v>'" and return
+ * false.
+ */
+template <typename T>
+bool
+parseNumber(const std::string &opt, const std::string &v, T &out,
+            T lo = 0, T hi = std::numeric_limits<T>::max())
+{
+    T x = 0;
+    const char *end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, x);
+    if (ec != std::errc() || ptr != end || x < lo || x > hi) {
+        std::fprintf(stderr, "pcsim: bad %s '%s'\n", opt.c_str(),
+                     v.c_str());
+        return false;
+    }
+    out = x;
+    return true;
 }
 
 bool
@@ -325,9 +352,12 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
             if (!v)
                 return false;
             opt.seeds.clear();
-            for (const auto &s : splitList(v))
-                opt.seeds.push_back(std::strtoull(s.c_str(), nullptr,
-                                                  10));
+            for (const auto &s : splitList(v)) {
+                std::uint64_t seed;
+                if (!parseNumber(arg, s, seed))
+                    return false;
+                opt.seeds.push_back(seed);
+            }
             if (opt.seeds.empty())
                 opt.seeds.push_back(1);
         } else if (arg == "--nodes") {
@@ -335,9 +365,12 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
             if (!v)
                 return false;
             opt.nodeList.clear();
-            for (const auto &s : splitList(v))
-                opt.nodeList.push_back(
-                    unsigned(std::strtoul(s.c_str(), nullptr, 10)));
+            for (const auto &s : splitList(v)) {
+                unsigned n;
+                if (!parseNumber(arg, s, n, 1u))
+                    return false;
+                opt.nodeList.push_back(n);
+            }
             if (opt.nodeList.empty()) {
                 std::fprintf(stderr, "pcsim: bad --nodes '%s'\n", v);
                 return false;
@@ -355,7 +388,8 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
             const char *v = value();
             if (!v)
                 return false;
-            opt.coarse = unsigned(std::strtoul(v, nullptr, 10));
+            if (!parseNumber(arg, v, opt.coarse))
+                return false;
             if (!isPowerOfTwo(opt.coarse)) {
                 std::fprintf(stderr, "pcsim: --coarse '%s' must be a "
                                      "power of two >= 1\n",
@@ -369,7 +403,8 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
             char *end = nullptr;
             opt.scale = std::strtod(v, &end);
             opt.scaleSet = true;
-            if (end == v || *end != '\0' || opt.scale <= 0) {
+            if (end == v || *end != '\0' || !(opt.scale > 0) ||
+                !std::isfinite(opt.scale)) {
                 std::fprintf(stderr, "pcsim: bad --scale '%s'\n", v);
                 return false;
             }
@@ -377,7 +412,8 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
             const char *v = value();
             if (!v)
                 return false;
-            opt.threads = unsigned(std::strtoul(v, nullptr, 10));
+            if (!parseNumber(arg, v, opt.threads))
+                return false;
             opt.threadsSet = true;
         } else if (arg == "--json") {
             const char *v = value();
@@ -393,13 +429,15 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
             const char *v = value();
             if (!v)
                 return false;
-            opt.figure = int(std::strtol(v, nullptr, 10));
+            if (!parseNumber(arg, v, opt.figure))
+                return false;
         } else if (arg == "--table" && opt.command == "sweep" &&
                    (inline_value || i + 1 < argc)) {
             const char *v = value();
             if (!v)
                 return false;
-            opt.tableNum = int(std::strtol(v, nullptr, 10));
+            if (!parseNumber(arg, v, opt.tableNum))
+                return false;
         } else if (arg == "--scenario" || arg == "--scenarios") {
             const char *v = value();
             if (!v)
@@ -415,22 +453,15 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
             const char *v = value();
             if (!v)
                 return false;
-            opt.benchEvents = std::strtoull(v, nullptr, 10);
-            if (opt.benchEvents == 0) {
-                std::fprintf(stderr, "pcsim: bad --events '%s'\n", v);
+            if (!parseNumber(arg, v, opt.benchEvents, std::uint64_t(1)))
                 return false;
-            }
         } else if (arg == "--repeats") {
             const char *v = value();
             if (!v)
                 return false;
-            opt.benchRepeats =
-                unsigned(std::strtoul(v, nullptr, 10));
-            opt.repeatsSet = true;
-            if (opt.benchRepeats == 0) {
-                std::fprintf(stderr, "pcsim: bad --repeats '%s'\n", v);
+            if (!parseNumber(arg, v, opt.benchRepeats, 1u))
                 return false;
-            }
+            opt.repeatsSet = true;
         } else if (arg == "--baseline") {
             const char *v = value();
             if (!v)
@@ -765,16 +796,17 @@ lintCoverage(const Options &opt)
         if (!conf)
             continue;
         ++with_conformance;
-        const JsonValue &obs = conf->at("observed");
-        for (std::size_t k = 0; k < obs.size(); ++k) {
-            const JsonValue &e = obs.at(k);
-            verify::TransitionCount t;
-            t.ctrl = std::uint8_t(e.at("ctrl").asUInt());
-            t.state = std::uint8_t(e.at("state").asUInt());
-            t.event = std::uint8_t(e.at("event").asUInt());
-            t.next = std::uint8_t(e.at("next").asUInt());
-            t.count = e.at("count").asUInt();
-            observed.push_back(t);
+        try {
+            const std::vector<verify::TransitionCount> counts =
+                runner::conformanceFromJson(*conf);
+            observed.insert(observed.end(), counts.begin(),
+                            counts.end());
+        } catch (const std::invalid_argument &e) {
+            std::fprintf(stderr,
+                         "pcsim lint: '%s': results[%zu].conformance."
+                         "%s\n",
+                         opt.coveragePath.c_str(), i, e.what());
+            return 1;
         }
     }
     if (!with_conformance) {

@@ -1,6 +1,7 @@
 #include "src/runner/results.hh"
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "src/sim/logging.hh"
 
@@ -234,19 +235,8 @@ runResultFromJson(const JsonValue &v)
     }
 
     // Optional: only runs with conformance checking emit it.
-    if (const JsonValue *conf = v.find("conformance")) {
-        const JsonValue &observed = conf->at("observed");
-        for (std::size_t i = 0; i < observed.size(); ++i) {
-            const JsonValue &e = observed.at(i);
-            verify::TransitionCount t;
-            t.ctrl = static_cast<std::uint8_t>(e.at("ctrl").asUInt());
-            t.state = static_cast<std::uint8_t>(e.at("state").asUInt());
-            t.event = static_cast<std::uint8_t>(e.at("event").asUInt());
-            t.next = static_cast<std::uint8_t>(e.at("next").asUInt());
-            t.count = e.at("count").asUInt();
-            r.conformance.push_back(t);
-        }
-    }
+    if (const JsonValue *conf = v.find("conformance"))
+        r.conformance = conformanceFromJson(*conf);
 
     // Optional: only fault-injected runs emit it.
     if (const JsonValue *retry = v.find("retry")) {
@@ -294,6 +284,37 @@ runResultFromJson(const JsonValue &v)
         r.nodes.missLatencyHist.assign(std::move(mcounts));
     }
     return r;
+}
+
+std::vector<verify::TransitionCount>
+conformanceFromJson(const JsonValue &conf)
+{
+    const JsonValue *observed = conf.find("observed");
+    if (!observed || !observed->isArray())
+        throw std::invalid_argument("observed is missing or not an array");
+    std::vector<verify::TransitionCount> out;
+    for (std::size_t i = 0; i < observed->size(); ++i) {
+        const JsonValue &e = observed->at(i);
+        const auto member = [&](const char *key, std::uint64_t max) {
+            const JsonValue *m = e.find(key);
+            if (m && m->type() == JsonValue::Type::UInt &&
+                m->asUInt() <= max)
+                return m->asUInt();
+            throw std::invalid_argument(
+                "observed[" + std::to_string(i) + "]." + key +
+                (m ? " is not an unsigned integer <= " +
+                         std::to_string(max)
+                   : " is missing"));
+        };
+        verify::TransitionCount t;
+        t.ctrl = static_cast<std::uint8_t>(member("ctrl", 0xff));
+        t.state = static_cast<std::uint8_t>(member("state", 0xff));
+        t.event = static_cast<std::uint8_t>(member("event", 0xff));
+        t.next = static_cast<std::uint8_t>(member("next", 0xff));
+        t.count = member("count", ~std::uint64_t(0));
+        out.push_back(t);
+    }
+    return out;
 }
 
 JsonValue

@@ -67,6 +67,13 @@ JsonValue toJson(const RunResult &r, bool with_timing = false);
  *  @throws std::out_of_range / std::logic_error on schema mismatch. */
 RunResult runResultFromJson(const JsonValue &v);
 
+/** Decode a result's "conformance" block (toJson()'s layout).
+ *  @throws std::invalid_argument naming the first missing or
+ *          mistyped member, as a path below the block
+ *          ("observed[3].ctrl is missing"). */
+std::vector<verify::TransitionCount>
+conformanceFromJson(const JsonValue &conf);
+
 /** Serialize one job outcome (spec + statistics). */
 JsonValue toJson(const JobResult &r, bool with_timing = false);
 
