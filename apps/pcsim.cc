@@ -353,7 +353,7 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
                 return false;
             opt.seeds.clear();
             for (const auto &s : splitList(v)) {
-                std::uint64_t seed;
+                std::uint64_t seed = 0;
                 if (!parseNumber(arg, s, seed))
                     return false;
                 opt.seeds.push_back(seed);
@@ -366,7 +366,7 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
                 return false;
             opt.nodeList.clear();
             for (const auto &s : splitList(v)) {
-                unsigned n;
+                unsigned n = 0;
                 if (!parseNumber(arg, s, n, 1u))
                     return false;
                 opt.nodeList.push_back(n);
