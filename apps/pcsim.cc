@@ -3,16 +3,17 @@
  * `pcsim` -- unified experiment-runner CLI.
  *
  *   pcsim run   --workload em3d --config pcopt --json out.json
- *   pcsim sweep --figure 7 -j8
+ *   pcsim sweep fig7 -j8
  *   pcsim list
  *
  * `run` executes a (workload x config x seed) cartesian product built
- * from comma-separated lists; `sweep` reproduces a paper figure/table
- * through the same runner and prints the paper-comparison table as a
- * formatting layer over the JSON results document. Simulations are
- * deterministic, so `--deterministic-check` (run everything twice and
- * byte-compare the serialized results) should never fail; CI wires it
- * in as a regression tripwire.
+ * from comma-separated lists; `sweep NAME` (and `serve`, `compare`,
+ * `faults`, `qos`) runs an entry of the sweep registry
+ * (src/runner/sweeps.hh) through the same runner and prints its table
+ * from the results. Simulations are deterministic, so
+ * `--deterministic-check` (run everything twice and byte-compare the
+ * serialized results) should never fail; CI wires it in as a
+ * regression tripwire.
  */
 
 #include <algorithm>
@@ -28,13 +29,10 @@
 
 #include "src/protocol/policy.hh"
 #include "src/runner/bench.hh"
-#include "src/runner/compare.hh"
-#include "src/runner/faults.hh"
-#include "src/runner/figures.hh"
 #include "src/runner/job.hh"
 #include "src/runner/results.hh"
 #include "src/runner/runner.hh"
-#include "src/runner/serve.hh"
+#include "src/runner/sweeps.hh"
 #include "src/runner/trace_cmd.hh"
 #include "src/trace/format.hh"
 #include "src/verify/lint.hh"
@@ -59,8 +57,8 @@ struct CommandInfo
 const CommandInfo commandTable[] = {
     {"run", "--workload <names> [--config <names>] [options]",
      "cartesian (workload x config x seed) simulation runs"},
-    {"sweep", "(--figure 7|9|10 | --table 2) [options]",
-     "reproduce a paper figure or table"},
+    {"sweep", "NAME [options]",
+     "run a registered sweep (names below)"},
     {"scale", "[--nodes n,m,...] [--workload W] [options]",
      "node-count scaling sweep (base/delegation/delegate-update)"},
     {"serve", "[--scenario a,b] [--nodes n,m] [options]",
@@ -86,6 +84,24 @@ const CommandInfo commandTable[] = {
     {"help", "", "show this text"},
 };
 
+/** True when @p name is a command of the table above. */
+bool
+isCommand(const std::string &name)
+{
+    return std::any_of(std::begin(commandTable), std::end(commandTable),
+                       [&](const CommandInfo &c) { return name == c.name; });
+}
+
+/** The registry's sweep names, comma-separated. */
+std::string
+sweepNames()
+{
+    std::string out;
+    for (const auto &s : runner::sweeps())
+        out += (out.empty() ? "" : ", ") + std::string(s.name);
+    return out;
+}
+
 int
 usage(std::FILE *out)
 {
@@ -101,7 +117,17 @@ usage(std::FILE *out)
             std::fprintf(out, "  %-13s   pcsim %s %s\n", "", c.name,
                          c.synopsis);
     }
+    std::fprintf(out, "\nsweep names:\n ");
+    std::size_t col = 1;
+    for (const auto &s : runner::sweeps()) {
+        if (col + std::strlen(s.name) >= 72) {
+            std::fprintf(out, "\n ");
+            col = 1;
+        }
+        col += std::fprintf(out, " %s", s.name);
+    }
     std::fprintf(out,
+"\n"
 "\n"
 "run selection:\n"
 "  --workload a,b         workload names, case-insensitive\n"
@@ -209,7 +235,7 @@ usage(std::FILE *out)
 "                         outputs (breaks cross-host byte identity)\n"
 "  --deterministic-check  run every job twice, byte-compare the\n"
 "                         serialized results; exit 3 on mismatch\n"
-"  --no-table             (sweep) skip the printed comparison table\n"
+"  --no-table             skip the printed table\n"
 "  --quiet                suppress per-job progress on stderr\n"
 "\n"
 "exit status: 0 ok, 1 usage error, 2 job failed, 3 non-deterministic\n");
@@ -235,14 +261,12 @@ splitList(const std::string &s)
 struct Options
 {
     std::string command;
-    std::vector<std::string> workloads;
+    /** Workloads, scenarios, sizes, scale, seeds, -j, outputs. */
+    runner::SweepArgs args;
     std::vector<std::string> configs{"base"};
     bool configsSet = false;
-    std::vector<std::uint64_t> seeds{1};
-    unsigned nodes = 16;
-    std::vector<unsigned> nodeList; ///< scale: machine sizes
+    unsigned nodes = 16; ///< run/trace: the first --nodes value
     unsigned coarse = 1; ///< nodes per sharer bit (power of two)
-    double scale = 1.0;
     bool scaleSet = false;
     bool checker = false;
     bool conformance = false;
@@ -251,19 +275,7 @@ struct Options
     std::string coveragePath;     ///< lint: results doc for coverage
     std::string lintMode;         ///< lint: "", "mdg" or "liveness"
     std::string reproPath;        ///< lint --liveness: PCTR repro out
-    unsigned threads = 0;
     bool threadsSet = false;
-    std::string jsonPath;
-    std::string csvPath;
-    bool timing = false;
-    bool deterministicCheck = false;
-    bool table = true;
-    bool quiet = false;
-    unsigned figure = 0;   ///< 7, 9 or 10
-    unsigned tableNum = 0; ///< 2
-    std::vector<std::string> scenarioList; ///< faults: scenario names
-    /** faults/qos: arbitration mode names to cross in. */
-    std::vector<std::string> arbitrationList;
 
     // bench / scale
     std::uint64_t benchEvents = 2000000;
@@ -340,7 +352,7 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
             const char *v = value();
             if (!v)
                 return false;
-            opt.workloads = splitList(v);
+            opt.args.workloads = splitList(v);
         } else if (arg == "--config" || arg == "--configs") {
             const char *v = value();
             if (!v)
@@ -351,32 +363,39 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
             const char *v = value();
             if (!v)
                 return false;
-            opt.seeds.clear();
+            opt.args.seeds.clear();
             for (const auto &s : splitList(v)) {
                 std::uint64_t seed = 0;
                 if (!parseNumber(arg, s, seed))
                     return false;
-                opt.seeds.push_back(seed);
+                opt.args.seeds.push_back(seed);
             }
-            if (opt.seeds.empty())
-                opt.seeds.push_back(1);
+            if (opt.args.seeds.empty())
+                opt.args.seeds.push_back(1);
+            if (opt.args.seeds.size() > 1 && opt.command != "run") {
+                std::fprintf(stderr,
+                             "pcsim: %s takes one value outside 'pcsim "
+                             "run'\n",
+                             arg.c_str());
+                return false;
+            }
         } else if (arg == "--nodes") {
             const char *v = value();
             if (!v)
                 return false;
-            opt.nodeList.clear();
+            opt.args.nodes.clear();
             for (const auto &s : splitList(v)) {
                 unsigned n = 0;
                 if (!parseNumber(arg, s, n, 1u))
                     return false;
-                opt.nodeList.push_back(n);
+                opt.args.nodes.push_back(n);
             }
-            if (opt.nodeList.empty()) {
+            if (opt.args.nodes.empty()) {
                 std::fprintf(stderr, "pcsim: bad --nodes '%s'\n", v);
                 return false;
             }
-            opt.nodes = opt.nodeList.front();
-            if (opt.nodeList.size() > 1 && opt.command != "scale" &&
+            opt.nodes = opt.args.nodes.front();
+            if (opt.args.nodes.size() > 1 && opt.command != "scale" &&
                 opt.command != "serve" && opt.command != "compare") {
                 std::fprintf(stderr,
                              "pcsim: --nodes takes one value outside "
@@ -401,10 +420,10 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
             if (!v)
                 return false;
             char *end = nullptr;
-            opt.scale = std::strtod(v, &end);
+            opt.args.scale = std::strtod(v, &end);
             opt.scaleSet = true;
-            if (end == v || *end != '\0' || !(opt.scale > 0) ||
-                !std::isfinite(opt.scale)) {
+            if (end == v || *end != '\0' || !(opt.args.scale > 0) ||
+                !std::isfinite(opt.args.scale)) {
                 std::fprintf(stderr, "pcsim: bad --scale '%s'\n", v);
                 return false;
             }
@@ -412,43 +431,30 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
             const char *v = value();
             if (!v)
                 return false;
-            if (!parseNumber(arg, v, opt.threads))
+            if (!parseNumber(arg, v, opt.args.threads))
                 return false;
             opt.threadsSet = true;
         } else if (arg == "--json") {
             const char *v = value();
             if (!v)
                 return false;
-            opt.jsonPath = v;
+            opt.args.jsonPath = v;
         } else if (arg == "--csv") {
             const char *v = value();
             if (!v)
                 return false;
-            opt.csvPath = v;
-        } else if (arg == "--figure") {
-            const char *v = value();
-            if (!v)
-                return false;
-            if (!parseNumber(arg, v, opt.figure))
-                return false;
-        } else if (arg == "--table" && opt.command == "sweep" &&
-                   (inline_value || i + 1 < argc)) {
-            const char *v = value();
-            if (!v)
-                return false;
-            if (!parseNumber(arg, v, opt.tableNum))
-                return false;
+            opt.args.csvPath = v;
         } else if (arg == "--scenario" || arg == "--scenarios") {
             const char *v = value();
             if (!v)
                 return false;
-            opt.scenarioList = splitList(v);
+            opt.args.scenarios = splitList(v);
         } else if (arg == "--arbitration" ||
                    arg == "--arbitrations") {
             const char *v = value();
             if (!v)
                 return false;
-            opt.arbitrationList = splitList(v);
+            opt.args.arbitrations = splitList(v);
         } else if (arg == "--events") {
             const char *v = value();
             if (!v)
@@ -475,7 +481,7 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
         } else if (arg == "--text") {
             opt.textMode = true;
         } else if (arg == "--timing") {
-            opt.timing = true;
+            opt.args.timing = true;
         } else if (arg == "--checker") {
             opt.checker = true;
         } else if (arg == "--conformance") {
@@ -502,11 +508,11 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
                 return false;
             opt.reproPath = v;
         } else if (arg == "--deterministic-check") {
-            opt.deterministicCheck = true;
+            opt.args.deterministicCheck = true;
         } else if (arg == "--no-table") {
-            opt.table = false;
+            opt.args.table = false;
         } else if (arg == "--quiet" || arg == "-q") {
-            opt.quiet = true;
+            opt.args.quiet = true;
         } else if (arg.size() && arg[0] != '-' &&
                    opt.command == "trace") {
             opt.positional.push_back(argv[i]);
@@ -552,73 +558,29 @@ listCommand()
     return 0;
 }
 
-/**
- * Serialize + write the requested outputs; returns the JSON doc.
- * Sets io_ok to false when a requested output file could not be
- * written (callers turn that into a nonzero exit).
- */
-JsonValue
-emitResults(const std::vector<runner::JobResult> &results,
-            const Options &opt, bool &io_ok)
+/** The `run` table: one row per job. */
+void
+printRunTable(const std::vector<runner::JobResult> &results)
 {
-    JsonValue doc = runner::resultsToJson(results, opt.timing);
-    io_ok = true;
-    if (!opt.jsonPath.empty())
-        io_ok &= runner::writeTextFile(opt.jsonPath, doc.dump(2) + "\n");
-    if (!opt.csvPath.empty())
-        io_ok &= runner::writeTextFile(
-            opt.csvPath, runner::resultsToCsv(results, opt.timing));
-    return doc;
-}
-
-int
-failedCount(const std::vector<runner::JobResult> &results)
-{
-    int failed = 0;
-    for (const auto &r : results)
-        failed += r.ok ? 0 : 1;
-    return failed;
-}
-
-/**
- * Run the set twice and byte-compare the serialized results.
- * @return 0 when identical, 3 on mismatch.
- */
-int
-deterministicCheck(const runner::JobSet &set,
-                   const runner::RunnerOptions &ropts)
-{
-    // Serialize without host timing: wall-clock rates differ between
-    // two otherwise identical runs.
-    const std::string a =
-        runner::resultsToJson(runner::runJobs(set, ropts),
-                              /*with_timing=*/false)
-            .dump(2);
-    const std::string b =
-        runner::resultsToJson(runner::runJobs(set, ropts),
-                              /*with_timing=*/false)
-            .dump(2);
-    if (a == b) {
-        std::fprintf(stderr,
-                     "deterministic-check: OK (%zu jobs, %zu bytes "
-                     "identical)\n",
-                     set.size(), a.size());
-        return 0;
+    std::printf("%-24s | %-12s | %-12s | %-12s\n", "job", "cycles",
+                "remote miss", "messages");
+    for (const auto &r : results) {
+        if (r.ok)
+            std::printf("%-24s | %-12llu | %-12llu | %-12llu\n",
+                        r.job.label.c_str(),
+                        (unsigned long long)r.result.cycles,
+                        (unsigned long long)r.result.nodes.remoteMisses,
+                        (unsigned long long)r.result.netMessages);
+        else
+            std::printf("%-24s | FAILED: %s\n", r.job.label.c_str(),
+                        r.error.c_str());
     }
-    std::size_t off = 0;
-    while (off < a.size() && off < b.size() && a[off] == b[off])
-        ++off;
-    std::fprintf(stderr,
-                 "deterministic-check: MISMATCH at byte %zu "
-                 "(results differ between two identical runs)\n",
-                 off);
-    return 3;
 }
 
 int
-runCommand(const Options &opt)
+runCommand(Options opt)
 {
-    if (opt.workloads.empty()) {
+    if (opt.args.workloads.empty()) {
         std::fprintf(stderr,
                      "pcsim run: --workload is required (try 'pcsim "
                      "list')\n");
@@ -626,7 +588,7 @@ runCommand(const Options &opt)
     }
 
     runner::JobSet set;
-    for (const auto &w : opt.workloads) {
+    for (const auto &w : opt.args.workloads) {
         const std::string canonical = runner::canonicalWorkload(w);
         if (canonical.empty()) {
             std::fprintf(stderr, "pcsim: unknown workload '%s'\n",
@@ -653,112 +615,20 @@ runCommand(const Options &opt)
                              cname.c_str(), opt.nodes, verr.c_str());
                 return 1;
             }
-            for (std::uint64_t seed : opt.seeds) {
+            for (std::uint64_t seed : opt.args.seeds) {
                 runner::Job j;
                 j.workload = canonical;
                 j.cfg = cfg;
                 j.configName = cname;
                 j.seed = seed;
-                j.scale = opt.scale;
+                j.scale = opt.args.scale;
                 set.add(std::move(j));
             }
         }
     }
-
-    runner::RunnerOptions ropts;
-    ropts.threads = opt.threadsSet ? opt.threads : 1;
-    ropts.progress = !opt.quiet;
-
-    if (opt.deterministicCheck)
-        return deterministicCheck(set, ropts);
-
-    const auto results = runner::runJobs(set, ropts);
-    bool io_ok = true;
-    emitResults(results, opt, io_ok);
-
-    // Human summary unless JSON/CSV already went to stdout.
-    if (opt.jsonPath != "-" && opt.csvPath != "-") {
-        std::printf("%-24s | %-12s | %-12s | %-12s\n", "job", "cycles",
-                    "remote miss", "messages");
-        for (const auto &r : results) {
-            if (r.ok)
-                std::printf("%-24s | %-12llu | %-12llu | %-12llu\n",
-                            r.job.label.c_str(),
-                            (unsigned long long)r.result.cycles,
-                            (unsigned long long)
-                                r.result.nodes.remoteMisses,
-                            (unsigned long long)r.result.netMessages);
-            else
-                std::printf("%-24s | FAILED: %s\n",
-                            r.job.label.c_str(), r.error.c_str());
-        }
-    }
-    if (!io_ok)
-        return 1;
-    return failedCount(results) ? 2 : 0;
-}
-
-int
-sweepCommand(const Options &opt)
-{
-    runner::JobSet set;
-    std::string name;
-    void (*print)(const JsonValue &, std::FILE *) = nullptr;
-
-    if (opt.figure == 7) {
-        set = figures::figure7Jobs(opt.scale, opt.nodes);
-        print = figures::printFigure7;
-        name = "fig7";
-    } else if (opt.figure == 9) {
-        set = figures::figure9Jobs(opt.scale, opt.nodes);
-        print = figures::printFigure9;
-        name = "fig9";
-    } else if (opt.figure == 10) {
-        set = figures::figure10Jobs(opt.scale, opt.nodes);
-        print = figures::printFigure10;
-        name = "fig10";
-    } else if (opt.tableNum == 2) {
-        // Table 2 is static workload metadata; no simulations.
-        figures::printTable2(opt.scale, opt.nodes);
-        return 0;
-    } else {
-        std::fprintf(stderr,
-                     "pcsim sweep: pick --figure 7|9|10 or --table "
-                     "2\n");
-        return 1;
-    }
-
-    runner::RunnerOptions ropts;
-    ropts.threads = opt.threadsSet ? opt.threads : 0; // 0 = all cores
-    ropts.progress = !opt.quiet;
-
-    if (opt.deterministicCheck)
-        return deterministicCheck(set, ropts);
-
-    const auto results = runner::runJobs(set, ropts);
-
-    Options emit_opt = opt;
-    if (emit_opt.jsonPath.empty())
-        emit_opt.jsonPath = "pcsim-" + name + ".results.json";
-    bool io_ok = true;
-    JsonValue doc = emitResults(results, emit_opt, io_ok);
-
-    if (opt.table) {
-        // The table is a formatting layer over the serialized
-        // document: re-read the file we just wrote when there is one
-        // on disk, otherwise format the in-memory serialization.
-        if (emit_opt.jsonPath != "-") {
-            std::fprintf(stderr, "results: %s\n",
-                         emit_opt.jsonPath.c_str());
-            std::string text;
-            if (runner::readTextFile(emit_opt.jsonPath, text))
-                doc = JsonValue::parse(text);
-        }
-        print(doc, stdout);
-    }
-    if (!io_ok)
-        return 1;
-    return failedCount(results) ? 2 : 0;
+    if (!opt.threadsSet)
+        opt.args.threads = 1;
+    return runner::runSweep(set, opt.args, printRunTable);
 }
 
 int
@@ -820,15 +690,15 @@ lintCoverage(const Options &opt)
     const verify::CoverageReport rep =
         verify::computeCoverage(spec, observed);
     bool io_ok = true;
-    if (!opt.jsonPath.empty())
+    if (!opt.args.jsonPath.empty())
         io_ok &= runner::writeTextFile(
-            opt.jsonPath,
+            opt.args.jsonPath,
             verify::coverageToJson(spec, rep).dump(2) + "\n");
-    if (!opt.csvPath.empty())
+    if (!opt.args.csvPath.empty())
         io_ok &= runner::writeTextFile(
-            opt.csvPath, verify::coverageToCsv(spec, rep));
+            opt.args.csvPath, verify::coverageToCsv(spec, rep));
 
-    if (opt.jsonPath != "-" && opt.csvPath != "-") {
+    if (opt.args.jsonPath != "-" && opt.args.csvPath != "-") {
         std::printf("coverage: %llu of %llu legal transitions "
                     "exercised, %llu never seen\n",
                     (unsigned long long)rep.exercised,
@@ -889,14 +759,14 @@ lintOneSpec(const Options &opt, const verify::TransitionSpec &spec,
                    : verify::lintSpec(spec);
 
     bool io_ok = true;
-    if (!opt.jsonPath.empty())
+    if (!opt.args.jsonPath.empty())
         io_ok &= runner::writeTextFile(
-            opt.jsonPath, verify::lintToJson(spec, rep).dump(2) + "\n");
-    if (!opt.csvPath.empty())
-        io_ok &= runner::writeTextFile(opt.csvPath,
+            opt.args.jsonPath, verify::lintToJson(spec, rep).dump(2) + "\n");
+    if (!opt.args.csvPath.empty())
+        io_ok &= runner::writeTextFile(opt.args.csvPath,
                                        verify::lintToCsv(rep));
 
-    if (opt.jsonPath != "-" && opt.csvPath != "-")
+    if (opt.args.jsonPath != "-" && opt.args.csvPath != "-")
         printLintReport(spec, rep, label);
     if (!io_ok)
         return 1;
@@ -948,7 +818,7 @@ lintMdgCommand(const Options &opt)
     for (const PolicySel &sel : sels) {
         const verify::MdgReport rep = verify::analyzeMdg(*sel.spec);
         policies.push(verify::mdgPolicyJson(sel.name, *sel.spec, rep));
-        if (opt.jsonPath != "-") {
+        if (opt.args.jsonPath != "-") {
             std::printf("policy %s: %zu message types, %zu edges, "
                         "%zu sinks (%llu requester-bound, %llu "
                         "nack-protected edges exempt)\n",
@@ -970,13 +840,13 @@ lintMdgCommand(const Options &opt)
     }
 
     bool io_ok = true;
-    if (!opt.jsonPath.empty())
+    if (!opt.args.jsonPath.empty())
         io_ok &= runner::writeTextFile(
-            opt.jsonPath,
+            opt.args.jsonPath,
             verify::lintFindingsDocument("mdg", std::move(policies))
                     .dump(2) +
                 "\n");
-    if (opt.jsonPath != "-") {
+    if (opt.args.jsonPath != "-") {
         if (total)
             std::printf("mdg: %zu finding(s)\n", total);
         else
@@ -1025,7 +895,7 @@ lintLivenessCommand(const Options &opt)
         const verify::LivenessReport rep =
             verify::analyzeLiveness(sel.set);
         policies.push(verify::livenessPolicyJson(sel.name, rep));
-        if (opt.jsonPath != "-") {
+        if (opt.args.jsonPath != "-") {
             std::printf("policy %s:\n", sel.name.c_str());
             for (const auto &c : rep.configs) {
                 std::printf("  config %s: %llu states, %llu edges "
@@ -1065,7 +935,7 @@ lintLivenessCommand(const Options &opt)
                 io_ok &= writeLivenessRepro(opt.reproPath, f.config, 3,
                                             f.witness.ops);
                 wrote_repro = true;
-                if (opt.jsonPath != "-")
+                if (opt.args.jsonPath != "-")
                     std::printf("repro trace written to %s\n",
                                 opt.reproPath.c_str());
                 break;
@@ -1073,14 +943,14 @@ lintLivenessCommand(const Options &opt)
         }
     }
 
-    if (!opt.jsonPath.empty())
+    if (!opt.args.jsonPath.empty())
         io_ok &= runner::writeTextFile(
-            opt.jsonPath,
+            opt.args.jsonPath,
             verify::lintFindingsDocument("liveness",
                                          std::move(policies))
                     .dump(2) +
                 "\n");
-    if (opt.jsonPath != "-") {
+    if (opt.args.jsonPath != "-") {
         if (total)
             std::printf("liveness: %zu finding(s)\n", total);
         else
@@ -1111,7 +981,7 @@ lintCommand(const Options &opt)
     }
 
     if (opt.lintPolicy == "all") {
-        if (!opt.csvPath.empty()) {
+        if (!opt.args.csvPath.empty()) {
             std::fprintf(stderr,
                          "pcsim lint: --policy=all cannot combine "
                          "with --csv (lint one policy per CSV)\n");
@@ -1127,16 +997,16 @@ lintCommand(const Options &opt)
                 opt.lintMc ? verify::lintSpecWithModel(
                                  p.spec(), modelCheckSetFor(kind))
                            : verify::lintSpec(p.spec());
-            if (!opt.jsonPath.empty())
+            if (!opt.args.jsonPath.empty())
                 policies.push(
                     verify::lintPolicyJson(p.name(), p.spec(), rep));
-            if (opt.jsonPath != "-")
+            if (opt.args.jsonPath != "-")
                 printLintReport(p.spec(), rep, p.name());
             worst = std::max(worst, rep.clean() ? 0 : 2);
         }
-        if (!opt.jsonPath.empty()) {
+        if (!opt.args.jsonPath.empty()) {
             if (!runner::writeTextFile(
-                    opt.jsonPath,
+                    opt.args.jsonPath,
                     verify::lintFindingsDocument("spec",
                                                  std::move(policies))
                             .dump(2) +
@@ -1175,33 +1045,47 @@ main(int argc, char **argv)
 
     Options opt;
     opt.command = cmd;
-    // `pcsim trace <action> ...`: the action is its own operand.
-    std::string traceAction;
-    if (cmd == "trace") {
-        if (argc < 3) {
-            std::fprintf(stderr,
-                         "pcsim trace: pick record, replay or info\n");
+    // `pcsim trace <action> ...` and `pcsim sweep <name> ...`: the
+    // operand comes before the options.
+    std::string operand;
+    int first = 2;
+    if (cmd == "trace" || cmd == "sweep") {
+        if (argc < 3 || argv[2][0] == '-') {
+            std::fprintf(stderr, "pcsim %s: pick %s\n", cmd.c_str(),
+                         cmd == "trace"
+                             ? "record, replay or info"
+                             : ("one of " + sweepNames()).c_str());
             return 1;
         }
-        traceAction = argv[2];
-        if (!parseArgs(argc, argv, opt, 3))
-            return 1;
-    } else if (!parseArgs(argc, argv, opt)) {
-        return 1;
+        operand = argv[2];
+        first = 3;
     }
+    // serve, compare, faults and qos are registry entries too.
+    const runner::Sweep *sweep = nullptr;
+    if (cmd == "sweep") {
+        sweep = runner::findSweep(operand);
+        if (!sweep) {
+            std::fprintf(stderr,
+                         "pcsim sweep: unknown sweep '%s' (pick one of "
+                         "%s)\n",
+                         operand.c_str(), sweepNames().c_str());
+            return 1;
+        }
+        opt.command = sweep->name;
+    } else if (isCommand(cmd)) {
+        sweep = runner::findSweep(cmd);
+    }
+    if (!parseArgs(argc, argv, opt, first))
+        return 1;
+    if (sweep)
+        return runner::runSweep(*sweep, opt.args);
 
     if (cmd == "trace") {
-        if (traceAction == "record") {
+        if (operand == "record") {
             runner::TraceRecordOptions topt;
-            if (!opt.workloads.empty())
-                topt.workload = opt.workloads.front();
+            topt.args = opt.args;
             topt.config = opt.configs.front();
-            topt.nodes = opt.nodes;
-            topt.scale = opt.scale;
-            topt.seed = opt.seeds.front();
             topt.outPath = opt.outputPath;
-            topt.jsonPath = opt.jsonPath;
-            topt.quiet = opt.quiet;
             if (opt.textMode) {
                 if (opt.positional.empty()) {
                     std::fprintf(stderr,
@@ -1219,7 +1103,7 @@ main(int argc, char **argv)
             }
             return runner::runTraceRecord(topt);
         }
-        if (traceAction == "replay") {
+        if (operand == "replay") {
             runner::TraceReplayOptions topt;
             if (opt.positional.size() != 1) {
                 std::fprintf(stderr, "pcsim trace replay: exactly one "
@@ -1229,14 +1113,12 @@ main(int argc, char **argv)
             topt.tracePath = opt.positional.front();
             if (opt.configsSet)
                 topt.config = opt.configs.front();
-            topt.threads = opt.threadsSet ? opt.threads : 1;
-            topt.jsonPath = opt.jsonPath;
-            topt.csvPath = opt.csvPath;
-            topt.quiet = opt.quiet;
-            topt.timing = opt.timing;
+            topt.args = opt.args;
+            if (!opt.threadsSet)
+                topt.args.threads = 1;
             return runner::runTraceReplay(topt);
         }
-        if (traceAction == "info") {
+        if (operand == "info") {
             if (opt.positional.size() != 1) {
                 std::fprintf(stderr, "pcsim trace info: exactly one "
                                      "trace file operand required\n");
@@ -1247,130 +1129,48 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "pcsim trace: unknown action '%s' (pick record, "
                      "replay or info)\n",
-                     traceAction.c_str());
+                     operand.c_str());
         return 1;
-    }
-
-    if (cmd == "serve") {
-        runner::ServeOptions sopt;
-        sopt.scenarios = opt.scenarioList;
-        if (!opt.nodeList.empty())
-            sopt.nodes = opt.nodeList;
-        if (opt.scaleSet)
-            sopt.scale = opt.scale;
-        sopt.seed = opt.seeds.front();
-        sopt.threads = opt.threadsSet ? opt.threads : 0;
-        sopt.jsonPath =
-            opt.jsonPath.empty() ? "BENCH_serve.json" : opt.jsonPath;
-        sopt.csvPath = opt.csvPath;
-        sopt.quiet = opt.quiet;
-        sopt.timing = opt.timing;
-        sopt.deterministicCheck = opt.deterministicCheck;
-        sopt.table = opt.table;
-        return runner::runServeSweep(sopt);
-    }
-
-    if (cmd == "compare") {
-        runner::CompareOptions copt;
-        copt.scenarios = opt.scenarioList;
-        if (!opt.nodeList.empty())
-            copt.nodes = opt.nodeList;
-        if (opt.scaleSet)
-            copt.scale = opt.scale;
-        copt.seed = opt.seeds.front();
-        copt.threads = opt.threadsSet ? opt.threads : 0;
-        copt.jsonPath = opt.jsonPath.empty() ? "BENCH_compare.json"
-                                             : opt.jsonPath;
-        copt.csvPath = opt.csvPath;
-        copt.quiet = opt.quiet;
-        copt.timing = opt.timing;
-        copt.deterministicCheck = opt.deterministicCheck;
-        copt.table = opt.table;
-        return runner::runCompareSweep(copt);
     }
 
     if (cmd == "run")
         return runCommand(opt);
-    if (cmd == "sweep")
-        return sweepCommand(opt);
     if (cmd == "lint")
         return lintCommand(opt);
     if (cmd == "scale") {
         runner::ScaleOptions sopt;
-        sopt.nodeCounts = opt.nodeList;
-        if (!opt.workloads.empty()) {
-            if (opt.workloads.size() > 1) {
+        sopt.nodeCounts = opt.args.nodes;
+        const auto &workloads = opt.args.workloads;
+        if (!workloads.empty()) {
+            if (workloads.size() > 1) {
                 std::fprintf(stderr, "pcsim scale: one workload "
                                      "only\n");
                 return 1;
             }
             const std::string canonical =
-                runner::canonicalWorkload(opt.workloads[0]);
+                runner::canonicalWorkload(workloads[0]);
             if (canonical.empty()) {
                 std::fprintf(stderr, "pcsim: unknown workload '%s'\n",
-                             opt.workloads[0].c_str());
+                             workloads[0].c_str());
                 return 1;
             }
             sopt.workload = canonical;
         }
         if (opt.scaleSet)
-            sopt.scale = opt.scale;
+            sopt.scale = opt.args.scale;
         if (opt.repeatsSet)
             sopt.repeats = opt.benchRepeats;
-        sopt.jsonPath = opt.jsonPath;
-        sopt.quiet = opt.quiet;
+        sopt.jsonPath = opt.args.jsonPath;
+        sopt.quiet = opt.args.quiet;
         return runner::runScaleSweep(sopt);
-    }
-    if (cmd == "faults" || cmd == "qos") {
-        runner::FaultsOptions fopt;
-        if (!opt.workloads.empty()) {
-            if (opt.workloads.size() > 1) {
-                std::fprintf(stderr, "pcsim %s: one workload only\n",
-                             cmd.c_str());
-                return 1;
-            }
-            const std::string canonical =
-                runner::canonicalWorkload(opt.workloads[0]);
-            if (canonical.empty()) {
-                std::fprintf(stderr, "pcsim: unknown workload '%s'\n",
-                             opt.workloads[0].c_str());
-                return 1;
-            }
-            fopt.workload = canonical;
-        }
-        if (opt.scaleSet)
-            fopt.scale = opt.scale;
-        fopt.nodes = opt.nodes;
-        fopt.scenarios = opt.scenarioList;
-        fopt.arbitrations = opt.arbitrationList;
-        if (cmd == "qos") {
-            // The fairness bake-off: contention scenarios crossed
-            // with every arbitration mode (BENCH_qos.json).
-            if (fopt.scenarios.empty())
-                fopt.scenarios = {"storm", "hotspot"};
-            if (fopt.arbitrations.empty())
-                fopt.arbitrations = {"nack-retry", "queue",
-                                     "aged-priority"};
-        }
-        fopt.seed = opt.seeds.front();
-        fopt.threads = opt.threadsSet ? opt.threads : 0;
-        const char *default_json =
-            cmd == "qos" ? "BENCH_qos.json" : "BENCH_faults.json";
-        fopt.jsonPath =
-            opt.jsonPath.empty() ? default_json : opt.jsonPath;
-        fopt.csvPath = opt.csvPath;
-        fopt.quiet = opt.quiet;
-        fopt.deterministicCheck = opt.deterministicCheck;
-        fopt.table = opt.table;
-        return runner::runFaultSweep(fopt);
     }
     if (cmd == "bench") {
         runner::BenchOptions bopt;
         bopt.kernelEvents = opt.benchEvents;
         bopt.repeats = opt.benchRepeats;
-        bopt.jsonPath = opt.jsonPath;
+        bopt.jsonPath = opt.args.jsonPath;
         bopt.baselinePath = opt.baselinePath;
-        bopt.quiet = opt.quiet;
+        bopt.quiet = opt.args.quiet;
         return runner::runBenchSuite(bopt);
     }
 

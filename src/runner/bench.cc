@@ -287,19 +287,23 @@ runBenchSuite(const BenchOptions &opt)
     }
     doc["benchmarks"] = std::move(arr);
 
-    // Summary table on stdout.
-    std::printf("%-24s | %10s | %12s | %s\n", "benchmark", "wall(s)",
-                "events/sec", have_baseline ? "speedup" : "");
-    for (const auto &br : results) {
-        const double base =
-            have_baseline ? baselineEps(&baseline, br.name) : 0.0;
-        if (base > 0)
-            std::printf("%-24s | %10.4f | %12.0f | %.2fx\n",
-                        br.name.c_str(), br.wallSeconds,
-                        br.eventsPerSec, br.eventsPerSec / base);
-        else
-            std::printf("%-24s | %10.4f | %12.0f |\n", br.name.c_str(),
-                        br.wallSeconds, br.eventsPerSec);
+    // Summary table on stdout, unless the document goes there.
+    if (opt.jsonPath != "-") {
+        std::printf("%-24s | %10s | %12s | %s\n", "benchmark",
+                    "wall(s)", "events/sec",
+                    have_baseline ? "speedup" : "");
+        for (const auto &br : results) {
+            const double base =
+                have_baseline ? baselineEps(&baseline, br.name) : 0.0;
+            if (base > 0)
+                std::printf("%-24s | %10.4f | %12.0f | %.2fx\n",
+                            br.name.c_str(), br.wallSeconds,
+                            br.eventsPerSec, br.eventsPerSec / base);
+            else
+                std::printf("%-24s | %10.4f | %12.0f |\n",
+                            br.name.c_str(), br.wallSeconds,
+                            br.eventsPerSec);
+        }
     }
 
     if (!opt.jsonPath.empty() &&
@@ -422,17 +426,19 @@ runScaleSweep(const ScaleOptions &opt)
         arr.push(toJson(p));
     doc["results"] = std::move(arr);
 
-    std::printf("%5s | %-16s | %12s | %12s | %10s | %10s | %9s\n",
-                "nodes", "config", "cycles", "events/sec", "remote",
-                "racHits", "updates");
-    for (const auto &p : points)
-        std::printf("%5u | %-16s | %12llu | %12.0f | %10llu | %10llu "
-                    "| %9llu\n",
-                    p.nodes, p.config.c_str(),
-                    (unsigned long long)p.cycles, p.eventsPerSec,
-                    (unsigned long long)p.stats.remoteMisses,
-                    (unsigned long long)p.stats.racHits,
-                    (unsigned long long)p.stats.updatesSent);
+    if (opt.jsonPath != "-") {
+        std::printf("%5s | %-16s | %12s | %12s | %10s | %10s | %9s\n",
+                    "nodes", "config", "cycles", "events/sec", "remote",
+                    "racHits", "updates");
+        for (const auto &p : points)
+            std::printf("%5u | %-16s | %12llu | %12.0f | %10llu | "
+                        "%10llu | %9llu\n",
+                        p.nodes, p.config.c_str(),
+                        (unsigned long long)p.cycles, p.eventsPerSec,
+                        (unsigned long long)p.stats.remoteMisses,
+                        (unsigned long long)p.stats.racHits,
+                        (unsigned long long)p.stats.updatesSent);
+    }
 
     if (!opt.jsonPath.empty() &&
         !writeTextFile(opt.jsonPath, doc.dump(2) + "\n"))

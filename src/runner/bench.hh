@@ -31,7 +31,8 @@ struct BenchOptions
     std::uint64_t kernelEvents = 2000000;
     /** Repeats per benchmark; the best wall time is reported. */
     unsigned repeats = 3;
-    /** Write the results document here ("" = don't; "-" = stdout). */
+    /** Write the results document here ("" = don't; "-" = stdout,
+     *  in place of the table). */
     std::string jsonPath;
     /** Compare against a prior results document ("" = none): each
      *  benchmark found by name in the baseline gains
@@ -55,8 +56,9 @@ struct ScaleOptions
     double scale = 0.25;
     /** Repeats per point; the best wall time is reported. */
     unsigned repeats = 1;
-    /** Write the results document here ("" = don't; "-" = stdout);
-     *  the committed reference is BENCH_scale.json. */
+    /** Write the results document here ("" = don't; "-" = stdout,
+     *  in place of the table); the committed reference is
+     *  BENCH_scale.json. */
     std::string jsonPath;
     bool quiet = false;
 };

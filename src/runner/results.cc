@@ -455,23 +455,5 @@ readTextFile(const std::string &path, std::string &out)
     return ok;
 }
 
-const JsonValue *
-findResult(const JsonValue &doc, const std::string &workload,
-           const std::string &config)
-{
-    const JsonValue *arr = doc.find("results");
-    if (!arr || !arr->isArray())
-        return nullptr;
-    for (std::size_t i = 0; i < arr->size(); ++i) {
-        const JsonValue &e = arr->at(i);
-        const JsonValue *w = e.find("workload");
-        const JsonValue *c = e.find("config");
-        if (w && c && w->isString() && c->isString() &&
-            w->asString() == workload && c->asString() == config)
-            return &e;
-    }
-    return nullptr;
-}
-
 } // namespace runner
 } // namespace pcsim

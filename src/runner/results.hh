@@ -1,8 +1,7 @@
 /**
  * @file
  * Structured result serialization: JobResult / RunResult to JSON and
- * CSV, plus lookup helpers for table formatters that consume the JSON
- * document instead of scraping stdout.
+ * CSV.
  *
  * JSON schema (schemaVersion 3):
  *
@@ -92,12 +91,6 @@ bool writeTextFile(const std::string &path, const std::string &text);
 
 /** Read a whole file into @p out; @return false when unreadable. */
 bool readTextFile(const std::string &path, std::string &out);
-
-/** Find the result entry for (workload, config) in a document
- *  produced by resultsToJson(); nullptr when absent. */
-const JsonValue *findResult(const JsonValue &doc,
-                            const std::string &workload,
-                            const std::string &config);
 
 } // namespace runner
 } // namespace pcsim

@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "src/runner/results.hh"
 #include "src/runner/runner.hh"
 #include "src/trace/recorder.hh"
 #include "src/trace/replay.hh"
@@ -40,9 +39,9 @@ ingestToFile(const TraceRecordOptions &opt)
     try {
         trace::TraceData data = trace::ingestTextTraces(
             opt.textPaths, "ingest", opt.lineBytes);
-        data.meta.scale = opt.scale;
+        data.meta.scale = opt.args.scale;
         trace::writeTraceFile(opt.outPath, data.meta, data.perNode);
-        if (!opt.quiet)
+        if (!opt.args.quiet)
             std::fprintf(stderr,
                          "ingested %zu text trace(s): %llu ops -> %s\n",
                          opt.textPaths.size(),
@@ -68,16 +67,21 @@ runTraceRecord(const TraceRecordOptions &opt)
     if (!opt.textPaths.empty())
         return ingestToFile(opt);
 
-    const std::string workload = canonicalWorkload(opt.workload);
+    const std::string wanted =
+        opt.args.workloads.empty() ? "PCmicro" : opt.args.workloads[0];
+    const std::string workload = canonicalWorkload(wanted);
     if (workload.empty()) {
         std::fprintf(stderr,
                      "pcsim trace record: unknown workload '%s'\n",
-                     opt.workload.c_str());
+                     wanted.c_str());
         return 1;
     }
+    const unsigned nodes =
+        opt.args.nodes.empty() ? 16 : opt.args.nodes.front();
+    const double scale = opt.args.scale;
     Job j;
     std::string configName;
-    if (!namedMachineConfig(opt.config, opt.nodes, j.cfg, configName)) {
+    if (!namedMachineConfig(opt.config, nodes, j.cfg, configName)) {
         std::fprintf(stderr,
                      "pcsim trace record: unknown config '%s'\n",
                      opt.config.c_str());
@@ -85,12 +89,10 @@ runTraceRecord(const TraceRecordOptions &opt)
     }
     j.workload = workload;
     j.configName = configName;
-    j.seed = opt.seed;
-    j.scale = opt.scale;
+    j.seed = opt.args.seeds.front();
+    j.scale = scale;
 
-    trace::TraceRecorder recorder(opt.nodes);
-    const unsigned nodes = opt.nodes;
-    const double scale = opt.scale;
+    trace::TraceRecorder recorder(nodes);
     j.factory = [&recorder, workload, nodes, scale]() {
         return std::make_unique<OwningRecordingWorkload>(
             makeRunnerWorkload(workload, nodes, scale), recorder);
@@ -101,7 +103,7 @@ runTraceRecord(const TraceRecordOptions &opt)
 
     RunnerOptions ropts;
     ropts.threads = 1;
-    ropts.progress = !opt.quiet;
+    ropts.progress = !opt.args.quiet;
     const auto results = runJobs(set, ropts);
     if (!results[0].ok) {
         std::fprintf(stderr, "pcsim trace record: run failed: %s\n",
@@ -110,12 +112,12 @@ runTraceRecord(const TraceRecordOptions &opt)
     }
 
     trace::TraceMeta meta;
-    meta.nodeCount = opt.nodes;
+    meta.nodeCount = nodes;
     meta.lineBytes = results[0].job.cfg.proto.lineBytes;
     meta.coarse =
         1u << results[0].job.cfg.proto.sharerGranularityLog2;
-    meta.seed = opt.seed;
-    meta.scale = opt.scale;
+    meta.seed = opt.args.seeds.front();
+    meta.scale = scale;
     meta.workload = workload;
     meta.config = configName;
     try {
@@ -124,18 +126,11 @@ runTraceRecord(const TraceRecordOptions &opt)
         std::fprintf(stderr, "pcsim trace record: %s\n", e.what());
         return 1;
     }
-    if (!opt.quiet)
+    if (!opt.args.quiet)
         std::fprintf(stderr, "recorded %llu ops -> %s\n",
                      (unsigned long long)recorder.opCount(),
                      opt.outPath.c_str());
-
-    if (!opt.jsonPath.empty() &&
-        !writeTextFile(
-            opt.jsonPath,
-            resultsToJson(results, /*with_timing=*/false).dump(2) +
-                "\n"))
-        return 1;
-    return 0;
+    return writeResults(results, opt.args) ? 0 : 1;
 }
 
 int
@@ -186,8 +181,8 @@ runTraceReplay(const TraceReplayOptions &opt)
     set.add(std::move(j));
 
     RunnerOptions ropts;
-    ropts.threads = opt.threads;
-    ropts.progress = !opt.quiet;
+    ropts.threads = opt.args.threads;
+    ropts.progress = !opt.args.quiet;
     const auto results = runJobs(set, ropts);
     if (!results[0].ok) {
         std::fprintf(stderr, "pcsim trace replay: run failed: %s\n",
@@ -195,15 +190,8 @@ runTraceReplay(const TraceReplayOptions &opt)
         return 2;
     }
 
-    bool io_ok = true;
-    if (!opt.jsonPath.empty())
-        io_ok &= writeTextFile(
-            opt.jsonPath,
-            resultsToJson(results, opt.timing).dump(2) + "\n");
-    if (!opt.csvPath.empty())
-        io_ok &= writeTextFile(opt.csvPath,
-                               resultsToCsv(results, opt.timing));
-    if (!opt.quiet)
+    const bool io_ok = writeResults(results, opt.args);
+    if (!opt.args.quiet)
         std::fprintf(
             stderr, "replayed %llu ops (%s/%s): %llu cycles\n",
             (unsigned long long)data->totalOps(),

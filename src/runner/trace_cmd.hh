@@ -24,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "src/runner/sweeps.hh"
+
 namespace pcsim
 {
 namespace runner
@@ -32,17 +34,13 @@ namespace runner
 /** Options for `pcsim trace record`. */
 struct TraceRecordOptions
 {
-    std::string workload = "PCmicro";
+    /** The run: first workload (default PCmicro), first node count
+     *  (default 16), scale, first seed, quiet. Its JSON/CSV documents
+     *  are the ones replay must reproduce. */
+    SweepArgs args;
     std::string config = "base";
-    unsigned nodes = 16;
-    double scale = 1.0;
-    std::uint64_t seed = 1;
     /** Trace output path (required). */
     std::string outPath;
-    /** Also serialize the recorded run's stats here ("" = don't;
-     *  "-" = stdout) -- the document replay must reproduce. */
-    std::string jsonPath;
-    bool quiet = false;
     /** Ingest mode: per-core text trace files (`<label> <hexaddr>`
      *  lines; label 0 = load, 1 = store, 2 = compute cycles), one
      *  file per node. No simulation runs; --workload/--config/--seed
@@ -59,12 +57,8 @@ struct TraceReplayOptions
     /** Override the header's machine preset ("" = use the header's;
      *  ingested traces default to "base"). */
     std::string config;
-    /** Worker threads; 0 = all cores. */
-    unsigned threads = 1;
-    std::string jsonPath;
-    std::string csvPath;
-    bool quiet = false;
-    bool timing = false;
+    /** Worker threads, documents, quiet and timing. */
+    SweepArgs args;
 };
 
 /** @return process exit code: 0 ok, 1 usage/I-O error, 2 run or

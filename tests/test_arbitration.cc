@@ -15,9 +15,9 @@
 #include "src/protocol/config.hh"
 #include "src/protocol/hub.hh"
 #include "src/protocol/node_stats.hh"
-#include "src/runner/faults.hh"
 #include "src/runner/results.hh"
 #include "src/runner/runner.hh"
+#include "src/runner/sweeps.hh"
 #include "src/system/presets.hh"
 #include "src/system/system.hh"
 #include "src/workload/workload.hh"
@@ -190,10 +190,10 @@ namespace
 runner::JobSet
 stormJobs(const std::string &arbitration)
 {
-    runner::FaultsOptions opt; // BENCH_qos defaults: 16 nodes, seed 1
+    runner::SweepArgs opt; // BENCH_qos defaults: 16 nodes, seed 1
     opt.scenarios = {"storm"};
     opt.arbitrations = {arbitration};
-    return runner::faultJobs(opt);
+    return runner::findSweep("faults")->jobs(opt);
 }
 
 /** Worst maxLineWaitTicks / p99 over the delegation and
@@ -248,13 +248,13 @@ TEST(Starvation, ParkedArbitrationBoundsWaitThatNackRetryGrows)
 
 TEST(ArbitrationIdentity, QueuedModesByteIdenticalAcrossThreads)
 {
-    runner::FaultsOptions opt;
-    opt.nodes = 8;
+    runner::SweepArgs opt;
+    opt.nodes = {8};
     opt.scale = 0.2;
-    opt.seed = 3;
+    opt.seeds = {3};
     opt.scenarios = {"hotspot"};
     opt.arbitrations = {"queue", "aged-priority"};
-    const runner::JobSet set = runner::faultJobs(opt);
+    const runner::JobSet set = runner::findSweep("faults")->jobs(opt);
     ASSERT_EQ(set.size(), 6u); // 2 modes x 3 mechanism configs
 
     runner::RunnerOptions serial, pooled;

@@ -14,9 +14,9 @@
 #include "src/net/faults.hh"
 #include "src/protocol/backoff.hh"
 #include "src/protocol/config.hh"
-#include "src/runner/faults.hh"
 #include "src/runner/results.hh"
 #include "src/runner/runner.hh"
+#include "src/runner/sweeps.hh"
 #include "src/system/presets.hh"
 #include "src/system/system.hh"
 #include "src/workload/workload.hh"
@@ -285,11 +285,11 @@ TEST(FaultInjection, NackStormConvergesBelowMaxRetries)
 
 TEST(FaultInjection, FaultedResultsByteIdenticalAcrossThreads)
 {
-    runner::FaultsOptions opt;
-    opt.nodes = 8;
+    runner::SweepArgs opt;
+    opt.nodes = {8};
     opt.scale = 0.2;
-    opt.seed = 3;
-    const runner::JobSet set = runner::faultJobs(opt);
+    opt.seeds = {3};
+    const runner::JobSet set = runner::findSweep("faults")->jobs(opt);
     // scenarios x (base, delegation, delegate-update)
     ASSERT_EQ(set.size(), presets::faultScenarios().size() * 3);
 
@@ -310,9 +310,9 @@ TEST(FaultInjection, FaultedResultsByteIdenticalAcrossThreads)
 
 TEST(FaultInjection, UnknownScenarioYieldsEmptyJobSet)
 {
-    runner::FaultsOptions opt;
+    runner::SweepArgs opt;
     opt.scenarios = {"no-such-scenario"};
-    EXPECT_TRUE(runner::faultJobs(opt).empty());
+    EXPECT_TRUE(runner::findSweep("faults")->jobs(opt).empty());
 }
 
 // --- results schema -----------------------------------------------

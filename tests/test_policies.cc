@@ -11,7 +11,7 @@
 #include <algorithm>
 
 #include "src/protocol/policy.hh"
-#include "src/runner/compare.hh"
+#include "src/runner/sweeps.hh"
 #include "src/system/presets.hh"
 #include "src/system/system.hh"
 #include "src/verify/lint.hh"
@@ -158,8 +158,8 @@ TEST(PolicyLint, EveryRegisteredSpecIsCleanAgainstItsModel)
 
 TEST(CompareRunner, JobGridCoversScenariosNodesAndPolicies)
 {
-    runner::CompareOptions opt; // defaults: PCmicro+PubSub x {16,64}
-    const runner::JobSet set = runner::compareJobs(opt);
+    // Defaults: PCmicro+PubSub x {16,64}.
+    const runner::JobSet set = runner::findSweep("compare")->jobs({});
     ASSERT_EQ(set.size(),
               2 * 2 * registeredPolicyKinds().size());
     for (ProtocolKind kind : registeredPolicyKinds()) {
@@ -175,11 +175,12 @@ TEST(CompareRunner, JobGridCoversScenariosNodesAndPolicies)
 
 TEST(CompareRunner, RejectsUnknownScenarioAndZeroNodes)
 {
-    runner::CompareOptions opt;
+    const runner::Sweep *compare = runner::findSweep("compare");
+    runner::SweepArgs opt;
     opt.scenarios = {"NoSuchWorkload"};
-    EXPECT_TRUE(runner::compareJobs(opt).empty());
+    EXPECT_TRUE(compare->jobs(opt).empty());
 
-    runner::CompareOptions zero;
+    runner::SweepArgs zero;
     zero.nodes = {16, 0};
-    EXPECT_TRUE(runner::compareJobs(zero).empty());
+    EXPECT_TRUE(compare->jobs(zero).empty());
 }

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/runner/serve.hh"
+#include "src/runner/sweeps.hh"
 #include "src/system/presets.hh"
 #include "src/system/system.hh"
 #include "src/workload/serving.hh"
@@ -170,20 +170,21 @@ TEST(Serving, AdaptiveProtocolEngagesOnProducerConsumerMembers)
 
 TEST(Serving, ServeJobsBuildsFullMatrix)
 {
-    runner::ServeOptions opt;
-    const runner::JobSet set = runner::serveJobs(opt);
+    const runner::Sweep *serve = runner::findSweep("serve");
+    ASSERT_NE(serve, nullptr);
+    const runner::JobSet set = serve->jobs({});
     // 4 scenarios x 2 node counts x 3 mechanisms.
     EXPECT_EQ(set.size(), 24u);
     EXPECT_EQ(set.jobs()[0].label, "KVServe/n16/base");
 
-    runner::ServeOptions bad;
+    runner::SweepArgs bad;
     bad.scenarios = {"NotAScenario"};
-    EXPECT_TRUE(runner::serveJobs(bad).empty());
+    EXPECT_TRUE(serve->jobs(bad).empty());
 
-    runner::ServeOptions big;
+    runner::SweepArgs big;
     big.scenarios = {"kvserve"}; // case-insensitive
     big.nodes = {1024};
-    const runner::JobSet bigSet = runner::serveJobs(big);
+    const runner::JobSet bigSet = serve->jobs(big);
     EXPECT_EQ(bigSet.size(), 3u);
     EXPECT_EQ(bigSet.jobs()[0].workload, "KVServe");
 }

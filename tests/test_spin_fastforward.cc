@@ -32,8 +32,8 @@
 #include <string>
 #include <vector>
 
-#include "src/runner/faults.hh"
 #include "src/runner/job.hh"
+#include "src/runner/sweeps.hh"
 #include "src/sim/json.hh"
 #include "src/system/presets.hh"
 #include "src/system/system.hh"
@@ -100,11 +100,11 @@ cases()
     // `pcsim faults` / `pcsim qos` rows exactly.
     const auto addFaultJobs = [&out](const std::string &scenario,
                                      const std::string &arbitration) {
-        runner::FaultsOptions opt;
+        runner::SweepArgs opt;
         opt.scenarios = {scenario};
         if (!arbitration.empty())
             opt.arbitrations = {arbitration};
-        const runner::JobSet set = runner::faultJobs(opt);
+        const runner::JobSet set = runner::findSweep("faults")->jobs(opt);
         for (const runner::Job &j : set.jobs()) {
             Case c;
             c.name = j.label;
