@@ -3,15 +3,17 @@
  * Generic set-associative cache array.
  *
  * Stores user-defined per-line payloads and manages tags, validity and
- * replacement (LRU or random). The line size must be a power of two;
- * the number of sets need not be, which lets us model the "equal
- * silicon area" 1.04 MB L2 of Figure 8 exactly. Lines align by mask
- * and power-of-two set counts index by shift and mask; only other set
- * counts pay a division (DESIGN.md, "Hot-path data structures").
+ * replacement (LRU or random). The line size must be a power of two of
+ * at least 2 bytes; the number of sets need not be, which lets us
+ * model the "equal silicon area" 1.04 MB L2 of Figure 8 exactly.
+ * Lines align by mask and power-of-two set counts index by shift and
+ * mask; only other set counts pay a division (DESIGN.md, "Hot-path
+ * data structures").
  *
  * Memory follows the sets a run touches, not the modelled capacity: a
- * set takes storage on its first allocate() (DESIGN.md, "Per-node
- * state on first touch").
+ * set takes storage on its first allocate(), and an untouched set
+ * costs 4 bytes of index (DESIGN.md, "Per-node state on first
+ * touch").
  */
 
 #ifndef PCSIM_CACHE_CACHE_ARRAY_HH
@@ -21,10 +23,12 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <new>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/sim/logging.hh"
@@ -44,21 +48,27 @@ enum class ReplPolicy
 /**
  * Set-associative array of EntryT payloads indexed by line address.
  *
- * EntryT is any default-constructible struct; the array adds tag,
- * valid bit and recency. Addresses passed in are byte addresses and
- * are aligned internally to the line size.
+ * EntryT is any default-constructible struct; the array adds tag and
+ * recency. Addresses passed in are byte addresses and are aligned
+ * internally to the line size.
  *
  * Storage is materialized per set on first allocate(): a per-set
- * index (null = never allocated) points at the set's ways in
- * append-only slabs, packed in first-touch order. Lookups on an
- * untouched set return null and allocate nothing; payload pointers
- * stay valid until their line leaves. A payload lives exactly while
- * its line is valid: allocate() constructs it, and invalidation,
- * eviction, clear() and destruction end it.
+ * index holds the set's first-touch ordinal (0 = never allocated),
+ * which names its place in append-only slabs packed in first-touch
+ * order. A materialized set is a tag row (one line address per way,
+ * invalidAddr for an empty way), then the ways' LRU stamps, then their
+ * payloads, so a probe compares tags before it touches a payload.
+ * Lookups on an untouched set return null and allocate nothing;
+ * payload pointers stay valid until their line leaves. A payload
+ * lives exactly while its line is valid: allocate() constructs it, and
+ * invalidation, eviction, clear() and destruction end it.
  */
 template <typename EntryT>
 class CacheArray
 {
+    // Slabs come from plain new[], which aligns this far.
+    static_assert(alignof(EntryT) <= alignof(std::max_align_t));
+
   public:
     CacheArray(std::string name, std::size_t num_sets, std::size_t ways,
                std::uint32_t line_bytes, ReplPolicy policy, Rng rng)
@@ -71,13 +81,32 @@ class CacheArray
           _setsPow2(isPowerOfTwo(num_sets)),
           _policy(policy),
           _rng(rng),
-          _sets(num_sets, nullptr)
+          _dataOffset(roundUp(2 * ways * sizeof(Addr), alignof(EntryT))),
+          _setBytes(roundUp(_dataOffset + ways * sizeof(EntryT),
+                            std::max(alignof(Addr), alignof(EntryT))))
     {
         if (num_sets == 0 || ways == 0 || line_bytes == 0)
             fatal("%s: bad cache geometry", _name.c_str());
         if (!isPowerOfTwo(line_bytes))
             fatal("%s: line size %u is not a power of two", _name.c_str(),
                   line_bytes);
+        // An empty way is marked by its tag alone, and only a 1-byte
+        // line can have invalidAddr as its address.
+        if (line_bytes < 2)
+            fatal("%s: line size %u is below 2 bytes", _name.c_str(),
+                  line_bytes);
+        if (num_sets > std::numeric_limits<std::uint32_t>::max())
+            fatal("%s: %zu sets overflow the 32-bit set index",
+                  _name.c_str(), num_sets);
+        _sets.assign(num_sets, 0);
+    }
+
+    CacheArray(CacheArray &&) = default;
+
+    ~CacheArray()
+    {
+        if constexpr (!std::is_trivially_destructible_v<EntryT>)
+            clear();
     }
 
     std::uint32_t lineBytes() const { return _lineBytes; }
@@ -101,12 +130,16 @@ class CacheArray
     EntryT *
     find(Addr a, bool touch = true)
     {
-        Slot *slot = findSlot(lineAlign(a));
-        if (!slot)
+        const Addr line = lineAlign(a);
+        std::byte *set = setOf(line);
+        if (!set)
+            return nullptr;
+        const std::size_t w = wayOf(set, line);
+        if (w == _ways)
             return nullptr;
         if (touch)
-            slot->lastUse = ++_useClock;
-        return &slot->data;
+            stamps(set)[w] = ++_useClock;
+        return entry(set, w);
     }
 
     const EntryT *
@@ -139,43 +172,46 @@ class CacheArray
     {
         const Addr line = lineAlign(a);
         const std::size_t s = setIndex(line);
-        Slot *set = _sets[s] ? _sets[s] : materialize(s);
-        // A hit wins; otherwise prefer the first invalid slot.
-        Slot *victim = nullptr;
+        std::byte *set = _sets[s] ? setAt(_sets[s]) : materialize(s);
+        Addr *tag = tags(set);
+        // A hit wins; otherwise prefer the first empty way.
+        std::size_t victim = _ways;
         for (std::size_t w = 0; w < _ways; ++w) {
-            if (!set[w].valid) {
-                if (!victim)
-                    victim = &set[w];
-            } else if (set[w].addr == line) {
-                set[w].lastUse = ++_useClock;
-                return &set[w].data;
+            if (tag[w] == line) {
+                stamps(set)[w] = ++_useClock;
+                return entry(set, w);
             }
+            if (tag[w] == invalidAddr && victim == _ways)
+                victim = w;
         }
-        if (!victim) {
+        if (victim == _ways) {
             victim = pickVictim(set, can_evict);
-            if (!victim)
+            if (victim == _ways)
                 return nullptr;
             if constexpr (!isNull<OnEvict>)
-                on_evict(victim->addr, victim->data);
+                on_evict(tag[victim], *entry(set, victim));
             // The callback may already have invalidated the victim.
-            if (victim->valid)
-                release(*victim);
+            if (tag[victim] != invalidAddr)
+                release(set, victim);
         }
-        ::new (static_cast<void *>(&victim->data)) EntryT{};
-        victim->valid = true;
-        victim->addr = line;
-        victim->lastUse = ++_useClock;
-        return &victim->data;
+        ::new (static_cast<void *>(entry(set, victim))) EntryT{};
+        tag[victim] = line;
+        stamps(set)[victim] = ++_useClock;
+        return entry(set, victim);
     }
 
     /** Drop @p a if present. Returns true if it was present. */
     bool
     invalidate(Addr a)
     {
-        Slot *slot = findSlot(lineAlign(a));
-        if (!slot)
+        const Addr line = lineAlign(a);
+        std::byte *set = setOf(line);
+        if (!set)
             return false;
-        release(*slot);
+        const std::size_t w = wayOf(set, line);
+        if (w == _ways)
+            return false;
+        release(set, w);
         return true;
     }
 
@@ -185,14 +221,18 @@ class CacheArray
     void
     forEach(Fn &&fn)
     {
-        forEachValid([&](Slot &s) { fn(s.addr, s.data); });
+        forEachValid([&](std::byte *set, std::size_t w) {
+            fn(tags(set)[w], *entry(set, w));
+        });
     }
 
     template <typename Fn>
     void
     forEach(Fn &&fn) const
     {
-        forEachValid([&](const Slot &s) { fn(s.addr, s.data); });
+        forEachValid([&](std::byte *set, std::size_t w) {
+            fn(tags(set)[w], std::as_const(*entry(set, w)));
+        });
     }
 
     /** Visit the valid lines of the set @p a maps to, in way order:
@@ -201,12 +241,13 @@ class CacheArray
     void
     forEachInSet(Addr a, Fn &&fn) const
     {
-        const Slot *set = _sets[setIndex(lineAlign(a))];
+        std::byte *set = setOf(lineAlign(a));
         if (!set)
             return;
+        const Addr *tag = tags(set);
         for (std::size_t w = 0; w < _ways; ++w) {
-            if (set[w].valid)
-                fn(set[w].addr, set[w].data);
+            if (tag[w] != invalidAddr)
+                fn(tag[w], std::as_const(*entry(set, w)));
         }
     }
 
@@ -214,12 +255,13 @@ class CacheArray
     std::size_t
     setOccupancy(Addr a) const
     {
-        const Slot *set = _sets[setIndex(lineAlign(a))];
+        std::byte *set = setOf(lineAlign(a));
         if (!set)
             return 0;
+        const Addr *tag = tags(set);
         std::size_t n = 0;
         for (std::size_t w = 0; w < _ways; ++w)
-            n += set[w].valid ? 1 : 0;
+            n += tag[w] != invalidAddr ? 1 : 0;
         return n;
     }
 
@@ -228,7 +270,7 @@ class CacheArray
     occupancy() const
     {
         std::size_t n = 0;
-        forEachValid([&](const Slot &) { ++n; });
+        forEachValid([&](std::byte *, std::size_t) { ++n; });
         return n;
     }
 
@@ -236,39 +278,26 @@ class CacheArray
     void
     clear()
     {
-        forEachValid([](Slot &s) { release(s); });
+        forEachValid([this](std::byte *set, std::size_t w) {
+            release(set, w);
+        });
     }
 
   private:
-    /** A slot: management bits plus the user payload. */
-    struct Slot
-    {
-        Slot() {}
-        ~Slot()
-        {
-            if (valid)
-                data.~EntryT();
-        }
-        Slot(const Slot &) = delete;
-        Slot &operator=(const Slot &) = delete;
-
-        bool valid = false;
-        Addr addr = invalidAddr; ///< line-aligned address
-        std::uint64_t lastUse = 0;
-        /** Constructed exactly while @c valid. */
-        union
-        {
-            EntryT data;
-        };
-    };
-
     /** Slabs double in sets up to this many. */
     static constexpr std::size_t maxSlabSets = 64;
+    static constexpr unsigned maxSlabSetsLog2 = std::countr_zero(maxSlabSets);
 
     /** Is callable type @p F a nullptr placeholder? */
     template <typename F>
     static constexpr bool isNull =
         std::is_null_pointer_v<std::remove_cvref_t<F>>;
+
+    static constexpr std::size_t
+    roundUp(std::size_t n, std::size_t align)
+    {
+        return (n + align - 1) / align * align;
+    }
 
     /** Set of line address @p line: shift and mask, except for a
      *  set count that is not a power of two (Figure 8's 2128-set
@@ -282,89 +311,148 @@ class CacheArray
         return static_cast<std::size_t>(n % _numSets);
     }
 
-    /** Give set @p s storage: the next ways in the newest slab. */
-    Slot *
+    /** @name A set's storage: tag row, LRU stamps, then payloads. */
+    /** @{ */
+    static Addr *
+    tags(std::byte *set)
+    {
+        return std::launder(reinterpret_cast<Addr *>(set));
+    }
+    std::uint64_t *
+    stamps(std::byte *set) const
+    {
+        return std::launder(
+            reinterpret_cast<std::uint64_t *>(set + _ways * sizeof(Addr)));
+    }
+    /** Way @p w's payload; alive only while its tag is valid. */
+    EntryT *
+    entry(std::byte *set, std::size_t w) const
+    {
+        return std::launder(
+            reinterpret_cast<EntryT *>(set + _dataOffset) + w);
+    }
+    /** @} */
+
+    /**
+     * Storage of the set with first-touch ordinal @p ord (1-based).
+     * Slabs hold 1, 1, 2, 4, ..., 64 sets, then 64 each (only the last
+     * may be cut short), so the set materialized p-th, p = ord - 1,
+     * lies in slab bit_width(p) at p with its top bit cleared while
+     * p < 64, and in slab 6 + p / 64 at p % 64 after that.
+     */
+    std::byte *
+    setAt(std::uint32_t ord) const
+    {
+        const std::size_t p = ord - 1;
+        std::size_t slab;
+        std::size_t first; // position of the slab's first set
+        if (p < maxSlabSets) {
+            slab = static_cast<std::size_t>(std::bit_width(p));
+            first = std::size_t{1} << slab >> 1;
+        } else {
+            slab = maxSlabSetsLog2 + p / maxSlabSets;
+            first = p & ~(maxSlabSets - 1);
+        }
+        return _slabs[slab].get() + (p - first) * _setBytes;
+    }
+
+    /** Storage of the set @p line maps to, or null while untouched. */
+    std::byte *
+    setOf(Addr line) const
+    {
+        const std::uint32_t ord = _sets[setIndex(line)];
+        return ord ? setAt(ord) : nullptr;
+    }
+
+    /** Way holding @p line in @p set, or _ways if none does. */
+    std::size_t
+    wayOf(std::byte *set, Addr line) const
+    {
+        const Addr *tag = tags(set);
+        std::size_t w = 0;
+        while (w < _ways && tag[w] != line)
+            ++w;
+        return w;
+    }
+
+    /** Give set @p s storage: the next set in the newest slab, with
+     *  every way empty. */
+    std::byte *
     materialize(std::size_t s)
     {
         if (_slabUsed == _slabSets) {
             // Doubling keeps sparse arrays small and dense ones to
-            // few allocations.
+            // few allocations. Only the last slab can be cut short,
+            // so setAt()'s arithmetic holds.
             _slabSets = std::min({std::max<std::size_t>(_materialized, 1),
                                   maxSlabSets, _numSets - _materialized});
-            _slabs.push_back(std::make_unique<Slot[]>(_slabSets * _ways));
+            _slabs.push_back(std::make_unique_for_overwrite<std::byte[]>(
+                _slabSets * _setBytes));
             _slabUsed = 0;
         }
-        ++_materialized;
-        _sets[s] = _slabs.back().get() + _slabUsed++ * _ways;
-        return _sets[s];
+        std::byte *set = _slabs.back().get() + _slabUsed++ * _setBytes;
+        std::fill_n(tags(set), _ways, invalidAddr);
+        std::fill_n(stamps(set), _ways, std::uint64_t{0});
+        _sets[s] = static_cast<std::uint32_t>(++_materialized);
+        return set;
     }
 
-    Slot *
-    findSlot(Addr line)
+    /** End a valid way's payload and mark the way empty. */
+    void
+    release(std::byte *set, std::size_t w)
     {
-        Slot *set = _sets[setIndex(line)];
-        if (!set)
-            return nullptr;
-        for (std::size_t w = 0; w < _ways; ++w) {
-            if (set[w].valid && set[w].addr == line)
-                return &set[w];
-        }
-        return nullptr;
+        entry(set, w)->~EntryT();
+        tags(set)[w] = invalidAddr;
     }
 
-    /** End a valid slot's payload and free the way. */
-    static void
-    release(Slot &s)
-    {
-        s.data.~EntryT();
-        s.valid = false;
-        s.addr = invalidAddr;
-    }
-
-    /** fn(slot) for every valid slot, in set-index then way order. */
+    /** fn(set, way) for every valid way, in set-index then way order. */
     template <typename Fn>
     void
     forEachValid(Fn &&fn) const
     {
-        for (Slot *set : _sets) {
-            if (!set)
+        for (const std::uint32_t ord : _sets) {
+            if (!ord)
                 continue;
+            std::byte *set = setAt(ord);
+            const Addr *tag = tags(set);
             for (std::size_t w = 0; w < _ways; ++w) {
-                if (set[w].valid)
-                    fn(set[w]);
+                if (tag[w] != invalidAddr)
+                    fn(set, w);
             }
         }
     }
 
+    /** Victim way among the valid ways of full @p set, or _ways if
+     *  none may be evicted. */
     template <typename CanEvict>
-    Slot *
-    pickVictim(Slot *set, CanEvict &can_evict)
+    std::size_t
+    pickVictim(std::byte *set, CanEvict &can_evict)
     {
-        const auto evictable = [&](const Slot *s) -> bool {
+        const auto evictable = [&](std::size_t w) -> bool {
             if constexpr (isNull<CanEvict>)
                 return true;
             else
-                return can_evict(s->addr, s->data);
+                return can_evict(tags(set)[w], *entry(set, w));
         };
         if (_policy == ReplPolicy::Random) {
             // Random: up to `ways` probes starting at a random way.
             const std::size_t start = _rng.below(_ways);
             for (std::size_t i = 0, w = start; i < _ways; ++i) {
-                if (evictable(&set[w]))
-                    return &set[w];
+                if (evictable(w))
+                    return w;
                 if (++w == _ways)
                     w = 0;
             }
-            return nullptr;
+            return _ways;
         }
         // LRU.
-        Slot *best = nullptr;
+        const std::uint64_t *stamp = stamps(set);
+        std::size_t best = _ways;
         for (std::size_t w = 0; w < _ways; ++w) {
-            Slot *s = &set[w];
-            if (!evictable(s))
+            if (!evictable(w))
                 continue;
-            if (!best || s->lastUse < best->lastUse)
-                best = s;
+            if (best == _ways || stamp[w] < stamp[best])
+                best = w;
         }
         return best;
     }
@@ -378,10 +466,12 @@ class CacheArray
     bool _setsPow2;
     ReplPolicy _policy;
     Rng _rng;
-    /** Per set: its first way, or null while never allocated. */
-    std::vector<Slot *> _sets;
+    std::size_t _dataOffset; ///< payloads' offset in a set's storage
+    std::size_t _setBytes;   ///< storage one set takes in a slab
+    /** Per set: its first-touch ordinal, or 0 while never allocated. */
+    std::vector<std::uint32_t> _sets;
     /** Append-only storage; sets are packed in first-touch order. */
-    std::vector<std::unique_ptr<Slot[]>> _slabs;
+    std::vector<std::unique_ptr<std::byte[]>> _slabs;
     std::size_t _slabSets = 0; ///< sets the newest slab holds
     std::size_t _slabUsed = 0; ///< of which materialized
     std::size_t _materialized = 0;

@@ -3,10 +3,49 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <set>
 #include <vector>
 
 #include "src/cache/cache_array.hh"
+
+namespace
+{
+std::atomic<std::uint64_t> g_allocBytes{0};
+} // namespace
+
+// Every form stays out of line: this file instantiates CacheArray, so
+// the compiler would otherwise see a slab's delete[] meet a pointer
+// from malloc() or from scalar operator new.
+[[gnu::noinline]] void *
+operator new(std::size_t n)
+{
+    g_allocBytes += n;
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+// Array forms too: sanitizer runtimes replace them separately.
+[[gnu::noinline]] void *
+operator new[](std::size_t n)
+{
+    return ::operator new(n);
+}
+[[gnu::noinline]] void operator delete(void *p) noexcept { std::free(p); }
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void *p) noexcept { std::free(p); }
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 using namespace pcsim;
 
@@ -159,6 +198,15 @@ TEST(CacheArray, SetIndexIsLineNumberModuloSets)
     }
 }
 
+TEST(CacheArrayDeathTest, RejectsOneByteLines)
+{
+    // An empty way is marked by its tag alone; with 1-byte lines the
+    // last line's address would read as empty.
+    EXPECT_DEATH(CacheArray<Payload>("tiny", 4, 2, 1, ReplPolicy::LRU,
+                                     Rng(1)),
+                 "line size 1 is below 2 bytes");
+}
+
 TEST(CacheArray, CapacityBytes)
 {
     auto c = makeArray(8, 4);
@@ -263,6 +311,18 @@ TEST(CacheArrayStorage, ForEachRunsInSetThenWayOrder)
     c.forEachInSet(1 * 128,
                    [&](Addr a, const Payload &) { seen.push_back(a); });
     EXPECT_TRUE(seen.empty());
+}
+
+TEST(CacheArrayStorage, ConstructionTakesFourBytesPerSet)
+{
+    // Building Table 1's 2 MB L2 geometry allocates only the per-set
+    // index: a 32-bit ordinal per set plus a constant.
+    constexpr std::size_t sets = 4096;
+    const std::uint64_t before = g_allocBytes.load();
+    CacheArray<Payload> c("bytes", sets, 4, 128, ReplPolicy::LRU, Rng(1));
+    const std::uint64_t bytes = g_allocBytes.load() - before;
+    EXPECT_LE(bytes, 4 * sets + 256) << bytes << " bytes for " << sets
+                                     << " sets";
 }
 
 TEST(CacheArrayStorage, PayloadPointersSurviveOtherSetsMaterializing)
