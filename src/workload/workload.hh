@@ -57,15 +57,17 @@ struct MemOp
         Barrier,
     };
 
-    Kind kind = Kind::Think;
+    // Widest first: 16 bytes, not 24 with padding around kind.
     Addr addr = 0;
     std::uint32_t cycles = 0; ///< think duration
+    Kind kind = Kind::Think;
 
-    static MemOp read(Addr a) { return {Kind::Read, a, 0}; }
-    static MemOp write(Addr a) { return {Kind::Write, a, 0}; }
-    static MemOp think(std::uint32_t c) { return {Kind::Think, 0, c}; }
-    static MemOp barrier() { return {Kind::Barrier, 0, 0}; }
+    static MemOp read(Addr a) { return {a, 0, Kind::Read}; }
+    static MemOp write(Addr a) { return {a, 0, Kind::Write}; }
+    static MemOp think(std::uint32_t c) { return {0, c, Kind::Think}; }
+    static MemOp barrier() { return {0, 0, Kind::Barrier}; }
 };
+static_assert(sizeof(MemOp) == 16);
 
 /** Abstract per-CPU operation source. */
 class Workload
