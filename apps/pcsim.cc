@@ -7,8 +7,8 @@
  *   pcsim list
  *
  * `run` executes a (workload x config x seed) cartesian product built
- * from comma-separated lists; `sweep NAME` (and `serve`, `compare`,
- * `faults`, `qos`) runs an entry of the sweep registry
+ * from comma-separated lists; `sweep NAME` (and `scale`, `serve`,
+ * `compare`, `faults`, `qos`) runs an entry of the sweep registry
  * (src/runner/sweeps.hh) through the same runner and prints its table
  * from the results. Simulations are deterministic, so
  * `--deterministic-check` (run everything twice and byte-compare the
@@ -171,13 +171,14 @@ usage(std::FILE *out)
 "\n"
 "scale (node-count scaling sweep of base/delegation/delegate-update):\n"
 "  --nodes n,m            machine sizes (default: 16,32,64,128,256,\n"
-"                         512,1024; exact sharer vectors throughout,\n"
-"                         use --coarse with 'run' to study coarse\n"
+"                         512,1024; any value up to 4096 validates;\n"
+"                         exact sharer vectors throughout, use\n"
+"                         --coarse with 'run' to study coarse\n"
 "                         directories at the top sizes)\n"
 "  --workload W           workload per point (default: Em3D)\n"
-"  --scale F              workload scale per point (default: 0.25)\n"
-"  --repeats N            repeats per point, best wall time\n"
+"  --scale F              relative to the sweep's scale 0.25\n"
 "                         (default: 1)\n"
+"  default --json is BENCH_scale.json\n"
 "\n"
 "faults (fault-injection robustness sweep; checker + conformance are\n"
 "always on, and exponential retry backoff is enabled):\n"
@@ -267,7 +268,6 @@ struct Options
     bool configsSet = false;
     unsigned nodes = 16; ///< run/trace: the first --nodes value
     unsigned coarse = 1; ///< nodes per sharer bit (power of two)
-    bool scaleSet = false;
     bool checker = false;
     bool conformance = false;
     bool lintMc = true;           ///< lint: run the model cross-check
@@ -277,10 +277,9 @@ struct Options
     std::string reproPath;        ///< lint --liveness: PCTR repro out
     bool threadsSet = false;
 
-    // bench / scale
+    // bench
     std::uint64_t benchEvents = 2000000;
     unsigned benchRepeats = 3;
-    bool repeatsSet = false;
     std::string baselinePath;
 
     // trace
@@ -421,7 +420,6 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
                 return false;
             char *end = nullptr;
             opt.args.scale = std::strtod(v, &end);
-            opt.scaleSet = true;
             if (end == v || *end != '\0' || !(opt.args.scale > 0) ||
                 !std::isfinite(opt.args.scale)) {
                 std::fprintf(stderr, "pcsim: bad --scale '%s'\n", v);
@@ -462,12 +460,16 @@ parseArgs(int argc, char **argv, Options &opt, int first = 2)
             if (!parseNumber(arg, v, opt.benchEvents, std::uint64_t(1)))
                 return false;
         } else if (arg == "--repeats") {
+            if (opt.command != "bench") {
+                std::fprintf(stderr, "pcsim: --repeats applies only to "
+                                     "'pcsim bench'\n");
+                return false;
+            }
             const char *v = value();
             if (!v)
                 return false;
             if (!parseNumber(arg, v, opt.benchRepeats, 1u))
                 return false;
-            opt.repeatsSet = true;
         } else if (arg == "--baseline") {
             const char *v = value();
             if (!v)
@@ -1060,7 +1062,7 @@ main(int argc, char **argv)
         operand = argv[2];
         first = 3;
     }
-    // serve, compare, faults and qos are registry entries too.
+    // scale, serve, compare, faults and qos are registry entries too.
     const runner::Sweep *sweep = nullptr;
     if (cmd == "sweep") {
         sweep = runner::findSweep(operand);
@@ -1137,33 +1139,6 @@ main(int argc, char **argv)
         return runCommand(opt);
     if (cmd == "lint")
         return lintCommand(opt);
-    if (cmd == "scale") {
-        runner::ScaleOptions sopt;
-        sopt.nodeCounts = opt.args.nodes;
-        const auto &workloads = opt.args.workloads;
-        if (!workloads.empty()) {
-            if (workloads.size() > 1) {
-                std::fprintf(stderr, "pcsim scale: one workload "
-                                     "only\n");
-                return 1;
-            }
-            const std::string canonical =
-                runner::canonicalWorkload(workloads[0]);
-            if (canonical.empty()) {
-                std::fprintf(stderr, "pcsim: unknown workload '%s'\n",
-                             workloads[0].c_str());
-                return 1;
-            }
-            sopt.workload = canonical;
-        }
-        if (opt.scaleSet)
-            sopt.scale = opt.args.scale;
-        if (opt.repeatsSet)
-            sopt.repeats = opt.benchRepeats;
-        sopt.jsonPath = opt.args.jsonPath;
-        sopt.quiet = opt.args.quiet;
-        return runner::runScaleSweep(sopt);
-    }
     if (cmd == "bench") {
         runner::BenchOptions bopt;
         bopt.kernelEvents = opt.benchEvents;

@@ -77,9 +77,6 @@ Network::sendAcquired(Message *pm)
         // not network traffic.
         ++_stats.numLocal;
         const Tick deliver = now + _cfg.localLatency;
-        PCSIM_DPRINTF(DebugNet, now, "net: %s deliver@%llu",
-                      msg.toString().c_str(),
-                      (unsigned long long)deliver);
         MessageHandler *handler = sp.handler;
         if (!handler)
             panic("send: no handler registered for node %u", dst);
@@ -130,9 +127,6 @@ Network::sendAcquired(Message *pm)
     _stats.numBytes += bytes;
     ++_stats.perType[static_cast<std::size_t>(msg.type)];
     _stats.hopHist.sample(hops);
-
-    PCSIM_DPRINTF(DebugNet, now, "net: %s arrive@%llu",
-                  msg.toString().c_str(), (unsigned long long)arrive);
 
     Arrival a;
     a.arrive = arrive;
@@ -222,9 +216,6 @@ Network::drainArrivals(NodeId dst)
         }
 
         Message *pm = e.pm;
-        PCSIM_DPRINTF(DebugNet, now, "net: %s deliver@%llu",
-                      pm->toString().c_str(),
-                      (unsigned long long)deliver);
         _eq.schedule(deliver, [this, handler, pm]() {
             handler->handleMessage(*pm);
             releaseMessage(pm);

@@ -168,9 +168,8 @@ struct ProtocolConfig
 
     // --- coherence policy ---------------------------------------
 
-    /** The coherence policy (replaces the old delegationEnabled /
-     *  updatesEnabled bool pair; those remain as accessors below so
-     *  call sites read the same). */
+    /** The coherence policy. The accessors below keep which kinds
+     *  delegate and which push updates in one place. */
     ProtocolKind kind = ProtocolKind::MesiDir;
 
     /** HPCA'07 directory delegation is active (Section 2.3). */

@@ -2,7 +2,9 @@
 
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -11,7 +13,6 @@
 #include "src/sim/event_queue.hh"
 #include "src/sim/json.hh"
 #include "src/sim/logging.hh"
-#include "src/system/presets.hh"
 #include "src/system/system.hh"
 
 namespace pcsim
@@ -208,24 +209,31 @@ toJson(const BenchResult &br)
     return v;
 }
 
-/** eventsPerSec of the same-named benchmark in a baseline document;
- *  0 when absent. */
-double
-baselineEps(const JsonValue *baseline, const std::string &name)
+/** Each benchmark's eventsPerSec in the baseline document @p text,
+ *  by name.
+ *  @throws JsonParseError, or std::invalid_argument naming the first
+ *          missing or mistyped member ("benchmarks[3].name ..."). */
+std::map<std::string, double>
+baselineRates(const std::string &text)
 {
-    if (!baseline)
-        return 0.0;
-    const JsonValue *arr = baseline->find("benchmarks");
+    const JsonValue doc = JsonValue::parse(text);
+    const JsonValue *arr = doc.find("benchmarks");
     if (!arr || !arr->isArray())
-        return 0.0;
+        throw std::invalid_argument("benchmarks is missing or not an array");
+    std::map<std::string, double> rates;
     for (std::size_t i = 0; i < arr->size(); ++i) {
-        const JsonValue &e = arr->at(i);
-        const JsonValue *n = e.find("name");
-        const JsonValue *eps = e.find("eventsPerSec");
-        if (n && eps && n->isString() && n->asString() == name)
-            return eps->asDouble();
+        const std::string at = "benchmarks[" + std::to_string(i) + "].";
+        const JsonValue *name = arr->at(i).find("name");
+        const JsonValue *eps = arr->at(i).find("eventsPerSec");
+        if (!name || !name->isString())
+            throw std::invalid_argument(at +
+                                        "name is missing or not a string");
+        if (!eps || !eps->isNumber())
+            throw std::invalid_argument(
+                at + "eventsPerSec is missing or not a number");
+        rates[name->asString()] = eps->asDouble();
     }
-    return 0.0;
+    return rates;
 }
 
 } // namespace
@@ -233,9 +241,10 @@ baselineEps(const JsonValue *baseline, const std::string &name)
 int
 runBenchSuite(const BenchOptions &opt)
 {
-    JsonValue baseline;
-    bool have_baseline = false;
-    if (!opt.baselinePath.empty()) {
+    // Check the baseline before running anything.
+    std::map<std::string, double> baseline;
+    const bool have_baseline = !opt.baselinePath.empty();
+    if (have_baseline) {
         std::string text;
         if (!readTextFile(opt.baselinePath, text)) {
             std::fprintf(stderr, "pcsim bench: cannot read baseline "
@@ -243,9 +252,19 @@ runBenchSuite(const BenchOptions &opt)
                          opt.baselinePath.c_str());
             return 1;
         }
-        baseline = JsonValue::parse(text);
-        have_baseline = true;
+        try {
+            baseline = baselineRates(text);
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "pcsim bench: '%s': %s\n",
+                         opt.baselinePath.c_str(), e.what());
+            return 1;
+        }
     }
+    // eventsPerSec of the same-named baseline benchmark; 0 when absent.
+    const auto baselineEps = [&](const std::string &name) {
+        const auto it = baseline.find(name);
+        return it == baseline.end() ? 0.0 : it->second;
+    };
 
     std::vector<BenchResult> results;
     const auto progress = [&](const BenchResult &br) {
@@ -277,8 +296,7 @@ runBenchSuite(const BenchOptions &opt)
     JsonValue arr = JsonValue::array();
     for (const auto &br : results) {
         JsonValue v = toJson(br);
-        const double base =
-            have_baseline ? baselineEps(&baseline, br.name) : 0.0;
+        const double base = baselineEps(br.name);
         if (base > 0) {
             v["baselineEventsPerSec"] = JsonValue(base);
             v["speedup"] = JsonValue(br.eventsPerSec / base);
@@ -293,8 +311,7 @@ runBenchSuite(const BenchOptions &opt)
                     "wall(s)", "events/sec",
                     have_baseline ? "speedup" : "");
         for (const auto &br : results) {
-            const double base =
-                have_baseline ? baselineEps(&baseline, br.name) : 0.0;
+            const double base = baselineEps(br.name);
             if (base > 0)
                 std::printf("%-24s | %10.4f | %12.0f | %.2fx\n",
                             br.name.c_str(), br.wallSeconds,
@@ -304,140 +321,6 @@ runBenchSuite(const BenchOptions &opt)
                             br.name.c_str(), br.wallSeconds,
                             br.eventsPerSec);
         }
-    }
-
-    if (!opt.jsonPath.empty() &&
-        !writeTextFile(opt.jsonPath, doc.dump(2) + "\n"))
-        return 1;
-    return 0;
-}
-
-// --- node-count scaling sweep ------------------------------------
-
-namespace
-{
-
-/** One (nodes, config) point of the scaling sweep. */
-struct ScalePoint
-{
-    unsigned nodes = 0;
-    std::string config;
-    Tick cycles = 0;
-    std::uint64_t events = 0;
-    double wallSeconds = 0.0;
-    double eventsPerSec = 0.0;
-    NodeStats stats;
-    std::uint64_t netMessages = 0;
-    std::uint64_t netBytes = 0;
-};
-
-JsonValue
-toJson(const ScalePoint &p)
-{
-    JsonValue v = JsonValue::object();
-    v["nodes"] = JsonValue(std::uint64_t(p.nodes));
-    v["config"] = JsonValue(p.config);
-    v["cycles"] = JsonValue(p.cycles);
-    v["events"] = JsonValue(p.events);
-    v["wallSeconds"] = JsonValue(p.wallSeconds);
-    v["eventsPerSec"] = JsonValue(p.eventsPerSec);
-    JsonValue m = JsonValue::object();
-    m["l2Hits"] = JsonValue(p.stats.l2Hits);
-    m["localMisses"] = JsonValue(p.stats.localMisses);
-    m["remoteMisses"] = JsonValue(p.stats.remoteMisses);
-    m["racHits"] = JsonValue(p.stats.racHits);
-    m["twoHopMisses"] = JsonValue(p.stats.twoHopMisses);
-    m["threeHopMisses"] = JsonValue(p.stats.threeHopMisses);
-    m["updatesSent"] = JsonValue(p.stats.updatesSent);
-    m["updatesConsumed"] = JsonValue(p.stats.updatesConsumed);
-    v["missClasses"] = std::move(m);
-    v["netMessages"] = JsonValue(p.netMessages);
-    v["netBytes"] = JsonValue(p.netBytes);
-    v["detectorBitsPerEntry"] =
-        JsonValue(std::uint64_t(p.stats.detectorBitsPerEntry));
-    return v;
-}
-
-} // namespace
-
-int
-runScaleSweep(const ScaleOptions &opt)
-{
-    std::vector<unsigned> counts = opt.nodeCounts;
-    if (counts.empty())
-        counts = presets::scaleNodeCounts();
-
-    std::vector<ScalePoint> points;
-    for (unsigned n : counts) {
-        for (const auto &nc : presets::scaleConfigs(n)) {
-            MachineConfig cfg = nc.cfg;
-            cfg.proto.checkerEnabled = false;
-            const std::string err = cfg.proto.validateError();
-            if (!err.empty()) {
-                std::fprintf(stderr,
-                             "pcsim scale: invalid configuration "
-                             "'%s' at %u nodes: %s\n",
-                             nc.name.c_str(), n, err.c_str());
-                return 1;
-            }
-
-            ScalePoint p;
-            p.nodes = n;
-            p.config = nc.name;
-            for (unsigned rep = 0; rep < opt.repeats; ++rep) {
-                System sys(cfg);
-                auto wl = makeRunnerWorkload(opt.workload,
-                                             sys.numNodes(), opt.scale);
-                RunResult r = sys.run(*wl);
-                if (rep == 0 || r.perf.wallSeconds < p.wallSeconds) {
-                    p.cycles = r.cycles;
-                    p.events = r.perf.eventsExecuted;
-                    p.wallSeconds = r.perf.wallSeconds;
-                    p.stats = r.nodes;
-                    p.netMessages = r.netMessages;
-                    p.netBytes = r.netBytes;
-                }
-            }
-            p.eventsPerSec = p.wallSeconds > 0
-                                 ? double(p.events) / p.wallSeconds
-                                 : 0.0;
-            if (!opt.quiet)
-                std::fprintf(stderr,
-                             "scale: %3u nodes %-16s %12llu cycles "
-                             "%9.0f kev/s\n",
-                             n, p.config.c_str(),
-                             (unsigned long long)p.cycles,
-                             p.eventsPerSec / 1e3);
-            points.push_back(std::move(p));
-        }
-    }
-
-    JsonValue doc = JsonValue::object();
-    doc["schemaVersion"] = JsonValue(std::uint64_t(1));
-    doc["generator"] = JsonValue("pcsim scale");
-    doc["workload"] = JsonValue(opt.workload);
-    doc["scale"] = JsonValue(opt.scale);
-    doc["repeats"] = JsonValue(std::uint64_t(opt.repeats));
-    // Wall-clock columns depend on the host; record its core count.
-    doc["hostCores"] = JsonValue(
-        std::uint64_t(std::thread::hardware_concurrency()));
-    JsonValue arr = JsonValue::array();
-    for (const auto &p : points)
-        arr.push(toJson(p));
-    doc["results"] = std::move(arr);
-
-    if (opt.jsonPath != "-") {
-        std::printf("%5s | %-16s | %12s | %12s | %10s | %10s | %9s\n",
-                    "nodes", "config", "cycles", "events/sec", "remote",
-                    "racHits", "updates");
-        for (const auto &p : points)
-            std::printf("%5u | %-16s | %12llu | %12.0f | %10llu | "
-                        "%10llu | %9llu\n",
-                        p.nodes, p.config.c_str(),
-                        (unsigned long long)p.cycles, p.eventsPerSec,
-                        (unsigned long long)p.stats.remoteMisses,
-                        (unsigned long long)p.stats.racHits,
-                        (unsigned long long)p.stats.updatesSent);
     }
 
     if (!opt.jsonPath.empty() &&

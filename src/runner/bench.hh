@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace pcsim
 {
@@ -44,31 +43,6 @@ struct BenchOptions
 
 /** Run the suite; returns a process exit code (0 ok, 1 I/O error). */
 int runBenchSuite(const BenchOptions &opt);
-
-/** Options for the node-count scaling sweep (`pcsim scale`). */
-struct ScaleOptions
-{
-    /** Machine sizes to sweep ("" = presets::scaleNodeCounts()). */
-    std::vector<unsigned> nodeCounts;
-    /** Workload driven at every size (problem sizes are per-CPU, so
-     *  total work grows with the machine). */
-    std::string workload = "Em3D";
-    double scale = 0.25;
-    /** Repeats per point; the best wall time is reported. */
-    unsigned repeats = 1;
-    /** Write the results document here ("" = don't; "-" = stdout,
-     *  in place of the table); the committed reference is
-     *  BENCH_scale.json. */
-    std::string jsonPath;
-    bool quiet = false;
-};
-
-/**
- * Sweep base / delegation / delegate-update over the node counts,
- * recording events/sec and the miss-class breakdown per point.
- * @return process exit code (0 ok, 1 usage/I-O error).
- */
-int runScaleSweep(const ScaleOptions &opt);
 
 } // namespace runner
 } // namespace pcsim

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <stdexcept>
+#include <thread>
 
 #include "src/sim/logging.hh"
 
@@ -10,8 +11,8 @@ namespace pcsim
 namespace runner
 {
 
-/** Every NodeStats counter, in declaration order. Serialization and
- *  deserialization both expand this list, so they cannot drift. */
+/** Every NodeStats counter, in declaration order. The JSON and CSV
+ *  writers both expand this list, so they cannot drift. */
 #define PCSIM_NODE_STATS_FIELDS(X)                                        \
     X(reads)                                                              \
     X(writes)                                                             \
@@ -197,95 +198,6 @@ toJson(const RunResult &r, bool with_timing)
     return v;
 }
 
-RunResult
-runResultFromJson(const JsonValue &v)
-{
-    RunResult r;
-    r.workload = v.at("workload").asString();
-    r.config = v.at("config").asString();
-    r.cycles = v.at("cycles").asUInt();
-    r.netMessages = v.at("netMessages").asUInt();
-    r.netBytes = v.at("netBytes").asUInt();
-    r.nackMessages = v.at("nackMessages").asUInt();
-    r.updateMessages = v.at("updateMessages").asUInt();
-
-    const JsonValue &nodes = v.at("nodes");
-#define X(field) r.nodes.field = nodes.at(#field).asUInt();
-    PCSIM_NODE_STATS_FIELDS(X)
-#undef X
-
-    const JsonValue &buckets = v.at("consumerHist").at("buckets");
-    std::vector<std::uint64_t> counts;
-    counts.reserve(buckets.size());
-    for (std::size_t i = 0; i < buckets.size(); ++i)
-        counts.push_back(buckets.at(i).asUInt());
-    r.consumerHist.assign(std::move(counts));
-
-    // Telemetry arrived in schemaVersion 2; tolerate its absence so
-    // old documents still load. Keys this reader does not know (such
-    // as the retired parallel-kernel counters) are ignored.
-    if (const JsonValue *perf = v.find("perf")) {
-#define X(field)                                                          \
-        if (const JsonValue *f = perf->find(#field))                      \
-            r.perf.field = f->asUInt();
-        PCSIM_RUN_PERF_FIELDS(X)
-#undef X
-        if (const JsonValue *w = perf->find("wallSeconds"))
-            r.perf.wallSeconds = w->asDouble();
-    }
-
-    // Optional: only runs with conformance checking emit it.
-    if (const JsonValue *conf = v.find("conformance"))
-        r.conformance = conformanceFromJson(*conf);
-
-    // Optional: only fault-injected runs emit it.
-    if (const JsonValue *retry = v.find("retry")) {
-        r.faultsActive = true;
-        r.nodes.mshrConflictRetries =
-            retry->at("mshrConflictRetries").asUInt();
-        r.nodes.dirRehandleRetries =
-            retry->at("dirRehandleRetries").asUInt();
-        r.nodes.maxRetriesPerLine =
-            retry->at("maxRetriesPerLine").asUInt();
-        r.nodes.nackStormPeak = retry->at("nackStormPeak").asUInt();
-        const JsonValue &bb = retry->at("backoffHist").at("buckets");
-        std::vector<std::uint64_t> bcounts;
-        bcounts.reserve(bb.size());
-        for (std::size_t i = 0; i < bb.size(); ++i)
-            bcounts.push_back(bb.at(i).asUInt());
-        r.nodes.backoffHist.assign(std::move(bcounts));
-        r.faultDelayedMessages =
-            retry->at("faultDelayedMessages").asUInt();
-        r.faultExtraTicks = retry->at("faultExtraTicks").asUInt();
-    }
-
-    // Optional: only update-based-policy runs emit it.
-    if (const JsonValue *pol = v.find("policy")) {
-        r.updateBased = true;
-        r.nodes.updateEpisodes = pol->at("updateEpisodes").asUInt();
-        r.nodes.updatesApplied = pol->at("updatesApplied").asUInt();
-        r.nodes.adaptiveDrops = pol->at("adaptiveDrops").asUInt();
-    }
-
-    // Optional: fault-injected or non-default-arbitration runs only.
-    if (const JsonValue *fair = v.find("fairness")) {
-        r.arbitrationActive = fair->at("arbitration").asBool();
-        r.missLatencyP50 = fair->at("missLatencyP50").asUInt();
-        r.missLatencyP95 = fair->at("missLatencyP95").asUInt();
-        r.missLatencyP99 = fair->at("missLatencyP99").asUInt();
-        r.nodes.maxLineWaitTicks =
-            fair->at("maxLineWaitTicks").asUInt();
-        r.nodes.queueDepthPeak = fair->at("queueDepthPeak").asUInt();
-        const JsonValue &mb = fair->at("missLatencyHist").at("buckets");
-        std::vector<std::uint64_t> mcounts;
-        mcounts.reserve(mb.size());
-        for (std::size_t i = 0; i < mb.size(); ++i)
-            mcounts.push_back(mb.at(i).asUInt());
-        r.nodes.missLatencyHist.assign(std::move(mcounts));
-    }
-    return r;
-}
-
 std::vector<verify::TransitionCount>
 conformanceFromJson(const JsonValue &conf)
 {
@@ -339,6 +251,10 @@ resultsToJson(const std::vector<JobResult> &results, bool with_timing)
     JsonValue doc = JsonValue::object();
     doc["schemaVersion"] = JsonValue(std::uint64_t(3));
     doc["generator"] = JsonValue("pcsim");
+    // Wall-clock rates depend on the host; record its core count.
+    if (with_timing)
+        doc["hostCores"] = JsonValue(
+            std::uint64_t(std::thread::hardware_concurrency()));
     JsonValue arr = JsonValue::array();
     for (const auto &r : results)
         arr.push(toJson(r, with_timing));

@@ -8,6 +8,7 @@
  *   {
  *     "schemaVersion": 3,
  *     "generator": "pcsim",
+ *     "hostCores": N,                    // only with_timing
  *     "results": [
  *       {
  *         "workload": "Em3D", "config": "Base", "label": "Em3D/Base",
@@ -60,11 +61,6 @@ namespace runner
  *  @param with_timing include host wall-clock rates (default off:
  *         they break cross-host/thread-count byte identity). */
 JsonValue toJson(const RunResult &r, bool with_timing = false);
-
-/** Rebuild a RunResult from toJson() output. Documents without a
- *  "perf" object (schemaVersion 1) parse with zeroed telemetry.
- *  @throws std::out_of_range / std::logic_error on schema mismatch. */
-RunResult runResultFromJson(const JsonValue &v);
 
 /** Decode a result's "conformance" block (toJson()'s layout).
  *  @throws std::invalid_argument naming the first missing or

@@ -286,6 +286,28 @@ compareJobs(const SweepArgs &a)
         presets::compareConfigs);
 }
 
+/** One workload (default Em3D) under base, delegation and
+ *  delegate-update at every machine size (default 16..1024), at scale
+ *  0.25 relative to --scale, with the checker off. */
+JobSet
+scaleJobs(const SweepArgs &a)
+{
+    if (a.workloads.size() > 1)
+        return {};
+    const std::string workload =
+        a.workloads.empty() ? "Em3D" : canonicalWorkload(a.workloads[0]);
+    if (workload.empty())
+        return {};
+    SweepArgs grid = a;
+    if (grid.nodes.empty())
+        grid.nodes = presets::scaleNodeCounts();
+    grid.scale = a.scale * 0.25;
+    JobSet set = scenarioGrid({workload}, grid, presets::scaleConfigs);
+    for (auto &j : set.jobs())
+        j.cfg.proto.checkerEnabled = false;
+    return set;
+}
+
 /**
  * Fault scenario x arbitration mode x {base, delegation,
  * delegate-update} with the checker and the conformance observer on.
@@ -820,6 +842,20 @@ printServe(const std::vector<JobResult> &results, const SweepArgs &)
 }
 
 void
+printScale(const std::vector<JobResult> &results, const SweepArgs &)
+{
+    printJobTable(
+        results, "workload/nodes/config", 28,
+        {cyclesCol,
+         {"remote", 10,
+          [](const RunResult &r) { return r.nodes.remoteMisses; }},
+         {"racHits", 10, [](const RunResult &r) { return r.nodes.racHits; }},
+         {"updSent", 9,
+          [](const RunResult &r) { return r.nodes.updatesSent; }}},
+        "base");
+}
+
+void
 printCompare(const std::vector<JobResult> &results, const SweepArgs &)
 {
     // "applied" counts refreshes a consumer absorbed: RAC fills for
@@ -858,6 +894,8 @@ printFaults(const std::vector<JobResult> &results, const SweepArgs &)
         nullptr);
 }
 
+const char *const scaleHint =
+    "one --workload, see 'pcsim list'; --nodes up to 4096";
 const char *const serveHint =
     "unknown --scenario or bad --nodes? known scenarios: KVServe, "
     "WorkQueue, RCU, PubSub";
@@ -929,6 +967,7 @@ sweeps()
          delegationAblationJobs, printDelegationAblation, ""},
         {"ablation-detector", "pcsim-ablation-detector.results.json",
          detectorAblationJobs, printDetectorAblation, ""},
+        {"scale", "BENCH_scale.json", scaleJobs, printScale, scaleHint},
         {"serve", "BENCH_serve.json", serveJobs, printServe, serveHint},
         {"compare", "BENCH_compare.json", compareJobs, printCompare,
          compareHint},

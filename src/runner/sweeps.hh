@@ -5,7 +5,8 @@
  *
  * An entry names a job grid built from the command-line arguments and
  * a table printed from the grid's in-memory results. `pcsim sweep
- * NAME` and `pcsim serve|compare|faults|qos` find their entry by name.
+ * NAME` and `pcsim scale|serve|compare|faults|qos` find their entry by
+ * name.
  * One shared path, runSweep(), runs a grid, performs
  * --deterministic-check, writes the JSON/CSV documents, prints the
  * table and maps the outcome to an exit code; `pcsim run` uses it with
@@ -19,13 +20,16 @@
  *   ablation-delegation               delegation without updates
  *   ablation-detector                 write-repeat threshold and
  *                                     directory-cache size
+ *   scale                             base, delegation and
+ *                                     delegate-update at 16..1024
+ *                                     nodes (one workload, Em3D)
  *   serve compare faults qos          the serving sweep, the policy
  *                                     bake-off, fault injection and
  *                                     the arbitration bake-off
  *
- * Every paper entry runs with the coherence checker off (they measure
- * speed; the invariant checks live in tests/ and examples/), at the
- * scale factor its figure always used relative to --scale.
+ * Every paper entry, and scale, runs with the coherence checker off
+ * (they measure speed; the invariant checks live in tests/ and
+ * examples/), at the scale factor it always used relative to --scale.
  */
 
 #ifndef PCSIM_RUNNER_SWEEPS_HH
@@ -49,14 +53,15 @@ namespace runner
 struct SweepArgs
 {
     /** Workload names (`run` crosses them all; faults and qos take
-     *  one, default PCmicro). */
+     *  one, default PCmicro; scale takes one, default Em3D). */
     std::vector<std::string> workloads;
     /** Scenario names (serve, compare, faults, qos). */
     std::vector<std::string> scenarios;
     /** Directory arbitration modes (faults, qos). */
     std::vector<std::string> arbitrations;
     /** Machine sizes (serve and compare sweep a list, default 16 and
-     *  64; every other entry runs the first, default 16). */
+     *  64; scale too, default 16..1024; every other entry runs the
+     *  first, default 16). */
     std::vector<unsigned> nodes;
     /** Workload scale factor, relative to each entry's own scale. */
     double scale = 1.0;
@@ -70,7 +75,8 @@ struct SweepArgs
     std::string csvPath;
     /** Suppress per-job progress on stderr. */
     bool quiet = false;
-    /** Serialize host wall-clock rates (breaks byte identity). */
+    /** Serialize host wall-clock rates and the host's core count
+     *  (breaks byte identity). */
     bool timing = false;
     /** Run every job twice and byte-compare the documents instead of
      *  writing them; exit 3 on mismatch. */

@@ -37,8 +37,7 @@ int
 ingestToFile(const TraceRecordOptions &opt)
 {
     try {
-        trace::TraceData data = trace::ingestTextTraces(
-            opt.textPaths, "ingest", opt.lineBytes);
+        trace::TraceData data = trace::ingestTextTraces(opt.textPaths);
         data.meta.scale = opt.args.scale;
         trace::writeTraceFile(opt.outPath, data.meta, data.perNode);
         if (!opt.args.quiet)

@@ -20,7 +20,6 @@
 #ifndef PCSIM_RUNNER_TRACE_CMD_HH
 #define PCSIM_RUNNER_TRACE_CMD_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -46,8 +45,6 @@ struct TraceRecordOptions
      *  file per node. No simulation runs; --workload/--config/--seed
      *  do not apply. */
     std::vector<std::string> textPaths;
-    /** Coherence granularity for ingested traces. */
-    std::uint32_t lineBytes = 128;
 };
 
 /** Options for `pcsim trace replay`. */

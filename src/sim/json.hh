@@ -4,7 +4,8 @@
  * strict parser.
  *
  * Used by the experiment runner (src/runner) to emit machine-readable
- * results and to round-trip them in tests. Objects preserve insertion
+ * results and to read the documents `pcsim lint --coverage` and
+ * `pcsim bench --baseline` take as input. Objects preserve insertion
  * order so a document serializes byte-identically regardless of how it
  * was produced -- a property the runner's determinism checks rely on.
  *

@@ -1,12 +1,11 @@
 #include "src/sim/logging.hh"
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 
 namespace pcsim
 {
-
-std::uint32_t debugFlags = DebugNone;
 
 namespace
 {
@@ -48,28 +47,6 @@ warn(const char *fmt, ...)
     va_start(ap, fmt);
     vreport("warn", fmt, ap);
     va_end(ap);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    vreport("info", fmt, ap);
-    va_end(ap);
-}
-
-void
-debugPrintf(std::uint32_t flag, std::uint64_t when, const char *fmt, ...)
-{
-    if (!(debugFlags & flag))
-        return;
-    std::fprintf(stderr, "%10llu: ", (unsigned long long)when);
-    va_list ap;
-    va_start(ap, fmt);
-    std::vfprintf(stderr, fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "\n");
 }
 
 } // namespace pcsim

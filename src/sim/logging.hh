@@ -5,18 +5,10 @@
  * panic()  - internal simulator bug; aborts.
  * fatal()  - user/configuration error; exits cleanly with an error code.
  * warn()   - suspicious but non-fatal condition.
- * inform() - status message.
- *
- * Debug tracing is controlled per-category via DebugFlags and is cheap
- * when disabled.
  */
 
 #ifndef PCSIM_SIM_LOGGING_HH
 #define PCSIM_SIM_LOGGING_HH
-
-#include <cstdarg>
-#include <cstdint>
-#include <string>
 
 namespace pcsim
 {
@@ -26,40 +18,6 @@ namespace pcsim
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Bitmask of debug trace categories. */
-enum DebugFlag : std::uint32_t
-{
-    DebugNone = 0,
-    DebugEvent = 1u << 0,
-    DebugNet = 1u << 1,
-    DebugCache = 1u << 2,
-    DebugDir = 1u << 3,
-    DebugDelegate = 1u << 4,
-    DebugUpdate = 1u << 5,
-    DebugCpu = 1u << 6,
-    DebugWorkload = 1u << 7,
-    DebugMc = 1u << 8,
-    DebugAll = ~0u,
-};
-
-/** Currently enabled debug categories (global; default: none). */
-extern std::uint32_t debugFlags;
-
-/** Emit a trace line if the category is enabled. */
-void debugPrintf(std::uint32_t flag, std::uint64_t when, const char *fmt,
-                 ...) __attribute__((format(printf, 3, 4)));
-
-/**
- * Trace macro: cheap test before evaluating arguments.
- * Usage: PCSIM_DPRINTF(DebugDir, curTick, "req %d", id);
- */
-#define PCSIM_DPRINTF(flag, when, ...)                                    \
-    do {                                                                  \
-        if (::pcsim::debugFlags & (flag))                                 \
-            ::pcsim::debugPrintf((flag), (when), __VA_ARGS__);            \
-    } while (0)
 
 } // namespace pcsim
 

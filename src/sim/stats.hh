@@ -111,20 +111,6 @@ class Histogram
         _total += o._total;
     }
 
-    /** Replace the bucket contents wholesale (deserialization); the
-     *  total is recomputed as every sample lands in exactly one
-     *  bucket. */
-    void
-    assign(std::vector<std::uint64_t> buckets)
-    {
-        _buckets = std::move(buckets);
-        if (_buckets.empty())
-            _buckets.resize(1, 0);
-        _total = 0;
-        for (std::uint64_t b : _buckets)
-            _total += b;
-    }
-
   private:
     std::vector<std::uint64_t> _buckets;
     std::uint64_t _total = 0;

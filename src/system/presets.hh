@@ -70,17 +70,18 @@ struct NamedConfig
 /** The six systems of Figure 7, in the paper's order. */
 std::vector<NamedConfig> figure7Configs(unsigned num_nodes = 16);
 
-/** Node counts of the scale-out sweep (`pcsim scale`): the paper's
- *  16-node Altix up through a 1024-node machine. Every point uses
- *  exact sharer vectors by default; at the top sizes a real machine
- *  would run coarse vectors (see coarse()) -- the sweep keeps them
- *  exact so the protocol-behavior curves stay comparable. */
+/** The default node counts of the `scale` sweep: the paper's 16-node
+ *  Altix up through a 1024-node machine. Every point uses exact
+ *  sharer vectors; at the top sizes a real machine would run coarse
+ *  vectors (see coarse()) -- the sweep keeps them exact so the
+ *  protocol-behavior curves stay comparable. */
 std::vector<unsigned> scaleNodeCounts();
 
 /**
- * The three protocol stacks the node-count scaling sweep compares at
- * each machine size: base directory, delegation only, and delegation
- * + speculative updates (the paper's "small" sizing).
+ * The three protocol stacks the `scale`, `serve`, `faults` and `qos`
+ * sweeps compare at each machine size: base directory, delegation
+ * only, and delegation + speculative updates (the paper's "small"
+ * sizing).
  */
 std::vector<NamedConfig> scaleConfigs(unsigned num_nodes);
 

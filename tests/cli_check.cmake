@@ -4,7 +4,8 @@
 #   cmake -DOUTPUT=F -DREFERENCE=R -P cli_check.cmake -- pcsim ...
 #       exit 0, and the file F the command wrote is byte-identical to R
 #   cmake -DOUTPUT=F -DCONTAINS=S [-DLACKS=T] -P cli_check.cmake -- ...
-#       exit 0, and F contains the text S (and not T)
+#       exit 0, and F contains the text S (and not T); S may be a
+#       list, each element of which F must contain
 #   cmake -DOUTPUT=F -DJSON_OBJECT=1 -P cli_check.cmake -- pcsim ...
 #       exit 0, and F starts with a JSON object
 #   -DSTDOUT=1 added to any of the three: F is the command's stdout
@@ -58,12 +59,12 @@ if(DEFINED REFERENCE)
 endif()
 
 file(READ "${OUTPUT}" text)
-if(DEFINED CONTAINS)
-    string(FIND "${text}" "${CONTAINS}" at)
+foreach(want IN LISTS CONTAINS)
+    string(FIND "${text}" "${want}" at)
     if(at EQUAL -1)
-        message(FATAL_ERROR "${OUTPUT} lacks '${CONTAINS}'")
+        message(FATAL_ERROR "${OUTPUT} lacks '${want}'")
     endif()
-endif()
+endforeach()
 if(DEFINED LACKS)
     string(FIND "${text}" "${LACKS}" at)
     if(NOT at EQUAL -1)

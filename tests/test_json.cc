@@ -1,6 +1,6 @@
 /**
  * @file
- * JSON writer/parser and RunResult serialization round-trips.
+ * JSON writer/parser and RunResult serialization.
  */
 
 #include <gtest/gtest.h>
@@ -156,36 +156,39 @@ sampleResult()
 
 } // namespace
 
-TEST(Json, RunResultRoundTrips)
+TEST(Json, RunResultSerializesEveryField)
 {
     const RunResult r = sampleResult();
     const std::string text = runner::toJson(r).dump(2);
-    const RunResult back =
-        runner::runResultFromJson(JsonValue::parse(text));
+    const JsonValue v = JsonValue::parse(text);
 
-    EXPECT_EQ(back.workload, r.workload);
-    EXPECT_EQ(back.config, r.config);
-    EXPECT_EQ(back.cycles, r.cycles);
-    EXPECT_EQ(back.netMessages, r.netMessages);
-    EXPECT_EQ(back.netBytes, r.netBytes);
-    EXPECT_EQ(back.nackMessages, r.nackMessages);
-    EXPECT_EQ(back.updateMessages, r.updateMessages);
+    EXPECT_EQ(v.at("workload").asString(), r.workload);
+    EXPECT_EQ(v.at("config").asString(), r.config);
+    EXPECT_EQ(v.at("cycles").asUInt(), r.cycles);
+    EXPECT_EQ(v.at("netMessages").asUInt(), r.netMessages);
+    EXPECT_EQ(v.at("netBytes").asUInt(), r.netBytes);
+    EXPECT_EQ(v.at("nackMessages").asUInt(), r.nackMessages);
+    EXPECT_EQ(v.at("updateMessages").asUInt(), r.updateMessages);
 
-    EXPECT_EQ(back.nodes.reads, r.nodes.reads);
-    EXPECT_EQ(back.nodes.writebacks, r.nodes.writebacks);
-    EXPECT_EQ(back.nodes.extraWriteMisses, r.nodes.extraWriteMisses);
-    EXPECT_EQ(back.totalMisses(), r.totalMisses());
+    // sampleResult() numbers the 30 NodeStats counters 1..30 in
+    // declaration order, which is the serialized order.
+    const auto &nodes = v.at("nodes").members();
+    ASSERT_EQ(nodes.size(), 30u);
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+        EXPECT_EQ(nodes[i].second.asUInt(), i + 1) << nodes[i].first;
+    EXPECT_EQ(v.at("nodes").at("reads").asUInt(), r.nodes.reads);
+    EXPECT_EQ(v.at("nodes").at("writebacks").asUInt(), r.nodes.writebacks);
 
-    ASSERT_EQ(back.consumerHist.numBuckets(),
-              r.consumerHist.numBuckets());
-    EXPECT_EQ(back.consumerHist.total(), r.consumerHist.total());
-    for (std::size_t i = 0; i < r.consumerHist.numBuckets(); ++i)
-        EXPECT_EQ(back.consumerHist.bucket(i),
-                  r.consumerHist.bucket(i))
+    const JsonValue &hist = v.at("consumerHist");
+    EXPECT_EQ(hist.at("total").asUInt(), r.consumerHist.total());
+    const JsonValue &buckets = hist.at("buckets");
+    ASSERT_EQ(buckets.size(), r.consumerHist.numBuckets());
+    for (std::size_t i = 0; i < buckets.size(); ++i)
+        EXPECT_EQ(buckets.at(i).asUInt(), r.consumerHist.bucket(i))
             << "bucket " << i;
 
-    // Serialization of the reconstruction is byte-identical.
-    EXPECT_EQ(runner::toJson(back).dump(2), text);
+    // The parsed document re-serializes byte-identically.
+    EXPECT_EQ(v.dump(2), text);
 }
 
 TEST(Json, CsvEscapesAndRoundTripStructure)

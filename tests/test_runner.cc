@@ -212,7 +212,7 @@ TEST(Runner, SweepBuildsCartesianProductInOrder)
         EXPECT_DOUBLE_EQ(j.scale, 0.5);
 }
 
-TEST(Runner, ResultEntryRoundTrips)
+TEST(Runner, ResultEntryCarriesJobAndRun)
 {
     const auto results = runJobs(smallJobSet(), quiet(2));
     const JsonValue doc = resultsToJson(results);
@@ -220,9 +220,7 @@ TEST(Runner, ResultEntryRoundTrips)
     const JsonValue &e = doc.at("results").at(1);
     EXPECT_EQ(e.at("config").asString(), "small");
     EXPECT_TRUE(e.at("ok").asBool());
-
-    // Round-trip the entry back into a RunResult.
-    const RunResult r = runResultFromJson(e);
-    EXPECT_GT(r.cycles, 0u);
-    EXPECT_EQ(r.workload, "PCmicro");
+    EXPECT_EQ(e.at("workload").asString(), "PCmicro");
+    EXPECT_GT(e.at("cycles").asUInt(), 0u);
+    EXPECT_EQ(e.at("cycles").asUInt(), results[1].result.cycles);
 }

@@ -1,7 +1,8 @@
 /** @file Scale-out tests: topology and memory-map behavior at
- *  non-power-of-two and large node counts, configuration validation,
- *  detector width scaling, and a 64-node machine run end-to-end under
- *  the invariant checker (exact and coarse sharing vectors). */
+ *  non-power-of-two and large node counts, the scale sweep's job grid,
+ *  configuration validation, detector width scaling, and a 64-node
+ *  machine run end-to-end under the invariant checker (exact and
+ *  coarse sharing vectors). */
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include "src/mem/memory_map.hh"
 #include "src/net/topology.hh"
 #include "src/protocol/config.hh"
+#include "src/runner/sweeps.hh"
 #include "src/system/presets.hh"
 #include "src/system/system.hh"
 #include "src/workload/micro.hh"
@@ -142,6 +144,46 @@ TEST(ConfigValidate, PresetsAreValidAtEveryScalePoint)
             presets::coarse(presets::base(n), /*nodes_per_bit=*/8);
         EXPECT_EQ(c.proto.validateError(), "") << "coarse at " << n;
     }
+}
+
+// --- The scale sweep's job grid -------------------------------------
+
+TEST(ScaleSweep, GridCoversEveryNodeCountAtRelativeScale)
+{
+    const runner::Sweep *sweep = runner::findSweep("scale");
+    ASSERT_NE(sweep, nullptr);
+    runner::SweepArgs args;
+    runner::JobSet set = sweep->jobs(args);
+    ASSERT_EQ(set.size(), 3 * presets::scaleNodeCounts().size());
+    EXPECT_EQ(set.jobs().front().label, "Em3D/n16/base");
+    EXPECT_EQ(set.jobs().back().label, "Em3D/n1024/delegate-update");
+    for (const runner::Job &j : set.jobs()) {
+        EXPECT_DOUBLE_EQ(j.scale, 0.25) << j.label;
+        EXPECT_EQ(j.seed, 1u) << j.label;
+        EXPECT_FALSE(j.cfg.proto.checkerEnabled) << j.label;
+    }
+
+    // --scale is relative to the sweep's 0.25; --seed reaches every job.
+    args.workloads = {"lu"};
+    args.nodes = {32};
+    args.scale = 2.0;
+    args.seeds = {7};
+    set = sweep->jobs(args);
+    ASSERT_EQ(set.size(), 3u);
+    EXPECT_EQ(set.jobs()[1].label, "LU/n32/delegation");
+    for (const runner::Job &j : set.jobs()) {
+        EXPECT_DOUBLE_EQ(j.scale, 0.5) << j.label;
+        EXPECT_EQ(j.seed, 7u) << j.label;
+    }
+
+    // One workload, a known one, and sizes up to 4096.
+    args.workloads = {"em3d", "lu"};
+    EXPECT_TRUE(sweep->jobs(args).empty());
+    args.workloads = {"no-such-workload"};
+    EXPECT_TRUE(sweep->jobs(args).empty());
+    args.workloads = {};
+    args.nodes = {5000};
+    EXPECT_TRUE(sweep->jobs(args).empty());
 }
 
 TEST(ConfigValidate, RejectsDegenerateConfigs)
