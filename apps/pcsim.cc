@@ -7,21 +7,25 @@
  *   pcsim list
  *
  * `run` executes a (workload x config x seed) cartesian product built
- * from comma-separated lists; `sweep NAME` (and `scale`, `serve`,
- * `compare`, `faults`, `qos`) runs an entry of the sweep registry
+ * from comma-separated lists; `sweep NAME` (or just `NAME`, as in
+ * `pcsim scale`) runs an entry of the sweep registry
  * (src/runner/sweeps.hh) through the same runner and prints its table
  * from the results. Simulations are deterministic, so
  * `--deterministic-check` (run everything twice and byte-compare the
  * serialized results) should never fail; CI wires it in as a
  * regression tripwire.
+ *
+ * One table lists every option; each command, and each registry
+ * entry, names the options it reads and rejects the others. `pcsim
+ * help` is generated from the same tables.
  */
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -34,10 +38,10 @@
 #include "src/runner/runner.hh"
 #include "src/runner/sweeps.hh"
 #include "src/runner/trace_cmd.hh"
+#include "src/sim/file_io.hh"
 #include "src/trace/format.hh"
 #include "src/verify/lint.hh"
 #include "src/verify/liveness.hh"
-#include "src/verify/mdg.hh"
 #include "src/verify/spec.hh"
 
 using namespace pcsim;
@@ -45,261 +49,79 @@ using namespace pcsim;
 namespace
 {
 
-/** One row of the generated usage table: every subcommand registers
- *  here, so `pcsim help` can never drift out of sync with dispatch. */
-struct CommandInfo
-{
-    const char *name;
-    const char *synopsis;
-    const char *oneline;
-};
-
-const CommandInfo commandTable[] = {
-    {"run", "--workload <names> [--config <names>] [options]",
-     "cartesian (workload x config x seed) simulation runs"},
-    {"sweep", "NAME [options]",
-     "run a registered sweep (names below)"},
-    {"scale", "[--nodes n,m,...] [--workload W] [options]",
-     "node-count scaling sweep (base/delegation/delegate-update)"},
-    {"serve", "[--scenario a,b] [--nodes n,m] [options]",
-     "datacenter serving-workload sweep (KVServe/WorkQueue/RCU/PubSub)"},
-    {"compare", "[--scenario a,b] [--nodes n,m] [options]",
-     "coherence-policy bake-off across every registered policy"},
-    {"trace record", "[--workload W] [--config C] -o FILE [options]",
-     "capture a run's memory-op stream as a binary PCTR trace"},
-    {"trace replay", "FILE [options]",
-     "re-drive the simulator from a trace; stats match the source run"},
-    {"trace info", "FILE", "print a trace file's header"},
-    {"bench", "[--json PATH] [--baseline PATH] [options]",
-     "simulation-kernel microbenchmarks"},
-    {"faults", "[--scenario a,b] [--arbitration a,b] [options]",
-     "fault-injection robustness sweep"},
-    {"qos", "[--scenario a,b] [--arbitration a,b] [options]",
-     "fairness bake-off of the directory arbitration modes"},
-    {"lint",
-     "[--liveness|--mdg] [--no-mc] [--policy P] "
-     "[--coverage results.json] [options]",
-     "static checks of the protocol transition specs"},
-    {"list", "", "list workloads and configuration presets"},
-    {"help", "", "show this text"},
-};
-
-/** True when @p name is a command of the table above. */
-bool
-isCommand(const std::string &name)
-{
-    return std::any_of(std::begin(commandTable), std::end(commandTable),
-                       [&](const CommandInfo &c) { return name == c.name; });
-}
-
-/** The registry's sweep names, comma-separated. */
-std::string
-sweepNames()
-{
-    std::string out;
-    for (const auto &s : runner::sweeps())
-        out += (out.empty() ? "" : ", ") + std::string(s.name);
-    return out;
-}
-
-int
-usage(std::FILE *out)
-{
-    std::fprintf(out,
-"pcsim - producer-consumer coherence protocol experiment runner\n"
-"\n"
-"usage: pcsim <command> [options]\n"
-"\n"
-"commands:\n");
-    for (const auto &c : commandTable) {
-        std::fprintf(out, "  %-13s %s\n", c.name, c.oneline);
-        if (c.synopsis[0])
-            std::fprintf(out, "  %-13s   pcsim %s %s\n", "", c.name,
-                         c.synopsis);
-    }
-    std::fprintf(out, "\nsweep names:\n ");
-    std::size_t col = 1;
-    for (const auto &s : runner::sweeps()) {
-        if (col + std::strlen(s.name) >= 72) {
-            std::fprintf(out, "\n ");
-            col = 1;
-        }
-        col += std::fprintf(out, " %s", s.name);
-    }
-    std::fprintf(out,
-"\n"
-"\n"
-"run selection:\n"
-"  --workload a,b         workload names, case-insensitive\n"
-"                         (micro is an alias for PCmicro)\n"
-"  --config a,b           machine presets (default: base)\n"
-"  --seeds n,m            seeds, one job per seed (default: 1)\n"
-"  --nodes N              machine size (default: 16); scale takes a\n"
-"                         comma-separated list (default: 16..1024)\n"
-"  --coarse K             nodes per directory sharer bit (power of\n"
-"                         two; default 1 = exact vector)\n"
-"  --scale F              workload scale factor (default: 1)\n"
-"  --checker              enable the coherence invariant checker\n"
-"  --conformance          enable the protocol-spec conformance hook\n"
-"                         (fails the run on out-of-spec transitions\n"
-"                         and records transition coverage)\n"
-"\n"
-"lint (static checks of the declarative protocol transition specs):\n"
-"  --no-mc                skip the model-checker cross-check\n"
-"  --policy P             spec to lint: one registered policy name\n"
-"                         (mesi-dir, delegation, delegation-updates,\n"
-"                         write-update, adaptive-hybrid) or 'all'\n"
-"                         (default: delegation-updates, the shipped\n"
-"                         full-protocol spec)\n"
-"  --coverage PATH        report never-exercised legal transitions\n"
-"                         from a results JSON written by runs with\n"
-"                         --conformance\n"
-"  --mdg                  message-dependency-graph pass: derive the\n"
-"                         type-level dependence graph from the spec's\n"
-"                         allowed-sends sets and flag channel-class\n"
-"                         cycles, unprotected request forwards,\n"
-"                         undeliverable sends and per-rule channel-\n"
-"                         capacity violations (default policy: all)\n"
-"  --liveness             liveness pass: explore the src/mc model's\n"
-"                         state graph and flag livelock lassos (non-\n"
-"                         progress cycles under fairness) and hard\n"
-"                         deadlocks, with step-by-step witnesses\n"
-"                         (default policy: all)\n"
-"  --repro PATH           with --liveness: write the first witness's\n"
-"                         CPU-op schedule as a replayable PCTR trace\n"
-"  exit status: 0 clean, 1 usage/io error, 2 findings\n"
-"\n"
-"scale (node-count scaling sweep of base/delegation/delegate-update):\n"
-"  --nodes n,m            machine sizes (default: 16,32,64,128,256,\n"
-"                         512,1024; any value up to 4096 validates;\n"
-"                         exact sharer vectors throughout, use\n"
-"                         --coarse with 'run' to study coarse\n"
-"                         directories at the top sizes)\n"
-"  --workload W           workload per point (default: Em3D)\n"
-"  --scale F              relative to the sweep's scale 0.25\n"
-"                         (default: 1)\n"
-"  default --json is BENCH_scale.json\n"
-"\n"
-"faults (fault-injection robustness sweep; checker + conformance are\n"
-"always on, and exponential retry backoff is enabled):\n"
-"  --scenario a,b         fault scenarios (default: all): gray-links,\n"
-"                         ni-stalls, hotspot, dir-pressure, storm\n"
-"  --workload W           workload per point (default: PCmicro)\n"
-"  --arbitration a,b      directory arbitration modes to cross with\n"
-"                         the scenarios (default: nack-retry):\n"
-"                         nack-retry, queue, aged-priority\n"
-"  default --json is BENCH_faults.json\n"
-"\n"
-"qos (fairness bake-off; the faults sweep restricted to the\n"
-"contention scenarios and crossed with every arbitration mode):\n"
-"  --scenario a,b         scenarios (default: storm,hotspot)\n"
-"  --arbitration a,b      modes (default: all three)\n"
-"  default --json is BENCH_qos.json\n"
-"\n"
-"serve (serving sweep of base/delegation/delegate-update):\n"
-"  --scenario a,b         scenarios (default: all): KVServe,\n"
-"                         WorkQueue, RCU, PubSub\n"
-"  --nodes n,m            machine sizes (default: 16,64; any value\n"
-"                         up to 4096 validates)\n"
-"  default --json is BENCH_serve.json\n"
-"\n"
-"compare (bake-off of every registered coherence policy: mesi-dir,\n"
-"delegation, delegation-updates, write-update, adaptive-hybrid):\n"
-"  --scenario a,b         scenarios (default: PCmicro,PubSub); any\n"
-"                         registry workload is accepted\n"
-"  --nodes n,m            machine sizes (default: 16,64)\n"
-"  default --json is BENCH_compare.json\n"
-"\n"
-"trace (binary PCTR op traces; see src/trace/format.hh):\n"
-"  -o, --output FILE      (record) trace file to write (required)\n"
-"  --text                 (record) ingest per-core text trace files\n"
-"                         given as positional args ('<label> <hex>'\n"
-"                         lines; 0 = load, 1 = store, 2 = compute\n"
-"                         cycles) instead of simulating\n"
-"  --config C             (replay) override the header's machine\n"
-"                         preset (ingested traces default to base)\n"
-"\n"
-"bench options:\n"
-"  --events N             events per kernel microbenchmark\n"
-"                         (default: 2000000)\n"
-"  --repeats N            repeats per benchmark, best wall time\n"
-"                         reported (default: 3)\n"
-"  --baseline PATH        prior bench JSON; adds per-benchmark\n"
-"                         speedup columns\n"
-"\n"
-"common options:\n"
-"  -j N, --jobs N         worker threads; 0 = all cores\n"
-"                         (default: 1 for run, all cores for sweep)\n"
-"  --json PATH            write JSON results; '-' = stdout\n"
-"  --csv PATH             write CSV results; '-' = stdout\n"
-"  --timing               include host wall-clock perf rates in the\n"
-"                         outputs (breaks cross-host byte identity)\n"
-"  --deterministic-check  run every job twice, byte-compare the\n"
-"                         serialized results; exit 3 on mismatch\n"
-"  --no-table             skip the printed table\n"
-"  --quiet                suppress per-job progress on stderr\n"
-"\n"
-"exit status: 0 ok, 1 usage error, 2 job failed, 3 non-deterministic\n");
-    return out == stderr ? 1 : 0;
-}
-
+/** The non-empty @p sep-separated items of @p s. */
 std::vector<std::string>
-splitList(const std::string &s)
+splitList(const std::string &s, char sep = ',')
 {
     std::vector<std::string> out;
     std::size_t start = 0;
     while (start <= s.size()) {
-        std::size_t comma = s.find(',', start);
-        if (comma == std::string::npos)
-            comma = s.size();
-        if (comma > start)
-            out.push_back(s.substr(start, comma - start));
-        start = comma + 1;
+        std::size_t end = s.find(sep, start);
+        if (end == std::string::npos)
+            end = s.size();
+        if (end > start)
+            out.push_back(s.substr(start, end - start));
+        start = end + 1;
     }
     return out;
 }
 
+/** One bit per option; a command's mask names the options it reads.
+ *  The registry's grid arguments (runner::SweepReads) come first, and
+ *  two bits name the commands that take a list of seeds or sizes. */
+enum Read : unsigned
+{
+    rWorkload = runner::readsWorkload,
+    rScenario = runner::readsScenarios,
+    rArbitration = runner::readsArbitrations,
+    rNodeList = runner::readsNodeList,
+    rConfig = 1u << 4,
+    rSeed = 1u << 5,
+    rSeedList = 1u << 6,
+    rNodes = 1u << 7,
+    rCoarse = 1u << 8,
+    rScale = 1u << 9,
+    rChecker = 1u << 10,
+    rConformance = 1u << 11,
+    rJobs = 1u << 12,
+    rJson = 1u << 13,
+    rCsv = 1u << 14,
+    rTiming = 1u << 15,
+    rDetCheck = 1u << 16,
+    rNoTable = 1u << 17,
+    rQuiet = 1u << 18,
+    rOutput = 1u << 19,
+    rText = 1u << 20,
+    rEvents = 1u << 21,
+    rRepeats = 1u << 22,
+    rBaseline = 1u << 23,
+    rPolicy = 1u << 24,
+    rNoMc = 1u << 25,
+    rMdg = 1u << 26,
+    rLiveness = 1u << 27,
+    rRepro = 1u << 28,
+    rCoverage = 1u << 29,
+};
+
+/** Everything the options can set. */
 struct Options
 {
-    std::string command;
+    unsigned given = 0; ///< Read bits of the options given
+    bool has(unsigned bit) const { return given & bit; }
+
     /** Workloads, scenarios, sizes, scale, seeds, -j, outputs. */
     runner::SweepArgs args;
     std::vector<std::string> configs{"base"};
-    bool configsSet = false;
-    unsigned nodes = 16; ///< run/trace: the first --nodes value
     unsigned coarse = 1; ///< nodes per sharer bit (power of two)
-    bool checker = false;
-    bool conformance = false;
-    bool lintMc = true;           ///< lint: run the model cross-check
-    std::string lintPolicy;       ///< lint: policy spec name or "all"
-    std::string coveragePath;     ///< lint: results doc for coverage
-    std::string lintMode;         ///< lint: "", "mdg" or "liveness"
-    std::string reproPath;        ///< lint --liveness: PCTR repro out
-    bool threadsSet = false;
-
-    // bench
+    std::string lintPolicy;   ///< policy name or "all" ("" = all)
+    std::string reproPath;    ///< lint --liveness: PCTR repro out
+    std::string coveragePath; ///< lint --coverage: results document
     std::uint64_t benchEvents = 2000000;
     unsigned benchRepeats = 3;
     std::string baselinePath;
-
-    // trace
-    std::string outputPath;                ///< -o / --output
-    bool textMode = false;                 ///< record: --text ingest
-    std::vector<std::string> positional;   ///< trace file operands
+    std::string outputPath;              ///< trace record: -o
+    std::vector<std::string> positional; ///< trace operands
 };
-
-/** Fetch the value of --opt VALUE / --opt=VALUE; nullptr on error. */
-const char *
-argValue(int argc, char **argv, int &i, const char *inline_value)
-{
-    if (inline_value)
-        return inline_value;
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "pcsim: %s needs a value\n", argv[i]);
-        return nullptr;
-    }
-    return argv[++i];
-}
 
 /**
  * Parse @p v, the value of option @p opt, as a base-10 integer in
@@ -324,235 +146,190 @@ parseNumber(const std::string &opt, const std::string &v, T &out,
     return true;
 }
 
-bool
-parseArgs(int argc, char **argv, Options &opt, int first = 2)
+/** One row of the option table. */
+struct OptionInfo
 {
-    for (int i = first; i < argc; ++i) {
-        std::string arg = argv[i];
-        const char *inline_value = nullptr;
-        const std::size_t eq = arg.find('=');
-        if (arg.size() > 2 && arg[0] == '-' && arg[1] == '-' &&
-            eq != std::string::npos) {
-            inline_value = argv[i] + eq + 1;
-            arg = arg.substr(0, eq);
-        }
-        // -jN shorthand.
-        if (arg.size() > 2 && arg.compare(0, 2, "-j") == 0 &&
-            arg[2] >= '0' && arg[2] <= '9') {
-            inline_value = argv[i] + 2;
-            arg = "-j";
-        }
+    const char *name;
+    const char *alias; ///< second spelling ("" = none)
+    const char *value; ///< value placeholder ("" = a flag)
+    unsigned bit;
+    const char *help;
+};
 
-        const auto value = [&]() {
-            return argValue(argc, argv, i, inline_value);
-        };
+const OptionInfo optionTable[] = {
+    {"--workload", "--workloads", "a,b", rWorkload,
+     "workload names, case-insensitive (micro = PCmicro)"},
+    {"--config", "--configs", "a,b", rConfig,
+     "machine presets (default base); see 'pcsim list'"},
+    {"--seed", "--seeds", "N", rSeed, "seed (default 1); run takes a list"},
+    {"--nodes", "", "N", rNodes,
+     "machine size (default 16); scale, serve and compare take a list"},
+    {"--coarse", "", "K", rCoarse,
+     "nodes per directory sharer bit, a power of two (default 1)"},
+    {"--scale", "", "F", rScale,
+     "workload scale factor (default 1; sweeps: relative to their own)"},
+    {"--scenario", "--scenarios", "a,b", rScenario,
+     "serve, compare, faults and qos scenarios (default: the sweep's)"},
+    {"--arbitration", "--arbitrations", "a,b", rArbitration,
+     "directory arbitration: nack-retry, queue, aged-priority"},
+    {"--checker", "", "", rChecker, "enable the coherence invariant checker"},
+    {"--conformance", "", "", rConformance,
+     "enable the spec conformance hook and its coverage record"},
+    {"-j", "--jobs", "N", rJobs,
+     "worker threads, 0 = all cores (default 1 for run, trace replay)"},
+    {"--json", "", "PATH", rJson, "write the JSON document; '-' = stdout"},
+    {"--csv", "", "PATH", rCsv, "write the CSV table; '-' = stdout"},
+    {"--timing", "", "", rTiming,
+     "add host wall-clock rates (breaks cross-host byte identity)"},
+    {"--deterministic-check", "", "", rDetCheck,
+     "run every job twice and byte-compare; exit 3 on mismatch"},
+    {"--no-table", "", "", rNoTable, "skip the printed table"},
+    {"--quiet", "-q", "", rQuiet, "no per-job progress on stderr"},
+    {"--output", "-o", "FILE", rOutput, "trace file to write (required)"},
+    {"--text", "", "", rText,
+     "ingest the operands, per-core '<label> <hex>' text traces"},
+    {"--events", "", "N", rEvents,
+     "events per kernel microbenchmark (default 2000000)"},
+    {"--repeats", "", "N", rRepeats,
+     "repeats per benchmark, best wall time kept (default 3)"},
+    {"--baseline", "", "PATH", rBaseline,
+     "prior bench JSON; adds per-benchmark speedup columns"},
+    {"--policy", "", "P", rPolicy,
+     "one registered policy, or all (the default)"},
+    {"--no-mc", "", "", rNoMc, "skip the spec pass's model cross-check"},
+    {"--mdg", "", "", rMdg,
+     "message-dependency pass: channel cycles, forwards, capacity"},
+    {"--liveness", "", "", rLiveness,
+     "liveness pass: livelocks and deadlocks of the model's graph"},
+    {"--repro", "", "PATH", rRepro,
+     "with --liveness: write the first witness as a PCTR trace"},
+    {"--coverage", "", "PATH", rCoverage,
+     "legal transitions a --conformance results JSON never took"},
+};
 
-        if (arg == "--workload" || arg == "--workloads") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.args.workloads = splitList(v);
-        } else if (arg == "--config" || arg == "--configs") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.configs = splitList(v);
-            opt.configsSet = true;
-        } else if (arg == "--seed" || arg == "--seeds") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.args.seeds.clear();
-            for (const auto &s : splitList(v)) {
-                std::uint64_t seed = 0;
-                if (!parseNumber(arg, s, seed))
-                    return false;
-                opt.args.seeds.push_back(seed);
-            }
-            if (opt.args.seeds.empty())
-                opt.args.seeds.push_back(1);
-            if (opt.args.seeds.size() > 1 && opt.command != "run") {
-                std::fprintf(stderr,
-                             "pcsim: %s takes one value outside 'pcsim "
-                             "run'\n",
-                             arg.c_str());
-                return false;
-            }
-        } else if (arg == "--nodes") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.args.nodes.clear();
-            for (const auto &s : splitList(v)) {
-                unsigned n = 0;
-                if (!parseNumber(arg, s, n, 1u))
-                    return false;
-                opt.args.nodes.push_back(n);
-            }
-            if (opt.args.nodes.empty()) {
-                std::fprintf(stderr, "pcsim: bad --nodes '%s'\n", v);
-                return false;
-            }
-            opt.nodes = opt.args.nodes.front();
-            if (opt.args.nodes.size() > 1 && opt.command != "scale" &&
-                opt.command != "serve" && opt.command != "compare") {
-                std::fprintf(stderr,
-                             "pcsim: --nodes takes one value outside "
-                             "'pcsim scale', 'pcsim serve' and 'pcsim "
-                             "compare'\n");
-                return false;
-            }
-        } else if (arg == "--coarse") {
-            const char *v = value();
-            if (!v)
-                return false;
-            if (!parseNumber(arg, v, opt.coarse))
-                return false;
-            if (!isPowerOfTwo(opt.coarse)) {
-                std::fprintf(stderr, "pcsim: --coarse '%s' must be a "
-                                     "power of two >= 1\n",
-                             v);
-                return false;
-            }
-        } else if (arg == "--scale") {
-            const char *v = value();
-            if (!v)
-                return false;
-            char *end = nullptr;
-            opt.args.scale = std::strtod(v, &end);
-            if (end == v || *end != '\0' || !(opt.args.scale > 0) ||
-                !std::isfinite(opt.args.scale)) {
-                std::fprintf(stderr, "pcsim: bad --scale '%s'\n", v);
-                return false;
-            }
-        } else if (arg == "-j" || arg == "--jobs") {
-            const char *v = value();
-            if (!v)
-                return false;
-            if (!parseNumber(arg, v, opt.args.threads))
-                return false;
-            opt.threadsSet = true;
-        } else if (arg == "--json") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.args.jsonPath = v;
-        } else if (arg == "--csv") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.args.csvPath = v;
-        } else if (arg == "--scenario" || arg == "--scenarios") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.args.scenarios = splitList(v);
-        } else if (arg == "--arbitration" ||
-                   arg == "--arbitrations") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.args.arbitrations = splitList(v);
-        } else if (arg == "--events") {
-            const char *v = value();
-            if (!v)
-                return false;
-            if (!parseNumber(arg, v, opt.benchEvents, std::uint64_t(1)))
-                return false;
-        } else if (arg == "--repeats") {
-            if (opt.command != "bench") {
-                std::fprintf(stderr, "pcsim: --repeats applies only to "
-                                     "'pcsim bench'\n");
-                return false;
-            }
-            const char *v = value();
-            if (!v)
-                return false;
-            if (!parseNumber(arg, v, opt.benchRepeats, 1u))
-                return false;
-        } else if (arg == "--baseline") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.baselinePath = v;
-        } else if (arg == "--output" || arg == "-o") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.outputPath = v;
-        } else if (arg == "--text") {
-            opt.textMode = true;
-        } else if (arg == "--timing") {
-            opt.args.timing = true;
-        } else if (arg == "--checker") {
-            opt.checker = true;
-        } else if (arg == "--conformance") {
-            opt.conformance = true;
-        } else if (arg == "--no-mc") {
-            opt.lintMc = false;
-        } else if (arg == "--policy") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.lintPolicy = v;
-        } else if (arg == "--coverage") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.coveragePath = v;
-        } else if (arg == "--mdg") {
-            opt.lintMode = "mdg";
-        } else if (arg == "--liveness") {
-            opt.lintMode = "liveness";
-        } else if (arg == "--repro") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.reproPath = v;
-        } else if (arg == "--deterministic-check") {
-            opt.args.deterministicCheck = true;
-        } else if (arg == "--no-table") {
-            opt.args.table = false;
-        } else if (arg == "--quiet" || arg == "-q") {
-            opt.args.quiet = true;
-        } else if (arg.size() && arg[0] != '-' &&
-                   opt.command == "trace") {
-            opt.positional.push_back(argv[i]);
-        } else {
-            std::fprintf(stderr, "pcsim: unknown option '%s'\n",
-                         argv[i]);
+/** Store the value @p v of option @p bit, spelled @p opt, in @p o
+ *  for a command that reads @p reads (flags that only Options::given
+ *  records have no case); false after printing why @p v is bad. */
+bool
+setOption(Options &o, unsigned reads, unsigned bit, const std::string &opt,
+          const std::string &v)
+{
+    switch (bit) {
+      case rWorkload: o.args.workloads = splitList(v); break;
+      case rConfig:
+        o.configs = splitList(v);
+        if (o.configs.empty()) {
+            std::fprintf(stderr, "pcsim: bad --config '%s'\n", v.c_str());
             return false;
         }
+        break;
+      case rSeed:
+        o.args.seeds.clear();
+        for (const auto &s : splitList(v)) {
+            std::uint64_t seed = 0;
+            if (!parseNumber(opt, s, seed))
+                return false;
+            o.args.seeds.push_back(seed);
+        }
+        if (o.args.seeds.empty())
+            o.args.seeds.push_back(1);
+        if (o.args.seeds.size() > 1 && !(reads & rSeedList)) {
+            std::fprintf(stderr,
+                         "pcsim: %s takes one value outside 'pcsim run'\n",
+                         opt.c_str());
+            return false;
+        }
+        break;
+      case rNodes:
+        o.args.nodes.clear();
+        for (const auto &s : splitList(v)) {
+            unsigned n = 0;
+            if (!parseNumber(opt, s, n, 1u))
+                return false;
+            o.args.nodes.push_back(n);
+        }
+        if (o.args.nodes.empty()) {
+            std::fprintf(stderr, "pcsim: bad --nodes '%s'\n", v.c_str());
+            return false;
+        }
+        if (o.args.nodes.size() > 1 && !(reads & rNodeList)) {
+            std::fprintf(stderr, "pcsim: --nodes takes one value outside "
+                                 "'pcsim scale', 'pcsim serve' and "
+                                 "'pcsim compare'\n");
+            return false;
+        }
+        break;
+      case rCoarse:
+        if (!parseNumber(opt, v, o.coarse))
+            return false;
+        if (!isPowerOfTwo(o.coarse)) {
+            std::fprintf(stderr,
+                         "pcsim: --coarse '%s' must be a power of two "
+                         ">= 1\n",
+                         v.c_str());
+            return false;
+        }
+        break;
+      case rScale: {
+        char *end = nullptr;
+        o.args.scale = std::strtod(v.c_str(), &end);
+        if (end == v.c_str() || *end != '\0' || !(o.args.scale > 0) ||
+            !std::isfinite(o.args.scale)) {
+            std::fprintf(stderr, "pcsim: bad --scale '%s'\n", v.c_str());
+            return false;
+        }
+        break;
+      }
+      case rScenario: o.args.scenarios = splitList(v); break;
+      case rArbitration: o.args.arbitrations = splitList(v); break;
+      case rJobs: return parseNumber(opt, v, o.args.threads);
+      case rJson: o.args.jsonPath = v; break;
+      case rCsv: o.args.csvPath = v; break;
+      case rTiming: o.args.timing = true; break;
+      case rDetCheck: o.args.deterministicCheck = true; break;
+      case rNoTable: o.args.table = false; break;
+      case rQuiet: o.args.quiet = true; break;
+      case rOutput: o.outputPath = v; break;
+      case rEvents:
+        return parseNumber(opt, v, o.benchEvents, std::uint64_t(1));
+      case rRepeats: return parseNumber(opt, v, o.benchRepeats, 1u);
+      case rBaseline: o.baselinePath = v; break;
+      case rPolicy: o.lintPolicy = v; break;
+      case rRepro: o.reproPath = v; break;
+      case rCoverage: o.coveragePath = v; break;
     }
     return true;
 }
 
+/** The options every registry entry that runs a grid reads. */
+constexpr unsigned sweepOptions = rSeed | rNodes | rScale | rJobs |
+                                  rJson | rCsv | rTiming | rDetCheck |
+                                  rNoTable | rQuiet;
+
+/** The options registry entry @p s reads. */
+unsigned
+sweepReads(const runner::Sweep &s)
+{
+    // table2 runs no grid: it reads the machine size and scale only.
+    return s.jobs ? sweepOptions | s.reads : rNodes | rScale;
+}
+
+int usage(std::FILE *out);
+
 int
-listCommand()
+listCommand(Options &)
 {
     std::printf("workloads:\n");
     for (const auto &w : runner::workloadNames())
         std::printf("  %s\n", w.c_str());
     std::printf("\nconfigurations (16-node presets, see "
                 "src/system/presets.hh):\n");
-    std::printf("  %-12s baseline directory protocol\n", "base");
-    std::printf("  %-12s base + 32K remote access cache (alias: "
-                "rac)\n",
-                "rac32k");
-    std::printf("  %-12s base + 1M remote access cache\n", "rac1m");
-    std::printf("  %-12s 32-entry deledc & 32K RAC (alias: pcopt)\n",
-                "small");
-    std::printf("  %-12s 1K-entry deledc & 1M RAC (alias: "
-                "pcopt-large)\n",
-                "large");
-    std::printf("  %-12s delegation without speculative updates\n",
-                "delegation");
-    std::printf("  %-12s Dragon-style write-update protocol (alias: "
-                "update)\n",
-                "write-update");
-    std::printf("  %-12s write-update with per-line self-"
-                "invalidation (alias: adaptive)\n",
-                "adaptive-hybrid");
+    for (const runner::ConfigPreset &c : runner::configPresets()) {
+        std::printf("  %-15s %s", c.name, c.description);
+        if (c.alias[0])
+            std::printf(" (alias: %s)", c.alias);
+        std::printf("\n");
+    }
     std::printf("\ncoherence policies (pcsim compare / lint "
                 "--policy):\n");
     for (ProtocolKind kind : registeredPolicyKinds())
@@ -580,7 +357,7 @@ printRunTable(const std::vector<runner::JobResult> &results)
 }
 
 int
-runCommand(Options opt)
+runCommand(Options &opt)
 {
     if (opt.args.workloads.empty()) {
         std::fprintf(stderr,
@@ -589,6 +366,8 @@ runCommand(Options opt)
         return 1;
     }
 
+    const unsigned nodes =
+        opt.args.nodes.empty() ? 16 : opt.args.nodes.front();
     runner::JobSet set;
     for (const auto &w : opt.args.workloads) {
         const std::string canonical = runner::canonicalWorkload(w);
@@ -600,21 +379,20 @@ runCommand(Options opt)
         for (const auto &c : opt.configs) {
             MachineConfig cfg;
             std::string cname;
-            if (!runner::namedMachineConfig(c, opt.nodes, cfg,
-                                            cname)) {
+            if (!runner::namedMachineConfig(c, nodes, cfg, cname)) {
                 std::fprintf(stderr, "pcsim: unknown config '%s'\n",
                              c.c_str());
                 return 1;
             }
-            cfg.proto.checkerEnabled = opt.checker;
-            cfg.proto.conformanceEnabled = opt.conformance;
+            cfg.proto.checkerEnabled = opt.has(rChecker);
+            cfg.proto.conformanceEnabled = opt.has(rConformance);
             cfg.proto.sharerGranularityLog2 = log2Ceil(opt.coarse);
             const std::string verr = cfg.proto.validateError();
             if (!verr.empty()) {
                 std::fprintf(stderr,
                              "pcsim: invalid configuration '%s' at "
                              "%u nodes: %s\n",
-                             cname.c_str(), opt.nodes, verr.c_str());
+                             cname.c_str(), nodes, verr.c_str());
                 return 1;
             }
             for (std::uint64_t seed : opt.args.seeds) {
@@ -628,18 +406,90 @@ runCommand(Options opt)
             }
         }
     }
-    if (!opt.threadsSet)
+    if (!opt.has(rJobs))
         opt.args.threads = 1;
     return runner::runSweep(set, opt.args, printRunTable);
 }
 
 int
-lintCoverage(const Options &opt)
+traceRecordCommand(Options &opt)
+{
+    runner::TraceRecordOptions topt;
+    topt.args = opt.args;
+    topt.config = opt.configs.front();
+    topt.outPath = opt.outputPath;
+    if (opt.has(rText)) {
+        if (opt.positional.empty()) {
+            std::fprintf(stderr, "pcsim trace record: --text needs "
+                                 "per-core trace files as operands\n");
+            return 1;
+        }
+        topt.textPaths = opt.positional;
+    } else if (!opt.positional.empty()) {
+        std::fprintf(stderr,
+                     "pcsim trace record: unexpected operand '%s' (text "
+                     "files need --text)\n",
+                     opt.positional.front().c_str());
+        return 1;
+    }
+    return runner::runTraceRecord(topt);
+}
+
+/** The one trace file operand of `trace replay|info`; "" after
+ *  printing why there is not exactly one. */
+std::string
+traceOperand(const Options &opt, const char *action)
+{
+    if (opt.positional.size() == 1)
+        return opt.positional.front();
+    std::fprintf(stderr,
+                 "pcsim trace %s: exactly one trace file operand "
+                 "required\n",
+                 action);
+    return "";
+}
+
+int
+traceReplayCommand(Options &opt)
+{
+    runner::TraceReplayOptions topt;
+    topt.tracePath = traceOperand(opt, "replay");
+    if (topt.tracePath.empty())
+        return 1;
+    if (opt.has(rConfig))
+        topt.config = opt.configs.front();
+    topt.args = opt.args;
+    if (!opt.has(rJobs))
+        topt.args.threads = 1;
+    return runner::runTraceReplay(topt);
+}
+
+int
+traceInfoCommand(Options &opt)
+{
+    const std::string path = traceOperand(opt, "info");
+    return path.empty() ? 1 : runner::runTraceInfo(path);
+}
+
+int
+benchCommand(Options &opt)
+{
+    runner::BenchOptions bopt;
+    bopt.kernelEvents = opt.benchEvents;
+    bopt.repeats = opt.benchRepeats;
+    bopt.jsonPath = opt.args.jsonPath;
+    bopt.baselinePath = opt.baselinePath;
+    bopt.quiet = opt.args.quiet;
+    return runner::runBenchSuite(bopt);
+}
+
+int
+lintCoverage(Options &opt)
 {
     const verify::TransitionSpec &spec = verify::protocolSpec();
 
     std::string text;
-    if (!runner::readTextFile(opt.coveragePath, text)) {
+    if (readFile(opt.coveragePath, text)) {
         std::fprintf(stderr, "pcsim lint: cannot read '%s'\n",
                      opt.coveragePath.c_str());
         return 1;
@@ -719,317 +569,305 @@ lintCoverage(const Options &opt)
     return io_ok ? 0 : 1;
 }
 
-/** Print one policy's lint report (the classic text rendering). */
-void
-printLintReport(const verify::TransitionSpec &spec,
-                const verify::LintReport &rep, const char *label)
-{
-    if (label)
-        std::printf("policy %s:\n", label);
-    std::printf("spec: %zu rules, %zu impossible pairs\n",
-                spec.rules().size(), spec.impossible().size());
-    if (rep.mcConfigs) {
-        std::printf("model cross-check: %llu configs, %llu states, "
-                    "%llu distinct transitions\n",
-                    (unsigned long long)rep.mcConfigs,
-                    (unsigned long long)rep.mcStates,
-                    (unsigned long long)rep.mcObserved);
-    }
-    for (const auto &f : rep.findings) {
-        std::string where = f.ctrl;
-        if (!f.state.empty())
-            where += " " + f.state;
-        if (!f.event.empty())
-            where += " x " + f.event;
-        std::printf("%s: %s: %s\n", f.kind.c_str(), where.c_str(),
-                    f.detail.c_str());
-    }
-    if (rep.clean())
-        std::printf("lint: clean\n");
-    else
-        std::printf("lint: %zu finding(s)\n", rep.findings.size());
-}
-
-/** Lint one policy's spec; prints the findings and the summary line
- *  (prefixed with the policy name when @p label is set). */
-int
-lintOneSpec(const Options &opt, const verify::TransitionSpec &spec,
-            verify::McCheckSet mc_set, const char *label)
-{
-    const verify::LintReport rep =
-        opt.lintMc ? verify::lintSpecWithModel(spec, mc_set)
-                   : verify::lintSpec(spec);
-
-    bool io_ok = true;
-    if (!opt.args.jsonPath.empty())
-        io_ok &= runner::writeTextFile(
-            opt.args.jsonPath, verify::lintToJson(spec, rep).dump(2) + "\n");
-    if (!opt.args.csvPath.empty())
-        io_ok &= runner::writeTextFile(opt.args.csvPath,
-                                       verify::lintToCsv(rep));
-
-    if (opt.args.jsonPath != "-" && opt.args.csvPath != "-")
-        printLintReport(spec, rep, label);
-    if (!io_ok)
-        return 1;
-    return rep.clean() ? 0 : 2;
-}
-
-/** One policy selected for a lint pass. */
-struct PolicySel
-{
-    std::string name;
-    const verify::TransitionSpec *spec;
-    verify::McCheckSet set;
-};
-
-/** Resolve --policy for the mdg/liveness passes ("" means all). */
+/** Write the first liveness witness carrying CPU ops as a PCTR repro
+ *  trace; false when it cannot be written. */
 bool
-resolvePolicies(const std::string &which, std::vector<PolicySel> &out)
+writeLivenessRepro(const LintRun &run, const std::string &path,
+                   bool announce)
 {
-    if (which.empty() || which == "all") {
-        for (ProtocolKind kind : registeredPolicyKinds()) {
-            const CoherencePolicy &p = policyFor(kind);
-            out.push_back({p.name(), &p.spec(), modelCheckSetFor(kind)});
-        }
-        return true;
-    }
-    ProtocolKind kind;
-    if (!protocolKindFromName(which, kind)) {
-        std::fprintf(stderr,
-                     "pcsim lint: unknown policy '%s' (pick one of "
-                     "mesi-dir, delegation, delegation-updates, "
-                     "write-update, adaptive-hybrid, or 'all')\n",
-                     which.c_str());
-        return false;
-    }
-    const CoherencePolicy &p = policyFor(kind);
-    out.push_back({p.name(), &p.spec(), modelCheckSetFor(kind)});
-    return true;
-}
-
-int
-lintMdgCommand(const Options &opt)
-{
-    std::vector<PolicySel> sels;
-    if (!resolvePolicies(opt.lintPolicy, sels))
-        return 1;
-
-    JsonValue policies = JsonValue::array();
-    std::size_t total = 0;
-    for (const PolicySel &sel : sels) {
-        const verify::MdgReport rep = verify::analyzeMdg(*sel.spec);
-        policies.push(verify::mdgPolicyJson(sel.name, *sel.spec, rep));
-        if (opt.args.jsonPath != "-") {
-            std::printf("policy %s: %zu message types, %zu edges, "
-                        "%zu sinks (%llu requester-bound, %llu "
-                        "nack-protected edges exempt)\n",
-                        sel.name.c_str(), rep.messages.size(),
-                        rep.edges.size(), rep.sinks.size(),
-                        (unsigned long long)rep.reissueEdges,
-                        (unsigned long long)rep.nackProtectedEdges);
-            for (const auto &f : rep.findings) {
-                std::string where = f.ctrl;
-                if (!f.state.empty())
-                    where += " " + f.state;
-                if (!f.event.empty())
-                    where += (where.empty() ? "" : " x ") + f.event;
-                std::printf("%s: %s: %s\n", f.kind.c_str(),
-                            where.c_str(), f.detail.c_str());
+    for (const PolicyLint &p : run.policies) {
+        for (const verify::LivenessFinding &f : p.liveness->findings) {
+            if (f.witness.ops.empty())
+                continue;
+            // The src/mc model has 3 nodes.
+            std::vector<std::vector<MemOp>> per_node(3);
+            for (const verify::WitnessOp &op : f.witness.ops)
+                per_node[op.node].push_back(
+                    op.isWrite ? MemOp::write(0) : MemOp::read(0));
+            trace::TraceMeta meta;
+            meta.nodeCount = 3;
+            meta.workload = "lint-liveness";
+            meta.config = f.config;
+            try {
+                trace::writeTraceFile(path, meta, per_node);
+            } catch (const trace::TraceError &e) {
+                std::fprintf(stderr, "pcsim lint: %s\n", e.what());
+                return false;
             }
+            if (announce)
+                std::printf("repro trace written to %s\n",
+                            path.c_str());
+            return true;
         }
-        total += rep.findings.size();
-    }
-
-    bool io_ok = true;
-    if (!opt.args.jsonPath.empty())
-        io_ok &= runner::writeTextFile(
-            opt.args.jsonPath,
-            verify::lintFindingsDocument("mdg", std::move(policies))
-                    .dump(2) +
-                "\n");
-    if (opt.args.jsonPath != "-") {
-        if (total)
-            std::printf("mdg: %zu finding(s)\n", total);
-        else
-            std::printf("mdg: clean\n");
-    }
-    if (!io_ok)
-        return 1;
-    return total ? 2 : 0;
-}
-
-/** Write the first witness carrying CPU ops as a PCTR repro trace. */
-bool
-writeLivenessRepro(const std::string &path, const std::string &config,
-                   unsigned nodes,
-                   const std::vector<verify::WitnessOp> &ops)
-{
-    std::vector<std::vector<MemOp>> per_node(nodes);
-    for (const verify::WitnessOp &op : ops)
-        per_node[op.node].push_back(op.isWrite ? MemOp::write(0)
-                                               : MemOp::read(0));
-    trace::TraceMeta meta;
-    meta.nodeCount = nodes;
-    meta.workload = "lint-liveness";
-    meta.config = config;
-    try {
-        trace::writeTraceFile(path, meta, per_node);
-    } catch (const trace::TraceError &e) {
-        std::fprintf(stderr, "pcsim lint: %s\n", e.what());
-        return false;
     }
     return true;
 }
 
 int
-lintLivenessCommand(const Options &opt)
+lintCommand(Options &opt)
 {
-    std::vector<PolicySel> sels;
-    if (!resolvePolicies(opt.lintPolicy, sels))
-        return 1;
-
-    JsonValue policies = JsonValue::array();
-    std::size_t total = 0;
-    bool io_ok = true;
-    bool wrote_repro = false;
-    for (const PolicySel &sel : sels) {
-        const verify::LivenessReport rep =
-            verify::analyzeLiveness(sel.set);
-        policies.push(verify::livenessPolicyJson(sel.name, rep));
-        if (opt.args.jsonPath != "-") {
-            std::printf("policy %s:\n", sel.name.c_str());
-            for (const auto &c : rep.configs) {
-                std::printf("  config %s: %llu states, %llu edges "
-                            "(%llu progress), %llu quiescent%s\n",
-                            c.name.c_str(),
-                            (unsigned long long)c.states,
-                            (unsigned long long)c.edges,
-                            (unsigned long long)c.progressEdges,
-                            (unsigned long long)c.quiescentStates,
-                            c.completed ? "" : " [state limit hit]");
-            }
-            for (const auto &f : rep.findings) {
-                std::printf("%s (%s): %s\n", f.kind.c_str(),
-                            f.config.c_str(), f.detail.c_str());
-                std::printf("  witness prefix (%zu steps):\n",
-                            f.witness.prefix.size());
-                for (std::size_t i = 0; i < f.witness.prefix.size();
-                     ++i)
-                    std::printf("    %3zu. %s\n", i + 1,
-                                f.witness.prefix[i].c_str());
-                if (!f.witness.cycle.empty()) {
-                    std::printf("  non-progress cycle (%zu steps):\n",
-                                f.witness.cycle.size());
-                    for (std::size_t i = 0;
-                         i < f.witness.cycle.size(); ++i)
-                        std::printf("    %3zu. %s\n", i + 1,
-                                    f.witness.cycle[i].c_str());
-                }
-            }
-        }
-        total += rep.findings.size();
-
-        if (!opt.reproPath.empty() && !wrote_repro) {
-            for (const auto &f : rep.findings) {
-                if (f.witness.ops.empty())
-                    continue;
-                io_ok &= writeLivenessRepro(opt.reproPath, f.config, 3,
-                                            f.witness.ops);
-                wrote_repro = true;
-                if (opt.args.jsonPath != "-")
-                    std::printf("repro trace written to %s\n",
-                                opt.reproPath.c_str());
-                break;
-            }
-        }
-    }
-
-    if (!opt.args.jsonPath.empty())
-        io_ok &= runner::writeTextFile(
-            opt.args.jsonPath,
-            verify::lintFindingsDocument("liveness",
-                                         std::move(policies))
-                    .dump(2) +
-                "\n");
-    if (opt.args.jsonPath != "-") {
-        if (total)
-            std::printf("liveness: %zu finding(s)\n", total);
-        else
-            std::printf("liveness: clean\n");
-    }
-    if (!io_ok)
-        return 1;
-    return total ? 2 : 0;
-}
-
-int
-lintCommand(const Options &opt)
-{
-    if (!opt.coveragePath.empty())
-        return lintCoverage(opt);
-
-    if (opt.lintMode == "mdg")
-        return lintMdgCommand(opt);
-    if (opt.lintMode == "liveness")
-        return lintLivenessCommand(opt);
-
-    if (opt.lintPolicy.empty()) {
-        // Historical default: the shipped full-protocol spec, checked
-        // against the MESI-dir + delegation model family (keeps the
-        // committed lint_clean.json byte-identical).
-        return lintOneSpec(opt, verify::protocolSpec(),
-                           verify::McCheckSet::MesiDele, nullptr);
-    }
-
-    if (opt.lintPolicy == "all") {
-        if (!opt.args.csvPath.empty()) {
+    std::vector<ProtocolKind> kinds = registeredPolicyKinds();
+    if (!opt.lintPolicy.empty() && opt.lintPolicy != "all") {
+        ProtocolKind kind;
+        if (!protocolKindFromName(opt.lintPolicy, kind)) {
+            std::string names;
+            for (ProtocolKind k : kinds)
+                names += std::string(policyFor(k).name()) + ", ";
             std::fprintf(stderr,
-                         "pcsim lint: --policy=all cannot combine "
-                         "with --csv (lint one policy per CSV)\n");
+                         "pcsim lint: unknown policy '%s' (pick one of "
+                         "%sor 'all')\n",
+                         opt.lintPolicy.c_str(), names.c_str());
             return 1;
         }
-        // With --json the per-policy documents combine into one
-        // {"mode": "spec"} envelope; without it, print each policy.
-        JsonValue policies = JsonValue::array();
-        int worst = 0;
-        for (ProtocolKind kind : registeredPolicyKinds()) {
-            const CoherencePolicy &p = policyFor(kind);
-            const verify::LintReport rep =
-                opt.lintMc ? verify::lintSpecWithModel(
-                                 p.spec(), modelCheckSetFor(kind))
-                           : verify::lintSpec(p.spec());
-            if (!opt.args.jsonPath.empty())
-                policies.push(
-                    verify::lintPolicyJson(p.name(), p.spec(), rep));
-            if (opt.args.jsonPath != "-")
-                printLintReport(p.spec(), rep, p.name());
-            worst = std::max(worst, rep.clean() ? 0 : 2);
-        }
-        if (!opt.args.jsonPath.empty()) {
-            if (!runner::writeTextFile(
-                    opt.args.jsonPath,
-                    verify::lintFindingsDocument("spec",
-                                                 std::move(policies))
-                            .dump(2) +
-                        "\n"))
-                return 1;
-        }
-        return worst;
+        kinds = {kind};
     }
 
-    ProtocolKind kind;
-    if (!protocolKindFromName(opt.lintPolicy, kind)) {
-        std::fprintf(stderr,
-                     "pcsim lint: unknown policy '%s' (pick one of "
-                     "mesi-dir, delegation, delegation-updates, "
-                     "write-update, adaptive-hybrid, or 'all')\n",
-                     opt.lintPolicy.c_str());
+    const LintPass pass = opt.has(rMdg)        ? LintPass::Mdg
+                          : opt.has(rLiveness) ? LintPass::Liveness
+                                               : LintPass::Spec;
+    const LintRun run = lintPolicies(pass, kinds, !opt.has(rNoMc));
+    bool io_ok = true;
+    if (!opt.args.jsonPath.empty())
+        io_ok &= runner::writeTextFile(opt.args.jsonPath,
+                                       run.toJson().dump(2) + "\n");
+    if (!opt.args.csvPath.empty())
+        io_ok &= runner::writeTextFile(opt.args.csvPath, run.toCsv());
+    const bool table =
+        opt.args.jsonPath != "-" && opt.args.csvPath != "-";
+    if (table)
+        run.print(stdout);
+    if (!opt.reproPath.empty())
+        io_ok &= writeLivenessRepro(run, opt.reproPath, table);
+    if (!io_ok)
         return 1;
+    return run.findings() ? 2 : 0;
+}
+
+/** One command besides the registry entries, or one mode of it: rows
+ *  that share a name are modes, picked by the first mode flag given,
+ *  and the default mode comes last. */
+struct CommandInfo
+{
+    const char *name;
+    unsigned mode;       ///< the flag that picks this mode (0 = default)
+    const char *operand; ///< operands it takes ("" = none)
+    const char *oneline;
+    unsigned reads;
+    int (*run)(Options &);
+};
+
+const CommandInfo commandTable[] = {
+    {"run", 0, "", "cartesian (workload x config x seed) simulation runs",
+     rWorkload | rConfig | rSeed | rSeedList | rNodes | rCoarse |
+         rScale | rChecker | rConformance | rJobs | rJson | rCsv |
+         rTiming | rDetCheck | rNoTable | rQuiet,
+     runCommand},
+    {"trace record", 0, "[FILE...]",
+     "capture a run's memory-op stream as a binary PCTR trace",
+     rWorkload | rConfig | rSeed | rNodes | rScale | rOutput | rText |
+         rJson | rCsv | rTiming | rQuiet,
+     traceRecordCommand},
+    {"trace replay", 0, "FILE",
+     "re-drive the simulator from a trace; stats match the source run",
+     rConfig | rJobs | rJson | rCsv | rTiming | rQuiet,
+     traceReplayCommand},
+    {"trace info", 0, "FILE", "print a trace file's header", 0,
+     traceInfoCommand},
+    {"bench", 0, "", "simulation-kernel microbenchmarks",
+     rEvents | rRepeats | rBaseline | rJson | rQuiet, benchCommand},
+    {"lint", rCoverage, "",
+     "legal transitions of the delegation-updates spec that the runs "
+     "in results document PATH never took",
+     rCoverage | rJson | rCsv, lintCoverage},
+    {"lint", rMdg, "", "message-dependency pass over the specs",
+     rMdg | rPolicy | rJson | rCsv, lintCommand},
+    {"lint", rLiveness, "", "livelock and deadlock search of the models",
+     rLiveness | rPolicy | rRepro | rJson, lintCommand},
+    {"lint", 0, "",
+     "static checks of the specs, cross-checked against the models",
+     rPolicy | rNoMc | rJson | rCsv, lintCommand},
+    {"list", 0, "", "list workloads, configuration presets and policies",
+     0, listCommand},
+    {"help", 0, "", "show this text", 0,
+     [](Options &) { return usage(stdout); }},
+};
+
+/** The primary spelling of the option with bit @p bit. */
+const char *
+optionName(unsigned bit)
+{
+    for (const OptionInfo &o : optionTable)
+        if (o.bit == bit)
+            return o.name;
+    return "";
+}
+
+/** @p c as typed: its name, then its mode flag. */
+std::string
+commandName(const CommandInfo &c)
+{
+    return c.mode ? std::string(c.name) + " " + optionName(c.mode)
+                  : c.name;
+}
+
+/** Print @p words wrapped to 78 columns, every line indented by
+ *  @p indent spaces. */
+void
+printWrapped(std::FILE *out, std::size_t indent, const std::string &words)
+{
+    std::string line;
+    for (const std::string &w : splitList(words, ' ')) {
+        if (!line.empty() && indent + line.size() + 1 + w.size() > 78) {
+            std::fprintf(out, "%*s%s\n", int(indent), "", line.c_str());
+            line.clear();
+        }
+        line.append(line.empty() ? "" : " ").append(w);
     }
-    const CoherencePolicy &p = policyFor(kind);
-    return lintOneSpec(opt, p.spec(), modelCheckSetFor(kind),
-                       p.name());
+    if (!line.empty())
+        std::fprintf(out, "%*s%s\n", int(indent), "", line.c_str());
+}
+
+/** Print @p lead and the names of the options @p reads selects. */
+void
+printReads(std::FILE *out, std::size_t indent, const std::string &lead,
+           unsigned reads)
+{
+    std::string words = lead;
+    for (const OptionInfo &o : optionTable) {
+        if (reads & o.bit)
+            words.append(" ").append(o.name);
+    }
+    printWrapped(out, indent, words);
+}
+
+int
+usage(std::FILE *out)
+{
+    std::fprintf(out,
+                 "pcsim - producer-consumer coherence protocol "
+                 "experiment runner\n\n"
+                 "usage: pcsim <command> [options]\n\n"
+                 "commands (each followed by the options it reads):\n");
+    for (const CommandInfo &c : commandTable) {
+        std::fprintf(out, "  %-18s %s\n", commandName(c).c_str(),
+                     c.oneline);
+        printReads(out, 21, c.operand, c.reads & ~c.mode);
+    }
+    std::fprintf(out, "  %-18s %s\n", "sweep NAME",
+                 "run a sweep of the registry below; 'pcsim NAME' "
+                 "runs it too");
+
+    // Entries that read the same options share one synopsis.
+    std::fprintf(out, "\nsweeps (each group followed by the options "
+                      "it reads):\n");
+    std::vector<unsigned> masks;
+    for (const runner::Sweep &s : runner::sweeps())
+        if (std::find(masks.begin(), masks.end(), sweepReads(s)) ==
+            masks.end())
+            masks.push_back(sweepReads(s));
+    for (unsigned mask : masks) {
+        for (const runner::Sweep &s : runner::sweeps()) {
+            if (sweepReads(s) != mask)
+                continue;
+            std::fprintf(out, "  %-18s %s%s\n", s.name,
+                         s.jsonPath[0] ? "default --json " : "",
+                         s.jsonPath[0] ? s.jsonPath
+                                       : "prints its table, runs no job");
+            if (s.hint[0])
+                printWrapped(out, 21, s.hint);
+        }
+        printReads(out, 4, "options:", mask);
+    }
+
+    std::fprintf(out, "\noptions:\n");
+    for (const OptionInfo &o : optionTable) {
+        std::string spelled = o.name;
+        if (o.alias[0])
+            spelled += std::string(", ") + o.alias;
+        if (o.value[0])
+            spelled += std::string(" ") + o.value;
+        std::fprintf(out, "  %-33s %s\n", spelled.c_str(), o.help);
+    }
+    std::fprintf(out, "\nexit status: 0 ok, 1 usage or I/O error, 2 a "
+                      "job failed or lint found something, 3 "
+                      "non-deterministic\n");
+    return out == stderr ? 1 : 0;
+}
+
+/**
+ * Parse argv[@p first..] into @p opt for command @p cmd, which reads
+ * the options in @p reads and, when @p operands, takes operands.
+ * Prints why and returns false on the first bad argument.
+ */
+bool
+parseArgs(int argc, char **argv, int first, const std::string &cmd,
+          unsigned reads, bool operands, Options &opt)
+{
+    for (int i = first; i < argc; ++i) {
+        std::string arg = argv[i];
+        const char *inline_value = nullptr;
+        const std::size_t eq = arg.find('=');
+        if (arg.size() > 2 && arg[0] == '-' && arg[1] == '-' &&
+            eq != std::string::npos) {
+            inline_value = argv[i] + eq + 1;
+            arg = arg.substr(0, eq);
+        }
+        // -jN shorthand.
+        if (arg.size() > 2 && arg.compare(0, 2, "-j") == 0 &&
+            arg[2] >= '0' && arg[2] <= '9') {
+            inline_value = argv[i] + 2;
+            arg = "-j";
+        }
+        if (operands && !arg.empty() && arg[0] != '-') {
+            opt.positional.push_back(arg);
+            continue;
+        }
+
+        const auto o = std::find_if(
+            std::begin(optionTable), std::end(optionTable),
+            [&](const OptionInfo &o) {
+                return arg == o.name || (o.alias[0] && arg == o.alias);
+            });
+        if (o == std::end(optionTable)) {
+            std::fprintf(stderr, "pcsim: unknown option '%s'\n",
+                         argv[i]);
+            return false;
+        }
+        if (!(reads & o->bit)) {
+            std::fprintf(stderr,
+                         "pcsim %s: %s does not apply (see 'pcsim "
+                         "help')\n",
+                         cmd.c_str(), arg.c_str());
+            return false;
+        }
+        std::string value;
+        if (o->value[0]) {
+            if (!inline_value && i + 1 >= argc) {
+                std::fprintf(stderr, "pcsim: %s needs a value\n",
+                             arg.c_str());
+                return false;
+            }
+            value = inline_value ? inline_value : argv[++i];
+        } else if (inline_value) {
+            std::fprintf(stderr, "pcsim: %s takes no value\n",
+                         arg.c_str());
+            return false;
+        }
+        opt.given |= o->bit;
+        if (!setOption(opt, reads, o->bit, arg, value))
+            return false;
+    }
+    return true;
+}
+
+/** The registry's entry names, comma-separated. */
+std::string
+sweepNames()
+{
+    std::string out;
+    for (const auto &s : runner::sweeps())
+        out += (out.empty() ? "" : ", ") + std::string(s.name);
+    return out;
 }
 
 } // namespace
@@ -1039,19 +877,15 @@ main(int argc, char **argv)
 {
     if (argc < 2)
         return usage(stderr);
-    const std::string cmd = argv[1];
-    if (cmd == "help" || cmd == "--help" || cmd == "-h")
-        return usage(stdout);
-    if (cmd == "list")
-        return listCommand();
+    std::string cmd = argv[1];
+    if (cmd == "--help" || cmd == "-h")
+        cmd = "help";
 
-    Options opt;
-    opt.command = cmd;
-    // `pcsim trace <action> ...` and `pcsim sweep <name> ...`: the
-    // operand comes before the options.
-    std::string operand;
-    int first = 2;
-    if (cmd == "trace" || cmd == "sweep") {
+    // `pcsim trace ACTION` and `pcsim sweep NAME`: the operand comes
+    // before the options.
+    const bool sweep_cmd = cmd == "sweep";
+    const int first = sweep_cmd || cmd == "trace" ? 3 : 2;
+    if (first == 3) {
         if (argc < 3 || argv[2][0] == '-') {
             std::fprintf(stderr, "pcsim %s: pick %s\n", cmd.c_str(),
                          cmd == "trace"
@@ -1059,96 +893,56 @@ main(int argc, char **argv)
                              : ("one of " + sweepNames()).c_str());
             return 1;
         }
-        operand = argv[2];
-        first = 3;
+        cmd += std::string(" ") + argv[2];
     }
-    // scale, serve, compare, faults and qos are registry entries too.
-    const runner::Sweep *sweep = nullptr;
-    if (cmd == "sweep") {
-        sweep = runner::findSweep(operand);
-        if (!sweep) {
+    const runner::Sweep *sweep =
+        runner::findSweep(sweep_cmd ? argv[2] : cmd);
+    const CommandInfo *command = nullptr;
+    unsigned reads = sweep ? sweepReads(*sweep) : 0;
+    for (const CommandInfo &c : commandTable) {
+        if (cmd == c.name) {
+            command = &c;
+            reads |= c.reads;
+        }
+    }
+    if (!sweep && !command) {
+        if (sweep_cmd)
             std::fprintf(stderr,
                          "pcsim sweep: unknown sweep '%s' (pick one of "
                          "%s)\n",
-                         operand.c_str(), sweepNames().c_str());
-            return 1;
-        }
-        opt.command = sweep->name;
-    } else if (isCommand(cmd)) {
-        sweep = runner::findSweep(cmd);
+                         argv[2], sweepNames().c_str());
+        else if (first == 3)
+            std::fprintf(stderr,
+                         "pcsim trace: unknown action '%s' (pick "
+                         "record, replay or info)\n",
+                         argv[2]);
+        else
+            std::fprintf(stderr, "pcsim: unknown command '%s'\n",
+                         cmd.c_str());
+        return first == 3 ? 1 : usage(stderr);
     }
-    if (!parseArgs(argc, argv, opt, first))
+
+    Options opt;
+    if (!parseArgs(argc, argv, first, cmd, reads,
+                   command && command->operand[0], opt))
         return 1;
     if (sweep)
         return runner::runSweep(*sweep, opt.args);
 
-    if (cmd == "trace") {
-        if (operand == "record") {
-            runner::TraceRecordOptions topt;
-            topt.args = opt.args;
-            topt.config = opt.configs.front();
-            topt.outPath = opt.outputPath;
-            if (opt.textMode) {
-                if (opt.positional.empty()) {
-                    std::fprintf(stderr,
-                                 "pcsim trace record: --text needs "
-                                 "per-core trace files as operands\n");
-                    return 1;
-                }
-                topt.textPaths = opt.positional;
-            } else if (!opt.positional.empty()) {
-                std::fprintf(stderr,
-                             "pcsim trace record: unexpected operand "
-                             "'%s' (text files need --text)\n",
-                             opt.positional.front().c_str());
-                return 1;
-            }
-            return runner::runTraceRecord(topt);
+    // Of a command's modes, the first whose flag is given runs, and it
+    // reads only its own options: checked before any file is read.
+    for (const CommandInfo &c : commandTable) {
+        if (cmd == c.name && opt.has(c.mode)) {
+            command = &c;
+            break;
         }
-        if (operand == "replay") {
-            runner::TraceReplayOptions topt;
-            if (opt.positional.size() != 1) {
-                std::fprintf(stderr, "pcsim trace replay: exactly one "
-                                     "trace file operand required\n");
-                return 1;
-            }
-            topt.tracePath = opt.positional.front();
-            if (opt.configsSet)
-                topt.config = opt.configs.front();
-            topt.args = opt.args;
-            if (!opt.threadsSet)
-                topt.args.threads = 1;
-            return runner::runTraceReplay(topt);
-        }
-        if (operand == "info") {
-            if (opt.positional.size() != 1) {
-                std::fprintf(stderr, "pcsim trace info: exactly one "
-                                     "trace file operand required\n");
-                return 1;
-            }
-            return runner::runTraceInfo(opt.positional.front());
-        }
-        std::fprintf(stderr,
-                     "pcsim trace: unknown action '%s' (pick record, "
-                     "replay or info)\n",
-                     operand.c_str());
+    }
+    if (const unsigned stray = opt.given & ~command->reads) {
+        std::fprintf(stderr, "pcsim %s: %s does not apply (see 'pcsim "
+                             "help')\n",
+                     commandName(*command).c_str(),
+                     optionName(1u << std::countr_zero(stray)));
         return 1;
     }
-
-    if (cmd == "run")
-        return runCommand(opt);
-    if (cmd == "lint")
-        return lintCommand(opt);
-    if (cmd == "bench") {
-        runner::BenchOptions bopt;
-        bopt.kernelEvents = opt.benchEvents;
-        bopt.repeats = opt.benchRepeats;
-        bopt.jsonPath = opt.args.jsonPath;
-        bopt.baselinePath = opt.baselinePath;
-        bopt.quiet = opt.args.quiet;
-        return runner::runBenchSuite(bopt);
-    }
-
-    std::fprintf(stderr, "pcsim: unknown command '%s'\n", cmd.c_str());
-    return usage(stderr);
+    return command->run(opt);
 }

@@ -18,12 +18,6 @@ BarrierDriver::BarrierDriver(std::vector<Hub *> hubs, Addr base,
         fatal("barrier driver needs at least one CPU");
 }
 
-Addr
-BarrierDriver::regionBytes() const
-{
-    return (_hubs.size() + 1) * static_cast<Addr>(_lineBytes);
-}
-
 void
 BarrierDriver::arrive(unsigned cpu, std::function<void()> done)
 {

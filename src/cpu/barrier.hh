@@ -69,9 +69,6 @@ class BarrierDriver
 
     std::uint64_t generationsCompleted() const { return _gensDone; }
 
-    /** Bytes of address space the flag region occupies. */
-    Addr regionBytes() const;
-
   private:
     Addr arrivalLine(unsigned cpu) const
     {

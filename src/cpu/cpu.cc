@@ -8,7 +8,7 @@ namespace pcsim
 
 Cpu::Cpu(EventQueue &eq, Hub &hub, Workload &workload,
          BarrierDriver &barrier, unsigned cpu_id)
-    : SimObject(eq, "cpu" + std::to_string(cpu_id)),
+    : SimObject(eq),
       _hub(hub),
       _workload(workload),
       _barrier(barrier),

@@ -23,7 +23,7 @@ niOccupancy(std::uint32_t bytes, std::uint32_t bytes_per_cycle)
 } // namespace
 
 Network::Network(EventQueue &eq, unsigned num_nodes, NetworkConfig cfg)
-    : SimObject(eq, "network"),
+    : SimObject(eq),
       _cfg(cfg),
       _topo(num_nodes),
       _niOccupancy{

@@ -11,7 +11,7 @@ namespace pcsim
 Hub::Hub(EventQueue &eq, Network &net, MemoryMap &mem_map,
          CoherenceChecker &checker, const ProtocolConfig &cfg, NodeId id,
          Rng rng)
-    : SimObject(eq, "hub" + std::to_string(id)),
+    : SimObject(eq),
       _id(id),
       _cfg(cfg),
       _lineMask(~Addr{cfg.lineBytes - 1}),

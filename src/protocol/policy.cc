@@ -1,11 +1,17 @@
 #include "src/protocol/policy.hh"
 
+#include <map>
+#include <utility>
+
 #include "src/cache/line_state.hh"
 #include "src/protocol/cache_controller.hh"
 #include "src/protocol/dir_controller.hh"
 #include "src/protocol/hub.hh"
+#include "src/sim/file_io.hh"
 #include "src/sim/logging.hh"
 #include "src/verify/lint.hh"
+#include "src/verify/liveness.hh"
+#include "src/verify/mdg.hh"
 #include "src/verify/spec.hh"
 
 namespace pcsim
@@ -519,6 +525,185 @@ modelCheckSetFor(ProtocolKind kind)
       default:
         return verify::McCheckSet::MesiDele;
     }
+}
+
+LintRun
+lintPolicies(LintPass pass, const std::vector<ProtocolKind> &kinds,
+             bool model_check)
+{
+    LintRun run{pass, {}};
+    std::map<std::pair<const verify::TransitionSpec *, verify::McCheckSet>,
+             PolicyLint>
+        done;
+    for (ProtocolKind kind : kinds) {
+        const verify::TransitionSpec &spec = policyFor(kind).spec();
+        const verify::McCheckSet set = modelCheckSetFor(kind);
+        auto it = done.find({&spec, set});
+        if (it == done.end()) {
+            PolicyLint a{kind, nullptr, nullptr, nullptr};
+            switch (pass) {
+              case LintPass::Spec:
+                a.spec = std::make_shared<const verify::LintReport>(
+                    model_check ? verify::lintSpecWithModel(spec, set)
+                                : verify::lintSpec(spec));
+                break;
+              case LintPass::Mdg:
+                a.mdg = std::make_shared<const verify::MdgReport>(
+                    verify::analyzeMdg(spec));
+                break;
+              case LintPass::Liveness:
+                a.liveness = std::make_shared<const verify::LivenessReport>(
+                    verify::analyzeLiveness(verify::modelConfigsFor(set)));
+                break;
+            }
+            it = done.emplace(std::make_pair(&spec, set), a).first;
+        }
+        run.policies.push_back(it->second);
+        run.policies.back().kind = kind;
+    }
+    return run;
+}
+
+namespace
+{
+
+void
+printFindings(std::FILE *out,
+              const std::vector<verify::LintFinding> &findings)
+{
+    for (const verify::LintFinding &f : findings) {
+        std::string where = f.ctrl;
+        if (!f.state.empty())
+            where += " " + f.state;
+        if (!f.event.empty())
+            where += (where.empty() ? "" : " x ") + f.event;
+        std::fprintf(out, "%s: %s: %s\n", f.kind.c_str(), where.c_str(),
+                     f.detail.c_str());
+    }
+}
+
+void
+printLiveness(std::FILE *out, const verify::LivenessReport &rep)
+{
+    for (const auto &c : rep.configs) {
+        std::fprintf(out,
+                     "  config %s: %llu states, %llu edges (%llu "
+                     "progress), %llu quiescent%s\n",
+                     c.name.c_str(), (unsigned long long)c.states,
+                     (unsigned long long)c.edges,
+                     (unsigned long long)c.progressEdges,
+                     (unsigned long long)c.quiescentStates,
+                     c.completed ? "" : " [state limit hit]");
+    }
+    const auto steps = [&](const char *what,
+                           const std::vector<std::string> &hops) {
+        std::fprintf(out, "  %s (%zu steps):\n", what, hops.size());
+        for (std::size_t i = 0; i < hops.size(); ++i)
+            std::fprintf(out, "    %3zu. %s\n", i + 1, hops[i].c_str());
+    };
+    for (const auto &f : rep.findings) {
+        std::fprintf(out, "%s (%s): %s\n", f.kind.c_str(),
+                     f.config.c_str(), f.detail.c_str());
+        steps("witness prefix", f.witness.prefix);
+        if (!f.witness.cycle.empty())
+            steps("non-progress cycle", f.witness.cycle);
+    }
+}
+
+} // namespace
+
+std::size_t
+LintRun::findings() const
+{
+    std::size_t n = 0;
+    for (const PolicyLint &p : policies)
+        n += p.spec  ? p.spec->findings.size()
+             : p.mdg ? p.mdg->findings.size()
+                     : p.liveness->findings.size();
+    return n;
+}
+
+JsonValue
+LintRun::toJson() const
+{
+    JsonValue fragments = JsonValue::array();
+    for (const PolicyLint &p : policies) {
+        const CoherencePolicy &policy = policyFor(p.kind);
+        if (p.spec)
+            fragments.push(verify::lintPolicyJson(
+                policy.name(), policy.spec(), *p.spec));
+        else if (p.mdg)
+            fragments.push(verify::mdgPolicyJson(
+                policy.name(), policy.spec(), *p.mdg));
+        else
+            fragments.push(
+                verify::livenessPolicyJson(policy.name(), *p.liveness));
+    }
+    const char *mode = pass == LintPass::Spec  ? "spec"
+                       : pass == LintPass::Mdg ? "mdg"
+                                               : "liveness";
+    return verify::lintFindingsDocument(mode, std::move(fragments));
+}
+
+std::string
+LintRun::toCsv() const
+{
+    std::string out = "policy,kind,controller,state,event,detail\n";
+    for (const PolicyLint &p : policies) {
+        if (p.liveness)
+            continue;
+        for (const verify::LintFinding &f :
+             p.spec ? p.spec->findings : p.mdg->findings) {
+            out += csvField(policyFor(p.kind).name()) + ',' +
+                   csvField(f.kind) + ',' + csvField(f.ctrl) + ',' +
+                   csvField(f.state) + ',' + csvField(f.event) + ',' +
+                   csvField(f.detail) + '\n';
+        }
+    }
+    return out;
+}
+
+void
+LintRun::print(std::FILE *out) const
+{
+    for (const PolicyLint &p : policies) {
+        const CoherencePolicy &policy = policyFor(p.kind);
+        if (p.spec) {
+            std::fprintf(out,
+                         "policy %s:\nspec: %zu rules, %zu impossible "
+                         "pairs\n",
+                         policy.name(), policy.spec().rules().size(),
+                         policy.spec().impossible().size());
+            if (p.spec->mcConfigs)
+                std::fprintf(out,
+                             "model cross-check: %llu configs, %llu "
+                             "states, %llu distinct transitions\n",
+                             (unsigned long long)p.spec->mcConfigs,
+                             (unsigned long long)p.spec->mcStates,
+                             (unsigned long long)p.spec->mcObserved);
+            printFindings(out, p.spec->findings);
+        } else if (p.mdg) {
+            std::fprintf(out,
+                         "policy %s: %zu message types, %zu edges, %zu "
+                         "sinks (%llu requester-bound, %llu "
+                         "nack-protected edges exempt)\n",
+                         policy.name(), p.mdg->messages.size(),
+                         p.mdg->edges.size(), p.mdg->sinks.size(),
+                         (unsigned long long)p.mdg->reissueEdges,
+                         (unsigned long long)p.mdg->nackProtectedEdges);
+            printFindings(out, p.mdg->findings);
+        } else {
+            std::fprintf(out, "policy %s:\n", policy.name());
+            printLiveness(out, *p.liveness);
+        }
+    }
+    const char *what = pass == LintPass::Spec  ? "lint"
+                       : pass == LintPass::Mdg ? "mdg"
+                                               : "liveness";
+    if (const std::size_t n = findings())
+        std::fprintf(out, "%s: %zu finding(s)\n", what, n);
+    else
+        std::fprintf(out, "%s: clean\n", what);
 }
 
 } // namespace pcsim

@@ -32,6 +32,10 @@
 #ifndef PCSIM_PROTOCOL_POLICY_HH
 #define PCSIM_PROTOCOL_POLICY_HH
 
+#include <cstddef>
+#include <cstdio>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/mem/directory.hh"
@@ -42,10 +46,15 @@
 namespace pcsim
 {
 
+class JsonValue;
+
 namespace verify
 {
 class TransitionSpec;
 enum class McCheckSet;
+struct LintReport;
+struct MdgReport;
+struct LivenessReport;
 } // namespace verify
 
 class CacheController;
@@ -100,12 +109,56 @@ class CoherencePolicy
 const CoherencePolicy &policyFor(ProtocolKind kind);
 
 /** Every registered kind, in ProtocolKind order (drives the compare
- *  bake-off and the per-policy lint sweep). */
+ *  bake-off and the lint loop's default selection). */
 const std::vector<ProtocolKind> &registeredPolicyKinds();
 
-/** The abstract-model configuration family `pcsim lint` cross-checks
- *  @p kind's spec against (verify::lintSpecWithModel). */
+/** The abstract-model configuration family `pcsim lint` checks
+ *  @p kind against (verify::lintSpecWithModel,
+ *  verify::analyzeLiveness). */
 verify::McCheckSet modelCheckSetFor(ProtocolKind kind);
+
+/** A pass of `pcsim lint` (src/verify). */
+enum class LintPass
+{
+    Spec,    ///< static spec passes, plus the model cross-check
+    Mdg,     ///< message-dependency graph of the spec
+    Liveness ///< livelocks and deadlocks in the model's state graph
+};
+
+/** One selected policy and the analysis a lint pass reports under it
+ *  (only the run's pass's report is set). */
+struct PolicyLint
+{
+    ProtocolKind kind;
+    std::shared_ptr<const verify::LintReport> spec;
+    std::shared_ptr<const verify::MdgReport> mdg;
+    std::shared_ptr<const verify::LivenessReport> liveness;
+};
+
+/** One lint pass over a selection of policies. */
+struct LintRun
+{
+    LintPass pass;
+    std::vector<PolicyLint> policies; ///< in selection order
+
+    /** Findings summed over the policies. */
+    std::size_t findings() const;
+    /** {"schemaVersion", "generator", "mode", "policies"}. */
+    JsonValue toJson() const;
+    /** The findings table, led by a policy column (spec, mdg). */
+    std::string toCsv() const;
+    /** Each policy's report, then "lint", "mdg" or "liveness" and
+     *  ": clean" or ": N finding(s)". */
+    void print(std::FILE *out) const;
+};
+
+/** The lint loop: run @p pass over the policies @p kinds, analysing
+ *  each distinct (spec, model family) pair once -- mesi-dir,
+ *  delegation and delegation-updates share both -- and reporting it
+ *  under every policy that shares it. @p model_check adds the model
+ *  cross-check to the spec pass. */
+LintRun lintPolicies(LintPass pass, const std::vector<ProtocolKind> &kinds,
+                     bool model_check = true);
 
 } // namespace pcsim
 

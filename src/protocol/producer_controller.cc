@@ -46,13 +46,6 @@ ProducerController::entryFor(Addr line) const
     return dc ? dc->producerFind(line) : nullptr;
 }
 
-std::size_t
-ProducerController::numDelegated()
-{
-    DelegateCache *dc = _hub.delegateCache();
-    return dc ? dc->producer().occupancy() : 0;
-}
-
 void
 ProducerController::handleDelegate(const Message &msg)
 {

@@ -67,8 +67,6 @@ class ProducerController
     /** RAC set pressure forces a pinned entry out (reason 2). */
     void undelegateForRacPressure(Addr line);
 
-    std::size_t numDelegated();
-
   private:
     /** The pre-arbitration handleRequest body; drained parked
      *  requests re-enter here. */

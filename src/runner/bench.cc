@@ -11,6 +11,7 @@
 #include "src/runner/job.hh"
 #include "src/runner/results.hh"
 #include "src/sim/event_queue.hh"
+#include "src/sim/file_io.hh"
 #include "src/sim/json.hh"
 #include "src/sim/logging.hh"
 #include "src/system/system.hh"
@@ -246,7 +247,7 @@ runBenchSuite(const BenchOptions &opt)
     const bool have_baseline = !opt.baselinePath.empty();
     if (have_baseline) {
         std::string text;
-        if (!readTextFile(opt.baselinePath, text)) {
+        if (readFile(opt.baselinePath, text)) {
             std::fprintf(stderr, "pcsim bench: cannot read baseline "
                                  "'%s'\n",
                          opt.baselinePath.c_str());

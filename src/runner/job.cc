@@ -148,13 +148,6 @@ makeRunnerWorkload(const std::string &name, unsigned num_cpus,
 namespace
 {
 
-struct ConfigEntry
-{
-    const char *name;
-    const char *alias; ///< optional second spelling ("" = none)
-    MachineConfig (*make)(unsigned num_nodes);
-};
-
 MachineConfig
 makeRac32k(unsigned n)
 {
@@ -185,26 +178,27 @@ makeAdaptiveHybrid(unsigned n)
     return presets::adaptiveHybrid(n);
 }
 
-const ConfigEntry configTable[] = {
-    {"base", "", presets::base},
-    {"rac32k", "rac", makeRac32k},
-    {"rac1m", "", makeRac1m},
-    {"small", "pcopt", presets::small},
-    {"large", "pcopt-large", presets::large},
-    {"delegation", "delegation-only", makeDelegation},
-    {"write-update", "update", makeWriteUpdate},
-    {"adaptive-hybrid", "adaptive", makeAdaptiveHybrid},
-};
-
 } // namespace
 
-std::vector<std::string>
-configNames()
+const std::vector<ConfigPreset> &
+configPresets()
 {
-    std::vector<std::string> names;
-    for (const auto &e : configTable)
-        names.push_back(e.name);
-    return names;
+    static const std::vector<ConfigPreset> table = {
+        {"base", "", "baseline directory protocol", presets::base},
+        {"rac32k", "rac", "base + 32K remote access cache", makeRac32k},
+        {"rac1m", "", "base + 1M remote access cache", makeRac1m},
+        {"small", "pcopt", "32-entry deledc & 32K RAC", presets::small},
+        {"large", "pcopt-large", "1K-entry deledc & 1M RAC",
+         presets::large},
+        {"delegation", "delegation-only",
+         "delegation without speculative updates", makeDelegation},
+        {"write-update", "update", "Dragon-style write-update protocol",
+         makeWriteUpdate},
+        {"adaptive-hybrid", "adaptive",
+         "write-update with per-line self-invalidation",
+         makeAdaptiveHybrid},
+    };
+    return table;
 }
 
 bool
@@ -212,7 +206,7 @@ namedMachineConfig(const std::string &name, unsigned num_nodes,
                    MachineConfig &out, std::string &canonical)
 {
     const std::string key = lowered(name);
-    for (const auto &e : configTable) {
+    for (const ConfigPreset &e : configPresets()) {
         if (key == e.name || (e.alias[0] && key == e.alias)) {
             out = e.make(num_nodes);
             canonical = e.name;

@@ -104,8 +104,17 @@ std::unique_ptr<Workload> makeRunnerWorkload(const std::string &name,
 
 // --- configuration registry --------------------------------------
 
-/** All named machine configurations usable from the CLI. */
-std::vector<std::string> configNames();
+/** One named machine configuration usable from the CLI. */
+struct ConfigPreset
+{
+    const char *name;
+    const char *alias;       ///< second spelling ("" = none)
+    const char *description; ///< one line for `pcsim list`
+    MachineConfig (*make)(unsigned num_nodes);
+};
+
+/** Every named machine configuration, in `pcsim list` order. */
+const std::vector<ConfigPreset> &configPresets();
 
 /**
  * Look up a machine configuration preset by name (case-insensitive;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "src/sim/file_io.hh"
 #include "src/sim/logging.hh"
 
 namespace pcsim
@@ -262,26 +263,6 @@ resultsToJson(const std::vector<JobResult> &results, bool with_timing)
     return doc;
 }
 
-namespace
-{
-
-std::string
-csvField(const std::string &s)
-{
-    if (s.find_first_of(",\"\n\r") == std::string::npos)
-        return s;
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-} // namespace
-
 std::string
 resultsToCsv(const std::vector<JobResult> &results, bool with_timing)
 {
@@ -352,22 +333,6 @@ writeTextFile(const std::string &path, const std::string &text)
     std::fclose(f);
     if (!ok)
         warn("short write to '%s'", path.c_str());
-    return ok;
-}
-
-bool
-readTextFile(const std::string &path, std::string &out)
-{
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
-        return false;
-    out.clear();
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    const bool ok = !std::ferror(f);
-    std::fclose(f);
     return ok;
 }
 

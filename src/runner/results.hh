@@ -85,9 +85,6 @@ std::string resultsToCsv(const std::vector<JobResult> &results,
  *  @return false (with a warning) if the file cannot be written. */
 bool writeTextFile(const std::string &path, const std::string &text);
 
-/** Read a whole file into @p out; @return false when unreadable. */
-bool readTextFile(const std::string &path, std::string &out);
-
 } // namespace runner
 } // namespace pcsim
 

@@ -967,13 +967,16 @@ sweeps()
          delegationAblationJobs, printDelegationAblation, ""},
         {"ablation-detector", "pcsim-ablation-detector.results.json",
          detectorAblationJobs, printDetectorAblation, ""},
-        {"scale", "BENCH_scale.json", scaleJobs, printScale, scaleHint},
-        {"serve", "BENCH_serve.json", serveJobs, printServe, serveHint},
+        {"scale", "BENCH_scale.json", scaleJobs, printScale, scaleHint,
+         readsWorkload | readsNodeList},
+        {"serve", "BENCH_serve.json", serveJobs, printServe, serveHint,
+         readsScenarios | readsNodeList},
         {"compare", "BENCH_compare.json", compareJobs, printCompare,
-         compareHint},
+         compareHint, readsScenarios | readsNodeList},
         {"faults", "BENCH_faults.json", faultJobs, printFaults,
-         faultsHint},
-        {"qos", "BENCH_qos.json", qosJobs, printFaults, faultsHint},
+         faultsHint, readsWorkload | readsScenarios | readsArbitrations},
+        {"qos", "BENCH_qos.json", qosJobs, printFaults, faultsHint,
+         readsWorkload | readsScenarios | readsArbitrations},
     };
     return table;
 }

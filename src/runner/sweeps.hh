@@ -84,6 +84,16 @@ struct SweepArgs
     bool table = true;
 };
 
+/** SweepArgs members an entry reads beyond the machine size, scale
+ *  and seed every entry reads (Sweep::reads). */
+enum SweepReads : unsigned
+{
+    readsWorkload = 1u << 0,     ///< one workload
+    readsScenarios = 1u << 1,    ///< scenarios
+    readsArbitrations = 1u << 2, ///< arbitration modes
+    readsNodeList = 1u << 3,     ///< every size, not just the first
+};
+
 /** One registered sweep. */
 struct Sweep
 {
@@ -98,6 +108,8 @@ struct Sweep
     void (*print)(const std::vector<JobResult> &, const SweepArgs &);
     /** What the arguments may name, quoted when the grid is empty. */
     const char *hint;
+    /** The grid arguments it reads (SweepReads bits). */
+    unsigned reads = 0;
 };
 
 /** Every entry, in `pcsim help` order. */

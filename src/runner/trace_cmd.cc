@@ -135,11 +135,6 @@ runTraceRecord(const TraceRecordOptions &opt)
 int
 runTraceReplay(const TraceReplayOptions &opt)
 {
-    if (opt.tracePath.empty()) {
-        std::fprintf(stderr,
-                     "pcsim trace replay: missing trace file\n");
-        return 1;
-    }
     std::shared_ptr<trace::TraceData> data;
     try {
         data = std::make_shared<trace::TraceData>(
@@ -202,10 +197,6 @@ runTraceReplay(const TraceReplayOptions &opt)
 int
 runTraceInfo(const std::string &path)
 {
-    if (path.empty()) {
-        std::fprintf(stderr, "pcsim trace info: missing trace file\n");
-        return 1;
-    }
     try {
         const trace::TraceMeta meta = trace::readTraceMeta(path);
         std::printf("trace:     %s\n", path.c_str());

@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -628,23 +627,19 @@ class EventQueue
 
 /**
  * Base class for simulation components. Provides access to the owning
- * event queue and a component name used in trace output.
+ * event queue.
  */
 class SimObject
 {
   public:
-    SimObject(EventQueue &eq, std::string name)
-        : _eq(eq), _name(std::move(name))
-    {}
+    explicit SimObject(EventQueue &eq) : _eq(eq) {}
     virtual ~SimObject() = default;
 
     EventQueue &eventQueue() const { return _eq; }
     Tick curTick() const { return _eq.curTick(); }
-    const std::string &name() const { return _name; }
 
   protected:
     EventQueue &_eq;
-    std::string _name;
 };
 
 } // namespace pcsim

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <limits>
 
+#include "src/sim/file_io.hh"
+
 namespace pcsim
 {
 namespace trace
@@ -275,29 +277,6 @@ decodeTrace(const std::string &bytes, const std::string &origin)
     return data;
 }
 
-namespace
-{
-
-std::string
-readBinaryFile(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        throw TraceError(path + ": cannot open for reading");
-    std::string out;
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    const bool failed = std::ferror(f) != 0;
-    std::fclose(f);
-    if (failed)
-        throw TraceError(path + ": read error");
-    return out;
-}
-
-} // namespace
-
 void
 writeTraceFile(const std::string &path, const TraceMeta &meta,
                const std::vector<std::vector<MemOp>> &per_node)
@@ -316,7 +295,10 @@ writeTraceFile(const std::string &path, const TraceMeta &meta,
 TraceData
 readTraceFile(const std::string &path)
 {
-    return decodeTrace(readBinaryFile(path), path);
+    std::string bytes;
+    if (const char *err = readFile(path, bytes))
+        throw TraceError(path + ": " + err);
+    return decodeTrace(bytes, path);
 }
 
 TraceMeta

@@ -1,8 +1,9 @@
 #include "src/trace/text_ingest.hh"
 
 #include <cctype>
-#include <cstdio>
 #include <limits>
+
+#include "src/sim/file_io.hh"
 
 namespace pcsim
 {
@@ -11,24 +12,6 @@ namespace trace
 
 namespace
 {
-
-std::string
-readWholeFile(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        throw TraceError(path + ": cannot open for reading");
-    std::string out;
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    const bool failed = std::ferror(f) != 0;
-    std::fclose(f);
-    if (failed)
-        throw TraceError(path + ": read error");
-    return out;
-}
 
 /** Parse a hexadecimal value (optional 0x/0X prefix). */
 std::uint64_t
@@ -138,8 +121,10 @@ ingestTextTraces(const std::vector<std::string> &paths,
     data.meta.workload = workload_name;
     data.perNode.resize(paths.size());
     for (std::size_t i = 0; i < paths.size(); ++i) {
-        std::vector<MemOp> ops =
-            parseTextTrace(readWholeFile(paths[i]), paths[i]);
+        std::string text;
+        if (const char *err = readFile(paths[i], text))
+            throw TraceError(paths[i] + ": " + err);
+        std::vector<MemOp> ops = parseTextTrace(text, paths[i]);
         // One barrier per node ends the (empty) init phase, so stats
         // cover the whole external trace. Every node gets exactly one,
         // keeping barrier arrivals balanced even for empty files.

@@ -8,6 +8,7 @@
 
 #include "src/mc/explorer.hh"
 #include "src/mc/protocol_model.hh"
+#include "src/sim/file_io.hh"
 #include "src/verify/liveness.hh"
 
 namespace pcsim::verify
@@ -212,21 +213,6 @@ lintModelCrossCheck(const TransitionSpec &spec, McCheckSet set,
     }
 }
 
-std::string
-csvField(const std::string &s)
-{
-    if (s.find_first_of(",\"\n\r") == std::string::npos)
-        return s;
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
 } // namespace
 
 LintReport
@@ -248,11 +234,27 @@ lintSpecWithModel(const TransitionSpec &spec, McCheckSet set)
 }
 
 JsonValue
-lintToJson(const TransitionSpec &spec, const LintReport &r)
+lintFindingsJson(const std::vector<LintFinding> &findings)
+{
+    JsonValue arr = JsonValue::array();
+    for (const LintFinding &f : findings) {
+        JsonValue e = JsonValue::object();
+        e["kind"] = JsonValue(f.kind);
+        e["controller"] = JsonValue(f.ctrl);
+        e["state"] = JsonValue(f.state);
+        e["event"] = JsonValue(f.event);
+        e["detail"] = JsonValue(f.detail);
+        arr.push(std::move(e));
+    }
+    return arr;
+}
+
+JsonValue
+lintPolicyJson(const std::string &policy, const TransitionSpec &spec,
+               const LintReport &r)
 {
     JsonValue doc = JsonValue::object();
-    doc["schemaVersion"] = JsonValue(std::uint64_t(1));
-    doc["generator"] = JsonValue("pcsim-lint");
+    doc["policy"] = JsonValue(policy);
 
     JsonValue sp = JsonValue::object();
     sp["rules"] = JsonValue(std::uint64_t(spec.rules().size()));
@@ -281,38 +283,6 @@ lintToJson(const TransitionSpec &spec, const LintReport &r)
 }
 
 JsonValue
-lintFindingsJson(const std::vector<LintFinding> &findings)
-{
-    JsonValue arr = JsonValue::array();
-    for (const LintFinding &f : findings) {
-        JsonValue e = JsonValue::object();
-        e["kind"] = JsonValue(f.kind);
-        e["controller"] = JsonValue(f.ctrl);
-        e["state"] = JsonValue(f.state);
-        e["event"] = JsonValue(f.event);
-        e["detail"] = JsonValue(f.detail);
-        arr.push(std::move(e));
-    }
-    return arr;
-}
-
-JsonValue
-lintPolicyJson(const std::string &policy, const TransitionSpec &spec,
-               const LintReport &r)
-{
-    // Reuse lintToJson so the fragment cannot drift from the classic
-    // single-policy document; only the envelope keys differ.
-    const JsonValue full = lintToJson(spec, r);
-    JsonValue doc = JsonValue::object();
-    doc["policy"] = JsonValue(policy);
-    for (const auto &[key, value] : full.members()) {
-        if (key != "schemaVersion" && key != "generator")
-            doc[key] = value;
-    }
-    return doc;
-}
-
-JsonValue
 lintFindingsDocument(const std::string &mode, JsonValue policies)
 {
     JsonValue doc = JsonValue::object();
@@ -321,18 +291,6 @@ lintFindingsDocument(const std::string &mode, JsonValue policies)
     doc["mode"] = JsonValue(mode);
     doc["policies"] = std::move(policies);
     return doc;
-}
-
-std::string
-lintToCsv(const LintReport &r)
-{
-    std::string out = "kind,controller,state,event,detail\n";
-    for (const LintFinding &f : r.findings) {
-        out += csvField(f.kind) + ',' + csvField(f.ctrl) + ',' +
-               csvField(f.state) + ',' + csvField(f.event) + ',' +
-               csvField(f.detail) + '\n';
-    }
-    return out;
 }
 
 CoverageReport

@@ -73,31 +73,22 @@ enum class McCheckSet
 
 /** Static passes plus the model cross-check: explore the 3-node
  *  abstraction under every configuration in @p set and check each
- *  transition taken against @p spec. The default set covers the
- *  MESI-dir + delegation stack (base, delegation, delegation+updates)
- *  and keeps the historical single-argument behaviour. */
-LintReport lintSpecWithModel(const TransitionSpec &spec,
-                             McCheckSet set = McCheckSet::MesiDele);
-
-JsonValue lintToJson(const TransitionSpec &spec, const LintReport &r);
-std::string lintToCsv(const LintReport &r);
+ *  transition taken against @p spec. */
+LintReport lintSpecWithModel(const TransitionSpec &spec, McCheckSet set);
 
 /** Findings serialized as the JSON array every lint mode shares
  *  ({"kind", "controller", "state", "event", "detail"} objects). */
 JsonValue lintFindingsJson(const std::vector<LintFinding> &findings);
 
-/** lintToJson's body as a per-policy fragment ({"policy": name,
- *  "spec", "model"?, "findings"}) for the combined --policy=all
- *  document. */
+/** One policy's spec-pass fragment of the combined document:
+ *  {"policy": name, "spec", "model"?, "findings"}. */
 JsonValue lintPolicyJson(const std::string &policy,
                          const TransitionSpec &spec,
                          const LintReport &r);
 
-/** Wrap per-policy fragments into the combined multi-policy document:
- *  {"schemaVersion": 1, "generator": "pcsim-lint", "mode": mode,
- *   "policies": [...]}. Used by `pcsim lint --json` for --policy=all
- *  and for the liveness / mdg modes (the classic single-policy
- *  document keeps its historical lintToJson shape). */
+/** Wrap per-policy fragments into the document every lint pass
+ *  writes: {"schemaVersion": 1, "generator": "pcsim-lint", "mode":
+ *  mode, "policies": [...]}. */
 JsonValue lintFindingsDocument(const std::string &mode,
                                JsonValue policies);
 

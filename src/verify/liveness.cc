@@ -340,12 +340,6 @@ analyzeLiveness(const std::vector<NamedModelConfig> &configs,
     return report;
 }
 
-LivenessReport
-analyzeLiveness(McCheckSet set)
-{
-    return analyzeLiveness(modelConfigsFor(set));
-}
-
 JsonValue
 livenessPolicyJson(const std::string &policy, const LivenessReport &r)
 {

@@ -116,9 +116,6 @@ struct LivenessReport
 LivenessReport analyzeLiveness(const std::vector<NamedModelConfig> &configs,
                                std::uint64_t maxStates = 5'000'000);
 
-/** Convenience: analyzeLiveness over modelConfigsFor(set). */
-LivenessReport analyzeLiveness(McCheckSet set);
-
 /** Per-policy JSON fragment ({"policy": name, configs, findings}). */
 JsonValue livenessPolicyJson(const std::string &policy,
                              const LivenessReport &r);

@@ -72,13 +72,4 @@ makeWorkload(const std::string &name, unsigned num_cpus, double scale)
     fatal("unknown workload '%s'", name.c_str());
 }
 
-std::vector<std::unique_ptr<Workload>>
-makeSuite(unsigned num_cpus, double scale)
-{
-    std::vector<std::unique_ptr<Workload>> suite;
-    for (const auto &name : suiteNames())
-        suite.push_back(makeWorkload(name, num_cpus, scale));
-    return suite;
-}
-
 } // namespace pcsim

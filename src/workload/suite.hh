@@ -28,10 +28,6 @@ std::unique_ptr<Workload> makeWorkload(const std::string &name,
                                        unsigned num_cpus,
                                        double scale = 1.0);
 
-/** Instantiate the whole suite. */
-std::vector<std::unique_ptr<Workload>> makeSuite(unsigned num_cpus,
-                                                 double scale = 1.0);
-
 } // namespace pcsim
 
 #endif // PCSIM_WORKLOAD_SUITE_HH

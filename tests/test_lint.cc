@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "src/cache/line_state.hh"
@@ -56,7 +57,8 @@ TEST(Lint, ShippedSpecIsClean)
 
 TEST(Lint, ShippedSpecMatchesModel)
 {
-    const LintReport r = lintSpecWithModel(protocolSpec());
+    const LintReport r =
+        lintSpecWithModel(protocolSpec(), McCheckSet::MesiDele);
     for (const auto &f : r.findings) {
         ADD_FAILURE() << f.kind << ": " << f.ctrl << " " << f.state
                       << " x " << f.event << ": " << f.detail;
@@ -69,12 +71,16 @@ TEST(Lint, ShippedSpecMatchesModel)
 
 TEST(Lint, GoldenJsonReport)
 {
-    // The serialized static-lint report is a committed artifact:
-    // regenerate tests/golden/lint_clean.json when the spec grows
-    // (build/apps/pcsim lint --no-mc --json tests/golden/...).
-    const TransitionSpec &spec = protocolSpec();
+    // The serialized static-lint report of the full-protocol spec is a
+    // committed artifact: regenerate tests/golden/lint_clean.json when
+    // the spec grows (build/apps/pcsim lint --policy
+    // delegation-updates --no-mc --json tests/golden/lint_clean.json).
     const std::string got =
-        lintToJson(spec, lintSpec(spec)).dump(2) + "\n";
+        lintPolicies(LintPass::Spec, {ProtocolKind::DelegationUpdates},
+                     /*model_check=*/false)
+            .toJson()
+            .dump(2) +
+        "\n";
     const std::string want =
         readFile(std::string(PCSIM_SOURCE_DIR) +
                  "/tests/golden/lint_clean.json");
@@ -145,7 +151,7 @@ TEST(Lint, DetectsModelMismatch)
     ASSERT_NE(rule, nullptr);
     rule->next = {static_cast<StateId>(DirState::Unowned)};
     ASSERT_TRUE(lintSpec(spec).clean()) << "defect must be mc-only";
-    const LintReport r = lintSpecWithModel(spec);
+    const LintReport r = lintSpecWithModel(spec, McCheckSet::MesiDele);
     EXPECT_TRUE(hasFinding(r, "mc-mismatch", "Unowned", "ReqShared"));
 }
 
@@ -188,10 +194,19 @@ TEST(Lint, CsvEscapesAndLists)
     TransitionSpec spec = buildProtocolSpec();
     ASSERT_TRUE(spec.removeRule(Ctrl::Producer, prodExcl,
                                 PEvent::LocalFlush));
-    const std::string csv = lintToCsv(lintSpec(spec));
-    EXPECT_NE(csv.find("kind,controller,state,event,detail"),
-              std::string::npos);
-    EXPECT_NE(csv.find("unhandled,producer,Excl,LocalFlush"),
+    // The CSV of a lint run whose delegation-updates spec lost a rule.
+    const LintRun run{
+        LintPass::Spec,
+        {{ProtocolKind::DelegationUpdates,
+          std::make_shared<const LintReport>(lintSpec(spec)), nullptr,
+          nullptr}}};
+    const std::string csv = run.toCsv();
+    EXPECT_EQ(csv.rfind("policy,kind,controller,state,event,detail\n", 0),
+              0u);
+    // The detail holds a comma, so it is quoted.
+    EXPECT_NE(csv.find("\ndelegation-updates,unhandled,producer,Excl,"
+                       "LocalFlush,\"no rule and no impossible "
+                       "declaration for this (state, event) pair\"\n"),
               std::string::npos);
 }
 
@@ -320,27 +335,6 @@ TEST(Mdg, DetectsUndeliverableSend)
 
 // --- Liveness pass --------------------------------------------------
 
-TEST(Liveness, ShippedModelsAreLive)
-{
-    for (McCheckSet set :
-         {McCheckSet::MesiDele, McCheckSet::WriteUpdate,
-          McCheckSet::AdaptiveHybrid}) {
-        const LivenessReport r = analyzeLiveness(set);
-        for (const auto &f : r.findings) {
-            ADD_FAILURE() << f.kind << " (" << f.config
-                          << "): " << f.detail;
-        }
-        EXPECT_TRUE(r.clean());
-        ASSERT_FALSE(r.configs.empty());
-        for (const auto &c : r.configs) {
-            EXPECT_TRUE(c.completed) << c.name;
-            EXPECT_GT(c.states, 0u) << c.name;
-            EXPECT_GT(c.progressEdges, 0u) << c.name;
-            EXPECT_GT(c.quiescentStates, 0u) << c.name;
-        }
-    }
-}
-
 TEST(Liveness, DetectsStalledUpdateEpisode)
 {
     // Seeded defect (ModelConfig::defectStallUpdateWB): the home
@@ -382,20 +376,32 @@ TEST(Liveness, DetectsStalledUpdateEpisode)
 
 TEST(Liveness, GoldenJsonReport)
 {
-    // Byte-compare the combined all-policies liveness document
-    // against the committed golden -- the same bytes `pcsim lint
-    // --liveness --policy=all --json FILE` writes and CI diffs.
-    // Regenerate with: build/apps/pcsim lint --liveness
-    //   --policy=all --json tests/golden/lint_liveness.json
-    JsonValue policies = JsonValue::array();
-    for (ProtocolKind kind : registeredPolicyKinds()) {
-        const CoherencePolicy &p = policyFor(kind);
-        policies.push(livenessPolicyJson(
-            p.name(), analyzeLiveness(modelCheckSetFor(kind))));
+    // The lint loop over every registered policy, as `pcsim lint
+    // --liveness --json FILE` runs it (CI diffs the same bytes): every
+    // model family is live and fully explored, and the combined
+    // document matches the committed golden. Regenerate with:
+    //   build/apps/pcsim lint --liveness --policy=all
+    //   --json tests/golden/lint_liveness.json
+    const LintRun run =
+        lintPolicies(LintPass::Liveness, registeredPolicyKinds());
+    for (const PolicyLint &p : run.policies) {
+        const char *name = policyFor(p.kind).name();
+        const LivenessReport &r = *p.liveness;
+        for (const auto &f : r.findings) {
+            ADD_FAILURE() << name << ": " << f.kind << " (" << f.config
+                          << "): " << f.detail;
+        }
+        EXPECT_TRUE(r.clean()) << name;
+        ASSERT_FALSE(r.configs.empty()) << name;
+        for (const auto &c : r.configs) {
+            EXPECT_TRUE(c.completed) << name << " " << c.name;
+            EXPECT_GT(c.states, 0u) << name << " " << c.name;
+            EXPECT_GT(c.progressEdges, 0u) << name << " " << c.name;
+            EXPECT_GT(c.quiescentStates, 0u) << name << " " << c.name;
+        }
     }
-    const std::string got =
-        lintFindingsDocument("liveness", std::move(policies)).dump(2) +
-        "\n";
+
+    const std::string got = run.toJson().dump(2) + "\n";
     const std::string want =
         readFile(std::string(PCSIM_SOURCE_DIR) +
                  "/tests/golden/lint_liveness.json");

@@ -141,19 +141,23 @@ TEST(PolicyRuns, AdaptiveConsumerDropsOutOfUpdateStream)
 
 TEST(PolicyLint, EveryRegisteredSpecIsCleanAgainstItsModel)
 {
-    for (ProtocolKind kind : registeredPolicyKinds()) {
-        const CoherencePolicy &p = policyFor(kind);
-        const verify::LintReport r = verify::lintSpecWithModel(
-            p.spec(), modelCheckSetFor(kind));
+    // The lint loop `pcsim lint` runs: one cross-check per model
+    // family, reported under every policy that shares it.
+    const LintRun run = lintPolicies(LintPass::Spec, registeredPolicyKinds());
+    ASSERT_EQ(run.policies.size(), registeredPolicyKinds().size());
+    for (const PolicyLint &p : run.policies) {
+        const char *name = policyFor(p.kind).name();
+        const verify::LintReport &r = *p.spec;
         for (const auto &f : r.findings) {
-            ADD_FAILURE() << p.name() << ": " << f.kind << ": "
-                          << f.ctrl << " " << f.state << " x "
-                          << f.event << ": " << f.detail;
+            ADD_FAILURE() << name << ": " << f.kind << ": " << f.ctrl
+                          << " " << f.state << " x " << f.event << ": "
+                          << f.detail;
         }
-        EXPECT_TRUE(r.clean()) << p.name();
-        EXPECT_GT(r.mcConfigs, 0u) << p.name();
-        EXPECT_GT(r.mcObserved, 0u) << p.name();
+        EXPECT_TRUE(r.clean()) << name;
+        EXPECT_GT(r.mcConfigs, 0u) << name;
+        EXPECT_GT(r.mcObserved, 0u) << name;
     }
+    EXPECT_EQ(run.findings(), 0u);
 }
 
 TEST(CompareRunner, JobGridCoversScenariosNodesAndPolicies)

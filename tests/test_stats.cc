@@ -1,43 +1,10 @@
-/** @file Statistics primitives tests. */
+/** @file Histogram tests. */
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "src/sim/stats.hh"
 
 using namespace pcsim;
-
-TEST(Counter, IncAndReset)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    c.inc();
-    c.inc(9);
-    EXPECT_EQ(c.value(), 10u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Average, TracksMeanMinMax)
-{
-    Average a;
-    a.sample(2);
-    a.sample(4);
-    a.sample(9);
-    EXPECT_DOUBLE_EQ(a.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(a.min(), 2.0);
-    EXPECT_DOUBLE_EQ(a.max(), 9.0);
-    EXPECT_EQ(a.count(), 3u);
-}
-
-TEST(Average, EmptyIsZero)
-{
-    Average a;
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(a.min(), 0.0);
-    EXPECT_DOUBLE_EQ(a.max(), 0.0);
-}
 
 TEST(Histogram, BucketsAndFractions)
 {
@@ -67,31 +34,4 @@ TEST(Histogram, Reset)
     h.reset();
     EXPECT_EQ(h.total(), 0u);
     EXPECT_EQ(h.bucket(2), 0u);
-}
-
-TEST(StatGroup, CreatesOnFirstUse)
-{
-    StatGroup g;
-    g.counter("a").inc(3);
-    EXPECT_EQ(g.counterValue("a"), 3u);
-    EXPECT_EQ(g.counterValue("missing"), 0u);
-    EXPECT_EQ(g.findCounter("missing"), nullptr);
-}
-
-TEST(StatGroup, DumpFormat)
-{
-    StatGroup g;
-    g.counter("x").inc(1);
-    g.counter("y").inc(2);
-    std::ostringstream os;
-    g.dump(os, "node0");
-    EXPECT_EQ(os.str(), "node0.x 1\nnode0.y 2\n");
-}
-
-TEST(StatGroup, Reset)
-{
-    StatGroup g;
-    g.counter("x").inc(5);
-    g.reset();
-    EXPECT_EQ(g.counterValue("x"), 0u);
 }
