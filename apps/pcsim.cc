@@ -414,24 +414,32 @@ runCommand(Options &opt)
 int
 traceRecordCommand(Options &opt)
 {
-    runner::TraceRecordOptions topt;
-    topt.args = opt.args;
-    topt.config = opt.configs.front();
-    topt.outPath = opt.outputPath;
-    if (opt.has(rText)) {
-        if (opt.positional.empty()) {
-            std::fprintf(stderr, "pcsim trace record: --text needs "
-                                 "per-core trace files as operands\n");
-            return 1;
-        }
-        topt.textPaths = opt.positional;
-    } else if (!opt.positional.empty()) {
+    if (!opt.positional.empty()) {
         std::fprintf(stderr,
                      "pcsim trace record: unexpected operand '%s' (text "
                      "files need --text)\n",
                      opt.positional.front().c_str());
         return 1;
     }
+    runner::TraceRecordOptions topt;
+    topt.args = opt.args;
+    topt.config = opt.configs.front();
+    topt.outPath = opt.outputPath;
+    return runner::runTraceRecord(topt);
+}
+
+int
+traceIngestCommand(Options &opt)
+{
+    if (opt.positional.empty()) {
+        std::fprintf(stderr, "pcsim trace record: --text needs "
+                             "per-core trace files as operands\n");
+        return 1;
+    }
+    runner::TraceRecordOptions topt;
+    topt.args = opt.args;
+    topt.outPath = opt.outputPath;
+    topt.textPaths = opt.positional;
     return runner::runTraceRecord(topt);
 }
 
@@ -514,6 +522,17 @@ lintCoverage(Options &opt)
     }
     unsigned with_conformance = 0;
     for (std::size_t i = 0; i < arr->size(); ++i) {
+        // Only update-based runs write a "policy" block, and their
+        // transitions are not this spec's.
+        if (arr->at(i).find("policy")) {
+            std::fprintf(stderr,
+                         "pcsim lint: '%s': results[%zu] ran an "
+                         "update-based policy (it has a \"policy\" "
+                         "block); --coverage reads only the "
+                         "delegation-updates spec's transitions\n",
+                         opt.coveragePath.c_str(), i);
+            return 1;
+        }
         const JsonValue *conf = arr->at(i).find("conformance");
         if (!conf)
             continue;
@@ -662,10 +681,13 @@ const CommandInfo commandTable[] = {
          rScale | rChecker | rConformance | rJobs | rJson | rCsv |
          rTiming | rDetCheck | rNoTable | rQuiet,
      runCommand},
-    {"trace record", 0, "[FILE...]",
+    {"trace record", rText, "FILE...",
+     "convert per-core text traces, one per node, to a PCTR trace",
+     rText | rOutput | rScale | rQuiet, traceIngestCommand},
+    {"trace record", 0, "",
      "capture a run's memory-op stream as a binary PCTR trace",
-     rWorkload | rConfig | rSeed | rNodes | rScale | rOutput | rText |
-         rJson | rCsv | rTiming | rQuiet,
+     rWorkload | rConfig | rSeed | rNodes | rScale | rOutput | rJson |
+         rCsv | rTiming | rQuiet,
      traceRecordCommand},
     {"trace replay", 0, "FILE",
      "re-drive the simulator from a trace; stats match the source run",
@@ -749,11 +771,11 @@ usage(std::FILE *out)
                  "usage: pcsim <command> [options]\n\n"
                  "commands (each followed by the options it reads):\n");
     for (const CommandInfo &c : commandTable) {
-        std::fprintf(out, "  %-18s %s\n", commandName(c).c_str(),
+        std::fprintf(out, "  %-19s %s\n", commandName(c).c_str(),
                      c.oneline);
-        printReads(out, 21, c.operand, c.reads & ~c.mode);
+        printReads(out, 22, c.operand, c.reads & ~c.mode);
     }
-    std::fprintf(out, "  %-18s %s\n", "sweep NAME",
+    std::fprintf(out, "  %-19s %s\n", "sweep NAME",
                  "run a sweep of the registry below; 'pcsim NAME' "
                  "runs it too");
 
@@ -769,12 +791,12 @@ usage(std::FILE *out)
         for (const runner::Sweep &s : runner::sweeps()) {
             if (sweepReads(s) != mask)
                 continue;
-            std::fprintf(out, "  %-18s %s%s\n", s.name,
+            std::fprintf(out, "  %-19s %s%s\n", s.name,
                          s.jsonPath[0] ? "default --json " : "",
                          s.jsonPath[0] ? s.jsonPath
                                        : "prints its table, runs no job");
             if (s.hint[0])
-                printWrapped(out, 21, s.hint);
+                printWrapped(out, 22, s.hint);
         }
         printReads(out, 4, "options:", mask);
     }
@@ -899,10 +921,12 @@ main(int argc, char **argv)
         runner::findSweep(sweep_cmd ? argv[2] : cmd);
     const CommandInfo *command = nullptr;
     unsigned reads = sweep ? sweepReads(*sweep) : 0;
+    bool operands = false;
     for (const CommandInfo &c : commandTable) {
         if (cmd == c.name) {
             command = &c;
             reads |= c.reads;
+            operands |= c.operand[0] != '\0';
         }
     }
     if (!sweep && !command) {
@@ -923,8 +947,7 @@ main(int argc, char **argv)
     }
 
     Options opt;
-    if (!parseArgs(argc, argv, first, cmd, reads,
-                   command && command->operand[0], opt))
+    if (!parseArgs(argc, argv, first, cmd, reads, operands, opt))
         return 1;
     if (sweep)
         return runner::runSweep(*sweep, opt.args);

@@ -12,7 +12,7 @@
  *
  * Memory follows the sets a run touches, not the modelled capacity: a
  * set takes storage on its first allocate(), and an untouched set
- * costs 4 bytes of index (DESIGN.md, "Per-node state on first
+ * costs 2 bytes of index (DESIGN.md, "Per-node state on first
  * touch").
  */
 
@@ -45,6 +45,27 @@ enum class ReplPolicy
     Random,
 };
 
+/** Why array @p name cannot have @p num_sets sets of @p ways ways, or
+ *  "" when it can: a set's index is a 16-bit first-touch ordinal
+ *  (0 = untouched) and a way's recency an 8-bit rank. The CacheArray
+ *  constructor and ProtocolConfig::validateError() both ask. */
+inline std::string
+cacheGeometryError(const std::string &name, std::size_t num_sets,
+                   std::size_t ways)
+{
+    constexpr std::size_t max_sets = std::numeric_limits<std::uint16_t>::max();
+    constexpr std::size_t max_ways = std::numeric_limits<std::uint8_t>::max();
+    if (num_sets > max_sets)
+        return name + ": " + std::to_string(num_sets) +
+               " sets overflow the 16-bit set index (max " +
+               std::to_string(max_sets) + ")";
+    if (ways > max_ways)
+        return name + ": " + std::to_string(ways) +
+               " ways overflow the 8-bit LRU rank (max " +
+               std::to_string(max_ways) + ")";
+    return "";
+}
+
 /**
  * Set-associative array of EntryT payloads indexed by line address.
  *
@@ -53,11 +74,14 @@ enum class ReplPolicy
  * internally to the line size.
  *
  * Storage is materialized per set on first allocate(): a per-set
- * index holds the set's first-touch ordinal (0 = never allocated),
- * which names its place in append-only slabs packed in first-touch
- * order. A materialized set is a tag row (one line address per way,
- * invalidAddr for an empty way), then the ways' LRU stamps, then their
- * payloads, so a probe compares tags before it touches a payload.
+ * 16-bit index holds the set's first-touch ordinal (0 = never
+ * allocated), which names its place in append-only slabs packed in
+ * first-touch order. A materialized set is a tag row (one line
+ * address per way, invalidAddr for an empty way), then a rank row,
+ * then the ways' payloads, so a probe compares tags before it touches
+ * a payload. The rank row is a permutation of 0..ways-1 ordering the
+ * ways by their last touch, 0 = most recent: a touch moves its way to
+ * 0, and the LRU victim is the evictable way of highest rank.
  * Lookups on an untouched set return null and allocate nothing;
  * payload pointers stay valid until their line leaves. A payload
  * lives exactly while its line is valid: allocate() constructs it, and
@@ -81,7 +105,7 @@ class CacheArray
           _setsPow2(isPowerOfTwo(num_sets)),
           _policy(policy),
           _rng(rng),
-          _dataOffset(roundUp(2 * ways * sizeof(Addr), alignof(EntryT))),
+          _dataOffset(roundUp(ways * sizeof(Addr) + ways, alignof(EntryT))),
           _setBytes(roundUp(_dataOffset + ways * sizeof(EntryT),
                             std::max(alignof(Addr), alignof(EntryT))))
     {
@@ -95,9 +119,9 @@ class CacheArray
         if (line_bytes < 2)
             fatal("%s: line size %u is below 2 bytes", _name.c_str(),
                   line_bytes);
-        if (num_sets > std::numeric_limits<std::uint32_t>::max())
-            fatal("%s: %zu sets overflow the 32-bit set index",
-                  _name.c_str(), num_sets);
+        const std::string err = cacheGeometryError(_name, num_sets, ways);
+        if (!err.empty())
+            fatal("%s", err.c_str());
         _sets.assign(num_sets, 0);
     }
 
@@ -138,7 +162,7 @@ class CacheArray
         if (w == _ways)
             return nullptr;
         if (touch)
-            stamps(set)[w] = ++_useClock;
+            promote(set, w);
         return entry(set, w);
     }
 
@@ -178,7 +202,7 @@ class CacheArray
         std::size_t victim = _ways;
         for (std::size_t w = 0; w < _ways; ++w) {
             if (tag[w] == line) {
-                stamps(set)[w] = ++_useClock;
+                promote(set, w);
                 return entry(set, w);
             }
             if (tag[w] == invalidAddr && victim == _ways)
@@ -196,7 +220,7 @@ class CacheArray
         }
         ::new (static_cast<void *>(entry(set, victim))) EntryT{};
         tag[victim] = line;
-        stamps(set)[victim] = ++_useClock;
+        promote(set, victim);
         return entry(set, victim);
     }
 
@@ -311,18 +335,18 @@ class CacheArray
         return static_cast<std::size_t>(n % _numSets);
     }
 
-    /** @name A set's storage: tag row, LRU stamps, then payloads. */
+    /** @name A set's storage: tag row, rank row, then payloads. */
     /** @{ */
     static Addr *
     tags(std::byte *set)
     {
         return std::launder(reinterpret_cast<Addr *>(set));
     }
-    std::uint64_t *
-    stamps(std::byte *set) const
+    std::uint8_t *
+    ranks(std::byte *set) const
     {
         return std::launder(
-            reinterpret_cast<std::uint64_t *>(set + _ways * sizeof(Addr)));
+            reinterpret_cast<std::uint8_t *>(set + _ways * sizeof(Addr)));
     }
     /** Way @p w's payload; alive only while its tag is valid. */
     EntryT *
@@ -341,7 +365,7 @@ class CacheArray
      * p < 64, and in slab 6 + p / 64 at p % 64 after that.
      */
     std::byte *
-    setAt(std::uint32_t ord) const
+    setAt(std::uint16_t ord) const
     {
         const std::size_t p = ord - 1;
         std::size_t slab;
@@ -360,7 +384,7 @@ class CacheArray
     std::byte *
     setOf(Addr line) const
     {
-        const std::uint32_t ord = _sets[setIndex(line)];
+        const std::uint16_t ord = _sets[setIndex(line)];
         return ord ? setAt(ord) : nullptr;
     }
 
@@ -376,7 +400,7 @@ class CacheArray
     }
 
     /** Give set @p s storage: the next set in the newest slab, with
-     *  every way empty. */
+     *  every way empty and ranked by index. */
     std::byte *
     materialize(std::size_t s)
     {
@@ -392,9 +416,25 @@ class CacheArray
         }
         std::byte *set = _slabs.back().get() + _slabUsed++ * _setBytes;
         std::fill_n(tags(set), _ways, invalidAddr);
-        std::fill_n(stamps(set), _ways, std::uint64_t{0});
-        _sets[s] = static_cast<std::uint32_t>(++_materialized);
+        std::uint8_t *rank = ranks(set);
+        for (std::size_t w = 0; w < _ways; ++w)
+            rank[w] = static_cast<std::uint8_t>(w);
+        _sets[s] = static_cast<std::uint16_t>(++_materialized);
         return set;
+    }
+
+    /** Make way @p w of @p set the most recently used: every way
+     *  ranked above it moves down one. */
+    void
+    promote(std::byte *set, std::size_t w)
+    {
+        std::uint8_t *rank = ranks(set);
+        const std::uint8_t r = rank[w];
+        if (r == 0)
+            return;
+        for (std::size_t v = 0; v < _ways; ++v)
+            rank[v] += rank[v] < r ? 1 : 0;
+        rank[w] = 0;
     }
 
     /** End a valid way's payload and mark the way empty. */
@@ -410,7 +450,7 @@ class CacheArray
     void
     forEachValid(Fn &&fn) const
     {
-        for (const std::uint32_t ord : _sets) {
+        for (const std::uint16_t ord : _sets) {
             if (!ord)
                 continue;
             std::byte *set = setAt(ord);
@@ -445,13 +485,14 @@ class CacheArray
             }
             return _ways;
         }
-        // LRU.
-        const std::uint64_t *stamp = stamps(set);
+        // LRU: a full set's ways have all been touched, so their ranks
+        // order them by last touch.
+        const std::uint8_t *rank = ranks(set);
         std::size_t best = _ways;
         for (std::size_t w = 0; w < _ways; ++w) {
             if (!evictable(w))
                 continue;
-            if (best == _ways || stamp[w] < stamp[best])
+            if (best == _ways || rank[w] > rank[best])
                 best = w;
         }
         return best;
@@ -469,13 +510,12 @@ class CacheArray
     std::size_t _dataOffset; ///< payloads' offset in a set's storage
     std::size_t _setBytes;   ///< storage one set takes in a slab
     /** Per set: its first-touch ordinal, or 0 while never allocated. */
-    std::vector<std::uint32_t> _sets;
+    std::vector<std::uint16_t> _sets;
     /** Append-only storage; sets are packed in first-touch order. */
     std::vector<std::unique_ptr<std::byte[]>> _slabs;
     std::size_t _slabSets = 0; ///< sets the newest slab holds
     std::size_t _slabUsed = 0; ///< of which materialized
     std::size_t _materialized = 0;
-    std::uint64_t _useClock = 0;
 };
 
 } // namespace pcsim

@@ -1,7 +1,9 @@
 #include "src/protocol/config.hh"
 
+#include <algorithm>
 #include <cstdio>
 
+#include "src/cache/cache_array.hh"
 #include "src/sim/logging.hh"
 
 namespace pcsim
@@ -159,6 +161,21 @@ ProtocolConfig::validateError() const
         return format("directory cache needs entries (%llu) >= ways "
                       "(%llu), both nonzero",
                       dirCache.entries, dirCache.ways);
+    // Each cache array's set index and LRU ranks are narrow; the
+    // names and set counts are the ones the arrays are built with.
+    for (const std::string &err :
+         {cacheGeometryError("l1d", l1.sizeBytes / (l1.ways * l1.lineBytes),
+                             l1.ways),
+          cacheGeometryError("l2",
+                             l2SetsOverride
+                                 ? l2SetsOverride
+                                 : l2SizeBytes / (l2Ways * lineBytes),
+                             l2Ways),
+          cacheGeometryError("dircache", dirCache.entries / dirCache.ways,
+                             dirCache.ways)}) {
+        if (!err.empty())
+            return err;
+    }
 
     if (racEnabled) {
         if (!isPowerOfTwo(rac.lineBytes))
@@ -167,6 +184,10 @@ ProtocolConfig::validateError() const
         if (rac.sizeBytes == 0 || rac.ways == 0 ||
             rac.sizeBytes < rac.ways * rac.lineBytes)
             return "RAC geometry is degenerate (size/ways/lineBytes)";
+        const std::string err = cacheGeometryError(
+            "rac", rac.sizeBytes / (rac.ways * rac.lineBytes), rac.ways);
+        if (!err.empty())
+            return err;
     }
     if (delegationEnabled()) {
         if (!racEnabled)
@@ -186,6 +207,18 @@ ProtocolConfig::validateError() const
             return format("delegate cache needs producerEntries "
                           "(%llu) >= ways (%llu)",
                           delegate.producerEntries, delegate.ways);
+        for (const std::string &err :
+             {cacheGeometryError("deledc.prod",
+                                 delegate.producerEntries / delegate.ways,
+                                 delegate.ways),
+              cacheGeometryError(
+                  "deledc.cons",
+                  std::max<std::size_t>(
+                      1, delegate.consumerEntries / delegate.ways),
+                  delegate.ways)}) {
+            if (!err.empty())
+                return err;
+        }
     }
     if (updateBased()) {
         if (racEnabled)

@@ -1,9 +1,11 @@
 #include "src/runner/runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <mutex>
+#include <numeric>
 #include <thread>
 
 namespace pcsim
@@ -81,16 +83,30 @@ runJobs(const JobSet &set, const RunnerOptions &opts)
     const unsigned threads = resolveThreads(opts.threads, jobs.size());
     const auto start = Clock::now();
 
+    // Hand out the biggest jobs (nodes x scale) first, so no long job
+    // starts last and runs alone at the end. Each result still lands
+    // in its grid slot.
+    std::vector<std::size_t> order(jobs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    const auto work = [&](std::size_t i) {
+        return jobs[i].cfg.proto.numNodes * jobs[i].scale;
+    };
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return work(a) > work(b);
+                     });
+
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> completed{0};
     std::mutex io;
 
     auto worker = [&]() {
         while (true) {
-            const std::size_t idx =
+            const std::size_t n =
                 next.fetch_add(1, std::memory_order_relaxed);
-            if (idx >= jobs.size())
+            if (n >= jobs.size())
                 return;
+            const std::size_t idx = order[n];
             JobResult &slot = results[idx];
             executeJob(jobs[idx], opts, slot);
             const std::size_t done =

@@ -58,6 +58,8 @@ unsigned resolveThreads(unsigned requested, std::size_t num_jobs);
 /**
  * Run every job of @p set and return results in job order.
  *
+ * Workers take jobs largest first (numNodes x scale, ties in job
+ * order), so the longest runs overlap instead of forming the tail.
  * Deterministic: per-job seeds come from the Job spec, each worker
  * builds a private System + Workload, and the result slot is fixed by
  * the job's index -- scheduling cannot reorder or perturb results.

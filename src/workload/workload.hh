@@ -129,11 +129,15 @@ class TraceWorkload : public Workload
         return true;
     }
 
+    /** Rewind all streams. Generation is over by the first reset
+     *  (System::run's), so it also drops the streams' growth slack. */
     void
     reset() override
     {
         for (auto &p : _pos)
             p = 0;
+        for (auto &t : _trace)
+            t.shrink_to_fit();
     }
 
     const std::vector<MemOp> *

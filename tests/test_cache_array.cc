@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/cache/cache_array.hh"
+#include "src/protocol/cache_controller.hh"
 
 namespace
 {
@@ -207,6 +208,43 @@ TEST(CacheArrayDeathTest, RejectsOneByteLines)
                  "line size 1 is below 2 bytes");
 }
 
+TEST(CacheArrayDeathTest, RejectsMoreSetsThanTheIndexHolds)
+{
+    EXPECT_DEATH(CacheArray<Payload>("big", 65536, 1, 128, ReplPolicy::LRU,
+                                     Rng(1)),
+                 "big: 65536 sets overflow the 16-bit set index "
+                 "\\(max 65535\\)");
+}
+
+TEST(CacheArrayDeathTest, RejectsMoreWaysThanTheRanksHold)
+{
+    EXPECT_DEATH(CacheArray<Payload>("wide", 1, 256, 128, ReplPolicy::LRU,
+                                     Rng(1)),
+                 "wide: 256 ways overflow the 8-bit LRU rank "
+                 "\\(max 255\\)");
+}
+
+TEST(CacheArray, LargestGeometryWorks)
+{
+    // The last set takes ordinal 65535, and a 255-way set still evicts
+    // its least recently used way.
+    CacheArray<Payload> tall("tall", 65535, 1, 128, ReplPolicy::LRU, Rng(1));
+    for (Addr s = 0; s < 65535; ++s)
+        tall.allocate(s * 128)->value = static_cast<int>(s);
+    EXPECT_EQ(tall.materializedSets(), 65535u);
+    for (Addr s = 0; s < 65535; ++s)
+        ASSERT_EQ(tall.find(s * 128)->value, static_cast<int>(s));
+
+    CacheArray<Payload> wide("wide", 1, 255, 128, ReplPolicy::LRU, Rng(1));
+    for (Addr w = 0; w < 255; ++w)
+        wide.allocate(w * 128);
+    wide.find(0); // line 1 is now the least recently used
+    Addr evicted = invalidAddr;
+    wide.allocate(255 * 128, nullptr,
+                  [&](Addr a, Payload &) { evicted = a; });
+    EXPECT_EQ(evicted, 128u);
+}
+
 TEST(CacheArray, CapacityBytes)
 {
     auto c = makeArray(8, 4);
@@ -313,16 +351,33 @@ TEST(CacheArrayStorage, ForEachRunsInSetThenWayOrder)
     EXPECT_TRUE(seen.empty());
 }
 
-TEST(CacheArrayStorage, ConstructionTakesFourBytesPerSet)
+TEST(CacheArrayStorage, ConstructionTakesTwoBytesPerSet)
 {
     // Building Table 1's 2 MB L2 geometry allocates only the per-set
-    // index: a 32-bit ordinal per set plus a constant.
+    // index: a 16-bit ordinal per set plus a constant.
     constexpr std::size_t sets = 4096;
     const std::uint64_t before = g_allocBytes.load();
     CacheArray<Payload> c("bytes", sets, 4, 128, ReplPolicy::LRU, Rng(1));
     const std::uint64_t bytes = g_allocBytes.load() - before;
-    EXPECT_LE(bytes, 4 * sets + 256) << bytes << " bytes for " << sets
+    EXPECT_LE(bytes, 2 * sets + 256) << bytes << " bytes for " << sets
                                      << " sets";
+}
+
+TEST(CacheArrayStorage, TableOneL2SetTakesAtMost88Bytes)
+{
+    // A materialized 4-way L2 set: 32 bytes of tags, 4 of ranks and
+    // four 12-byte payloads, rounded to 8. Touching every set of Table
+    // 1's L2 allocates the slabs plus the slab list (70 pointers in a
+    // doubling vector, 2040 bytes).
+    constexpr std::size_t sets = 4096;
+    CacheArray<L2Entry> c("l2", sets, 4, 128, ReplPolicy::LRU, Rng(1));
+    const std::uint64_t before = g_allocBytes.load();
+    for (Addr s = 0; s < sets; ++s)
+        ASSERT_NE(c.allocate(s * 128), nullptr);
+    const std::uint64_t bytes = g_allocBytes.load() - before;
+    EXPECT_EQ(c.materializedSets(), sets);
+    EXPECT_LE(bytes, 88 * sets + 2048) << bytes << " bytes for " << sets
+                                       << " sets";
 }
 
 TEST(CacheArrayStorage, PayloadPointersSurviveOtherSetsMaterializing)
@@ -423,4 +478,160 @@ TEST(CacheArrayStorage, RandomVictimsMatchTheDenseArray)
     EXPECT_EQ(victims,
               (std::vector<Addr>{31, 2, 5, 20, 23, 10, 1, 8, 19, 26, 29, 4,
                                  11, 22, 25, 16, 14, 7, 28, 10, 20, 31, 17}));
+}
+
+namespace
+{
+
+/**
+ * The LRU array as it was with 64-bit stamps, dense and without
+ * payloads: every touch stamps its way from a global use clock, a fill
+ * takes the first empty way, and a full set's victim is the evictable
+ * way of lowest stamp.
+ */
+class StampedLru
+{
+  public:
+    StampedLru(std::size_t sets, std::size_t ways)
+        : _sets(sets), _ways(ways), _tag(sets * ways, invalidAddr),
+          _stamp(sets * ways, 0)
+    {
+    }
+
+    bool
+    find(Addr line, bool touch)
+    {
+        const std::size_t w = wayOf(line);
+        if (w == _ways)
+            return false;
+        if (touch)
+            _stamp[base(line) + w] = ++_clock;
+        return true;
+    }
+
+    /** Fill @p line; @p victim gets the line it displaced (invalidAddr
+     *  if none). False if the set is full and nothing is evictable. */
+    template <typename CanEvict>
+    bool
+    allocate(Addr line, CanEvict &&can_evict, Addr &victim)
+    {
+        victim = invalidAddr;
+        if (find(line, true))
+            return true;
+        const std::size_t b = base(line);
+        std::size_t pick = wayOf(invalidAddr, b);
+        if (pick == _ways) {
+            for (std::size_t w = 0; w < _ways; ++w) {
+                if (!can_evict(_tag[b + w]))
+                    continue;
+                if (pick == _ways || _stamp[b + w] < _stamp[b + pick])
+                    pick = w;
+            }
+            if (pick == _ways)
+                return false;
+            victim = _tag[b + pick];
+        }
+        _tag[b + pick] = line;
+        _stamp[b + pick] = ++_clock;
+        return true;
+    }
+
+    bool
+    invalidate(Addr line)
+    {
+        const std::size_t w = wayOf(line);
+        if (w == _ways)
+            return false;
+        _tag[base(line) + w] = invalidAddr;
+        return true;
+    }
+
+    /** Valid lines in set, then way, order. */
+    std::vector<Addr>
+    lines() const
+    {
+        std::vector<Addr> out;
+        for (Addr t : _tag)
+            if (t != invalidAddr)
+                out.push_back(t);
+        return out;
+    }
+
+  private:
+    std::size_t base(Addr line) const { return (line / 128) % _sets * _ways; }
+
+    std::size_t
+    wayOf(Addr tag, std::size_t b) const
+    {
+        std::size_t w = 0;
+        while (w < _ways && _tag[b + w] != tag)
+            ++w;
+        return w;
+    }
+    std::size_t wayOf(Addr line) const { return wayOf(line, base(line)); }
+
+    std::size_t _sets;
+    std::size_t _ways;
+    std::vector<Addr> _tag;
+    std::vector<std::uint64_t> _stamp;
+    std::uint64_t _clock = 0;
+};
+
+} // namespace
+
+TEST(CacheArray, LruRanksChooseTheVictimsStampsChose)
+{
+    // Random finds (some without touching), fills and invalidations
+    // over few sets, so fills keep evicting; the predicate pins every
+    // third line.
+    constexpr std::size_t sets = 4;
+    const auto pinned = [](Addr line) { return (line / 128) % 3 == 0; };
+    for (const std::size_t ways : {1u, 2u, 4u, 8u}) {
+        for (const bool predicate : {false, true}) {
+            CacheArray<Payload> c("lru", sets, ways, 128, ReplPolicy::LRU,
+                                  Rng(1));
+            StampedLru ref(sets, ways);
+            Rng rng(2 * ways + predicate);
+            std::size_t evictions = 0;
+            for (int i = 0; i < 20000; ++i) {
+                const Addr line = rng.below(3 * sets * ways) * 128;
+                const std::uint64_t op = rng.below(10);
+                if (op < 4) {
+                    const bool touch = op != 0;
+                    ASSERT_EQ(c.find(line, touch) != nullptr,
+                              ref.find(line, touch))
+                        << ways << " ways, op " << i;
+                } else if (op < 9) {
+                    Addr victim = invalidAddr;
+                    const auto on_evict = [&](Addr a, Payload &) {
+                        victim = a;
+                    };
+                    Payload *p =
+                        predicate
+                            ? c.allocate(line,
+                                         [&](Addr a, const Payload &) {
+                                             return !pinned(a);
+                                         },
+                                         on_evict)
+                            : c.allocate(line, nullptr, on_evict);
+                    Addr ref_victim = invalidAddr;
+                    const bool ok = ref.allocate(
+                        line,
+                        [&](Addr a) { return !predicate || !pinned(a); },
+                        ref_victim);
+                    ASSERT_EQ(p != nullptr, ok) << ways << " ways, op " << i;
+                    ASSERT_EQ(victim, ref_victim)
+                        << ways << " ways, op " << i;
+                    evictions += victim != invalidAddr ? 1 : 0;
+                } else {
+                    ASSERT_EQ(c.invalidate(line), ref.invalidate(line))
+                        << ways << " ways, op " << i;
+                }
+            }
+            EXPECT_GT(evictions, 500u) << ways << " ways";
+            std::vector<Addr> seen;
+            c.forEach([&](Addr a, Payload &) { seen.push_back(a); });
+            EXPECT_EQ(seen, ref.lines()) << ways << " ways";
+        }
+    }
 }

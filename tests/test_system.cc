@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "harness.hh"
+#include "src/runner/job.hh"
 #include "src/workload/micro.hh"
 
 using namespace pcsim;
@@ -55,6 +56,28 @@ TEST(Presets, Figure7HasSixConfigsInPaperOrder)
     EXPECT_EQ(cfgs[3].cfg.proto.delegate.producerEntries, 1024u);
     EXPECT_EQ(cfgs[4].cfg.proto.rac.sizeBytes, 32u * 1024);
     EXPECT_EQ(cfgs[5].cfg.proto.delegate.producerEntries, 32u);
+}
+
+TEST(Presets, CacheGeometryLimitsAreValidated)
+{
+    // A set index is a 16-bit ordinal and a way's LRU rank 8 bits; the
+    // message is the one the array's constructor dies with.
+    MachineConfig m = presets::base(16);
+    m.proto.l2SetsOverride = 65535;
+    EXPECT_EQ(m.proto.validateError(), "");
+    m.proto.l2SetsOverride = 65536;
+    EXPECT_EQ(m.proto.validateError(),
+              "l2: 65536 sets overflow the 16-bit set index (max 65535)");
+    EXPECT_DEATH({ System sys(m); }, "16-bit set index");
+
+    m = presets::base(16);
+    m.proto.dirCache.ways = 256;
+    m.proto.dirCache.entries = 256 * 8;
+    EXPECT_EQ(m.proto.validateError(),
+              "dircache: 256 ways overflow the 8-bit LRU rank (max 255)");
+    m.proto.dirCache.ways = 255;
+    m.proto.dirCache.entries = 255 * 8;
+    EXPECT_EQ(m.proto.validateError(), "");
 }
 
 TEST(SystemDeath, DelegationWithoutRacIsRejected)
@@ -161,6 +184,71 @@ TEST(SystemTest, FootprintFollowsTouchedSetsOnly)
     EXPECT_GT(std::accumulate(plain.begin(), plain.end(), std::size_t{0}),
               0u);
     EXPECT_EQ(perNode(true), plain);
+}
+
+namespace
+{
+
+/** Passes a workload through and records, when the run pulls its
+ *  first op, how many op streams have allocation slack. */
+class SlackProbe : public Workload
+{
+  public:
+    explicit SlackProbe(Workload &inner) : _inner(inner) {}
+
+    const std::string &name() const override { return _inner.name(); }
+    unsigned numCpus() const override { return _inner.numCpus(); }
+    void reset() override { _inner.reset(); }
+    const std::vector<MemOp> *
+    cpuOps(unsigned cpu) const override
+    {
+        return _inner.cpuOps(cpu);
+    }
+
+    bool
+    next(unsigned cpu, MemOp &op) override
+    {
+        if (loose < 0) {
+            loose = 0;
+            for (unsigned c = 0; c < numCpus(); ++c)
+                loose += slack(c) ? 1 : 0;
+        }
+        return _inner.next(cpu, op);
+    }
+
+    bool
+    slack(unsigned cpu) const
+    {
+        const std::vector<MemOp> *ops = cpuOps(cpu);
+        return ops->capacity() != ops->size();
+    }
+
+    int loose = -1; ///< streams with slack at the first op (-1 = none yet)
+
+  private:
+    Workload &_inner;
+};
+
+} // namespace
+
+TEST(SystemTest, OpStreamsHaveNoSlackWhenTheRunStarts)
+{
+    // Generators grow their streams op by op; the run must not carry
+    // the growth slack.
+    unsigned built_loose = 0;
+    for (const std::string &name : runner::workloadNames()) {
+        std::unique_ptr<Workload> wl =
+            runner::makeRunnerWorkload(name, 16, 0.02);
+        SlackProbe probe(*wl);
+        unsigned before = 0;
+        for (unsigned c = 0; c < probe.numCpus(); ++c)
+            before += probe.slack(c) ? 1 : 0;
+        built_loose += before;
+        runWorkload(presets::base(16), probe, "base");
+        EXPECT_EQ(probe.loose, 0) << name << ": " << before
+                                  << " streams had slack when built";
+    }
+    EXPECT_GT(built_loose, 0u);
 }
 
 TEST(SystemTest, HubLineAlignment)
