@@ -176,7 +176,7 @@ const OptionInfo optionTable[] = {
     {"--conformance", "", "", rConformance,
      "enable the spec conformance hook and its coverage record"},
     {"-j", "--jobs", "N", rJobs,
-     "worker threads, 0 = all cores (default 1 for run, trace replay)"},
+     "worker threads, 0 = all cores (default 1 for run)"},
     {"--json", "", "PATH", rJson, "write the JSON document; '-' = stdout"},
     {"--csv", "", "PATH", rCsv, "write the CSV table; '-' = stdout"},
     {"--timing", "", "", rTiming,
@@ -259,17 +259,7 @@ setOption(Options &o, unsigned reads, unsigned bit, const std::string &opt,
             return false;
         }
         break;
-      case rCoarse:
-        if (!parseNumber(opt, v, o.coarse))
-            return false;
-        if (!isPowerOfTwo(o.coarse)) {
-            std::fprintf(stderr,
-                         "pcsim: --coarse '%s' must be a power of two "
-                         ">= 1\n",
-                         v.c_str());
-            return false;
-        }
-        break;
+      case rCoarse: return parseNumber(opt, v, o.coarse);
       case rScale: {
         char *end = nullptr;
         o.args.scale = std::strtod(v.c_str(), &end);
@@ -356,6 +346,39 @@ printRunTable(const std::vector<runner::JobResult> &results)
     }
 }
 
+/** The job @p workload under @p config at @p seed that the run
+ *  options in @p opt name. */
+runner::JobRequest
+jobRequest(const Options &opt, const std::string &workload,
+           const std::string &config, std::uint64_t seed)
+{
+    runner::JobRequest r;
+    r.workload = workload;
+    r.config = config;
+    r.nodes = opt.args.nodes.empty() ? 16 : opt.args.nodes.front();
+    r.seed = seed;
+    r.scale = opt.args.scale;
+    r.coarse = opt.coarse;
+    r.checker = opt.has(rChecker);
+    r.conformance = opt.has(rConformance);
+    return r;
+}
+
+/** Add the job @p r names to @p set; false after printing why
+ *  command @p cmd cannot run it. */
+bool
+addJob(runner::JobSet &set, const runner::JobRequest &r, const char *cmd)
+{
+    runner::Job j;
+    const std::string err = runner::buildJob(r, j);
+    if (!err.empty()) {
+        std::fprintf(stderr, "pcsim %s: %s\n", cmd, err.c_str());
+        return false;
+    }
+    set.add(std::move(j));
+    return true;
+}
+
 int
 runCommand(Options &opt)
 {
@@ -365,52 +388,29 @@ runCommand(Options &opt)
                      "list')\n");
         return 1;
     }
-
-    const unsigned nodes =
-        opt.args.nodes.empty() ? 16 : opt.args.nodes.front();
     runner::JobSet set;
-    for (const auto &w : opt.args.workloads) {
-        const std::string canonical = runner::canonicalWorkload(w);
-        if (canonical.empty()) {
-            std::fprintf(stderr, "pcsim: unknown workload '%s'\n",
-                         w.c_str());
-            return 1;
-        }
-        for (const auto &c : opt.configs) {
-            MachineConfig cfg;
-            std::string cname;
-            if (!runner::namedMachineConfig(c, nodes, cfg, cname)) {
-                std::fprintf(stderr, "pcsim: unknown config '%s'\n",
-                             c.c_str());
-                return 1;
-            }
-            cfg.proto.checkerEnabled = opt.has(rChecker);
-            cfg.proto.conformanceEnabled = opt.has(rConformance);
-            cfg.proto.sharerGranularityLog2 = log2Ceil(opt.coarse);
-            const std::string verr = cfg.proto.validateError();
-            if (!verr.empty()) {
-                std::fprintf(stderr,
-                             "pcsim: invalid configuration '%s' at "
-                             "%u nodes: %s\n",
-                             cname.c_str(), nodes, verr.c_str());
-                return 1;
-            }
-            for (std::uint64_t seed : opt.args.seeds) {
-                runner::Job j;
-                j.workload = canonical;
-                j.cfg = cfg;
-                j.configName = cname;
-                j.seed = seed;
-                j.scale = opt.args.scale;
-                set.add(std::move(j));
-            }
-        }
-    }
+    for (const auto &w : opt.args.workloads)
+        for (const auto &c : opt.configs)
+            for (std::uint64_t seed : opt.args.seeds)
+                if (!addJob(set, jobRequest(opt, w, c, seed), "run"))
+                    return 1;
     if (!opt.has(rJobs))
         opt.args.threads = 1;
     return runner::runSweep(set, opt.args, printRunTable);
 }
 
+/** True when the trace file to write was named. */
+bool
+outputGiven(const Options &opt)
+{
+    if (opt.outputPath.empty())
+        std::fprintf(stderr,
+                     "pcsim trace record: missing --output <file>\n");
+    return !opt.outputPath.empty();
+}
+
+/** `run` of one job, then the trace of its workload; a run that
+ *  fails writes no trace. */
 int
 traceRecordCommand(Options &opt)
 {
@@ -421,11 +421,24 @@ traceRecordCommand(Options &opt)
                      opt.positional.front().c_str());
         return 1;
     }
-    runner::TraceRecordOptions topt;
-    topt.args = opt.args;
-    topt.config = opt.configs.front();
-    topt.outPath = opt.outputPath;
-    return runner::runTraceRecord(topt);
+    if (!outputGiven(opt))
+        return 1;
+    const std::string workload = opt.args.workloads.empty()
+                                     ? "PCmicro"
+                                     : opt.args.workloads.front();
+    runner::JobSet set;
+    if (!addJob(set,
+                jobRequest(opt, workload, opt.configs.front(),
+                           opt.args.seeds.front()),
+                "trace record"))
+        return 1;
+    const int rc = runner::runSweep(set, opt.args, printRunTable);
+    if (rc == 2)
+        return rc;
+    return runner::writeJobTrace(set.jobs().front(), opt.outputPath,
+                                 opt.args.quiet)
+               ? rc
+               : 1;
 }
 
 int
@@ -436,11 +449,10 @@ traceIngestCommand(Options &opt)
                              "per-core trace files as operands\n");
         return 1;
     }
-    runner::TraceRecordOptions topt;
-    topt.args = opt.args;
-    topt.outPath = opt.outputPath;
-    topt.textPaths = opt.positional;
-    return runner::runTraceRecord(topt);
+    if (!outputGiven(opt))
+        return 1;
+    return runner::ingestTextFiles(opt.positional, opt.outputPath,
+                                   opt.args.scale, opt.args.quiet);
 }
 
 /** The one trace file operand of `trace replay|info`; "" after
@@ -457,19 +469,24 @@ traceOperand(const Options &opt, const char *action)
     return "";
 }
 
+/** `run` of the one job the trace names. */
 int
 traceReplayCommand(Options &opt)
 {
-    runner::TraceReplayOptions topt;
-    topt.tracePath = traceOperand(opt, "replay");
-    if (topt.tracePath.empty())
+    const std::string path = traceOperand(opt, "replay");
+    if (path.empty())
         return 1;
-    if (opt.has(rConfig))
-        topt.config = opt.configs.front();
-    topt.args = opt.args;
-    if (!opt.has(rJobs))
-        topt.args.threads = 1;
-    return runner::runTraceReplay(topt);
+    runner::JobRequest r =
+        jobRequest(opt, "", opt.has(rConfig) ? opt.configs.front() : "", 1);
+    runner::Job j;
+    const std::string err = runner::replayJob(path, r, j);
+    if (!err.empty()) {
+        std::fprintf(stderr, "pcsim trace replay: %s\n", err.c_str());
+        return 1;
+    }
+    runner::JobSet set;
+    set.add(std::move(j));
+    return runner::runSweep(set, opt.args, printRunTable);
 }
 
 int
@@ -608,7 +625,8 @@ writeLivenessRepro(const LintRun &run, const std::string &path,
             meta.workload = "lint-liveness";
             meta.config = f.config;
             try {
-                trace::writeTraceFile(path, meta, per_node);
+                trace::writeTraceFile(path,
+                                      trace::encodeTrace(meta, per_node));
             } catch (const trace::TraceError &e) {
                 std::fprintf(stderr, "pcsim lint: %s\n", e.what());
                 return false;
@@ -685,13 +703,15 @@ const CommandInfo commandTable[] = {
      "convert per-core text traces, one per node, to a PCTR trace",
      rText | rOutput | rScale | rQuiet, traceIngestCommand},
     {"trace record", 0, "",
-     "capture a run's memory-op stream as a binary PCTR trace",
-     rWorkload | rConfig | rSeed | rNodes | rScale | rOutput | rJson |
-         rCsv | rTiming | rQuiet,
+     "run one job, then write its op streams as a PCTR trace",
+     rWorkload | rConfig | rSeed | rNodes | rCoarse | rScale | rChecker |
+         rConformance | rOutput | rJson | rCsv | rTiming | rNoTable |
+         rQuiet,
      traceRecordCommand},
     {"trace replay", 0, "FILE",
-     "re-drive the simulator from a trace; stats match the source run",
-     rConfig | rJobs | rJson | rCsv | rTiming | rQuiet,
+     "run the job a trace's header names, from its op streams",
+     rConfig | rChecker | rConformance | rJobs | rJson | rCsv | rTiming |
+         rNoTable | rQuiet,
      traceReplayCommand},
     {"trace info", 0, "FILE", "print a trace file's header", 0,
      traceInfoCommand},

@@ -31,7 +31,6 @@ struct DelegateCacheConfig
     std::size_t producerEntries = 32;
     std::size_t consumerEntries = 32;
     std::size_t ways = 4;
-    std::uint32_t lineBytes = 128;
 };
 
 /**
@@ -65,15 +64,16 @@ struct ConsumerEntry
 class DelegateCache
 {
   public:
-    DelegateCache(const DelegateCacheConfig &cfg, Rng rng)
+    /** @p line_bytes is the coherence line size. */
+    DelegateCache(const DelegateCacheConfig &cfg, std::uint32_t line_bytes,
+                  Rng rng)
         : _cfg(cfg),
           _producer("deledc.prod",
                     std::max<std::size_t>(1, cfg.producerEntries / cfg.ways),
-                    cfg.ways, cfg.lineBytes, ReplPolicy::LRU, rng.fork()),
+                    cfg.ways, line_bytes, ReplPolicy::LRU, rng.fork()),
           _consumer("deledc.cons",
                     std::max<std::size_t>(1, cfg.consumerEntries / cfg.ways),
-                    cfg.ways, cfg.lineBytes, ReplPolicy::Random,
-                    rng.fork())
+                    cfg.ways, line_bytes, ReplPolicy::Random, rng.fork())
     {
     }
 

@@ -32,7 +32,6 @@ struct RacConfig
 {
     std::size_t sizeBytes = 32 * 1024; ///< 32 KB small / 1 MB large
     std::size_t ways = 4;
-    std::uint32_t lineBytes = 128;
     Tick accessLatency = 8; ///< hub-local lookup cost
 };
 
@@ -49,10 +48,11 @@ struct RacEntry
 class Rac
 {
   public:
-    Rac(const RacConfig &cfg, Rng rng)
+    /** @p line_bytes is the coherence line size. */
+    Rac(const RacConfig &cfg, std::uint32_t line_bytes, Rng rng)
         : _cfg(cfg),
-          _array("rac", cfg.sizeBytes / (cfg.ways * cfg.lineBytes),
-                 cfg.ways, cfg.lineBytes, ReplPolicy::LRU, rng)
+          _array("rac", cfg.sizeBytes / (cfg.ways * line_bytes), cfg.ways,
+                 line_bytes, ReplPolicy::LRU, rng)
     {
     }
 

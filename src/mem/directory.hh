@@ -159,11 +159,12 @@ struct DirectoryCacheConfig
 class DirectoryCache
 {
   public:
-    DirectoryCache(const DirectoryCacheConfig &cfg, DirectoryStore &store,
-                   Rng rng)
+    /** @p line_bytes is the coherence line size. */
+    DirectoryCache(const DirectoryCacheConfig &cfg, std::uint32_t line_bytes,
+                   DirectoryStore &store, Rng rng)
         : _store(store),
-          _array("dircache", cfg.entries / cfg.ways, cfg.ways,
-                 /*line_bytes=*/128, ReplPolicy::LRU, rng)
+          _array("dircache", cfg.entries / cfg.ways, cfg.ways, line_bytes,
+                 ReplPolicy::LRU, rng)
     {
     }
 

@@ -3,8 +3,7 @@
  * Global address -> home node mapping with SGI first-touch placement.
  *
  * The first node to touch a page becomes its home (Section 3.2: "Data
- * placement is done by SGI's first-touch policy"). A round-robin mode
- * is available for experiments that want placement-independent homes.
+ * placement is done by SGI's first-touch policy").
  */
 
 #ifndef PCSIM_MEM_MEMORY_MAP_HH
@@ -20,13 +19,6 @@
 namespace pcsim
 {
 
-/** Page placement policy. */
-enum class Placement
-{
-    FirstTouch,
-    RoundRobin,
-};
-
 /**
  * Maps pages of the simulated physical address space to home nodes.
  *
@@ -36,12 +28,10 @@ enum class Placement
 class MemoryMap
 {
   public:
-    MemoryMap(unsigned num_nodes, std::uint32_t page_bytes = 16 * 1024,
-              Placement policy = Placement::FirstTouch)
+    MemoryMap(unsigned num_nodes, std::uint32_t page_bytes = 16 * 1024)
         : _numNodes(num_nodes),
           _pageBytes(page_bytes),
-          _pageShift(static_cast<unsigned>(std::countr_zero(page_bytes))),
-          _policy(policy)
+          _pageShift(static_cast<unsigned>(std::countr_zero(page_bytes)))
     {
         if (num_nodes == 0)
             fatal("memory map needs nodes");
@@ -86,8 +76,6 @@ class MemoryMap
         if (addr - _ilBase < _ilSize)
             return nodeOf((addr - _ilBase) >> _ilLineShift);
         const Addr page = addr >> _pageShift;
-        if (_policy == Placement::RoundRobin)
-            return nodeOf(page);
         if (_frozen) {
             const NodeId *home = _pages.find(page);
             if (!home)
@@ -105,21 +93,11 @@ class MemoryMap
     {
         if (addr - _ilBase < _ilSize)
             return nodeOf((addr - _ilBase) >> _ilLineShift);
-        const Addr page = addr >> _pageShift;
-        if (_policy == Placement::RoundRobin)
-            return nodeOf(page);
-        const NodeId *home = _pages.find(page);
+        const NodeId *home = _pages.find(addr >> _pageShift);
         if (!home)
             panic("homeOf: page of 0x%llx not placed",
                   (unsigned long long)addr);
         return *home;
-    }
-
-    /** Pre-place a page explicitly (workload initialization). */
-    void
-    place(Addr addr, NodeId home)
-    {
-        _pages[addr >> _pageShift] = home;
     }
 
     std::size_t numPlacedPages() const { return _pages.size(); }
@@ -134,7 +112,7 @@ class MemoryMap
     bool frozen() const { return _frozen; }
 
   private:
-    /** Node @p i of a round-robin sequence. */
+    /** Node @p i of a round-robin sequence (interleaved lines). */
     NodeId
     nodeOf(Addr i) const
     {
@@ -144,7 +122,6 @@ class MemoryMap
     unsigned _numNodes;
     std::uint32_t _pageBytes;
     unsigned _pageShift;
-    Placement _policy;
     /** Line-interleaved region (size 0 = none); the subtraction in
      *  homeOf wraps for addr < base, making the range check one
      *  compare. */

@@ -149,6 +149,10 @@ ProtocolConfig::validateError() const
     if (!isPowerOfTwo(l1.lineBytes))
         return format("l1.lineBytes %llu must be a power of two",
                       l1.lineBytes);
+    // An L1 line must lie within one coherence line (L2 inclusion).
+    if (l1.lineBytes > lineBytes)
+        return format("l1.lineBytes %llu exceeds lineBytes %llu",
+                      l1.lineBytes, lineBytes);
     if (l1.sizeBytes == 0 || l1.ways == 0 ||
         l1.sizeBytes < l1.ways * l1.lineBytes)
         return "L1 geometry is degenerate (size/ways/lineBytes)";
@@ -178,14 +182,11 @@ ProtocolConfig::validateError() const
     }
 
     if (racEnabled) {
-        if (!isPowerOfTwo(rac.lineBytes))
-            return format("rac.lineBytes %llu must be a power of two",
-                          rac.lineBytes);
         if (rac.sizeBytes == 0 || rac.ways == 0 ||
-            rac.sizeBytes < rac.ways * rac.lineBytes)
+            rac.sizeBytes < rac.ways * lineBytes)
             return "RAC geometry is degenerate (size/ways/lineBytes)";
         const std::string err = cacheGeometryError(
-            "rac", rac.sizeBytes / (rac.ways * rac.lineBytes), rac.ways);
+            "rac", rac.sizeBytes / (rac.ways * lineBytes), rac.ways);
         if (!err.empty())
             return err;
     }
@@ -195,10 +196,6 @@ ProtocolConfig::validateError() const
                    protocolKindName(kind) +
                    "' requires a RAC (pinned surrogate memory): "
                    "enable racEnabled";
-        if (!isPowerOfTwo(delegate.lineBytes))
-            return format("delegate.lineBytes %llu must be a power of "
-                          "two",
-                          delegate.lineBytes);
         if (delegate.producerEntries == 0 ||
             delegate.consumerEntries == 0 || delegate.ways == 0)
             return "delegate cache needs nonzero producer/consumer "

@@ -25,7 +25,7 @@ DirController::DirController(Hub &hub, Rng rng)
     : _hub(hub),
       _cfg(hub.cfg()),
       _store(_cfg.sharerGranularityLog2),
-      _dirCache(_cfg.dirCache, _store, rng.fork()),
+      _dirCache(_cfg.dirCache, _cfg.lineBytes, _store, rng.fork()),
       _dram(_cfg.dram),
       _rng(rng.fork()),
       _arb(_cfg)

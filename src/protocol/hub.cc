@@ -26,10 +26,10 @@ Hub::Hub(EventQueue &eq, Network &net, MemoryMap &mem_map,
         fatal("speculative updates require delegation");
 
     if (cfg.racEnabled)
-        _rac = std::make_unique<Rac>(cfg.rac, rng.fork());
+        _rac = std::make_unique<Rac>(cfg.rac, cfg.lineBytes, rng.fork());
     if (cfg.delegationEnabled())
-        _delegate = std::make_unique<DelegateCache>(cfg.delegate,
-                                                    rng.fork());
+        _delegate = std::make_unique<DelegateCache>(
+            cfg.delegate, cfg.lineBytes, rng.fork());
 
     _cacheCtrl = std::make_unique<CacheController>(*this, rng.fork());
     _dirCtrl = std::make_unique<DirController>(*this, rng.fork());

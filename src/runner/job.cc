@@ -216,5 +216,34 @@ namedMachineConfig(const std::string &name, unsigned num_nodes,
     return false;
 }
 
+std::string
+buildJob(const JobRequest &r, Job &out)
+{
+    Job j;
+    j.workload = r.factory ? r.workload : canonicalWorkload(r.workload);
+    if (j.workload.empty())
+        return "unknown workload '" + r.workload + "'";
+    if (!namedMachineConfig(r.config, r.nodes, j.cfg, j.configName))
+        return "unknown config '" + r.config + "'";
+    if (!isPowerOfTwo(r.coarse))
+        return "coarse " + std::to_string(r.coarse) +
+               " is not a power of two";
+    ProtocolConfig &p = j.cfg.proto;
+    p.sharerGranularityLog2 = log2Ceil(r.coarse);
+    if (r.lineBytes)
+        p.lineBytes = r.lineBytes;
+    p.checkerEnabled = r.checker;
+    p.conformanceEnabled = r.conformance;
+    const std::string err = p.validateError();
+    if (!err.empty())
+        return "invalid configuration '" + j.configName + "' at " +
+               std::to_string(r.nodes) + " nodes: " + err;
+    j.factory = r.factory;
+    j.seed = r.seed;
+    j.scale = r.scale;
+    out = std::move(j);
+    return "";
+}
+
 } // namespace runner
 } // namespace pcsim

@@ -125,6 +125,35 @@ const std::vector<ConfigPreset> &configPresets();
 bool namedMachineConfig(const std::string &name, unsigned num_nodes,
                         MachineConfig &out, std::string &canonical);
 
+// --- the one job builder -----------------------------------------
+
+/** One job as `pcsim run`, `trace record` and `trace replay` name it:
+ *  a preset at a machine size plus the knobs those commands set. */
+struct JobRequest
+{
+    /** Registry workload (any canonicalWorkload() spelling); with a
+     *  factory, only the name reported for it. */
+    std::string workload;
+    WorkloadFactory factory;
+    std::string config = "base"; ///< a configPresets() name or alias
+    unsigned nodes = 16;
+    std::uint64_t seed = 1;
+    double scale = 1.0;
+    unsigned coarse = 1; ///< nodes per directory sharer bit
+    /** Coherence line size; 0 keeps the preset's. */
+    std::uint32_t lineBytes = 0;
+    bool checker = false;
+    bool conformance = false;
+};
+
+/**
+ * Build the job @p r names into @p out: look up the workload and the
+ * preset, apply the sharer granularity, line size, checker and
+ * conformance, and validate the machine.
+ * @return "" on success, else why the job cannot run.
+ */
+std::string buildJob(const JobRequest &r, Job &out);
+
 } // namespace runner
 } // namespace pcsim
 

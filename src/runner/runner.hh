@@ -17,7 +17,6 @@
 #ifndef PCSIM_RUNNER_RUNNER_HH
 #define PCSIM_RUNNER_RUNNER_HH
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,8 +35,6 @@ struct RunnerOptions
     unsigned threads = 1;
     /** Per-job completion lines on stderr. */
     bool progress = true;
-    /** When set, overrides cfg.proto.checkerEnabled for every job. */
-    std::optional<bool> checker;
 };
 
 /** Outcome of one job. */

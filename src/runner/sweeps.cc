@@ -239,12 +239,14 @@ scenarioNames(const SweepArgs &a, const std::vector<std::string> &known,
     return out;
 }
 
-/** Scenario x node count x @p roster, labelled "scenario/nN/config";
- *  empty when a size or a configuration is invalid. */
+/** Scenario x node count x @p roster, labelled "scenario/nN/config",
+ *  with the coherence checker on when @p checker; empty when a size or
+ *  a configuration is invalid. */
 JobSet
 scenarioGrid(const std::vector<std::string> &scenarios,
              const SweepArgs &a,
-             std::vector<presets::NamedConfig> (*roster)(unsigned))
+             std::vector<presets::NamedConfig> (*roster)(unsigned),
+             bool checker)
 {
     const std::vector<unsigned> nodes =
         a.nodes.empty() ? std::vector<unsigned>{16, 64} : a.nodes;
@@ -257,6 +259,7 @@ scenarioGrid(const std::vector<std::string> &scenarios,
                 Job j;
                 j.workload = scen;
                 j.cfg = named.cfg;
+                j.cfg.proto.checkerEnabled = checker;
                 if (!j.cfg.proto.validateError().empty())
                     return {};
                 j.configName = named.name;
@@ -275,7 +278,7 @@ JobSet
 serveJobs(const SweepArgs &a)
 {
     return scenarioGrid(scenarioNames(a, servingNames(), servingNames()),
-                        a, presets::scaleConfigs);
+                        a, presets::scaleConfigs, true);
 }
 
 JobSet
@@ -283,7 +286,7 @@ compareJobs(const SweepArgs &a)
 {
     return scenarioGrid(
         scenarioNames(a, workloadNames(), {"PCmicro", "PubSub"}), a,
-        presets::compareConfigs);
+        presets::compareConfigs, true);
 }
 
 /** One workload (default Em3D) under base, delegation and
@@ -302,10 +305,7 @@ scaleJobs(const SweepArgs &a)
     if (grid.nodes.empty())
         grid.nodes = presets::scaleNodeCounts();
     grid.scale = a.scale * 0.25;
-    JobSet set = scenarioGrid({workload}, grid, presets::scaleConfigs);
-    for (auto &j : set.jobs())
-        j.cfg.proto.checkerEnabled = false;
-    return set;
+    return scenarioGrid({workload}, grid, presets::scaleConfigs, false);
 }
 
 /**
@@ -907,6 +907,22 @@ const char *const faultsHint =
     "gray-links, ni-stalls, hotspot, dir-pressure, storm; "
     "arbitrations: nack-retry, queue, aged-priority; one workload";
 
+/** Write the JSON/CSV documents @p args asks for; false when one
+ *  could not be written. */
+bool
+writeResults(const std::vector<JobResult> &results, const SweepArgs &args)
+{
+    bool ok = true;
+    if (!args.jsonPath.empty())
+        ok &= writeTextFile(args.jsonPath,
+                            resultsToJson(results, args.timing).dump(2) +
+                                "\n");
+    if (!args.csvPath.empty())
+        ok &= writeTextFile(args.csvPath,
+                            resultsToCsv(results, args.timing));
+    return ok;
+}
+
 /**
  * Run @p set twice and byte-compare the serialized documents.
  * @return 0 when identical, 3 on mismatch.
@@ -988,20 +1004,6 @@ findSweep(const std::string &name)
         if (name == s.name)
             return &s;
     return nullptr;
-}
-
-bool
-writeResults(const std::vector<JobResult> &results, const SweepArgs &args)
-{
-    bool ok = true;
-    if (!args.jsonPath.empty())
-        ok &= writeTextFile(args.jsonPath,
-                            resultsToJson(results, args.timing).dump(2) +
-                                "\n");
-    if (!args.csvPath.empty())
-        ok &= writeTextFile(args.csvPath,
-                            resultsToCsv(results, args.timing));
-    return ok;
 }
 
 int

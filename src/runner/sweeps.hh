@@ -9,8 +9,8 @@
  * name.
  * One shared path, runSweep(), runs a grid, performs
  * --deterministic-check, writes the JSON/CSV documents, prints the
- * table and maps the outcome to an exit code; `pcsim run` uses it with
- * its own grid, and the trace commands write through writeResults().
+ * table and maps the outcome to an exit code; `pcsim run` and `pcsim
+ * trace record|replay` use it with their own grids.
  *
  * Entries:
  *   fig7 fig8 fig9 fig10 fig11 fig12  the paper's Figures 7-12 (fig7
@@ -29,7 +29,9 @@
  *
  * Every paper entry, and scale, runs with the coherence checker off
  * (they measure speed; the invariant checks live in tests/ and
- * examples/), at the scale factor it always used relative to --scale.
+ * examples/), at the scale factor it always used relative to --scale;
+ * serve, compare, faults and qos turn it on. No entry relies on
+ * ProtocolConfig's default.
  */
 
 #ifndef PCSIM_RUNNER_SWEEPS_HH
@@ -136,11 +138,6 @@ int runSweep(const JobSet &set, const SweepArgs &args,
  *  nothing runnable) and take the shared path, writing the entry's
  *  default JSON path when --json is not given. */
 int runSweep(const Sweep &s, SweepArgs args);
-
-/** Write the JSON/CSV documents @p args asks for.
- *  @return false when one could not be written. */
-bool writeResults(const std::vector<JobResult> &results,
-                  const SweepArgs &args);
 
 } // namespace runner
 } // namespace pcsim

@@ -4,8 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "src/runner/runner.hh"
-#include "src/trace/recorder.hh"
 #include "src/trace/replay.hh"
 #include "src/trace/text_ingest.hh"
 
@@ -14,184 +12,81 @@ namespace pcsim
 namespace runner
 {
 
-namespace
+bool
+writeJobTrace(const Job &job, const std::string &path, bool quiet)
 {
-
-/** RecordingWorkload that owns its inner workload (the runner factory
- *  returns a single self-contained Workload). */
-class OwningRecordingWorkload : public trace::RecordingWorkload
-{
-  public:
-    OwningRecordingWorkload(std::unique_ptr<Workload> inner,
-                            trace::TraceRecorder &recorder)
-        : trace::RecordingWorkload(*inner, recorder),
-          _owned(std::move(inner))
-    {
+    const ProtocolConfig &p = job.cfg.proto;
+    const std::unique_ptr<Workload> wl =
+        makeRunnerWorkload(job.workload, p.numNodes, job.scale);
+    trace::TraceMeta meta;
+    meta.nodeCount = p.numNodes;
+    meta.lineBytes = p.lineBytes;
+    meta.coarse = 1u << p.sharerGranularityLog2;
+    meta.seed = job.seed;
+    meta.scale = job.scale;
+    meta.workload = job.workload;
+    meta.config = job.configName;
+    std::size_t bytes = 0;
+    try {
+        const std::string encoded = trace::encodeTrace(meta, *wl);
+        bytes = encoded.size();
+        trace::writeTraceFile(path, encoded);
+    } catch (const trace::TraceError &e) {
+        std::fprintf(stderr, "pcsim trace record: %s\n", e.what());
+        return false;
     }
+    if (!quiet)
+        std::fprintf(stderr, "recorded %zu bytes -> %s\n", bytes,
+                     path.c_str());
+    return true;
+}
 
-  private:
-    std::unique_ptr<Workload> _owned;
-};
+std::string
+replayJob(const std::string &path, JobRequest r, Job &out)
+{
+    auto data = std::make_shared<trace::TraceData>();
+    try {
+        *data = trace::readTraceFile(path);
+    } catch (const trace::TraceError &e) {
+        return e.what();
+    }
+    const trace::TraceMeta &m = data->meta;
+    if (r.config.empty())
+        r.config = m.config.empty() ? "base" : m.config;
+    r.workload = m.workload.empty() ? "trace" : m.workload;
+    r.nodes = m.nodeCount;
+    r.seed = m.seed;
+    r.scale = m.scale;
+    r.coarse = m.coarse;
+    r.lineBytes = m.lineBytes;
+    // The job runs once: its workload takes the decoded streams.
+    r.factory = [data]() {
+        return std::make_unique<trace::TraceReplayWorkload>(
+            std::move(*data));
+    };
+    return buildJob(r, out);
+}
 
 int
-ingestToFile(const TraceRecordOptions &opt)
+ingestTextFiles(const std::vector<std::string> &paths,
+                const std::string &out_path, double scale, bool quiet)
 {
     try {
-        trace::TraceData data = trace::ingestTextTraces(opt.textPaths);
-        data.meta.scale = opt.args.scale;
-        trace::writeTraceFile(opt.outPath, data.meta, data.perNode);
-        if (!opt.args.quiet)
+        trace::TraceData data = trace::ingestTextTraces(paths);
+        data.meta.scale = scale;
+        trace::writeTraceFile(out_path,
+                              trace::encodeTrace(data.meta, data.perNode));
+        if (!quiet)
             std::fprintf(stderr,
                          "ingested %zu text trace(s): %llu ops -> %s\n",
-                         opt.textPaths.size(),
-                         (unsigned long long)data.meta.opCount,
-                         opt.outPath.c_str());
+                         paths.size(),
+                         (unsigned long long)data.totalOps(),
+                         out_path.c_str());
     } catch (const trace::TraceError &e) {
         std::fprintf(stderr, "pcsim trace record: %s\n", e.what());
         return 2;
     }
     return 0;
-}
-
-} // namespace
-
-int
-runTraceRecord(const TraceRecordOptions &opt)
-{
-    if (opt.outPath.empty()) {
-        std::fprintf(stderr,
-                     "pcsim trace record: missing --output <file>\n");
-        return 1;
-    }
-    if (!opt.textPaths.empty())
-        return ingestToFile(opt);
-
-    const std::string wanted =
-        opt.args.workloads.empty() ? "PCmicro" : opt.args.workloads[0];
-    const std::string workload = canonicalWorkload(wanted);
-    if (workload.empty()) {
-        std::fprintf(stderr,
-                     "pcsim trace record: unknown workload '%s'\n",
-                     wanted.c_str());
-        return 1;
-    }
-    const unsigned nodes =
-        opt.args.nodes.empty() ? 16 : opt.args.nodes.front();
-    const double scale = opt.args.scale;
-    Job j;
-    std::string configName;
-    if (!namedMachineConfig(opt.config, nodes, j.cfg, configName)) {
-        std::fprintf(stderr,
-                     "pcsim trace record: unknown config '%s'\n",
-                     opt.config.c_str());
-        return 1;
-    }
-    j.workload = workload;
-    j.configName = configName;
-    j.seed = opt.args.seeds.front();
-    j.scale = scale;
-
-    trace::TraceRecorder recorder(nodes);
-    j.factory = [&recorder, workload, nodes, scale]() {
-        return std::make_unique<OwningRecordingWorkload>(
-            makeRunnerWorkload(workload, nodes, scale), recorder);
-    };
-
-    JobSet set;
-    set.add(std::move(j));
-
-    RunnerOptions ropts;
-    ropts.threads = 1;
-    ropts.progress = !opt.args.quiet;
-    const auto results = runJobs(set, ropts);
-    if (!results[0].ok) {
-        std::fprintf(stderr, "pcsim trace record: run failed: %s\n",
-                     results[0].error.c_str());
-        return 2;
-    }
-
-    trace::TraceMeta meta;
-    meta.nodeCount = nodes;
-    meta.lineBytes = results[0].job.cfg.proto.lineBytes;
-    meta.coarse =
-        1u << results[0].job.cfg.proto.sharerGranularityLog2;
-    meta.seed = opt.args.seeds.front();
-    meta.scale = scale;
-    meta.workload = workload;
-    meta.config = configName;
-    try {
-        recorder.writeFile(opt.outPath, meta);
-    } catch (const trace::TraceError &e) {
-        std::fprintf(stderr, "pcsim trace record: %s\n", e.what());
-        return 1;
-    }
-    if (!opt.args.quiet)
-        std::fprintf(stderr, "recorded %llu ops -> %s\n",
-                     (unsigned long long)recorder.opCount(),
-                     opt.outPath.c_str());
-    return writeResults(results, opt.args) ? 0 : 1;
-}
-
-int
-runTraceReplay(const TraceReplayOptions &opt)
-{
-    std::shared_ptr<trace::TraceData> data;
-    try {
-        data = std::make_shared<trace::TraceData>(
-            trace::readTraceFile(opt.tracePath));
-    } catch (const trace::TraceError &e) {
-        std::fprintf(stderr, "pcsim trace replay: %s\n", e.what());
-        return 1;
-    }
-
-    // Rebuild the source run's machine: preset name + node count from
-    // the header (overridable), line size from the header.
-    std::string preset = !opt.config.empty() ? opt.config
-                         : !data->meta.config.empty()
-                             ? data->meta.config
-                             : "base";
-    Job j;
-    std::string configName;
-    if (!namedMachineConfig(preset, data->meta.nodeCount, j.cfg,
-                            configName)) {
-        std::fprintf(stderr,
-                     "pcsim trace replay: unknown config '%s'\n",
-                     preset.c_str());
-        return 1;
-    }
-    j.cfg.proto.lineBytes = data->meta.lineBytes;
-    j.workload = data->meta.workload.empty() ? "trace"
-                                             : data->meta.workload;
-    j.configName = configName;
-    j.seed = data->meta.seed;
-    j.scale = data->meta.scale;
-    j.factory = [data]() {
-        // Copy: the workload consumes the streams, and every run must
-        // start from the decoded trace.
-        return std::make_unique<trace::TraceReplayWorkload>(*data);
-    };
-
-    JobSet set;
-    set.add(std::move(j));
-
-    RunnerOptions ropts;
-    ropts.threads = opt.args.threads;
-    ropts.progress = !opt.args.quiet;
-    const auto results = runJobs(set, ropts);
-    if (!results[0].ok) {
-        std::fprintf(stderr, "pcsim trace replay: run failed: %s\n",
-                     results[0].error.c_str());
-        return 2;
-    }
-
-    const bool io_ok = writeResults(results, opt.args);
-    if (!opt.args.quiet)
-        std::fprintf(
-            stderr, "replayed %llu ops (%s/%s): %llu cycles\n",
-            (unsigned long long)data->totalOps(),
-            results[0].job.workload.c_str(), configName.c_str(),
-            (unsigned long long)results[0].result.cycles);
-    return io_ok ? 0 : 1;
 }
 
 int

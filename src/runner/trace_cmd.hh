@@ -1,20 +1,21 @@
 /**
  * @file
- * `pcsim trace record|replay|info`: the trace record/replay frontend.
+ * What `pcsim trace record|replay|info` add to `pcsim run`.
  *
- * record -- run a registry workload under a named machine preset with
- * the op stream teed into a TraceRecorder, and serialize the capture
- * as a binary PCTR file (src/trace/format.hh). With --text, skip the
- * simulation and ingest external per-core text traces
+ * record -- a one-job run (buildJob, runSweep), then writeJobTrace():
+ * once the run succeeded, the job's registry workload is generated
+ * again and its own per-node streams (Workload::cpuOps) are encoded
+ * as a binary PCTR file (src/trace/format.hh). With --text,
+ * ingestTextFiles() converts external per-core text traces
  * (src/trace/text_ingest.hh) into the same format instead.
  *
- * replay -- load a PCTR file, rebuild the source run's job identity
- * (workload name, config preset, seed, scale) from its header, and
- * drive the simulator from the per-node cursors. Stats serialized
- * from a replay are byte-identical to the recorded run's at any
- * runner thread count.
+ * replay -- a one-job run of replayJob(): the job the trace header
+ * names (preset, nodes, seed, scale, line size, sharer granularity),
+ * built through buildJob and driven from the decoded per-node
+ * streams. Its documents are byte-identical to the recorded run's at
+ * any runner thread count.
  *
- * info -- print the header without decoding the op payload.
+ * info -- print the header.
  */
 
 #ifndef PCSIM_RUNNER_TRACE_CMD_HH
@@ -23,45 +24,36 @@
 #include <string>
 #include <vector>
 
-#include "src/runner/sweeps.hh"
+#include "src/runner/job.hh"
 
 namespace pcsim
 {
 namespace runner
 {
 
-/** Options for `pcsim trace record`. */
-struct TraceRecordOptions
-{
-    /** The run: first workload (default PCmicro), first node count
-     *  (default 16), scale, first seed, quiet. Its JSON/CSV documents
-     *  are the ones replay must reproduce. */
-    SweepArgs args;
-    std::string config = "base";
-    /** Trace output path (required). */
-    std::string outPath;
-    /** Ingest mode: per-core text trace files (`<label> <hexaddr>`
-     *  lines; label 0 = load, 1 = store, 2 = compute cycles), one
-     *  file per node. No simulation runs; --workload/--config/--seed
-     *  do not apply. */
-    std::vector<std::string> textPaths;
-};
+/** Write the trace of @p job, a registry workload's job, to @p path;
+ *  false after printing why it could not be written. */
+bool writeJobTrace(const Job &job, const std::string &path, bool quiet);
 
-/** Options for `pcsim trace replay`. */
-struct TraceReplayOptions
-{
-    std::string tracePath;
-    /** Override the header's machine preset ("" = use the header's;
-     *  ingested traces default to "base"). */
-    std::string config;
-    /** Worker threads, documents, quiet and timing. */
-    SweepArgs args;
-};
+/**
+ * Read the trace at @p path into the job that replays it, @p out. The
+ * header names the workload, machine size, seed, scale, line size and
+ * sharer granularity; @p r the checker, conformance and the preset
+ * ("" = the header's, or base when it has none).
+ * @return "" on success, else why (a malformed file included).
+ */
+std::string replayJob(const std::string &path, JobRequest r, Job &out);
 
-/** @return process exit code: 0 ok, 1 usage/I-O error, 2 run or
- *          ingest failed. */
-int runTraceRecord(const TraceRecordOptions &opt);
-int runTraceReplay(const TraceReplayOptions &opt);
+/** Convert per-core text traces (`<label> <hexaddr>` lines; label 0 =
+ *  load, 1 = store, 2 = compute cycles), one file per node, to a
+ *  trace at @p out_path. @return process exit code: 0 ok, 2 a file
+ *  was malformed or could not be read or written. */
+int ingestTextFiles(const std::vector<std::string> &paths,
+                    const std::string &out_path, double scale,
+                    bool quiet);
+
+/** Print the header of the trace at @p path; 1 when it is
+ *  malformed. */
 int runTraceInfo(const std::string &path);
 
 } // namespace runner

@@ -80,19 +80,15 @@ System::resetStats()
  * (The barrier flag region is not part of any trace; it is
  * line-interleaved by the memory map, see setInterleavedRegion.) The
  * map is then frozen, which checks that pre-placement was complete: a
- * later first touch of an unplaced page panics. Workloads without op
- * streams keep classic dynamic first-touch.
+ * later first touch of an unplaced page panics.
  */
 void
 System::preplacePages(Workload &workload)
 {
     const unsigned n_cpus = numNodes();
     std::vector<const std::vector<MemOp> *> ops(n_cpus);
-    for (unsigned n = 0; n < n_cpus; ++n) {
+    for (unsigned n = 0; n < n_cpus; ++n)
         ops[n] = workload.cpuOps(n);
-        if (!ops[n])
-            return;
-    }
 
     std::size_t max_ops = 0;
     for (unsigned n = 0; n < n_cpus; ++n)

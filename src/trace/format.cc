@@ -127,16 +127,14 @@ encodeKind(MemOp::Kind k, const std::string &origin)
                      std::to_string(static_cast<unsigned>(k)));
 }
 
-} // namespace
-
+/** Encode the @p streams.size() streams, node n's being *streams[n]. */
 std::string
-encodeTrace(const TraceMeta &meta,
-            const std::vector<std::vector<MemOp>> &per_node)
+encodeStreams(const TraceMeta &meta,
+              const std::vector<const std::vector<MemOp> *> &streams)
 {
     const std::string origin = "<encode>";
-    if (per_node.size() != meta.nodeCount)
-        throw TraceError(origin + ": " +
-                         std::to_string(per_node.size()) +
+    if (streams.size() != meta.nodeCount)
+        throw TraceError(origin + ": " + std::to_string(streams.size()) +
                          " node streams but header says " +
                          std::to_string(meta.nodeCount));
     const auto max_name = std::numeric_limits<std::uint16_t>::max();
@@ -145,8 +143,8 @@ encodeTrace(const TraceMeta &meta,
         throw TraceError(origin + ": name longer than 65535 bytes");
 
     std::uint64_t ops = 0;
-    for (const auto &t : per_node)
-        ops += t.size();
+    for (const std::vector<MemOp> *t : streams)
+        ops += t->size();
 
     std::string out;
     out.reserve(64 + meta.workload.size() + meta.config.size() +
@@ -169,7 +167,7 @@ encodeTrace(const TraceMeta &meta,
 
     for (std::uint32_t node = 0; node < meta.nodeCount; ++node) {
         std::uint32_t seq = 0;
-        for (const MemOp &op : per_node[node]) {
+        for (const MemOp &op : *streams[node]) {
             putU16(out, static_cast<std::uint16_t>(node));
             out.push_back(
                 static_cast<char>(encodeKind(op.kind, origin)));
@@ -185,6 +183,27 @@ encodeTrace(const TraceMeta &meta,
         }
     }
     return out;
+}
+
+} // namespace
+
+std::string
+encodeTrace(const TraceMeta &meta,
+            const std::vector<std::vector<MemOp>> &per_node)
+{
+    std::vector<const std::vector<MemOp> *> streams(per_node.size());
+    for (std::size_t n = 0; n < per_node.size(); ++n)
+        streams[n] = &per_node[n];
+    return encodeStreams(meta, streams);
+}
+
+std::string
+encodeTrace(const TraceMeta &meta, const Workload &workload)
+{
+    std::vector<const std::vector<MemOp> *> streams(workload.numCpus());
+    for (unsigned n = 0; n < workload.numCpus(); ++n)
+        streams[n] = workload.cpuOps(n);
+    return encodeStreams(meta, streams);
 }
 
 TraceData
@@ -233,17 +252,20 @@ decodeTrace(const std::string &bytes, const std::string &origin)
         const std::uint8_t reserved = c.u8("record reserved byte");
         const std::uint32_t seq = c.u32("record seq");
         const std::uint64_t payload = c.u64("record payload");
-        const std::string where =
-            origin + ": record " + std::to_string(i);
+        // Named only on error: building it per record would cost more
+        // than decoding the record.
+        const auto where = [&] {
+            return origin + ": record " + std::to_string(i);
+        };
         if (node >= m.nodeCount)
-            throw TraceError(where + ": node " + std::to_string(node) +
+            throw TraceError(where() + ": node " + std::to_string(node) +
                              " out of range (nodeCount " +
                              std::to_string(m.nodeCount) + ")");
         if (reserved != 0)
-            throw TraceError(where + ": nonzero reserved byte");
+            throw TraceError(where() + ": nonzero reserved byte");
         auto &stream = data.perNode[node];
         if (seq != stream.size())
-            throw TraceError(where + ": node " + std::to_string(node) +
+            throw TraceError(where() + ": node " + std::to_string(node) +
                              " seq " + std::to_string(seq) +
                              " out of order (expected " +
                              std::to_string(stream.size()) + ")");
@@ -257,7 +279,7 @@ decodeTrace(const std::string &bytes, const std::string &origin)
           case 2:
             if (payload >
                 std::numeric_limits<std::uint32_t>::max())
-                throw TraceError(where + ": think cycles " +
+                throw TraceError(where() + ": think cycles " +
                                  std::to_string(payload) +
                                  " exceed 32 bits");
             stream.push_back(
@@ -265,12 +287,12 @@ decodeTrace(const std::string &bytes, const std::string &origin)
             break;
           case 3:
             if (payload != 0)
-                throw TraceError(where +
+                throw TraceError(where() +
                                  ": barrier with nonzero payload");
             stream.push_back(MemOp::barrier());
             break;
           default:
-            throw TraceError(where + ": unknown op " +
+            throw TraceError(where() + ": unknown op " +
                              std::to_string(kind));
         }
     }
@@ -278,10 +300,8 @@ decodeTrace(const std::string &bytes, const std::string &origin)
 }
 
 void
-writeTraceFile(const std::string &path, const TraceMeta &meta,
-               const std::vector<std::vector<MemOp>> &per_node)
+writeTraceFile(const std::string &path, const std::string &bytes)
 {
-    const std::string bytes = encodeTrace(meta, per_node);
     std::FILE *f = std::fopen(path.c_str(), "wb");
     if (!f)
         throw TraceError(path + ": cannot open for writing");

@@ -111,6 +111,10 @@ struct TraceData
 std::string encodeTrace(const TraceMeta &meta,
                         const std::vector<std::vector<MemOp>> &per_node);
 
+/** encodeTrace of @p workload's own streams (Workload::cpuOps), read
+ *  in place; its CPU count must equal meta.nodeCount. */
+std::string encodeTrace(const TraceMeta &meta, const Workload &workload);
+
 /** Parse a binary trace buffer. @p origin names the source in error
  *  messages (a file path, or "<memory>" in tests).
  *  @throws TraceError with a precise message on bad magic, unsupported
@@ -118,9 +122,9 @@ std::string encodeTrace(const TraceMeta &meta,
 TraceData decodeTrace(const std::string &bytes,
                       const std::string &origin);
 
-/** encodeTrace + write to @p path. @throws TraceError on I/O failure. */
-void writeTraceFile(const std::string &path, const TraceMeta &meta,
-                    const std::vector<std::vector<MemOp>> &per_node);
+/** Write encodeTrace()'s @p bytes to @p path. @throws TraceError on
+ *  I/O failure. */
+void writeTraceFile(const std::string &path, const std::string &bytes);
 
 /** Read + decodeTrace. @throws TraceError when unreadable/malformed. */
 TraceData readTraceFile(const std::string &path);

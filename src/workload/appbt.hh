@@ -39,6 +39,8 @@ struct AppbtParams
 class AppbtWorkload : public TraceWorkload
 {
   public:
+    /** @throws std::invalid_argument when p.procs does not multiply
+     *  to @p num_cpus. */
     explicit AppbtWorkload(unsigned num_cpus, AppbtParams p = {});
 
     std::string paperProblemSize() const override

@@ -90,18 +90,14 @@ class Workload
     virtual std::string scaledProblemSize() const { return ""; }
 
     /**
-     * Full operation stream of @p cpu when the workload is
-     * trace-backed, else null. The System scans these streams before
-     * a run to pre-compute first-touch page placement (round-robin
-     * across CPUs by op index, the schedule-independent equivalent of
-     * touch order).
+     * Full operation stream of @p cpu, never null. The System scans
+     * these streams before a run to pre-compute first-touch page
+     * placement (round-robin across CPUs by op index, the
+     * schedule-independent equivalent of touch order), and `pcsim
+     * trace record` writes them to its trace. A wrapper must forward
+     * its inner workload's streams.
      */
-    virtual const std::vector<MemOp> *
-    cpuOps(unsigned cpu) const
-    {
-        (void)cpu;
-        return nullptr;
-    }
+    virtual const std::vector<MemOp> *cpuOps(unsigned cpu) const = 0;
 };
 
 /** Workload backed by pre-generated per-CPU traces. */

@@ -53,22 +53,6 @@ TEST(MemoryMap, ConstLookupRequiresPlacement)
     EXPECT_EQ(cm.homeOf(0x1000), 3);
 }
 
-TEST(MemoryMap, ExplicitPlacement)
-{
-    MemoryMap m(16);
-    m.place(0x8000, 12);
-    EXPECT_EQ(m.homeOf(0x8000, 0), 12);
-    EXPECT_EQ(m.numPlacedPages(), 1u);
-}
-
-TEST(MemoryMap, RoundRobinIgnoresToucher)
-{
-    MemoryMap m(4, 16 * 1024, Placement::RoundRobin);
-    EXPECT_EQ(m.homeOf(0 * 16384, 3), 0);
-    EXPECT_EQ(m.homeOf(1 * 16384, 3), 1);
-    EXPECT_EQ(m.homeOf(5 * 16384, 3), 1);
-}
-
 TEST(DirEntry, SharerBitVector)
 {
     DirEntry d;
@@ -114,7 +98,7 @@ TEST(DirectoryCache, MissFillsFromStore)
     store.lookup(0x1000).addSharer(0);
     store.lookup(0x1000).addSharer(2);
 
-    DirectoryCache dc(smallDirCache(), store, Rng(1));
+    DirectoryCache dc(smallDirCache(), 128, store, Rng(1));
     bool miss;
     DirCacheEntry *e = dc.access(0x1000, miss);
     ASSERT_NE(e, nullptr);
@@ -129,7 +113,7 @@ TEST(DirectoryCache, MissFillsFromStore)
 TEST(DirectoryCache, EvictionPersistsProtocolStateDropsDetector)
 {
     DirectoryStore store;
-    DirectoryCache dc(smallDirCache(), store, Rng(1));
+    DirectoryCache dc(smallDirCache(), 128, store, Rng(1));
 
     bool miss;
     DirCacheEntry *e = dc.access(0x1000, miss);
@@ -157,7 +141,7 @@ TEST(DirectoryCache, EvictionPersistsProtocolStateDropsDetector)
 TEST(DirectoryCache, BusyEntriesAreNotEvictable)
 {
     DirectoryStore store;
-    DirectoryCache dc(smallDirCache(), store, Rng(1));
+    DirectoryCache dc(smallDirCache(), 128, store, Rng(1));
     bool miss;
     const Addr stride = 4 * 128;
     dc.access(0x1000, miss)->dir.state = DirState::BusyRead;
@@ -169,7 +153,7 @@ TEST(DirectoryCache, BusyEntriesAreNotEvictable)
 TEST(DirectoryCache, FlushWritesEverythingBack)
 {
     DirectoryStore store;
-    DirectoryCache dc(smallDirCache(), store, Rng(1));
+    DirectoryCache dc(smallDirCache(), 128, store, Rng(1));
     bool miss;
     dc.access(0x1000, miss)->dir.memVersion = 42;
     dc.flush();

@@ -17,7 +17,7 @@ makeRac(std::size_t bytes = 4 * 128, std::size_t ways = 2)
     RacConfig cfg;
     cfg.sizeBytes = bytes;
     cfg.ways = ways;
-    return Rac(cfg, Rng(1));
+    return Rac(cfg, /*line_bytes=*/128, Rng(1));
 }
 
 } // namespace

@@ -224,3 +224,72 @@ TEST(Runner, ResultEntryCarriesJobAndRun)
     EXPECT_GT(e.at("cycles").asUInt(), 0u);
     EXPECT_EQ(e.at("cycles").asUInt(), results[1].result.cycles);
 }
+
+TEST(Runner, BuildJobAppliesTheRequest)
+{
+    JobRequest r;
+    r.workload = "em3d";
+    r.config = "pcopt";
+    r.nodes = 32;
+    r.seed = 3;
+    r.scale = 0.5;
+    r.coarse = 4;
+    r.checker = true;
+    Job j;
+    ASSERT_EQ(buildJob(r, j), "");
+    EXPECT_EQ(j.workload, "Em3D");
+    EXPECT_EQ(j.configName, "small");
+    EXPECT_EQ(j.seed, 3u);
+    EXPECT_EQ(j.scale, 0.5);
+    EXPECT_EQ(j.cfg.proto.numNodes, 32u);
+    EXPECT_EQ(j.cfg.proto.lineBytes, 128u);
+    EXPECT_EQ(j.cfg.proto.sharerGranularityLog2, 2u);
+    EXPECT_TRUE(j.cfg.proto.checkerEnabled);
+    EXPECT_FALSE(j.cfg.proto.conformanceEnabled);
+
+    // The checker is off unless asked for, whatever ProtocolConfig's
+    // default.
+    r.checker = false;
+    ASSERT_EQ(buildJob(r, j), "");
+    EXPECT_FALSE(j.cfg.proto.checkerEnabled);
+
+    const auto error = [&](JobRequest bad) {
+        Job unused;
+        return buildJob(bad, unused);
+    };
+    JobRequest bad = r;
+    bad.workload = "bogus";
+    EXPECT_EQ(error(bad), "unknown workload 'bogus'");
+    bad = r;
+    bad.config = "warp-drive";
+    EXPECT_EQ(error(bad), "unknown config 'warp-drive'");
+    bad = r;
+    bad.coarse = 3;
+    EXPECT_EQ(error(bad), "coarse 3 is not a power of two");
+    bad = r;
+    bad.coarse = 64;
+    EXPECT_EQ(error(bad).rfind("invalid configuration 'small' at 32 nodes: "
+                               "sharerGranularityLog2",
+                               0),
+              0u);
+}
+
+TEST(Runner, AppbtGridMismatchFailsItsJobNotTheProcess)
+{
+    JobSet set;
+    for (const char *workload : {"Appbt", "Em3D"}) {
+        Job j;
+        j.workload = workload;
+        j.cfg = presets::base(12);
+        j.cfg.proto.checkerEnabled = false;
+        j.configName = "base";
+        j.scale = 0.1;
+        set.add(std::move(j));
+    }
+    const auto results = runJobs(set, quiet(2));
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_FALSE(results[0].ok);
+    EXPECT_EQ(results[0].error,
+              "Appbt processor grid 4x2x2 does not match 12 CPUs");
+    EXPECT_TRUE(results[1].ok) << results[1].error;
+}

@@ -257,6 +257,26 @@ TEST(SystemTest, HubLineAlignment)
     EXPECT_EQ(sys.hub(0).lineOf(0x12345), 0x12345ull & ~127ull);
 }
 
+TEST(SystemTest, EveryArrayRunsAtTheProtocolLineSize)
+{
+    // The L2, the RAC, both delegate tables and the directory cache
+    // align lines at ProtocolConfig::lineBytes: a run at any other
+    // line size stays coherent and within the spec.
+    for (std::uint32_t line : {64u, 256u}) {
+        for (const char *name : {"PCmicro", "Em3D", "WorkQueue"}) {
+            MachineConfig cfg = presets::small(16);
+            cfg.proto.lineBytes = line;
+            cfg.proto.checkerEnabled = true;
+            cfg.proto.conformanceEnabled = true;
+            const std::unique_ptr<Workload> wl =
+                runner::makeRunnerWorkload(name, 16, 0.25);
+            const RunResult r = runWorkload(cfg, *wl, "small");
+            EXPECT_GT(r.cycles, 0u) << name << " at " << line;
+            EXPECT_FALSE(r.conformance.empty()) << name << " at " << line;
+        }
+    }
+}
+
 TEST(MessageNames, AllTypesHaveNames)
 {
     for (unsigned t = 0;

@@ -1,5 +1,5 @@
 /** @file Trace subsystem tests: PCTR binary round-trips, malformed
- *  input rejection with precise errors, recorder transparency,
+ *  input rejection with precise errors, the replay job a header names,
  *  record-then-replay byte-identical statistics, and the external
  *  text-trace ingester against committed golden files. */
 
@@ -9,10 +9,10 @@
 #include <string>
 
 #include "src/runner/results.hh"
+#include "src/runner/trace_cmd.hh"
 #include "src/system/presets.hh"
 #include "src/system/system.hh"
 #include "src/trace/format.hh"
-#include "src/trace/recorder.hh"
 #include "src/trace/replay.hh"
 #include "src/trace/text_ingest.hh"
 #include "src/workload/micro.hh"
@@ -179,7 +179,8 @@ TEST(TraceFormat, FileRoundTripAndHeaderOnlyRead)
 {
     const std::string path =
         testing::TempDir() + "pcsim_trace_roundtrip.pctr";
-    trace::writeTraceFile(path, sampleMeta(), sampleStreams());
+    trace::writeTraceFile(path,
+                          trace::encodeTrace(sampleMeta(), sampleStreams()));
     const trace::TraceData back = trace::readTraceFile(path);
     EXPECT_EQ(back.meta.opCount, 6u);
 
@@ -189,48 +190,48 @@ TEST(TraceFormat, FileRoundTripAndHeaderOnlyRead)
     std::remove(path.c_str());
 }
 
-TEST(TraceRecorder, CaptureMatchesGeneratorStreams)
+TEST(TraceReplay, JobRunsTheHeadersMachine)
 {
-    ProducerConsumerMicro source(16);
-    ProducerConsumerMicro reference(16);
-    trace::TraceRecorder recorder(16);
-    trace::RecordingWorkload recording(source, recorder);
+    trace::TraceMeta meta = sampleMeta();
+    meta.lineBytes = 64;
+    const std::string path = testing::TempDir() + "pcsim_trace_job.pctr";
+    trace::writeTraceFile(path, trace::encodeTrace(meta, sampleStreams()));
 
-    RunResult plain =
-        runWorkload(presets::small(16), reference, "small");
-    RunResult recorded =
-        runWorkload(presets::small(16), recording, "small");
+    runner::JobRequest r;
+    r.config = "";
+    r.checker = true;
+    runner::Job j;
+    ASSERT_EQ(runner::replayJob(path, r, j), "");
+    EXPECT_EQ(j.workload, "PCmicro");
+    EXPECT_EQ(j.configName, "small");
+    EXPECT_EQ(j.seed, 42u);
+    EXPECT_EQ(j.scale, 0.5);
+    EXPECT_EQ(j.cfg.proto.numNodes, 3u);
+    EXPECT_EQ(j.cfg.proto.lineBytes, 64u);
+    EXPECT_EQ(j.cfg.proto.sharerGranularityLog2, 1u); // coarse 2
+    EXPECT_TRUE(j.cfg.proto.checkerEnabled);
+    EXPECT_FALSE(j.cfg.proto.conformanceEnabled);
+    const std::unique_ptr<Workload> wl = j.factory();
+    EXPECT_EQ(wl->cpuOps(0)->size(), 3u);
 
-    // Transparency: recorded run's stats are byte-identical.
-    EXPECT_EQ(runner::toJson(plain).dump(),
-              runner::toJson(recorded).dump());
+    // --config overrides the header's preset.
+    r.config = "base";
+    ASSERT_EQ(runner::replayJob(path, r, j), "");
+    EXPECT_EQ(j.configName, "base");
 
-    // Completeness: the capture is exactly the generator's streams.
-    reference.reset();
-    for (unsigned cpu = 0; cpu < 16; ++cpu) {
-        const auto &got = recorder.perNode()[cpu];
-        std::size_t i = 0;
-        MemOp op;
-        while (reference.next(cpu, op)) {
-            ASSERT_LT(i, got.size()) << "cpu " << cpu;
-            EXPECT_EQ(got[i].kind, op.kind);
-            EXPECT_EQ(got[i].addr, op.addr);
-            EXPECT_EQ(got[i].cycles, op.cycles);
-            ++i;
-        }
-        EXPECT_EQ(i, got.size()) << "cpu " << cpu;
-    }
+    // A malformed file builds no job.
+    writeFile(path, "PCTX");
+    EXPECT_NE(runner::replayJob(path, r, j).find("bad magic"),
+              std::string::npos);
+    std::remove(path.c_str());
 }
 
 TEST(TraceReplay, ReproducesRecordedStatsByteForByte)
 {
     // Record a KVServe run (Zipf + per-node RNG: a stream the replay
-    // could never regenerate by accident).
+    // could never regenerate by accident) from its own streams.
     KvServingWorkload source(16);
-    trace::TraceRecorder recorder(16);
-    trace::RecordingWorkload recording(source, recorder);
-    RunResult recorded =
-        runWorkload(presets::small(16), recording, "small");
+    RunResult recorded = runWorkload(presets::small(16), source, "small");
 
     trace::TraceMeta meta;
     meta.nodeCount = 16;
@@ -239,7 +240,7 @@ TEST(TraceReplay, ReproducesRecordedStatsByteForByte)
     meta.config = "small";
     const std::string path =
         testing::TempDir() + "pcsim_trace_replay.pctr";
-    recorder.writeFile(path, meta);
+    trace::writeTraceFile(path, trace::encodeTrace(meta, source));
 
     auto replay = trace::loadReplayWorkload(path);
     EXPECT_EQ(replay->name(), "KVServe");
@@ -333,13 +334,10 @@ TEST(TraceGolden, CommittedBinaryTraceDecodesAndReencodesIdentically)
     // committed bytes exactly.
     EXPECT_EQ(trace::encodeTrace(data.meta, data.perNode), bytes);
 
-    // Freshly recording the same run reproduces the file too: the
-    // committed trace pins generator + recorder + writer behavior.
+    // Encoding the generator's own streams reproduces the file too:
+    // the committed trace pins generator + writer behavior.
     ProducerConsumerMicro source(16, ProducerConsumerMicro::Params{});
-    trace::TraceRecorder recorder(16);
-    trace::RecordingWorkload recording(source, recorder);
-    runWorkload(presets::small(16), recording, "small");
-    EXPECT_EQ(trace::encodeTrace(data.meta, recorder.perNode()), bytes);
+    EXPECT_EQ(trace::encodeTrace(data.meta, source), bytes);
 }
 
 TEST(TraceGolden, TruncatedFileIsRejectedWithPath)
