@@ -625,8 +625,7 @@ writeLivenessRepro(const LintRun &run, const std::string &path,
             meta.workload = "lint-liveness";
             meta.config = f.config;
             try {
-                trace::writeTraceFile(path,
-                                      trace::encodeTrace(meta, per_node));
+                trace::writeTraceFile(path, meta, per_node);
             } catch (const trace::TraceError &e) {
                 std::fprintf(stderr, "pcsim lint: %s\n", e.what());
                 return false;

@@ -37,14 +37,14 @@ Cpu::nextOp()
 
     switch (op.kind) {
       case MemOp::Kind::Think:
-        _eq.scheduleIn(std::max<std::uint32_t>(1, op.cycles),
+        _eq.scheduleIn(std::max<std::uint32_t>(1, op.cycles()),
                        [this]() { nextOp(); });
         break;
       case MemOp::Kind::Read:
-        _hub.cpuAccess(false, op.addr, [this](Version) { nextOp(); });
+        _hub.cpuAccess(false, op.addr(), [this](Version) { nextOp(); });
         break;
       case MemOp::Kind::Write:
-        _hub.cpuAccess(true, op.addr, [this](Version) { nextOp(); });
+        _hub.cpuAccess(true, op.addr(), [this](Version) { nextOp(); });
         break;
       case MemOp::Kind::Barrier:
         _barrier.arrive(_cpuId, [this]() { nextOp(); });

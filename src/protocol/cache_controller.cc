@@ -605,7 +605,9 @@ CacheController::handleIntervention(const Message &msg)
 
     switch (msg.type) {
       case MsgType::Inval: {
-        recordTombstone(line, msg.version);
+        // Only handleUpdate reads the tombstones.
+        if (_cfg.sendsUpdates())
+            recordTombstone(line, msg.version);
         if (e) {
             _l1.invalidateRange(line, _cfg.lineBytes);
             _l2.invalidate(line);

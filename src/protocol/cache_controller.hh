@@ -114,6 +114,8 @@ class CacheController
     {
         return _l2.materializedSets();
     }
+    /** Tombstone table slots allocated (0 until the first). */
+    std::size_t tombstoneSlots() const { return _tombstones.capacity(); }
     /// @}
 
     /** Number of outstanding transactions (drain detection). */
@@ -165,7 +167,9 @@ class CacheController
      * ordering between the two sources). Each Inval records the
      * superseded epoch here; updates at or below it are dropped.
      * Modeled as a small FIFO, as the hardware would build it: a
-     * fixed ring of the recorded lines, oldest evicted first.
+     * fixed ring of the recorded lines, oldest evicted first. Only a
+     * policy that sends updates (ProtocolConfig::sendsUpdates)
+     * records any; the others never allocate the table.
      */
     static constexpr std::size_t tombstoneCapacity = 128;
     FlatMap<Addr, Version> _tombstones;

@@ -190,6 +190,10 @@ struct ProtocolConfig
         return kind == ProtocolKind::WriteUpdate ||
                kind == ProtocolKind::AdaptiveHybrid;
     }
+    /** Some node can send an Update message: updatesEnabled()'s
+     *  speculative pushes or an updateBased() policy's store fan-out.
+     *  Invalidate-only kinds never deliver one. */
+    bool sendsUpdates() const { return updatesEnabled() || updateBased(); }
     /** Per-line competitive update/invalidate adaptation is active. */
     bool adaptive() const
     {

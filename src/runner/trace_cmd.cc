@@ -26,18 +26,16 @@ writeJobTrace(const Job &job, const std::string &path, bool quiet)
     meta.scale = job.scale;
     meta.workload = job.workload;
     meta.config = job.configName;
-    std::size_t bytes = 0;
+    std::uint64_t bytes = 0;
     try {
-        const std::string encoded = trace::encodeTrace(meta, *wl);
-        bytes = encoded.size();
-        trace::writeTraceFile(path, encoded);
+        bytes = trace::writeTraceFile(path, meta, *wl);
     } catch (const trace::TraceError &e) {
         std::fprintf(stderr, "pcsim trace record: %s\n", e.what());
         return false;
     }
     if (!quiet)
-        std::fprintf(stderr, "recorded %zu bytes -> %s\n", bytes,
-                     path.c_str());
+        std::fprintf(stderr, "recorded %llu bytes -> %s\n",
+                     (unsigned long long)bytes, path.c_str());
     return true;
 }
 
@@ -74,8 +72,7 @@ ingestTextFiles(const std::vector<std::string> &paths,
     try {
         trace::TraceData data = trace::ingestTextTraces(paths);
         data.meta.scale = scale;
-        trace::writeTraceFile(out_path,
-                              trace::encodeTrace(data.meta, data.perNode));
+        trace::writeTraceFile(out_path, data.meta, data.perNode);
         if (!quiet)
             std::fprintf(stderr,
                          "ingested %zu text trace(s): %llu ops -> %s\n",
@@ -84,7 +81,7 @@ ingestTextFiles(const std::vector<std::string> &paths,
                          out_path.c_str());
     } catch (const trace::TraceError &e) {
         std::fprintf(stderr, "pcsim trace record: %s\n", e.what());
-        return 2;
+        return 1;
     }
     return 0;
 }

@@ -5,7 +5,8 @@
  * record -- a one-job run (buildJob, runSweep), then writeJobTrace():
  * once the run succeeded, the job's registry workload is generated
  * again and its own per-node streams (Workload::cpuOps) are encoded
- * as a binary PCTR file (src/trace/format.hh). With --text,
+ * as a binary PCTR file (src/trace/format.hh), written as it is
+ * encoded. With --text,
  * ingestTextFiles() converts external per-core text traces
  * (src/trace/text_ingest.hh) into the same format instead.
  *
@@ -46,7 +47,7 @@ std::string replayJob(const std::string &path, JobRequest r, Job &out);
 
 /** Convert per-core text traces (`<label> <hexaddr>` lines; label 0 =
  *  load, 1 = store, 2 = compute cycles), one file per node, to a
- *  trace at @p out_path. @return process exit code: 0 ok, 2 a file
+ *  trace at @p out_path. @return process exit code: 0 ok, 1 a file
  *  was malformed or could not be read or written. */
 int ingestTextFiles(const std::vector<std::string> &paths,
                     const std::string &out_path, double scale,

@@ -100,7 +100,7 @@ System::preplacePages(Workload &workload)
             const MemOp &op = (*ops[n])[i];
             if (op.kind == MemOp::Kind::Read ||
                 op.kind == MemOp::Kind::Write) {
-                _memMap.homeOf(op.addr, static_cast<NodeId>(n));
+                _memMap.homeOf(op.addr(), static_cast<NodeId>(n));
             }
         }
     }

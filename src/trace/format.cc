@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 
+#include "src/protocol/config.hh"
 #include "src/sim/file_io.hh"
 
 namespace pcsim
@@ -110,6 +111,15 @@ class Cursor
     std::size_t _pos = 0;
 };
 
+std::string
+hexAddr(std::uint64_t a)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "0x%llx",
+                  static_cast<unsigned long long>(a));
+    return buf;
+}
+
 std::uint8_t
 encodeKind(MemOp::Kind k, const std::string &origin)
 {
@@ -127,10 +137,22 @@ encodeKind(MemOp::Kind k, const std::string &origin)
                      std::to_string(static_cast<unsigned>(k)));
 }
 
-/** Encode the @p streams.size() streams, node n's being *streams[n]. */
-std::string
-encodeStreams(const TraceMeta &meta,
-              const std::vector<const std::vector<MemOp> *> &streams)
+using Streams = std::vector<const std::vector<MemOp> *>;
+
+/** Encoded bytes that writeTraceFile buffers between writes. */
+constexpr std::size_t fileChunkBytes = 64 * 1024;
+
+/**
+ * The one PCTR encoder: encode the @p streams.size() streams, node n's
+ * being *streams[n], appending to @p out and calling @p drain(out)
+ * whenever @p out holds @p chunk bytes or more, and once at the end.
+ * A drain that empties @p out streams the trace; one that keeps it
+ * collects the whole trace.
+ */
+template <typename Drain>
+void
+encodeStreams(const TraceMeta &meta, const Streams &streams,
+              std::string &out, std::size_t chunk, Drain &&drain)
 {
     const std::string origin = "<encode>";
     if (streams.size() != meta.nodeCount)
@@ -146,9 +168,6 @@ encodeStreams(const TraceMeta &meta,
     for (const std::vector<MemOp> *t : streams)
         ops += t->size();
 
-    std::string out;
-    out.reserve(64 + meta.workload.size() + meta.config.size() +
-                ops * traceRecordBytes);
     out.append(traceMagic, sizeof(traceMagic));
     putU32(out, traceVersion);
     putU32(out, meta.nodeCount);
@@ -176,13 +195,76 @@ encodeStreams(const TraceMeta &meta,
             std::uint64_t payload = 0;
             if (op.kind == MemOp::Kind::Read ||
                 op.kind == MemOp::Kind::Write)
-                payload = op.addr;
+                payload = op.addr();
             else if (op.kind == MemOp::Kind::Think)
-                payload = op.cycles;
+                payload = op.cycles();
             putU64(out, payload);
+            if (out.size() >= chunk)
+                drain(out);
         }
     }
+    drain(out);
+}
+
+/** encodeStreams into one string holding the whole trace. */
+std::string
+encodeToString(const TraceMeta &meta, const Streams &streams)
+{
+    std::string out;
+    encodeStreams(meta, streams, out,
+                  std::numeric_limits<std::size_t>::max(),
+                  [](std::string &) {});
     return out;
+}
+
+/** encodeStreams into @p path through a fileChunkBytes buffer. */
+std::uint64_t
+encodeToFile(const std::string &path, const TraceMeta &meta,
+             const Streams &streams)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    if (!f)
+        throw TraceError(path + ": cannot open for writing");
+    std::uint64_t written = 0;
+    bool ok = true;
+    std::string buf;
+    buf.reserve(fileChunkBytes + traceRecordBytes);
+    try {
+        encodeStreams(meta, streams, buf, fileChunkBytes,
+                      [&](std::string &b) {
+                          ok = ok && std::fwrite(b.data(), 1, b.size(),
+                                                 f) == b.size();
+                          written += b.size();
+                          b.clear();
+                      });
+    } catch (const TraceError &) {
+        std::fclose(f);
+        std::remove(path.c_str());
+        throw;
+    }
+    if (std::fclose(f) != 0 || !ok) {
+        std::remove(path.c_str());
+        throw TraceError(path + ": write error");
+    }
+    return written;
+}
+
+Streams
+streamsOf(const std::vector<std::vector<MemOp>> &per_node)
+{
+    Streams streams(per_node.size());
+    for (std::size_t n = 0; n < per_node.size(); ++n)
+        streams[n] = &per_node[n];
+    return streams;
+}
+
+Streams
+streamsOf(const Workload &workload)
+{
+    Streams streams(workload.numCpus());
+    for (unsigned n = 0; n < workload.numCpus(); ++n)
+        streams[n] = workload.cpuOps(n);
+    return streams;
 }
 
 } // namespace
@@ -191,19 +273,27 @@ std::string
 encodeTrace(const TraceMeta &meta,
             const std::vector<std::vector<MemOp>> &per_node)
 {
-    std::vector<const std::vector<MemOp> *> streams(per_node.size());
-    for (std::size_t n = 0; n < per_node.size(); ++n)
-        streams[n] = &per_node[n];
-    return encodeStreams(meta, streams);
+    return encodeToString(meta, streamsOf(per_node));
 }
 
 std::string
 encodeTrace(const TraceMeta &meta, const Workload &workload)
 {
-    std::vector<const std::vector<MemOp> *> streams(workload.numCpus());
-    for (unsigned n = 0; n < workload.numCpus(); ++n)
-        streams[n] = workload.cpuOps(n);
-    return encodeStreams(meta, streams);
+    return encodeToString(meta, streamsOf(workload));
+}
+
+std::uint64_t
+writeTraceFile(const std::string &path, const TraceMeta &meta,
+               const std::vector<std::vector<MemOp>> &per_node)
+{
+    return encodeToFile(path, meta, streamsOf(per_node));
+}
+
+std::uint64_t
+writeTraceFile(const std::string &path, const TraceMeta &meta,
+               const Workload &workload)
+{
+    return encodeToFile(path, meta, streamsOf(workload));
 }
 
 TraceData
@@ -227,6 +317,11 @@ decodeTrace(const std::string &bytes, const std::string &origin)
     m.nodeCount = c.u32("header nodeCount");
     if (m.nodeCount == 0)
         throw TraceError(origin + ": header nodeCount is zero");
+    if (m.nodeCount > ProtocolConfig::maxNodes)
+        throw TraceError(origin + ": header nodeCount " +
+                         std::to_string(m.nodeCount) + " exceeds " +
+                         std::to_string(ProtocolConfig::maxNodes) +
+                         " nodes");
     m.lineBytes = c.u32("header lineBytes");
     m.coarse = c.u32("header coarse");
     if (m.coarse == 0)
@@ -238,12 +333,14 @@ decodeTrace(const std::string &bytes, const std::string &origin)
     m.workload = c.str(c.u16("workload name length"), "workload name");
     m.config = c.str(c.u16("config name length"), "config name");
 
-    if (c.remaining() != m.opCount * traceRecordBytes)
+    // Divide, not multiply: a hostile opCount times 16 can wrap.
+    if (c.remaining() % traceRecordBytes != 0 ||
+        c.remaining() / traceRecordBytes != m.opCount)
         throw TraceError(
             origin + ": record section is " +
             std::to_string(c.remaining()) + " bytes but the header "
-            "promises " + std::to_string(m.opCount) + " records (" +
-            std::to_string(m.opCount * traceRecordBytes) + " bytes)");
+            "promises " + std::to_string(m.opCount) + " records of " +
+            std::to_string(traceRecordBytes) + " bytes");
 
     data.perNode.resize(m.nodeCount);
     for (std::uint64_t i = 0; i < m.opCount; ++i) {
@@ -269,6 +366,9 @@ decodeTrace(const std::string &bytes, const std::string &origin)
                              " seq " + std::to_string(seq) +
                              " out of order (expected " +
                              std::to_string(stream.size()) + ")");
+        if ((kind == 0 || kind == 1) && payload > MemOp::maxAddr)
+            throw TraceError(where() + ": address " + hexAddr(payload) +
+                             " exceeds 56 bits");
         switch (kind) {
           case 0:
             stream.push_back(MemOp::read(payload));
@@ -297,19 +397,6 @@ decodeTrace(const std::string &bytes, const std::string &origin)
         }
     }
     return data;
-}
-
-void
-writeTraceFile(const std::string &path, const std::string &bytes)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        throw TraceError(path + ": cannot open for writing");
-    const std::size_t written =
-        std::fwrite(bytes.data(), 1, bytes.size(), f);
-    const bool failed = std::fclose(f) != 0 || written != bytes.size();
-    if (failed)
-        throw TraceError(path + ": write error");
 }
 
 TraceData

@@ -31,6 +31,8 @@
  *   u32 seq        per-node ordering hint: the op's index within its
  *                  node's stream; the reader rejects gaps/reordering
  *   u64 payload    address (LOAD/STORE), think cycles (THINK), 0
+ *                  (BARRIER); an address is below 2^56 (MemOp's
+ *                  payload) and think cycles fit in 32 bits
  *
  * Records are written node-major (all of node 0, then node 1, ...)
  * but the reader accepts any interleaving whose per-node seq numbers
@@ -38,6 +40,10 @@
  * order *within* a node; the cross-node interleaving is decided by
  * the simulator, which is what makes replayed stats byte-identical
  * at any `-j`.
+ *
+ * The reader checks nodeCount against ProtocolConfig::maxNodes and
+ * opCount against the record section's length before it allocates
+ * anything, so what it allocates follows the size of the file.
  */
 
 #ifndef PCSIM_TRACE_FORMAT_HH
@@ -106,8 +112,9 @@ struct TraceData
 };
 
 /** Serialize to the binary format. @p per_node size must equal
- *  meta.nodeCount; meta.opCount is recomputed. @throws TraceError on
- *  unencodable input (op kind out of range, name too long). */
+ *  meta.nodeCount; meta.opCount is recomputed. The same encoder as
+ *  writeTraceFile, into a string. @throws TraceError on unencodable
+ *  input (stream count, op kind out of range, name too long). */
 std::string encodeTrace(const TraceMeta &meta,
                         const std::vector<std::vector<MemOp>> &per_node);
 
@@ -118,13 +125,24 @@ std::string encodeTrace(const TraceMeta &meta, const Workload &workload);
 /** Parse a binary trace buffer. @p origin names the source in error
  *  messages (a file path, or "<memory>" in tests).
  *  @throws TraceError with a precise message on bad magic, unsupported
- *  version, truncation, out-of-range node ids or broken seq order. */
+ *  version, a nodeCount above ProtocolConfig::maxNodes, truncation,
+ *  out-of-range node ids, broken seq order or an address of 2^56 or
+ *  more. */
 TraceData decodeTrace(const std::string &bytes,
                       const std::string &origin);
 
-/** Write encodeTrace()'s @p bytes to @p path. @throws TraceError on
- *  I/O failure. */
-void writeTraceFile(const std::string &path, const std::string &bytes);
+/** Encode @p per_node to @p path, writing the records as they are
+ *  encoded (a fixed buffer, never the whole trace in memory).
+ *  @return the bytes written. @throws TraceError on unencodable input
+ *  or I/O failure, after removing the partial file. */
+std::uint64_t writeTraceFile(const std::string &path,
+                             const TraceMeta &meta,
+                             const std::vector<std::vector<MemOp>> &per_node);
+
+/** writeTraceFile of @p workload's own streams, read in place. */
+std::uint64_t writeTraceFile(const std::string &path,
+                             const TraceMeta &meta,
+                             const Workload &workload);
 
 /** Read + decodeTrace. @throws TraceError when unreadable/malformed. */
 TraceData readTraceFile(const std::string &path);

@@ -86,6 +86,9 @@ parseTextTrace(const std::string &text, const std::string &origin)
                              " token(s)");
         const std::string &label = toks[0];
         const std::uint64_t value = parseHex(toks[1], where);
+        if ((label == "0" || label == "1") && value > MemOp::maxAddr)
+            throw TraceError(where + ": address '" + toks[1] +
+                             "' exceeds 56 bits");
         if (label == "0") {
             ops.push_back(MemOp::read(value));
         } else if (label == "1") {

@@ -7,7 +7,8 @@
  *   <label> <value>
  *
  * where label 0 = load from address, 1 = store to address, 2 = compute
- * for that many cycles; values are hexadecimal (with or without "0x").
+ * for that many cycles; values are hexadecimal (with or without "0x"),
+ * an address below 2^56 and a cycle count below 2^32.
  * Blank lines and lines starting with '#' are ignored.
  *
  * File i becomes NodeId i's op stream. Addresses are used verbatim:
@@ -39,8 +40,8 @@ namespace trace
  * @param workload_name reported workload name (default "ingest").
  * @param line_bytes coherence granularity recorded in the meta.
  * @throws TraceError naming file and 1-based line on malformed input
- *         (unknown label, bad hex value, trailing garbage), or on an
- *         unreadable file.
+ *         (unknown label, bad hex value, an address of 2^56 or more,
+ *         trailing garbage), or on an unreadable file.
  */
 TraceData ingestTextTraces(const std::vector<std::string> &paths,
                            const std::string &workload_name = "ingest",

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/logging.hh"
 #include "src/sim/random.hh"
 #include "src/sim/types.hh"
 
@@ -46,7 +47,12 @@ forkNodeRng(Rng &root, NodeId node)
     return root.fork();
 }
 
-/** One operation in a CPU's stream. */
+/**
+ * One operation in a CPU's stream, in one 64-bit word: a 56-bit
+ * payload (a Read/Write's address, a Think's cycles, 0 for a Barrier)
+ * below the 8-bit kind. The streams are the largest single item of a
+ * large run's heap, so an op's size is what they cost.
+ */
 struct MemOp
 {
     enum class Kind : std::uint8_t
@@ -57,17 +63,44 @@ struct MemOp
         Barrier,
     };
 
-    // Widest first: 16 bytes, not 24 with padding around kind.
-    Addr addr = 0;
-    std::uint32_t cycles = 0; ///< think duration
-    Kind kind = Kind::Think;
+    /** Largest address an op carries. The generators stay far below
+     *  it; the trace readers reject any address above it. */
+    static constexpr Addr maxAddr = (Addr{1} << 56) - 1;
 
-    static MemOp read(Addr a) { return {a, 0, Kind::Read}; }
-    static MemOp write(Addr a) { return {a, 0, Kind::Write}; }
-    static MemOp think(std::uint32_t c) { return {0, c, Kind::Think}; }
-    static MemOp barrier() { return {0, 0, Kind::Barrier}; }
+  private:
+    std::uint64_t _payload : 56 = 0;
+
+  public:
+    Kind kind : 8 = Kind::Think;
+
+    MemOp() = default;
+
+    /** The address of a Read or Write. */
+    Addr addr() const { return _payload; }
+    /** The duration of a Think. */
+    std::uint32_t cycles() const
+    {
+        return static_cast<std::uint32_t>(_payload);
+    }
+
+    static MemOp read(Addr a) { return {checkedAddr(a), Kind::Read}; }
+    static MemOp write(Addr a) { return {checkedAddr(a), Kind::Write}; }
+    static MemOp think(std::uint32_t c) { return {c, Kind::Think}; }
+    static MemOp barrier() { return {0, Kind::Barrier}; }
+
+  private:
+    MemOp(std::uint64_t payload, Kind k) : _payload(payload), kind(k) {}
+
+    static Addr
+    checkedAddr(Addr a)
+    {
+        if (a > maxAddr)
+            panic("op address 0x%llx exceeds 56 bits",
+                  static_cast<unsigned long long>(a));
+        return a;
+    }
 };
-static_assert(sizeof(MemOp) == 16);
+static_assert(sizeof(MemOp) == 8);
 
 /** Abstract per-CPU operation source. */
 class Workload

@@ -74,7 +74,7 @@ TEST(Serving, GenerationIsDeterministic)
                 << name << " cpu " << cpu;
             for (std::size_t i = 0; i < sa[cpu].size(); ++i) {
                 EXPECT_EQ(sa[cpu][i].kind, sb[cpu][i].kind);
-                EXPECT_EQ(sa[cpu][i].addr, sb[cpu][i].addr);
+                EXPECT_EQ(sa[cpu][i].addr(), sb[cpu][i].addr());
             }
         }
     }
@@ -119,8 +119,8 @@ TEST(Serving, KvZipfSkewsTowardHotKeys)
                 ++init;
                 continue;
             }
-            hotN += op.addr == hot ? 1 : 0;
-            coldN += op.addr == cold ? 1 : 0;
+            hotN += op.addr() == hot ? 1 : 0;
+            coldN += op.addr() == cold ? 1 : 0;
         }
     }
     EXPECT_EQ(init, p.keyLines); // striped first-touch, each key once

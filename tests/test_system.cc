@@ -186,6 +186,46 @@ TEST(SystemTest, FootprintFollowsTouchedSetsOnly)
     EXPECT_EQ(perNode(true), plain);
 }
 
+TEST(SystemTest, TombstonesOnlyWhereAnUpdateCanArrive)
+{
+    // Only handleUpdate reads a tombstone. Invalidate-only policies
+    // send Invals but never allocate the table; delegation-updates
+    // fills it from every Inval. The update-based policies keep it
+    // on, but their homes never send an Inval to record.
+    struct Seen
+    {
+        std::uint64_t invals = 0;
+        std::size_t slots = 0;
+    };
+    const auto run = [](const MachineConfig &cfg) {
+        ProducerConsumerMicro wl(16);
+        System sys(cfg);
+        sys.run(wl);
+        Seen seen;
+        seen.invals = sys.network().numByType(MsgType::Inval);
+        for (unsigned i = 0; i < sys.numNodes(); ++i)
+            seen.slots += sys.hub(i).cacheCtrl().tombstoneSlots();
+        return seen;
+    };
+    for (const MachineConfig &cfg :
+         {presets::base(16), presets::delegationOnly()}) {
+        const char *name = protocolKindName(cfg.proto.kind);
+        EXPECT_FALSE(cfg.proto.sendsUpdates()) << name;
+        const Seen seen = run(cfg);
+        EXPECT_GT(seen.invals, 0u) << name;
+        EXPECT_EQ(seen.slots, 0u) << name;
+    }
+    const Seen du = run(presets::small(16));
+    EXPECT_GT(du.invals, 0u);
+    EXPECT_GT(du.slots, 0u);
+    for (const MachineConfig &cfg :
+         {presets::writeUpdate(16), presets::adaptiveHybrid(16)}) {
+        const char *name = protocolKindName(cfg.proto.kind);
+        EXPECT_TRUE(cfg.proto.sendsUpdates()) << name;
+        EXPECT_EQ(run(cfg).invals, 0u) << name;
+    }
+}
+
 namespace
 {
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -111,10 +112,29 @@ TEST(TraceFormat, RoundTripPreservesEverything)
         ASSERT_EQ(back.perNode[n].size(), streams[n].size()) << n;
         for (std::size_t i = 0; i < streams[n].size(); ++i) {
             EXPECT_EQ(back.perNode[n][i].kind, streams[n][i].kind);
-            EXPECT_EQ(back.perNode[n][i].addr, streams[n][i].addr);
-            EXPECT_EQ(back.perNode[n][i].cycles, streams[n][i].cycles);
+            EXPECT_EQ(back.perNode[n][i].addr(), streams[n][i].addr());
+            EXPECT_EQ(back.perNode[n][i].cycles(),
+                      streams[n][i].cycles());
         }
     }
+}
+
+TEST(TraceFormat, RoundTripsThePayloadLimits)
+{
+    trace::TraceMeta meta = sampleMeta();
+    meta.nodeCount = 1;
+    const std::vector<std::vector<MemOp>> streams = {
+        {MemOp::read(MemOp::maxAddr), MemOp::write(MemOp::maxAddr),
+         MemOp::think(0xFFFFFFFFu)}};
+    const trace::TraceData back = trace::decodeTrace(
+        trace::encodeTrace(meta, streams), "<memory>");
+    ASSERT_EQ(back.perNode.at(0).size(), 3u);
+    EXPECT_EQ(back.perNode[0][0].kind, MemOp::Kind::Read);
+    EXPECT_EQ(back.perNode[0][0].addr(), (Addr{1} << 56) - 1);
+    EXPECT_EQ(back.perNode[0][1].kind, MemOp::Kind::Write);
+    EXPECT_EQ(back.perNode[0][1].addr(), (Addr{1} << 56) - 1);
+    EXPECT_EQ(back.perNode[0][2].kind, MemOp::Kind::Think);
+    EXPECT_EQ(back.perNode[0][2].cycles(), 0xFFFFFFFFu);
 }
 
 TEST(TraceFormat, EncodingIsDeterministic)
@@ -175,12 +195,43 @@ TEST(TraceFormat, RejectsOutOfRangeNodeAndBrokenSeq)
     expectDecodeError(bad, "reserved");
 }
 
+TEST(TraceFormat, RejectsAnAddressOfFiftySixBits)
+{
+    trace::TraceMeta meta = sampleMeta();
+    meta.nodeCount = 1;
+    std::string bytes =
+        trace::encodeTrace(meta, {{MemOp::write(MemOp::maxAddr)}});
+    // The payload is the record's last 8 bytes: 2^56 - 1 -> 2^56.
+    std::fill(bytes.end() - 8, bytes.end(), '\0');
+    bytes[bytes.size() - 1] = 1;
+    expectDecodeError(bytes, "<memory>: record 0: address "
+                             "0x100000000000000 exceeds 56 bits");
+}
+
+TEST(TraceFormat, RejectsHostileCountsBeforeAllocating)
+{
+    std::string bytes = trace::encodeTrace(sampleMeta(), {{}, {}, {}});
+    // 44 fixed header bytes, then "PCmicro" and "small" behind their
+    // u16 lengths.
+    ASSERT_EQ(bytes.size(), 44u + 2 + 7 + 2 + 5);
+    // nodeCount 0xFFFFFFFF would ask for 4G empty streams.
+    std::string bad = bytes;
+    std::fill(bad.begin() + 8, bad.begin() + 12, '\xff');
+    expectDecodeError(bad, "<memory>: header nodeCount 4294967295 "
+                           "exceeds 4096 nodes");
+    // opCount 2^60: times 16 wraps to 0, the empty record section.
+    bad = bytes;
+    bad[36 + 7] = 0x10;
+    expectDecodeError(bad, "<memory>: record section is 0 bytes but "
+                           "the header promises 1152921504606846976 "
+                           "records of 16 bytes");
+}
+
 TEST(TraceFormat, FileRoundTripAndHeaderOnlyRead)
 {
     const std::string path =
         testing::TempDir() + "pcsim_trace_roundtrip.pctr";
-    trace::writeTraceFile(path,
-                          trace::encodeTrace(sampleMeta(), sampleStreams()));
+    trace::writeTraceFile(path, sampleMeta(), sampleStreams());
     const trace::TraceData back = trace::readTraceFile(path);
     EXPECT_EQ(back.meta.opCount, 6u);
 
@@ -195,7 +246,7 @@ TEST(TraceReplay, JobRunsTheHeadersMachine)
     trace::TraceMeta meta = sampleMeta();
     meta.lineBytes = 64;
     const std::string path = testing::TempDir() + "pcsim_trace_job.pctr";
-    trace::writeTraceFile(path, trace::encodeTrace(meta, sampleStreams()));
+    trace::writeTraceFile(path, meta, sampleStreams());
 
     runner::JobRequest r;
     r.config = "";
@@ -240,7 +291,12 @@ TEST(TraceReplay, ReproducesRecordedStatsByteForByte)
     meta.config = "small";
     const std::string path =
         testing::TempDir() + "pcsim_trace_replay.pctr";
-    trace::writeTraceFile(path, trace::encodeTrace(meta, source));
+    // Streamed in 64 KiB pieces, the file is the encoded string.
+    const std::uint64_t written = trace::writeTraceFile(path, meta, source);
+    const std::string encoded = trace::encodeTrace(meta, source);
+    EXPECT_GT(encoded.size(), 3u * 64 * 1024);
+    EXPECT_EQ(written, encoded.size());
+    EXPECT_EQ(readFile(path), encoded);
 
     auto replay = trace::loadReplayWorkload(path);
     EXPECT_EQ(replay->name(), "KVServe");
@@ -265,11 +321,11 @@ TEST(TextIngest, ParsesLabelsAndSkipsCommentsBlanks)
     const auto ops = trace::parseTextTrace(text, "<memory>");
     ASSERT_EQ(ops.size(), 3u);
     EXPECT_EQ(ops[0].kind, MemOp::Kind::Read);
-    EXPECT_EQ(ops[0].addr, 0x1000u);
+    EXPECT_EQ(ops[0].addr(), 0x1000u);
     EXPECT_EQ(ops[1].kind, MemOp::Kind::Write);
-    EXPECT_EQ(ops[1].addr, 0x20ABu);
+    EXPECT_EQ(ops[1].addr(), 0x20ABu);
     EXPECT_EQ(ops[2].kind, MemOp::Kind::Think);
-    EXPECT_EQ(ops[2].cycles, 0x64u);
+    EXPECT_EQ(ops[2].cycles(), 0x64u);
 }
 
 TEST(TextIngest, ErrorsNameFileAndLine)
@@ -290,6 +346,20 @@ TEST(TextIngest, ErrorsNameFileAndLine)
     expectError("0 xyz\n", "core0.data:1: bad hex value");
     expectError("2 1ffffffff\n", "exceed 32 bits");
     expectError("1 10000000000000000\n", "overflows 64 bits");
+    expectError("0 100000000000000\n",
+                "core0.data:1: address '100000000000000' exceeds 56 bits");
+}
+
+TEST(TextIngest, AcceptsThePayloadLimits)
+{
+    const auto ops = trace::parseTextTrace(
+        "0 0xffffffffffffff\n1 FFFFFFFFFFFFFF\n2 ffffffff\n",
+        "<memory>");
+    ASSERT_EQ(ops.size(), 3u);
+    EXPECT_EQ(ops[0].addr(), MemOp::maxAddr);
+    EXPECT_EQ(ops[1].kind, MemOp::Kind::Write);
+    EXPECT_EQ(ops[1].addr(), MemOp::maxAddr);
+    EXPECT_EQ(ops[2].cycles(), 0xFFFFFFFFu);
 }
 
 TEST(TextIngest, GoldenFilesIngestAndRun)

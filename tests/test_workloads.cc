@@ -95,8 +95,8 @@ TEST_P(SuiteWorkload, DeterministicAcrossInstances)
             if (!ra)
                 break;
             ASSERT_EQ(oa.kind, ob.kind);
-            ASSERT_EQ(oa.addr, ob.addr);
-            ASSERT_EQ(oa.cycles, ob.cycles);
+            ASSERT_EQ(oa.addr(), ob.addr());
+            ASSERT_EQ(oa.cycles(), ob.cycles());
         }
     }
 }
@@ -111,7 +111,7 @@ TEST_P(SuiteWorkload, ResetRewindsAllStreams)
     MemOp again;
     ASSERT_TRUE(w->next(0, again));
     EXPECT_EQ(first.kind, again.kind);
-    EXPECT_EQ(first.addr, again.addr);
+    EXPECT_EQ(first.addr(), again.addr());
 }
 
 TEST_P(SuiteWorkload, FirstPhaseIsInitThenBarrier)
@@ -197,7 +197,7 @@ TEST(Micro, RandomDeterministicPerSeed)
     MemOp oa, ob;
     while (a.next(0, oa)) {
         ASSERT_TRUE(b.next(0, ob));
-        ASSERT_EQ(oa.addr, ob.addr);
+        ASSERT_EQ(oa.addr(), ob.addr());
         ASSERT_EQ(oa.kind, ob.kind);
     }
 }
