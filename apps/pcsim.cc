@@ -216,13 +216,7 @@ setOption(Options &o, unsigned reads, unsigned bit, const std::string &opt,
 {
     switch (bit) {
       case rWorkload: o.args.workloads = splitList(v); break;
-      case rConfig:
-        o.configs = splitList(v);
-        if (o.configs.empty()) {
-            std::fprintf(stderr, "pcsim: bad --config '%s'\n", v.c_str());
-            return false;
-        }
-        break;
+      case rConfig: o.configs = splitList(v); break;
       case rSeed:
         o.args.seeds.clear();
         for (const auto &s : splitList(v)) {
@@ -231,8 +225,6 @@ setOption(Options &o, unsigned reads, unsigned bit, const std::string &opt,
                 return false;
             o.args.seeds.push_back(seed);
         }
-        if (o.args.seeds.empty())
-            o.args.seeds.push_back(1);
         if (o.args.seeds.size() > 1 && !(reads & rSeedList)) {
             std::fprintf(stderr,
                          "pcsim: %s takes one value outside 'pcsim run'\n",
@@ -247,10 +239,6 @@ setOption(Options &o, unsigned reads, unsigned bit, const std::string &opt,
             if (!parseNumber(opt, s, n, 1u))
                 return false;
             o.args.nodes.push_back(n);
-        }
-        if (o.args.nodes.empty()) {
-            std::fprintf(stderr, "pcsim: bad --nodes '%s'\n", v.c_str());
-            return false;
         }
         if (o.args.nodes.size() > 1 && !(reads & rNodeList)) {
             std::fprintf(stderr, "pcsim: --nodes takes one value outside "
@@ -290,6 +278,10 @@ setOption(Options &o, unsigned reads, unsigned bit, const std::string &opt,
     }
     return true;
 }
+
+/** The options whose value is a comma-separated list. */
+constexpr unsigned listOptions =
+    rWorkload | rConfig | rSeed | rNodes | rScenario | rArbitration;
 
 /** The options every registry entry that runs a grid reads. */
 constexpr unsigned sweepOptions = rSeed | rNodes | rScale | rJobs |
@@ -889,6 +881,14 @@ parseArgs(int argc, char **argv, int first, const std::string &cmd,
                 return false;
             }
             value = inline_value ? inline_value : argv[++i];
+            // An empty value, or a list with no element, would leave
+            // the option at its default.
+            if (value.empty() ||
+                ((o->bit & listOptions) && splitList(value).empty())) {
+                std::fprintf(stderr, "pcsim: bad %s '%s'\n",
+                             arg.c_str(), value.c_str());
+                return false;
+            }
         } else if (inline_value) {
             std::fprintf(stderr, "pcsim: %s takes no value\n",
                          arg.c_str());

@@ -24,13 +24,11 @@ namespace
 {
 
 void
-explore(const char *label, ModelConfig cfg,
-        std::uint64_t max_states = 5'000'000)
+check(const char *label, ModelConfig cfg,
+      std::uint64_t max_states = 5'000'000)
 {
-    ProtocolModel model(cfg);
-    Explorer<ProtocolModel> ex(model, max_states);
     try {
-        McResult r = ex.run();
+        McResult r = modelCheck(ProtocolModel(cfg), max_states);
         std::printf("  %-44s %9llu states %10llu transitions %s\n",
                     label, (unsigned long long)r.statesExplored,
                     (unsigned long long)r.transitionsTaken,
@@ -57,13 +55,13 @@ main()
         cfg.nodes = 3;
         cfg.maxWrites = 2;
         cfg.maxReads = 1;
-        explore("base write-invalidate, 3 nodes", cfg);
+        check("base write-invalidate, 3 nodes", cfg);
         cfg.delegation = true;
-        explore("+ directory delegation", cfg);
+        check("+ directory delegation", cfg);
         cfg.updates = true;
-        explore("+ speculative updates", cfg);
+        check("+ speculative updates", cfg);
         cfg.maxReads = 2;
-        explore("+ speculative updates, 2 reads/node", cfg, 800'000);
+        check("+ speculative updates, 2 reads/node", cfg, 800'000);
     }
 
     std::printf("\nsystematic interleaving exploration of the REAL "

@@ -10,7 +10,7 @@
  * detection (a non-quiescent state with no enabled transition).
  *
  * A Model must provide:
- *   using State = ...;                    // copyable, hashable
+ *   using State = ...;                    // movable
  *   State initial() const;
  *   void transitions(const State &,       // enumerate successors
  *                    std::vector<State> &out) const;
@@ -20,6 +20,10 @@
  *   std::string describe(const State &) const;
  *   std::uint64_t hash(const State &) const;
  *   bool equal(const State &, const State &) const;
+ *
+ * explore() returns the whole explored graph, which the liveness
+ * lint analyses offline; modelCheck() reduces it to counts and turns
+ * a deadlock into an McError.
  */
 
 #ifndef PCSIM_MC_EXPLORER_HH
@@ -28,10 +32,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
+
+#include "src/sim/flat_map.hh"
 
 namespace pcsim
 {
@@ -54,219 +60,140 @@ struct McResult
     bool completed = false; ///< false if the state limit was hit
 };
 
-/** Breadth-first explicit-state explorer. */
-template <typename Model>
-class Explorer
+/** The state graph explore() discovers; ids index every array. */
+template <typename State>
+struct McGraph
 {
-  public:
-    explicit Explorer(const Model &model, std::uint64_t max_states =
-                                              5'000'000)
-        : _model(model), _maxStates(max_states)
+    /** Discovered states in BFS order; id 0 is the initial state. A
+     *  deque never moves a stored state when it grows. */
+    std::deque<State> states;
+    /** BFS tree parent (parent[0] == 0): a shortest path from the
+     *  initial state to any id follows parents backwards. */
+    std::vector<std::uint32_t> parent;
+    std::vector<bool> quiescent;
+    /** Non-quiescent states with no enabled transition, in discovery
+     *  order. */
+    std::vector<std::uint32_t> deadlocks;
+    /** Successors of id are edges[edgeBegin[id], edgeBegin[id + 1]):
+     *  deduplicated, in generation order, and empty for a state a
+     *  bounded run never expanded. Like ids, offsets are 32-bit. */
+    std::vector<std::uint32_t> edgeBegin;
+    std::vector<std::uint32_t> edges;
+    std::uint64_t transitionsTaken = 0;
+    bool completed = false; ///< false if the state limit was hit
+
+    std::span<const std::uint32_t>
+    succ(std::uint32_t id) const
     {
+        return {edges.data() + edgeBegin[id],
+                edges.data() + edgeBegin[id + 1]};
     }
-
-    /**
-     * Explore the reachable state space.
-     * @throws McError on an invariant violation or deadlock.
-     */
-    McResult
-    run()
-    {
-        using State = typename Model::State;
-
-        McResult res;
-        std::unordered_map<std::uint64_t, std::vector<State>> visited;
-        std::deque<State> frontier;
-
-        auto seen = [&](const State &s) {
-            auto &bucket = visited[_model.hash(s)];
-            for (const State &t : bucket) {
-                if (_model.equal(s, t))
-                    return true;
-            }
-            bucket.push_back(s);
-            return false;
-        };
-
-        auto check = [this](const State &st) {
-            try {
-                _model.checkInvariants(st);
-            } catch (const McError &e) {
-                throw McError(std::string(e.what()) + "\nin state:\n" +
-                              _model.describe(st));
-            }
-        };
-
-        State init = _model.initial();
-        check(init);
-        seen(init);
-        frontier.push_back(std::move(init));
-        res.statesExplored = 1;
-
-        std::vector<State> succ;
-        while (!frontier.empty()) {
-            if (res.statesExplored > _maxStates)
-                return res; // bounded run: completed stays false
-
-            State s = std::move(frontier.front());
-            frontier.pop_front();
-
-            succ.clear();
-            try {
-                _model.transitions(s, succ);
-            } catch (const McError &e) {
-                throw McError(std::string(e.what()) +
-                              "\nwhile expanding state:\n" +
-                              _model.describe(s));
-            }
-            if (succ.empty() && !_model.isQuiescent(s)) {
-                std::string msg =
-                    "deadlock: no enabled transition in "
-                    "non-quiescent state\n" +
-                    _model.describe(s);
-                // Models may offer focused diagnostics (pending ops,
-                // per-channel occupancy) beyond the full state dump.
-                if constexpr (requires { _model.blockedSummary(s); })
-                    msg += "\n" + _model.blockedSummary(s);
-                throw McError(msg);
-            }
-            for (State &n : succ) {
-                ++res.transitionsTaken;
-                check(n);
-                if (!seen(n)) {
-                    ++res.statesExplored;
-                    frontier.push_back(std::move(n));
-                }
-            }
-        }
-        res.completed = true;
-        return res;
-    }
-
-  private:
-    const Model &_model;
-    std::uint64_t _maxStates;
 };
 
 /**
- * Breadth-first explorer that retains the full explored state graph
- * for offline analyses (the liveness lint's fairness-constrained SCC
- * pass). Unlike Explorer it *records* hard deadlocks instead of
- * throwing -- callers turn them into findings with witnesses --
- * while invariant violations still throw McError.
+ * Breadth-first exploration of @p model's reachable states, stopping
+ * before the next expansion once more than @p max_states are known.
+ * Each state is stored once; duplicates are found through a map from
+ * the model's hash to the newest id with that hash, which chains to
+ * the earlier ones. Deadlocks are recorded, not thrown.
+ * @throws McError on an invariant violation, as soon as the violating
+ *         state is generated.
  */
 template <typename Model>
-class GraphExplorer
+McGraph<typename Model::State>
+explore(const Model &model, std::uint64_t max_states = 5'000'000)
 {
-  public:
     using State = typename Model::State;
+    constexpr std::uint32_t none = ~std::uint32_t{0};
 
-    struct Graph
-    {
-        /** Discovered states in BFS order; index 0 is the initial
-         *  state and indices double as state ids. */
-        std::vector<State> states;
-        /** Forward adjacency, deduplicated, discovery order. */
-        std::vector<std::vector<std::uint32_t>> succ;
-        /** BFS tree parent (parent[0] == 0): a shortest path from the
-         *  initial state to any id follows parents backwards. */
-        std::vector<std::uint32_t> parent;
-        std::vector<bool> quiescent;
-        /** Non-quiescent states with no enabled transition. */
-        std::vector<std::uint32_t> deadlocks;
-        std::uint64_t transitionsTaken = 0;
-        bool completed = false; ///< false if the state limit was hit
+    McGraph<State> g;
+    FlatMap<std::uint64_t, std::uint32_t> newest;
+    std::vector<std::uint32_t> older; // same-hash chain, per id
+
+    auto check = [&model](const State &st) {
+        try {
+            model.checkInvariants(st);
+        } catch (const McError &e) {
+            throw McError(std::string(e.what()) + "\nin state:\n" +
+                          model.describe(st));
+        }
     };
 
-    explicit GraphExplorer(const Model &model,
-                           std::uint64_t max_states = 5'000'000)
-        : _model(model), _maxStates(max_states)
-    {
-    }
-
-    /** Explore and return the graph. @throws McError on an invariant
-     *  violation (but not on deadlock -- see Graph::deadlocks). */
-    Graph
-    run()
-    {
-        Graph g;
-        std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>
-            visited;
-
-        auto idOf = [&](const State &s, bool &fresh) {
-            auto &bucket = visited[_model.hash(s)];
-            for (std::uint32_t id : bucket) {
-                if (_model.equal(s, g.states[id])) {
-                    fresh = false;
-                    return id;
-                }
-            }
-            fresh = true;
-            const auto id = static_cast<std::uint32_t>(g.states.size());
-            bucket.push_back(id);
-            g.states.push_back(s);
-            g.succ.emplace_back();
-            g.parent.push_back(id);
-            g.quiescent.push_back(_model.isQuiescent(s));
-            return id;
-        };
-
-        auto check = [this](const State &st) {
-            try {
-                _model.checkInvariants(st);
-            } catch (const McError &e) {
-                throw McError(std::string(e.what()) + "\nin state:\n" +
-                              _model.describe(st));
-            }
-        };
-
-        bool fresh = false;
-        State init = _model.initial();
-        check(init);
-        std::deque<std::uint32_t> frontier{idOf(init, fresh)};
-
-        std::vector<State> succ;
-        while (!frontier.empty()) {
-            if (g.states.size() > _maxStates)
-                return g; // bounded run: completed stays false
-
-            const std::uint32_t id = frontier.front();
-            frontier.pop_front();
-            // Copy: expanding may grow (reallocate) g.states.
-            const State s = g.states[id];
-
-            succ.clear();
-            try {
-                _model.transitions(s, succ);
-            } catch (const McError &e) {
-                throw McError(std::string(e.what()) +
-                              "\nwhile expanding state:\n" +
-                              _model.describe(s));
-            }
-            if (succ.empty() && !g.quiescent[id])
-                g.deadlocks.push_back(id);
-            for (State &n : succ) {
-                ++g.transitionsTaken;
-                check(n);
-                const std::uint32_t nid = idOf(n, fresh);
-                if (fresh) {
-                    g.parent[nid] = id;
-                    frontier.push_back(nid);
-                }
-                auto &out = g.succ[id];
-                if (std::find(out.begin(), out.end(), nid) ==
-                    out.end())
-                    out.push_back(nid);
-            }
+    // The id of @p s, stored as a child of @p from if it is new.
+    auto idOf = [&](State &&s, std::uint32_t from) {
+        const auto id = static_cast<std::uint32_t>(g.states.size());
+        const auto [head, fresh] = newest.tryEmplace(model.hash(s), id);
+        if (!fresh) {
+            for (std::uint32_t t = *head; t != none; t = older[t])
+                if (model.equal(s, g.states[t]))
+                    return t;
         }
-        g.completed = true;
-        return g;
-    }
+        older.push_back(fresh ? none : *head);
+        *head = id;
+        g.parent.push_back(from);
+        g.quiescent.push_back(model.isQuiescent(s));
+        g.states.push_back(std::move(s));
+        return id;
+    };
 
-  private:
-    const Model &_model;
-    std::uint64_t _maxStates;
-};
+    State init = model.initial();
+    check(init);
+    idOf(std::move(init), 0);
+
+    // BFS expands ids in discovery order, so no frontier is needed.
+    std::vector<State> succ;
+    std::uint32_t id = 0;
+    for (; id < g.states.size() && g.states.size() <= max_states; ++id) {
+        const State &s = g.states[id];
+        g.edgeBegin.push_back(static_cast<std::uint32_t>(g.edges.size()));
+        succ.clear();
+        try {
+            model.transitions(s, succ);
+        } catch (const McError &e) {
+            throw McError(std::string(e.what()) +
+                          "\nwhile expanding state:\n" +
+                          model.describe(s));
+        }
+        if (succ.empty() && !g.quiescent[id])
+            g.deadlocks.push_back(id);
+        for (State &n : succ) {
+            ++g.transitionsTaken;
+            check(n);
+            const std::uint32_t nid = idOf(std::move(n), id);
+            const auto out = g.edges.begin() + g.edgeBegin[id];
+            if (std::find(out, g.edges.end(), nid) == g.edges.end())
+                g.edges.push_back(nid);
+        }
+    }
+    g.completed = id == g.states.size();
+    g.edgeBegin.resize(g.states.size() + 1,
+                       static_cast<std::uint32_t>(g.edges.size()));
+    return g;
+}
+
+/**
+ * Explore @p model and fail on a deadlock.
+ * @throws McError on an invariant violation or, once the exploration
+ *         ends, naming the earliest-discovered deadlocked state.
+ */
+template <typename Model>
+McResult
+modelCheck(const Model &model, std::uint64_t max_states = 5'000'000)
+{
+    const auto g = explore(model, max_states);
+    if (!g.deadlocks.empty()) {
+        const auto &s = g.states[g.deadlocks.front()];
+        std::string msg = "deadlock: no enabled transition in "
+                          "non-quiescent state\n" +
+                          model.describe(s);
+        // Models may offer focused diagnostics (pending ops,
+        // per-channel occupancy) beyond the full state dump.
+        if constexpr (requires { model.blockedSummary(s); })
+            msg += "\n" + model.blockedSummary(s);
+        throw McError(msg);
+    }
+    return {g.states.size(), g.transitionsTaken, g.completed};
+}
 
 } // namespace pcsim
 

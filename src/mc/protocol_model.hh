@@ -19,7 +19,7 @@
  *  - directory consistency: owner/sharers cover the actual holders,
  *  - bounded channels never overflow.
  * Deadlock (a non-quiescent state with no enabled transition) is
- * detected by the Explorer.
+ * detected by the exploration engine (src/mc/explorer.hh).
  */
 
 #ifndef PCSIM_MC_PROTOCOL_MODEL_HH
@@ -214,7 +214,8 @@ class ProtocolModel
     std::string describe(const State &s) const;
     /** Focused deadlock diagnostics: the blocked state's pending-op
      *  set and per-channel occupancy (src->dst fill/depth plus the
-     *  queued message types), appended to Explorer deadlock errors. */
+     *  queued message types), appended to modelCheck's deadlock
+     *  errors. */
     std::string blockedSummary(const State &s) const;
     std::uint64_t hash(const State &s) const;
     bool equal(const State &a, const State &b) const { return a == b; }

@@ -100,8 +100,6 @@ class MemoryMap
         return *home;
     }
 
-    std::size_t numPlacedPages() const { return _pages.size(); }
-
     /**
      * Forbid further first-touch inserts. The System freezes the map
      * after deterministic trace-based pre-placement, which checks

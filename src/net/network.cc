@@ -75,7 +75,6 @@ Network::sendAcquired(Message *pm)
     if (src == dst) {
         // Hub-internal transfer: small fixed latency, no NI occupancy,
         // not network traffic.
-        ++_stats.numLocal;
         const Tick deliver = now + _cfg.localLatency;
         MessageHandler *handler = sp.handler;
         if (!handler)
@@ -126,7 +125,6 @@ Network::sendAcquired(Message *pm)
     ++_stats.numMessages;
     _stats.numBytes += bytes;
     ++_stats.perType[static_cast<std::size_t>(msg.type)];
-    _stats.hopHist.sample(hops);
 
     Arrival a;
     a.arrive = arrive;

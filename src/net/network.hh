@@ -40,7 +40,6 @@
 #include "src/net/topology.hh"
 #include "src/sim/event_queue.hh"
 #include "src/sim/pool.hh"
-#include "src/sim/stats.hh"
 #include "src/sim/types.hh"
 
 namespace pcsim
@@ -135,18 +134,15 @@ class Network : public SimObject
     }
     /// @}
 
-    /** @name Traffic statistics (remote messages, except the local
-     *  count). */
+    /** @name Traffic statistics (remote messages only). */
     /// @{
     std::uint64_t numMessages() const { return _stats.numMessages; }
     std::uint64_t numBytes() const { return _stats.numBytes; }
-    std::uint64_t numLocalMessages() const { return _stats.numLocal; }
     std::uint64_t
     numByType(MsgType t) const
     {
         return _stats.perType[static_cast<std::size_t>(t)];
     }
-    const Histogram &hopHistogram() const { return _stats.hopHist; }
     /// @}
 
     void resetStats() { _stats = Stats{}; }
@@ -216,13 +212,11 @@ class Network : public SimObject
     {
         std::uint64_t numMessages = 0;
         std::uint64_t numBytes = 0;
-        std::uint64_t numLocal = 0;
         std::uint64_t faultDelayed = 0;
         std::uint64_t faultExtraTicks = 0;
         std::array<std::uint64_t,
                    static_cast<std::size_t>(MsgType::NumMsgTypes)>
             perType{};
-        Histogram hopHist{8};
     };
 
     void insertArrival(NodeId dst, const Arrival &a);

@@ -94,7 +94,6 @@ class CoherenceChecker
     void addNode(CheckerNodeView *view) { _nodes.push_back(view); }
 
     bool enabled() const { return _enabled; }
-    void setEnabled(bool on) { _enabled = on; }
 
     /**
      * Update-based policy mode (write-update / adaptive hybrid): the

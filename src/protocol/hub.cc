@@ -35,8 +35,6 @@ Hub::Hub(EventQueue &eq, Network &net, MemoryMap &mem_map,
     _dirCtrl = std::make_unique<DirController>(*this, rng.fork());
     _prodCtrl = std::make_unique<ProducerController>(*this);
 
-    _stats.detectorBitsPerEntry = pcDetectorBitsPerEntry(cfg.numNodes);
-
     net.registerHandler(id, this);
     checker.addNode(this);
 }

@@ -198,20 +198,7 @@ struct NodeStats
     std::uint64_t adaptiveDrops = 0;
     /// @}
 
-    /** Hardware cost accounting, not a counter: detector bits per
-     *  directory-cache entry for this machine size (8 at the paper's
-     *  N=16, see pcDetectorBitsPerEntry). Set once at construction,
-     *  preserved across reset(), merged by max. Deliberately NOT in
-     *  the serialized results schema. */
-    std::uint32_t detectorBitsPerEntry = 0;
-
-    void
-    reset()
-    {
-        const std::uint32_t bits = detectorBitsPerEntry;
-        *this = NodeStats{};
-        detectorBitsPerEntry = bits;
-    }
+    void reset() { *this = NodeStats{}; }
 
     NodeStats &
     operator+=(const NodeStats &o)
@@ -257,8 +244,6 @@ struct NodeStats
         updateEpisodes += o.updateEpisodes;
         updatesApplied += o.updatesApplied;
         adaptiveDrops += o.adaptiveDrops;
-        detectorBitsPerEntry =
-            std::max(detectorBitsPerEntry, o.detectorBitsPerEntry);
         return *this;
     }
 };

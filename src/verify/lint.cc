@@ -147,10 +147,8 @@ lintModelCrossCheck(const TransitionSpec &spec, McCheckSet set,
         mc::ProtocolModel model(mcfg.cfg);
         TupleCollector collector;
         model.setListener(&collector);
-        Explorer<mc::ProtocolModel> explorer(model);
         try {
-            McResult res = explorer.run();
-            r.mcStates += res.statesExplored;
+            r.mcStates += modelCheck(model).statesExplored;
         } catch (const McError &e) {
             finding(r, "mc-mismatch", Ctrl::Cache, "", "",
                     std::string("model exploration failed (") +

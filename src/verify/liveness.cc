@@ -11,7 +11,7 @@ namespace
 {
 
 using MState = mc::ProtocolModel::State;
-using Graph = GraphExplorer<mc::ProtocolModel>::Graph;
+using Graph = McGraph<MState>;
 
 /** Progress measure (see file header of liveness.hh): remaining op
  *  budgets plus occupied MSHRs; strictly decreases exactly when an
@@ -133,8 +133,7 @@ analyzeConfig(const NamedModelConfig &ncfg, std::uint64_t max_states,
               LivenessReport &report)
 {
     mc::ProtocolModel model(ncfg.cfg);
-    GraphExplorer<mc::ProtocolModel> explorer(model, max_states);
-    Graph g = explorer.run();
+    const Graph g = explore(model, max_states);
     const unsigned nodes = ncfg.cfg.nodes;
     const std::uint32_t n = static_cast<std::uint32_t>(g.states.size());
 
@@ -160,7 +159,7 @@ analyzeConfig(const NamedModelConfig &ncfg, std::uint64_t max_states,
                 work.push_back(u);
             }
         }
-        for (std::uint32_t v : g.succ[u]) {
+        for (std::uint32_t v : g.succ(u)) {
             ++stats.edges;
             rev[v].push_back(u);
             if (w[v] < w[u]) {
@@ -186,8 +185,7 @@ analyzeConfig(const NamedModelConfig &ncfg, std::uint64_t max_states,
 
     // Hard deadlocks first: one finding, the earliest-discovered one.
     if (!g.deadlocks.empty()) {
-        const std::uint32_t id =
-            *std::min_element(g.deadlocks.begin(), g.deadlocks.end());
+        const std::uint32_t id = g.deadlocks.front();
         LivenessFinding f;
         f.kind = "deadlock";
         f.config = ncfg.name;
@@ -210,7 +208,7 @@ analyzeConfig(const NamedModelConfig &ncfg, std::uint64_t max_states,
         if (good[u])
             continue;
         ++bad_states;
-        for (std::uint32_t v : g.succ[u])
+        for (std::uint32_t v : g.succ(u))
             if (!good[v])
                 ++bad_outdeg[u];
     }
@@ -248,7 +246,7 @@ analyzeConfig(const NamedModelConfig &ncfg, std::uint64_t max_states,
     pos[entry] = 0;
     for (;;) {
         std::uint32_t next = entry;
-        for (std::uint32_t v : g.succ[walk.back()]) {
+        for (std::uint32_t v : g.succ(walk.back())) {
             if (!good[v] && !trimmed[v]) {
                 next = v;
                 break;

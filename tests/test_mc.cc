@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "src/mc/explorer.hh"
 #include "src/mc/protocol_model.hh"
 #include "src/mc/schedule_explorer.hh"
@@ -16,112 +19,215 @@ namespace
 {
 
 McResult
-explore(ModelConfig cfg, std::uint64_t max_states = 5'000'000)
+check(ModelConfig cfg, std::uint64_t max_states = 5'000'000)
 {
-    ProtocolModel model(cfg);
-    Explorer<ProtocolModel> ex(model, max_states);
-    return ex.run();
+    return modelCheck(ProtocolModel(cfg), max_states);
 }
+
+/** A toy model over int states: each state's successors are listed
+ *  in `next` (duplicates allowed), states in `done` are quiescent,
+ *  and `bad` fails the invariant. */
+struct Toy
+{
+    using State = int;
+    std::map<int, std::vector<int>> next;
+    std::set<int> done;
+    int bad = -1;
+    std::uint64_t buckets = 1u << 20; ///< hash = state % buckets
+    mutable unsigned expansions = 0;
+
+    State initial() const { return 0; }
+    void
+    transitions(const State &s, std::vector<State> &out) const
+    {
+        ++expansions;
+        if (auto it = next.find(s); it != next.end())
+            out.insert(out.end(), it->second.begin(), it->second.end());
+    }
+    void
+    checkInvariants(const State &s) const
+    {
+        if (s == bad)
+            throw McError("boom");
+    }
+    bool isQuiescent(const State &s) const { return done.count(s) > 0; }
+    std::string describe(const State &s) const
+    {
+        return "state " + std::to_string(s);
+    }
+    std::string blockedSummary(const State &s) const
+    {
+        return "blocked at " + std::to_string(s);
+    }
+    std::uint64_t hash(const State &s) const { return s % buckets; }
+    bool equal(const State &a, const State &b) const { return a == b; }
+};
+
+std::vector<int>
+statesOf(const McGraph<int> &g)
+{
+    return {g.states.begin(), g.states.end()};
+}
+
+std::vector<std::uint32_t>
+succOf(const McGraph<int> &g, std::uint32_t id)
+{
+    const auto s = g.succ(id);
+    return {s.begin(), s.end()};
+}
+
+using Ids = std::vector<std::uint32_t>;
 
 } // namespace
 
 TEST(ExplorerEngine, TrivialModelTerminates)
 {
-    // A counter model: states 0..4, +1 transitions, quiescent at 4.
-    struct Counter
-    {
-        using State = int;
-        State initial() const { return 0; }
-        void
-        transitions(const State &s, std::vector<State> &out) const
-        {
-            if (s < 4)
-                out.push_back(s + 1);
-        }
-        void checkInvariants(const State &s) const
-        {
-            if (s > 4)
-                throw McError("overflow");
-        }
-        bool isQuiescent(const State &s) const { return s == 4; }
-        std::string describe(const State &s) const
-        {
-            return std::to_string(s);
-        }
-        std::uint64_t hash(const State &s) const { return s; }
-        bool equal(const State &a, const State &b) const
-        {
-            return a == b;
-        }
-    };
-    Counter m;
-    Explorer<Counter> ex(m);
-    McResult r = ex.run();
+    // A counter: states 0..4, +1 transitions, quiescent at 4.
+    Toy m;
+    m.next = {{0, {1}}, {1, {2}}, {2, {3}}, {3, {4}}};
+    m.done = {4};
+    McResult r = modelCheck(m);
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(r.statesExplored, 5u);
+    EXPECT_EQ(r.transitionsTaken, 4u);
+}
+
+TEST(ExplorerEngine, IdsFollowBfsOrderWithShortestPathParents)
+{
+    // 10 -> 30 -> 40 -> 60 is the shortest way to 60; 20 -> 50 -> 60
+    // is as short but discovered later, and 20 -> 40 rediscovers 40.
+    Toy m;
+    m.next = {{0, {30, 20}}, {30, {40}}, {20, {40, 50}},
+              {40, {60}},    {50, {60}}};
+    m.done = {60};
+    const McGraph<int> g = explore(m);
+    EXPECT_TRUE(g.completed);
+    EXPECT_EQ(statesOf(g), (std::vector<int>{0, 30, 20, 40, 50, 60}));
+    EXPECT_EQ(g.parent, (Ids{0, 0, 0, 1, 2, 3}));
+    EXPECT_EQ(g.quiescent,
+              (std::vector<bool>{false, false, false, false, false,
+                                 true}));
+    EXPECT_TRUE(g.deadlocks.empty());
+    EXPECT_EQ(g.transitionsTaken, 7u);
+    EXPECT_EQ(succOf(g, 2), (Ids{3, 4}));
+    EXPECT_EQ(succOf(g, 4), (Ids{5}));
+    EXPECT_TRUE(succOf(g, 5).empty());
+}
+
+TEST(ExplorerEngine, DiamondListsSharedSuccessorOncePerPredecessor)
+{
+    // 1 reaches 3 by two transitions; both 1 and 2 list it once.
+    Toy m;
+    m.next = {{0, {1, 2}}, {1, {3, 3}}, {2, {3}}};
+    m.done = {3};
+    const McGraph<int> g = explore(m);
+    EXPECT_EQ(g.states.size(), 4u);
+    EXPECT_EQ(g.transitionsTaken, 5u);
+    EXPECT_EQ(succOf(g, 1), (Ids{3}));
+    EXPECT_EQ(succOf(g, 2), (Ids{3}));
+    EXPECT_EQ(g.edges.size(), 4u);
+}
+
+TEST(ExplorerEngine, SelfLoopIsAnEdgeNotADeadlock)
+{
+    Toy m;
+    m.next = {{0, {0, 1}}, {1, {1}}};
+    const McGraph<int> g = explore(m);
+    EXPECT_TRUE(g.completed);
+    EXPECT_EQ(g.states.size(), 2u);
+    EXPECT_EQ(succOf(g, 0), (Ids{0, 1}));
+    EXPECT_EQ(succOf(g, 1), (Ids{1}));
+    EXPECT_EQ(g.parent, (Ids{0, 0}));
+    EXPECT_TRUE(g.deadlocks.empty());
+    EXPECT_NO_THROW(modelCheck(m));
+}
+
+TEST(ExplorerEngine, CollidingHashesStayDistinctStates)
+{
+    // Every state hashes alike: duplicates are found along the chain.
+    Toy m;
+    m.next = {{0, {3, 1}}, {1, {2}}, {2, {3, 0}}, {3, {1}}};
+    m.buckets = 1;
+    const McGraph<int> g = explore(m);
+    EXPECT_EQ(statesOf(g), (std::vector<int>{0, 3, 1, 2}));
+    EXPECT_EQ(succOf(g, 1), (Ids{2}));
+    EXPECT_EQ(succOf(g, 3), (Ids{1, 0}));
+    EXPECT_EQ(g.edges.size(), 6u);
+}
+
+TEST(ExplorerEngine, DeadlocksComeInDiscoveryOrder)
+{
+    // 5 and 3 are non-quiescent sinks; 5 is discovered first.
+    Toy m;
+    m.next = {{0, {5, 3, 4}}, {4, {6}}};
+    m.done = {6};
+    const McGraph<int> g = explore(m);
+    EXPECT_TRUE(g.completed);
+    EXPECT_EQ(statesOf(g), (std::vector<int>{0, 5, 3, 4, 6}));
+    EXPECT_EQ(g.deadlocks, (Ids{1, 2}));
 }
 
 TEST(ExplorerEngine, DetectsDeadlock)
 {
-    // State 1 is a non-quiescent sink.
-    struct Dead
-    {
-        using State = int;
-        State initial() const { return 0; }
-        void
-        transitions(const State &s, std::vector<State> &out) const
-        {
-            if (s == 0)
-                out.push_back(1);
-        }
-        void checkInvariants(const State &) const {}
-        bool isQuiescent(const State &) const { return false; }
-        std::string describe(const State &s) const
-        {
-            return std::to_string(s);
-        }
-        std::uint64_t hash(const State &s) const { return s; }
-        bool equal(const State &a, const State &b) const
-        {
-            return a == b;
-        }
-    };
-    Dead m;
-    Explorer<Dead> ex(m);
-    EXPECT_THROW(ex.run(), McError);
+    // modelCheck names the earliest deadlock, with the model's
+    // blocked summary.
+    Toy m;
+    m.next = {{0, {5, 3, 4}}, {4, {6}}};
+    m.done = {6};
+    try {
+        modelCheck(m);
+        FAIL() << "deadlock not reported";
+    } catch (const McError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "deadlock: no enabled transition in non-quiescent "
+                  "state\nstate 5\nblocked at 5");
+    }
+}
+
+TEST(ExplorerEngine, BoundedRunKeepsEveryExpandedStatesSuccessors)
+{
+    // A binary tree, stopped once more than 3 states are known: ids
+    // 0 and 1 are expanded, 2..4 are not.
+    Toy m;
+    m.next = {{0, {1, 2}}, {1, {3, 4}}, {2, {5, 6}}};
+    const McGraph<int> g = explore(m, 3);
+    EXPECT_FALSE(g.completed);
+    EXPECT_EQ(m.expansions, 2u);
+    EXPECT_EQ(g.states.size(), 5u);
+    EXPECT_EQ(g.transitionsTaken, 4u);
+    EXPECT_EQ(succOf(g, 0), (Ids{1, 2}));
+    EXPECT_EQ(succOf(g, 1), (Ids{3, 4}));
+    for (std::uint32_t id = 2; id < 5; ++id)
+        EXPECT_TRUE(succOf(g, id).empty()) << id;
+    EXPECT_TRUE(g.deadlocks.empty());
+
+    const McResult r = modelCheck(m, 3);
+    EXPECT_FALSE(r.completed);
+    EXPECT_EQ(r.statesExplored, 5u);
 }
 
 TEST(ExplorerEngine, DetectsInvariantViolation)
 {
-    struct Bad
+    // An unbounded counter whose state 3 is bad: the violation throws
+    // while 2 is expanded, not when the exploration ends.
+    struct Counter : Toy
     {
-        using State = int;
-        State initial() const { return 0; }
         void
         transitions(const State &s, std::vector<State> &out) const
         {
-            if (s < 3)
-                out.push_back(s + 1);
-        }
-        void checkInvariants(const State &s) const
-        {
-            if (s == 2)
-                throw McError("boom");
-        }
-        bool isQuiescent(const State &s) const { return s == 3; }
-        std::string describe(const State &s) const
-        {
-            return std::to_string(s);
-        }
-        std::uint64_t hash(const State &s) const { return s; }
-        bool equal(const State &a, const State &b) const
-        {
-            return a == b;
+            ++expansions;
+            out.push_back(s + 1);
         }
     };
-    Bad m;
-    Explorer<Bad> ex(m);
-    EXPECT_THROW(ex.run(), McError);
+    Counter m;
+    m.bad = 3;
+    try {
+        explore(m);
+        FAIL() << "violation not reported";
+    } catch (const McError &e) {
+        EXPECT_EQ(std::string(e.what()), "boom\nin state:\nstate 3");
+    }
+    EXPECT_EQ(m.expansions, 3u);
 }
 
 // --- Abstract protocol model (the Murphi analogue) ------------------
@@ -132,7 +238,7 @@ TEST(ProtocolMc, BaseProtocolTwoNodes)
     cfg.nodes = 2;
     cfg.maxWrites = 2;
     cfg.maxReads = 2;
-    McResult r = explore(cfg);
+    McResult r = check(cfg);
     EXPECT_TRUE(r.completed);
     EXPECT_GT(r.statesExplored, 100u);
 }
@@ -143,7 +249,7 @@ TEST(ProtocolMc, BaseProtocolThreeNodes)
     cfg.nodes = 3;
     cfg.maxWrites = 2;
     cfg.maxReads = 1;
-    McResult r = explore(cfg);
+    McResult r = check(cfg);
     EXPECT_TRUE(r.completed);
     EXPECT_GT(r.statesExplored, 1000u);
 }
@@ -155,7 +261,7 @@ TEST(ProtocolMc, DelegationThreeNodes)
     cfg.maxWrites = 2;
     cfg.maxReads = 1;
     cfg.delegation = true;
-    McResult r = explore(cfg);
+    McResult r = check(cfg);
     EXPECT_TRUE(r.completed);
     EXPECT_GT(r.statesExplored, 1000u);
 }
@@ -168,7 +274,7 @@ TEST(ProtocolMc, DelegationWithUpdatesTwoNodes)
     cfg.maxReads = 2;
     cfg.delegation = true;
     cfg.updates = true;
-    McResult r = explore(cfg);
+    McResult r = check(cfg);
     EXPECT_TRUE(r.completed);
     EXPECT_GT(r.statesExplored, 1000u);
 }
@@ -181,7 +287,7 @@ TEST(ProtocolMc, DelegationWithUpdatesThreeNodes)
     cfg.maxReads = 1;
     cfg.delegation = true;
     cfg.updates = true;
-    McResult r = explore(cfg);
+    McResult r = check(cfg);
     EXPECT_TRUE(r.completed);
     EXPECT_GT(r.statesExplored, 10'000u);
 }
@@ -197,8 +303,10 @@ TEST(ProtocolMc, UpdatesWithMoreReadsBounded)
     cfg.maxReads = 2;
     cfg.delegation = true;
     cfg.updates = true;
-    McResult r = explore(cfg, 800'000);
-    EXPECT_GT(r.statesExplored, 100'000u);
+    McResult r = check(cfg, 800'000);
+    EXPECT_FALSE(r.completed);
+    EXPECT_EQ(r.statesExplored, 800'002u);
+    EXPECT_EQ(r.transitionsTaken, 2'267'926u);
 }
 
 // --- Systematic interleaving over the real implementation -----------

@@ -142,7 +142,6 @@ TEST_F(NetFixture, LocalMessagesBypassTheWires)
     ASSERT_EQ(sinks[3].got.size(), 1u);
     EXPECT_EQ(sinks[3].got[0].when, cfg.localLatency);
     EXPECT_EQ(net.numMessages(), 0u);
-    EXPECT_EQ(net.numLocalMessages(), 1u);
 }
 
 TEST_F(NetFixture, EgressPortSerializesInjection)
@@ -346,16 +345,6 @@ TEST_F(NetFixture, StatsTrackMessagesAndBytes)
     net.resetStats();
     EXPECT_EQ(net.numMessages(), 0u);
     EXPECT_EQ(net.numBytes(), 0u);
-}
-
-TEST_F(NetFixture, HopHistogram)
-{
-    net.send(msg(0, 1));  // 1 hop
-    net.send(msg(0, 8));  // 2 hops
-    net.send(msg(0, 9));  // 2 hops
-    eq.run();
-    EXPECT_EQ(net.hopHistogram().bucket(1), 1u);
-    EXPECT_EQ(net.hopHistogram().bucket(2), 2u);
 }
 
 TEST(NetworkConfigTest, HopLatencyScalesDelivery)

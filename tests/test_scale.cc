@@ -250,14 +250,6 @@ TEST(DetectorWidth, GrowsLogarithmically)
     EXPECT_EQ(pcDetectorBitsPerEntry(256), 12u);
 }
 
-TEST(DetectorWidth, ReportedInNodeStats)
-{
-    System sys(presets::base(16));
-    EXPECT_EQ(sys.hub(0).stats().detectorBitsPerEntry, 8u);
-    System big(presets::base(64));
-    EXPECT_EQ(big.hub(0).stats().detectorBitsPerEntry, 10u);
-}
-
 // --- 64-node machines under the invariant checker ------------------
 
 TEST(ScaleIntegration, SixtyFourNodeConfigsRunClean)
