@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "src/protocol/policy.hh"
-#include "src/runner/bench.hh"
 #include "src/runner/job.hh"
 #include "src/runner/results.hh"
 #include "src/runner/runner.hh"
@@ -92,15 +91,12 @@ enum Read : unsigned
     rQuiet = 1u << 18,
     rOutput = 1u << 19,
     rText = 1u << 20,
-    rEvents = 1u << 21,
-    rRepeats = 1u << 22,
-    rBaseline = 1u << 23,
-    rPolicy = 1u << 24,
-    rNoMc = 1u << 25,
-    rMdg = 1u << 26,
-    rLiveness = 1u << 27,
-    rRepro = 1u << 28,
-    rCoverage = 1u << 29,
+    rPolicy = 1u << 21,
+    rNoMc = 1u << 22,
+    rMdg = 1u << 23,
+    rLiveness = 1u << 24,
+    rRepro = 1u << 25,
+    rCoverage = 1u << 26,
 };
 
 /** Everything the options can set. */
@@ -116,9 +112,6 @@ struct Options
     std::string lintPolicy;   ///< policy name or "all" ("" = all)
     std::string reproPath;    ///< lint --liveness: PCTR repro out
     std::string coveragePath; ///< lint --coverage: results document
-    std::uint64_t benchEvents = 2000000;
-    unsigned benchRepeats = 3;
-    std::string baselinePath;
     std::string outputPath;              ///< trace record: -o
     std::vector<std::string> positional; ///< trace operands
 };
@@ -188,12 +181,6 @@ const OptionInfo optionTable[] = {
     {"--output", "-o", "FILE", rOutput, "trace file to write (required)"},
     {"--text", "", "", rText,
      "ingest the operands, per-core '<label> <hex>' text traces"},
-    {"--events", "", "N", rEvents,
-     "events per kernel microbenchmark (default 2000000)"},
-    {"--repeats", "", "N", rRepeats,
-     "repeats per benchmark, best wall time kept (default 3)"},
-    {"--baseline", "", "PATH", rBaseline,
-     "prior bench JSON; adds per-benchmark speedup columns"},
     {"--policy", "", "P", rPolicy,
      "one registered policy, or all (the default)"},
     {"--no-mc", "", "", rNoMc, "skip the spec pass's model cross-check"},
@@ -268,10 +255,6 @@ setOption(Options &o, unsigned reads, unsigned bit, const std::string &opt,
       case rNoTable: o.args.table = false; break;
       case rQuiet: o.args.quiet = true; break;
       case rOutput: o.outputPath = v; break;
-      case rEvents:
-        return parseNumber(opt, v, o.benchEvents, std::uint64_t(1));
-      case rRepeats: return parseNumber(opt, v, o.benchRepeats, 1u);
-      case rBaseline: o.baselinePath = v; break;
       case rPolicy: o.lintPolicy = v; break;
       case rRepro: o.reproPath = v; break;
       case rCoverage: o.coveragePath = v; break;
@@ -489,18 +472,6 @@ traceInfoCommand(Options &opt)
 }
 
 int
-benchCommand(Options &opt)
-{
-    runner::BenchOptions bopt;
-    bopt.kernelEvents = opt.benchEvents;
-    bopt.repeats = opt.benchRepeats;
-    bopt.jsonPath = opt.args.jsonPath;
-    bopt.baselinePath = opt.baselinePath;
-    bopt.quiet = opt.args.quiet;
-    return runner::runBenchSuite(bopt);
-}
-
-int
 lintCoverage(Options &opt)
 {
     const verify::TransitionSpec &spec = verify::protocolSpec();
@@ -706,8 +677,6 @@ const CommandInfo commandTable[] = {
      traceReplayCommand},
     {"trace info", 0, "FILE", "print a trace file's header", 0,
      traceInfoCommand},
-    {"bench", 0, "", "simulation-kernel microbenchmarks",
-     rEvents | rRepeats | rBaseline | rJson | rQuiet, benchCommand},
     {"lint", rCoverage, "",
      "legal transitions of the delegation-updates spec that the runs "
      "in results document PATH never took",

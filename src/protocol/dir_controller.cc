@@ -102,18 +102,6 @@ DirController::rehandleDone(Addr line)
 }
 
 void
-DirController::sendNack(const Message &msg, Tick ready)
-{
-    _hub.noteNackSent();
-    Message nack;
-    nack.type = MsgType::Nack;
-    nack.addr = msg.addr;
-    nack.dst = msg.requester;
-    nack.txnId = msg.txnId;
-    _hub.sendAt(ready, nack);
-}
-
-void
 DirController::handleRequest(const Message &msg)
 {
     if (_arb.enabled()) {
@@ -123,7 +111,8 @@ DirController::handleRequest(const Message &msg)
             // behind them; a full queue falls back to NACK so the
             // engine never backpressures the network.
             if (!_arb.park(msg, _hub.curTick(), _hub.stats()))
-                sendNack(msg, _hub.curTick() + _cfg.hubLatency);
+                _hub.sendNack(MsgType::Nack, msg.addr, msg.requester,
+                              msg.txnId, _hub.curTick() + _cfg.hubLatency);
             return;
         }
         handleRequestCore(msg);
@@ -138,7 +127,8 @@ DirController::nackOrQueue(const Message &msg, Tick ready)
 {
     if (_arb.enabled() && _arb.park(msg, _hub.curTick(), _hub.stats()))
         return;
-    sendNack(msg, ready);
+    _hub.sendNack(MsgType::Nack, msg.addr, msg.requester, msg.txnId,
+                  ready);
 }
 
 void
@@ -170,7 +160,8 @@ DirController::handleRequestCore(const Message &msg)
     DirCacheEntry *e = access(msg.addr, ready);
     if (!e) {
         // Directory cache set wedged with busy entries.
-        sendNack(msg, ready);
+        _hub.sendNack(MsgType::Nack, msg.addr, msg.requester, msg.txnId,
+                      ready);
         return;
     }
 
@@ -254,7 +245,8 @@ DirController::forwardToDelegate(const Message &msg, DirCacheEntry &e,
     if (msg.requester == producer) {
         // The producer raced its own delegation handoff (Section
         // 2.3.4): NACK; on retry it will find itself the acting home.
-        sendNack(msg, ready);
+        _hub.sendNack(MsgType::Nack, msg.addr, msg.requester, msg.txnId,
+                      ready);
         return;
     }
 
@@ -426,12 +418,8 @@ DirController::handleIntervNack(const Message &msg)
     // owner recorded at the home is still correct; NACK the waiting
     // requester so it retries once the owner's transaction settles
     // (Section 2.3.4's NACK-and-retry discipline).
-    Message nack;
-    nack.type = MsgType::Nack;
-    nack.addr = msg.addr;
-    nack.dst = d.pendingReq;
-    nack.txnId = d.pendingTxnId;
-    _hub.noteNackSent();
+    const NodeId requester = d.pendingReq;
+    const std::uint64_t txn_id = d.pendingTxnId;
 
     d.state = DirState::Excl;
     d.owner = d.pendingOwner;
@@ -439,7 +427,7 @@ DirController::handleIntervNack(const Message &msg)
     d.pendingReq = invalidNode;
     d.pendingOwner = invalidNode;
 
-    _hub.sendAt(ready, nack);
+    _hub.sendNack(MsgType::Nack, msg.addr, requester, txn_id, ready);
     maybeDrain(msg.addr);
 }
 

@@ -79,7 +79,6 @@ class DirController
     void forwardToDelegate(const Message &msg, DirCacheEntry &e,
                            Tick ready);
 
-    void sendNack(const Message &msg, Tick ready);
     /** Busy-line resolution: park @p msg in the per-line arbiter
      *  queue when a non-default arbitration mode is active (and the
      *  queue has room), else NACK at @p ready. */

@@ -118,6 +118,27 @@ Hub::sendAt(Tick when, const Message &msg)
     _eq.schedule(when, [this, pm]() { _net.sendAcquired(pm); });
 }
 
+void
+Hub::sendNack(MsgType type, Addr line, NodeId requester,
+              std::uint64_t txn_id, std::optional<Tick> when)
+{
+    if (type == MsgType::Nack) {
+        ++_stats.nacksSent;
+        const std::uint64_t cur = _nackStorm.note(curTick());
+        if (cur > _stats.nackStormPeak)
+            _stats.nackStormPeak = cur;
+    }
+    Message nack;
+    nack.type = type;
+    nack.addr = line;
+    nack.dst = requester;
+    nack.txnId = txn_id;
+    if (when)
+        sendAt(*when, nack);
+    else
+        send(nack);
+}
+
 std::string
 Hub::lineTrace(Addr line) const
 {
@@ -146,12 +167,8 @@ Hub::handleMessage(const Message &msg)
         } else {
             // A stale consumer-table hint pointed here after we
             // undelegated: bounce the requester back to the home.
-            Message nack;
-            nack.type = MsgType::NackNotHome;
-            nack.addr = msg.addr;
-            nack.dst = msg.requester;
-            nack.txnId = msg.txnId;
-            send(nack);
+            sendNack(MsgType::NackNotHome, msg.addr, msg.requester,
+                     msg.txnId);
         }
         break;
 

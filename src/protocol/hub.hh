@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <optional>
 
 #include "src/core/delegate_cache.hh"
 #include "src/core/rac.hh"
@@ -201,19 +202,18 @@ class Hub : public SimObject,
         sendAt(curTick() + delta, msg);
     }
 
-    /** NACK-storm telemetry: every NACK sent by this node's home-side
-     *  engines funnels through here so NodeStats::nackStormPeak tracks
-     *  the worst burst within any sliding nackStormWindow-tick span
+    /** The span over which NodeStats::nackStormPeak counts NACKs
      *  (see NackStormWindow below). */
     static constexpr Tick nackStormWindow = NackStormWindow::window;
-    void
-    noteNackSent()
-    {
-        ++_stats.nacksSent;
-        const std::uint64_t cur = _nackStorm.note(curTick());
-        if (cur > _stats.nackStormPeak)
-            _stats.nackStormPeak = cur;
-    }
+
+    /** Refuse @p requester's transaction @p txn_id on @p line with a
+     *  NACK of @p type, sent now or, when given, at tick @p when. A
+     *  Nack asks for a retry and counts in nacksSent and the worst
+     *  burst within any nackStormWindow-tick span; a NackNotHome
+     *  sends the requester back to the home and counts in neither.
+     *  Every NACK the home-side engines send is built here. */
+    void sendNack(MsgType type, Addr line, NodeId requester,
+                  std::uint64_t txn_id, std::optional<Tick> when = {});
 
     /** Message history for @p line, or "" when tracing is off. Used by
      *  retry-exhaustion panics so the report carries the line's recent

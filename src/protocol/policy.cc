@@ -88,7 +88,7 @@ class MesiDelePolicy : public CoherencePolicy
             if (d.owner == req) {
                 // Transient: our view and the owner's disagree (should
                 // be prevented by point-to-point ordering); retry.
-                dir.sendNack(msg, ready);
+                hub.sendNack(MsgType::Nack, msg.addr, req, msg.txnId, ready);
                 break;
             }
             d.pendingReq = req;
@@ -221,7 +221,7 @@ class MesiDelePolicy : public CoherencePolicy
 
           case DirState::Excl: {
             if (d.owner == req) {
-                dir.sendNack(msg, ready);
+                hub.sendNack(MsgType::Nack, msg.addr, req, msg.txnId, ready);
                 break;
             }
             d.pendingReq = req;

@@ -149,13 +149,8 @@ ProducerController::handleRequest(const Message &msg)
         if (_arb.shouldPark(msg.addr)) {
             if (!_arb.park(msg, _hub.curTick(), _hub.stats())) {
                 // Queue full: lossless fallback to NACK.
-                _hub.noteNackSent();
-                Message nack;
-                nack.type = MsgType::Nack;
-                nack.addr = msg.addr;
-                nack.dst = msg.requester;
-                nack.txnId = msg.txnId;
-                _hub.send(nack);
+                _hub.sendNack(MsgType::Nack, msg.addr, msg.requester,
+                              msg.txnId);
             }
             return;
         }
@@ -200,12 +195,8 @@ ProducerController::maybeDrain(Addr line)
             _hub.dirCtrl().handleRequest(req);
             return;
         }
-        Message nack;
-        nack.type = MsgType::NackNotHome;
-        nack.addr = req.addr;
-        nack.dst = req.requester;
-        nack.txnId = req.txnId;
-        _hub.send(nack);
+        _hub.sendNack(MsgType::NackNotHome, req.addr, req.requester,
+                      req.txnId);
     });
 }
 
@@ -232,13 +223,7 @@ ProducerController::handleRequestCore(const Message &msg)
         if (_arb.enabled() &&
             _arb.park(msg, _hub.curTick(), _hub.stats()))
             return;
-        _hub.noteNackSent();
-        Message nack;
-        nack.type = MsgType::Nack;
-        nack.addr = line;
-        nack.dst = msg.requester;
-        nack.txnId = msg.txnId;
-        _hub.send(nack);
+        _hub.sendNack(MsgType::Nack, line, msg.requester, msg.txnId);
         return;
     }
 
@@ -345,13 +330,7 @@ ProducerController::serveRemoteRead(const Message &msg, ProducerEntry &e)
                 _arb.park(msg, _hub.curTick(), _hub.stats()))
                 return;
             ++e.pendingNacks;
-            _hub.noteNackSent();
-            Message nack;
-            nack.type = MsgType::Nack;
-            nack.addr = line;
-            nack.dst = req;
-            nack.txnId = msg.txnId;
-            _hub.send(nack);
+            _hub.sendNack(MsgType::Nack, line, req, msg.txnId);
             return;
         }
         // Delegation-only (or infinite delay): downgrade on demand.
@@ -555,12 +534,8 @@ ProducerController::undelegate(Addr line, ProducerEntry &e,
     // longer the acting home, and the restored directory will service
     // their retries.
     _arb.flush(line, [this](const Message &pm) {
-        Message nack;
-        nack.type = MsgType::NackNotHome;
-        nack.addr = pm.addr;
-        nack.dst = pm.requester;
-        nack.txnId = pm.txnId;
-        _hub.send(nack);
+        _hub.sendNack(MsgType::NackNotHome, pm.addr, pm.requester,
+                      pm.txnId);
     });
 
     dc->producer().invalidate(line);

@@ -101,8 +101,8 @@ makeRunnerWorkload(const std::string &name, unsigned num_cpus,
     if (canonical.empty())
         throw std::invalid_argument("unknown workload '" + name + "'");
 
-    const auto scaled = [scale](unsigned iters) {
-        return std::max(1u, static_cast<unsigned>(iters * scale));
+    const auto scaled = [&](unsigned count) {
+        return scaledCount(canonical, count, scale, 1);
     };
 
     if (canonical == "PCmicro") {

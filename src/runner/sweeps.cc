@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <stdexcept>
 #include <utility>
 
 #include "src/runner/results.hh"
@@ -1032,7 +1033,14 @@ int
 runSweep(const Sweep &s, SweepArgs args)
 {
     if (!s.jobs) {
-        s.print({}, args);
+        // It builds workloads without running them; one that cannot be
+        // built fails as a job's would.
+        try {
+            s.print({}, args);
+        } catch (const std::invalid_argument &e) {
+            std::fprintf(stderr, "pcsim %s: %s\n", s.name, e.what());
+            return 2;
+        }
         return 0;
     }
     const JobSet set = s.jobs(args);

@@ -351,9 +351,18 @@ class Parser
         skipWs();
         switch (peek()) {
           case '{':
-            return parseObject();
-          case '[':
-            return parseArray();
+          case '[': {
+            // Each level recurses: bound the depth, not the stack.
+            if (_depth == JsonValue::maxParseDepth)
+                fail("nesting deeper than " +
+                     std::to_string(JsonValue::maxParseDepth) +
+                     " levels");
+            ++_depth;
+            JsonValue v =
+                _text[_pos] == '{' ? parseObject() : parseArray();
+            --_depth;
+            return v;
+          }
           case '"':
             return JsonValue(parseString());
           case 't':
@@ -390,11 +399,12 @@ class Parser
             expect(':');
             v[key] = parseValue();
             skipWs();
-            char c = get();
+            const char c = peek();
+            if (c != ',' && c != '}')
+                fail("expected ',' or '}' in object");
+            ++_pos;
             if (c == '}')
                 return v;
-            if (c != ',')
-                fail("expected ',' or '}' in object");
         }
     }
 
@@ -411,11 +421,12 @@ class Parser
         while (true) {
             v.push(parseValue());
             skipWs();
-            char c = get();
+            const char c = peek();
+            if (c != ',' && c != ']')
+                fail("expected ',' or ']' in array");
+            ++_pos;
             if (c == ']')
                 return v;
-            if (c != ',')
-                fail("expected ',' or ']' in array");
         }
     }
 
@@ -546,6 +557,7 @@ class Parser
 
     const std::string &_text;
     std::size_t _pos = 0;
+    unsigned _depth = 0; ///< arrays and objects open at _pos
 };
 
 } // namespace

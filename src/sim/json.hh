@@ -4,10 +4,10 @@
  * strict parser.
  *
  * Used by the experiment runner (src/runner) to emit machine-readable
- * results and to read the documents `pcsim lint --coverage` and
- * `pcsim bench --baseline` take as input. Objects preserve insertion
- * order so a document serializes byte-identically regardless of how it
- * was produced -- a property the runner's determinism checks rely on.
+ * results and to read the results documents `pcsim lint --coverage`
+ * takes as input. Objects preserve insertion order so a document
+ * serializes byte-identically regardless of how it was produced -- a
+ * property the runner's determinism checks rely on.
  *
  * Numbers are stored either as an unsigned 64-bit integer (emitted
  * without a decimal point, exact for every simulator counter) or as a
@@ -122,7 +122,12 @@ class JsonValue
      *  surrounding quotes). */
     static std::string escape(const std::string &s);
 
-    /** Strict parse of a complete document; throws JsonParseError. */
+    /** Arrays and objects parse nests at most this deep; pcsim's own
+     *  documents nest about 6 levels. */
+    static constexpr unsigned maxParseDepth = 256;
+
+    /** Strict parse of a complete document; throws JsonParseError,
+     *  also at the bracket that opens level maxParseDepth + 1. */
     static JsonValue parse(const std::string &text);
 
   private:

@@ -65,22 +65,6 @@ struct RunPerf
     {
         return wallSeconds > 0 ? double(simTicks) / wallSeconds : 0.0;
     }
-
-    /** Fraction of pool acquisitions served by recycling. */
-    double
-    poolHitRate() const
-    {
-        return poolAcquires ? double(poolReuses) / double(poolAcquires)
-                            : 0.0;
-    }
-
-    /** Fraction of scheduled callbacks that needed no heap storage. */
-    double
-    inlineRate() const
-    {
-        const std::uint64_t total = inlineCallbacks + heapCallbacks;
-        return total ? double(inlineCallbacks) / double(total) : 0.0;
-    }
 };
 
 } // namespace pcsim

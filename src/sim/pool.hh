@@ -28,7 +28,7 @@ template <typename T>
 class Pool
 {
   public:
-    /** Recycling statistics (see RunPerf::poolHitRate). */
+    /** Recycling statistics (RunPerf::poolAcquires, poolReuses). */
     struct Stats
     {
         std::uint64_t acquires = 0; ///< total acquire() calls

@@ -137,6 +137,20 @@ encodeKind(MemOp::Kind k, const std::string &origin)
                      std::to_string(static_cast<unsigned>(k)));
 }
 
+/** Throw unless 0 < @p nodes <= ProtocolConfig::maxNodes: the node
+ *  counts that the writer writes and the reader reads. */
+void
+checkNodeCount(std::uint32_t nodes, const std::string &origin)
+{
+    if (nodes == 0)
+        throw TraceError(origin + ": header nodeCount is zero");
+    if (nodes > ProtocolConfig::maxNodes)
+        throw TraceError(origin + ": header nodeCount " +
+                         std::to_string(nodes) + " exceeds " +
+                         std::to_string(ProtocolConfig::maxNodes) +
+                         " nodes");
+}
+
 using Streams = std::vector<const std::vector<MemOp> *>;
 
 /** Encoded bytes that writeTraceFile buffers between writes. */
@@ -155,6 +169,7 @@ encodeStreams(const TraceMeta &meta, const Streams &streams,
               std::string &out, std::size_t chunk, Drain &&drain)
 {
     const std::string origin = "<encode>";
+    checkNodeCount(meta.nodeCount, origin);
     if (streams.size() != meta.nodeCount)
         throw TraceError(origin + ": " + std::to_string(streams.size()) +
                          " node streams but header says " +
@@ -315,13 +330,7 @@ decodeTrace(const std::string &bytes, const std::string &origin)
     TraceData data;
     TraceMeta &m = data.meta;
     m.nodeCount = c.u32("header nodeCount");
-    if (m.nodeCount == 0)
-        throw TraceError(origin + ": header nodeCount is zero");
-    if (m.nodeCount > ProtocolConfig::maxNodes)
-        throw TraceError(origin + ": header nodeCount " +
-                         std::to_string(m.nodeCount) + " exceeds " +
-                         std::to_string(ProtocolConfig::maxNodes) +
-                         " nodes");
+    checkNodeCount(m.nodeCount, origin);
     m.lineBytes = c.u32("header lineBytes");
     m.coarse = c.u32("header coarse");
     if (m.coarse == 0)

@@ -43,7 +43,9 @@
  *
  * The reader checks nodeCount against ProtocolConfig::maxNodes and
  * opCount against the record section's length before it allocates
- * anything, so what it allocates follows the size of the file.
+ * anything, so what it allocates follows the size of the file. The
+ * writer applies the same nodeCount bound, so it writes no file the
+ * reader rejects for its size.
  */
 
 #ifndef PCSIM_TRACE_FORMAT_HH
@@ -114,7 +116,8 @@ struct TraceData
 /** Serialize to the binary format. @p per_node size must equal
  *  meta.nodeCount; meta.opCount is recomputed. The same encoder as
  *  writeTraceFile, into a string. @throws TraceError on unencodable
- *  input (stream count, op kind out of range, name too long). */
+ *  input (a nodeCount of 0 or above ProtocolConfig::maxNodes, stream
+ *  count, op kind out of range, name too long). */
 std::string encodeTrace(const TraceMeta &meta,
                         const std::vector<std::vector<MemOp>> &per_node);
 

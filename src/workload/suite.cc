@@ -1,6 +1,9 @@
 #include "src/workload/suite.hh"
 
 #include <algorithm>
+#include <cstdio>
+#include <limits>
+#include <stdexcept>
 
 #include "src/sim/logging.hh"
 #include "src/workload/appbt.hh"
@@ -20,53 +23,61 @@ suiteNames()
     return {"Barnes", "Ocean", "Em3D", "LU", "CG", "MG", "Appbt"};
 }
 
-namespace
-{
-
 unsigned
-scaled(unsigned iters, double scale)
+scaledCount(const std::string &workload, unsigned count, double scale,
+            unsigned floor)
 {
-    return std::max(4u, static_cast<unsigned>(iters * scale));
+    const double n = count * scale;
+    if (!(n >= 0 && n <= std::numeric_limits<unsigned>::max())) {
+        char s[32];
+        std::snprintf(s, sizeof(s), "%g", scale);
+        throw std::invalid_argument(
+            "workload '" + workload + "' cannot run at scale " + s +
+            ": its scaled count is outside 0.." +
+            std::to_string(std::numeric_limits<unsigned>::max()));
+    }
+    return std::max(floor, static_cast<unsigned>(n));
 }
-
-} // namespace
 
 std::unique_ptr<Workload>
 makeWorkload(const std::string &name, unsigned num_cpus, double scale)
 {
+    const auto scaled = [&](unsigned count) {
+        return scaledCount(name, count, scale, 4);
+    };
     if (name == "Barnes") {
         BarnesParams p;
-        p.iterations = scaled(p.iterations, scale);
+        p.iterations = scaled(p.iterations);
         return std::make_unique<BarnesWorkload>(num_cpus, p);
     }
     if (name == "Ocean") {
         OceanParams p;
-        p.iterations = scaled(p.iterations, scale);
+        p.iterations = scaled(p.iterations);
         return std::make_unique<OceanWorkload>(num_cpus, p);
     }
     if (name == "Em3D") {
         Em3dParams p;
-        p.iterations = scaled(p.iterations, scale);
+        p.iterations = scaled(p.iterations);
         return std::make_unique<Em3dWorkload>(num_cpus, p);
     }
     if (name == "LU") {
         LuParams p;
-        p.iterations = scaled(p.iterations, scale);
+        p.iterations = scaled(p.iterations);
         return std::make_unique<LuWorkload>(num_cpus, p);
     }
     if (name == "CG") {
         CgParams p;
-        p.iterations = scaled(p.iterations, scale);
+        p.iterations = scaled(p.iterations);
         return std::make_unique<CgWorkload>(num_cpus, p);
     }
     if (name == "MG") {
         MgParams p;
-        p.vCycles = scaled(p.vCycles, scale);
+        p.vCycles = scaled(p.vCycles);
         return std::make_unique<MgWorkload>(num_cpus, p);
     }
     if (name == "Appbt") {
         AppbtParams p;
-        p.iterations = scaled(p.iterations, scale);
+        p.iterations = scaled(p.iterations);
         return std::make_unique<AppbtWorkload>(num_cpus, p);
     }
     fatal("unknown workload '%s'", name.c_str());

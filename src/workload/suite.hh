@@ -20,9 +20,20 @@ namespace pcsim
 std::vector<std::string> suiteNames();
 
 /**
+ * @p count scaled by @p scale, truncated, and at least @p floor: how
+ * both workload registries size a run.
+ * @throws std::invalid_argument naming @p workload and @p scale when
+ *         the scaled count lies outside 0..UINT32_MAX, where
+ *         converting it to unsigned would be undefined.
+ */
+unsigned scaledCount(const std::string &workload, unsigned count,
+                     double scale, unsigned floor);
+
+/**
  * Instantiate a benchmark by name.
  * @param scale shrinks/grows iteration counts (1.0 = repo default);
  *        use smaller values for quick sweeps.
+ * @throws std::invalid_argument as scaledCount does.
  */
 std::unique_ptr<Workload> makeWorkload(const std::string &name,
                                        unsigned num_cpus,

@@ -5,11 +5,30 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/runner/results.hh"
 #include "src/sim/json.hh"
 #include "src/system/system.hh"
 
 using namespace pcsim;
+
+namespace
+{
+
+/** JsonValue::parse's error for @p text, or "parsed". */
+std::string
+parseError(const std::string &text)
+{
+    try {
+        JsonValue::parse(text);
+    } catch (const JsonParseError &e) {
+        return e.what();
+    }
+    return "parsed";
+}
+
+} // namespace
 
 TEST(Json, ScalarDump)
 {
@@ -99,6 +118,33 @@ TEST(Json, ParseRejectsMalformedInput)
     EXPECT_THROW(JsonValue::parse("\"unterminated"), JsonParseError);
     EXPECT_THROW(JsonValue::parse("nul"), JsonParseError);
     EXPECT_THROW(JsonValue::parse("01x"), JsonParseError);
+    // Errors after a member or an element sit at the offending byte:
+    // the end of a cut document, or a bad separator.
+    EXPECT_EQ(parseError("[1"), "unexpected end of input at offset 2");
+    EXPECT_EQ(parseError("{\"a\":1"),
+              "unexpected end of input at offset 6");
+    EXPECT_EQ(parseError("[1x]"),
+              "expected ',' or ']' in array at offset 2");
+    EXPECT_EQ(parseError("{\"a\":1 x}"),
+              "expected ',' or '}' in object at offset 7");
+}
+
+TEST(Json, ParseBoundsNestingDepth)
+{
+    const unsigned max = JsonValue::maxParseDepth;
+    const JsonValue deepest = JsonValue::parse(std::string(max, '[') +
+                                               std::string(max, ']'));
+    EXPECT_TRUE(deepest.isArray());
+
+    // The bracket that opens one level more is the offending offset,
+    // for arrays and objects alike, however long the input.
+    EXPECT_EQ(parseError(std::string(1 << 20, '[')),
+              "nesting deeper than 256 levels at offset 256");
+    std::string objects;
+    for (unsigned i = 0; i <= max; ++i)
+        objects += "{\"k\":";
+    EXPECT_EQ(parseError(objects),
+              "nesting deeper than 256 levels at offset 1280");
 }
 
 namespace

@@ -158,6 +158,28 @@ TEST(Runner, UnknownWorkloadFailsTheJobNotTheProcess)
               std::string::npos);
 }
 
+TEST(Runner, ScaleBeyondAnIterationCountFailsTheJob)
+{
+    // Both registries: the micro and serving patterns, and the suite
+    // the runner delegates to.
+    JobSet set;
+    for (const char *workload : {"micro", "kvserve", "em3d"}) {
+        Job j;
+        j.workload = canonicalWorkload(workload);
+        j.cfg = presets::base(4);
+        j.scale = 1e300;
+        set.add(std::move(j));
+    }
+    const auto results = runJobs(set, quiet(1));
+    ASSERT_EQ(results.size(), 3u);
+    for (const JobResult &r : results) {
+        EXPECT_FALSE(r.ok) << r.job.workload;
+        EXPECT_EQ(r.error, "workload '" + r.job.workload +
+                               "' cannot run at scale 1e+300: its "
+                               "scaled count is outside 0..4294967295");
+    }
+}
+
 TEST(Runner, WorkloadRegistryCanonicalizes)
 {
     EXPECT_EQ(canonicalWorkload("em3d"), "Em3D");

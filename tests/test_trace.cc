@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <string>
 
+#include "src/protocol/config.hh"
 #include "src/runner/results.hh"
 #include "src/runner/trace_cmd.hh"
 #include "src/system/presets.hh"
@@ -225,6 +226,37 @@ TEST(TraceFormat, RejectsHostileCountsBeforeAllocating)
     expectDecodeError(bad, "<memory>: record section is 0 bytes but "
                            "the header promises 1152921504606846976 "
                            "records of 16 bytes");
+}
+
+TEST(TraceFormat, EncoderAppliesTheReadersNodeCountBound)
+{
+    using Streams = std::vector<std::vector<MemOp>>;
+    const unsigned max = ProtocolConfig::maxNodes;
+    trace::TraceMeta meta = sampleMeta();
+    const auto encodeError = [&](std::uint32_t nodes) {
+        meta.nodeCount = nodes;
+        try {
+            trace::encodeTrace(meta, Streams(nodes));
+        } catch (const trace::TraceError &e) {
+            return std::string(e.what());
+        }
+        return std::string("encoded");
+    };
+    EXPECT_EQ(encodeError(max + 1),
+              "<encode>: header nodeCount 4097 exceeds 4096 nodes");
+    EXPECT_EQ(encodeError(0), "<encode>: header nodeCount is zero");
+
+    // The streamed write leaves no file; the largest machine's trace
+    // writes and reads back.
+    const std::string path = testing::TempDir() + "pcsim_trace_nodes.pctr";
+    meta.nodeCount = max + 1;
+    EXPECT_THROW(trace::writeTraceFile(path, meta, Streams(max + 1)),
+                 trace::TraceError);
+    EXPECT_EQ(std::fopen(path.c_str(), "rb"), nullptr);
+    meta.nodeCount = max;
+    trace::writeTraceFile(path, meta, Streams(max));
+    EXPECT_EQ(trace::readTraceFile(path).perNode.size(), max);
+    std::remove(path.c_str());
 }
 
 TEST(TraceFormat, FileRoundTripAndHeaderOnlyRead)

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include "src/workload/micro.hh"
 #include "src/workload/suite.hh"
@@ -143,6 +145,26 @@ TEST(Suite, ScaleShrinksIterations)
     const auto small_ops =
         static_cast<TraceWorkload *>(small.get())->totalOps();
     EXPECT_LT(small_ops, big_ops);
+}
+
+TEST(Suite, ScaleBeyondAnIterationCountThrows)
+{
+    for (const auto &name : suiteNames()) {
+        try {
+            makeWorkload(name, 4, 1e300);
+            ADD_FAILURE() << name << " built at scale 1e300";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "workload '" + name + "' cannot run at scale "
+                      "1e+300: its scaled count is outside "
+                      "0..4294967295");
+        }
+    }
+    // The floor applies below the range; UINT32_MAX is its top.
+    EXPECT_EQ(scaledCount("Ocean", 10, 1e-300, 4), 4u);
+    EXPECT_EQ(scaledCount("Ocean", 4294967295u, 1.0, 4), 4294967295u);
+    EXPECT_THROW(scaledCount("Ocean", 1u << 31, 2.0, 4),
+                 std::invalid_argument);
 }
 
 TEST(Micro, ProducerConsumerShape)
