@@ -1033,8 +1033,8 @@ int
 runSweep(const Sweep &s, SweepArgs args)
 {
     if (!s.jobs) {
-        // It builds workloads without running them; one that cannot be
-        // built fails as a job's would.
+        // table2 builds workloads without running them; one that
+        // cannot be built fails as a job's would.
         try {
             s.print({}, args);
         } catch (const std::invalid_argument &e) {

@@ -11,6 +11,7 @@
 #include "src/runner/job.hh"
 #include "src/runner/results.hh"
 #include "src/runner/runner.hh"
+#include "src/runner/sweeps.hh"
 #include "src/workload/micro.hh"
 
 using namespace pcsim;
@@ -178,6 +179,11 @@ TEST(Runner, ScaleBeyondAnIterationCountFailsTheJob)
                                "' cannot run at scale 1e+300: its "
                                "scaled count is outside 0..4294967295");
     }
+
+    // table2 builds the suite outside any job and fails the same way.
+    SweepArgs args;
+    args.scale = 1e300;
+    EXPECT_EQ(runSweep(*findSweep("table2"), args), 2);
 }
 
 TEST(Runner, WorkloadRegistryCanonicalizes)
