@@ -12,6 +12,10 @@ namespace mc
 namespace
 {
 
+using verify::Ctrl;
+using verify::PEvent;
+using verify::StateId;
+
 constexpr std::uint8_t none = 0xf;
 
 std::uint8_t
@@ -20,47 +24,31 @@ popcount(std::uint8_t m)
     return static_cast<std::uint8_t>(__builtin_popcount(m));
 }
 
-/** Producer-table FSM state of node @p n as reported to a
- *  TransitionListener: 0 none, 1 shared, 2 exclusive. */
-int
+/** A LineState or DirState in the spec's encoding (its raw value). */
+template <typename S>
+StateId
+specState(S s)
+{
+    return static_cast<StateId>(s);
+}
+
+/** The request a read (1) or write (2) MSHR or parked slot sends. */
+MsgType
+requestOf(std::uint8_t kind)
+{
+    return kind == 1 ? MsgType::ReqShared : MsgType::ReqExcl;
+}
+
+/** Producer-table state of node @p n in the spec's encoding. */
+StateId
 prodStateOf(const ProtocolModel::State &s, unsigned n)
 {
     if (!s.prodValid || s.prodNode != n)
-        return 0;
-    return s.prodIsExcl ? 2 : 1;
+        return verify::prodNone;
+    return s.prodIsExcl ? verify::prodExcl : verify::prodShared;
 }
 
 } // namespace
-
-const char *
-mtypeName(MType t)
-{
-    switch (t) {
-      case MType::ReqS: return "ReqS";
-      case MType::ReqX: return "ReqX";
-      case MType::RespS: return "RespS";
-      case MType::RespX: return "RespX";
-      case MType::Inval: return "Inval";
-      case MType::InvalAck: return "InvalAck";
-      case MType::IntervDown: return "IntervDown";
-      case MType::IntervXfer: return "IntervXfer";
-      case MType::SharedResp: return "SharedResp";
-      case MType::Shwb: return "Shwb";
-      case MType::XferResp: return "XferResp";
-      case MType::XferAck: return "XferAck";
-      case MType::IntervNack: return "IntervNack";
-      case MType::Nack: return "Nack";
-      case MType::NackNotHome: return "NackNotHome";
-      case MType::Delegate: return "Delegate";
-      case MType::Undele: return "Undele";
-      case MType::Update: return "Update";
-      case MType::UpdGrant: return "UpdGrant";
-      case MType::UpdateWB: return "UpdateWB";
-      case MType::UpdDrop: return "UpdDrop";
-      case MType::NumMTypes: break;
-    }
-    return "?";
-}
 
 bool
 ProtocolModel::State::operator==(const State &o) const
@@ -170,7 +158,7 @@ ProtocolModel::State
 ProtocolModel::initial() const
 {
     State s{};
-    s.cache.fill(CState::I);
+    s.cache.fill(LineState::Invalid);
     s.owner = none;
     s.pendReq = none;
     s.pendOwner = none;
@@ -217,7 +205,7 @@ ProtocolModel::completeWrite(State &s, unsigned n) const
                       std::to_string(s.curV));
     }
     for (unsigned m = 0; m < _cfg.nodes; ++m) {
-        if (m != n && s.cache[m] != CState::I)
+        if (m != n && s.cache[m] != LineState::Invalid)
             throw McError("single-writer violated by cache copy");
         if (m != n && (s.racMask & (1u << m)))
             throw McError("single-writer violated by RAC copy");
@@ -226,7 +214,7 @@ ProtocolModel::completeWrite(State &s, unsigned n) const
     // exactly as the implementation's performStore() does.
     s.racMask &= ~(1u << n);
     ++s.curV;
-    s.cache[n] = CState::M;
+    s.cache[n] = LineState::Modified;
     s.cacheV[n] = s.curV;
     s.lastSeen[n] = s.curV;
     s.mshr[n] = 0;
@@ -254,7 +242,7 @@ ProtocolModel::maybeComplete(State &s, unsigned n) const
             throw McError("read from the future");
         s.lastSeen[n] = s.mshrV[n];
         if (!s.fillInval[n]) {
-            s.cache[n] = CState::S;
+            s.cache[n] = LineState::Shared;
             s.cacheV[n] = s.mshrV[n];
         }
         s.mshr[n] = 0;
@@ -278,7 +266,7 @@ ProtocolModel::undelegate(State &s, unsigned p, std::uint8_t pend_req,
                           std::uint8_t pend_seq) const
 {
     MMsg und;
-    und.type = MType::Undele;
+    und.type = MsgType::Undele;
     und.version = s.prodV;
     und.requester = pend_req;
     und.acks = pend_is_write;
@@ -306,7 +294,7 @@ ProtocolModel::undelegate(State &s, unsigned p, std::uint8_t pend_req,
     send(s, p, _cfg.home, und);
     if (s.prodParkedType) {
         MMsg nk;
-        nk.type = MType::NackNotHome;
+        nk.type = MsgType::NackNotHome;
         nk.seq = s.prodParkedSeq;
         send(s, p, s.prodParkedReq, nk);
         s.prodParkedType = 0;
@@ -327,7 +315,7 @@ ProtocolModel::transitions(const State &s,
         // Read.
         if (s.readsLeft[n] && !s.mshr[n]) {
             const std::size_t rbase = out.size();
-            if (s.cache[n] != CState::I) {
+            if (s.cache[n] != LineState::Invalid) {
                 // Hit.
                 State t = s;
                 if (t.cacheV[n] < t.lastSeen[n])
@@ -341,7 +329,7 @@ ProtocolModel::transitions(const State &s,
                 if (t.racV[n] < t.lastSeen[n])
                     throw McError("RAC read went backwards");
                 t.lastSeen[n] = t.racV[n];
-                t.cache[n] = CState::S;
+                t.cache[n] = LineState::Shared;
                 t.cacheV[n] = t.racV[n];
                 t.racMask &= ~(1u << n);
                 --t.readsLeft[n];
@@ -350,7 +338,7 @@ ProtocolModel::transitions(const State &s,
                 // Miss: issue to the home, or to the delegate if one
                 // exists (consumer-table hint, modeled as a choice).
                 MMsg req;
-                req.type = MType::ReqS;
+                req.type = MsgType::ReqShared;
                 req.requester = static_cast<std::uint8_t>(n);
                 State t = s;
                 t.mshr[n] = 1;
@@ -374,16 +362,15 @@ ProtocolModel::transitions(const State &s,
             if (_listener) {
                 for (std::size_t i = rbase; i < out.size(); ++i) {
                     _listener->onTransition(
-                        0, static_cast<int>(s.cache[n]),
-                        TransitionListener::evCpuLoad,
-                        static_cast<int>(out[i].cache[n]));
+                        Ctrl::Cache, specState(s.cache[n]),
+                        PEvent::CpuLoad, specState(out[i].cache[n]));
                 }
             }
         }
         // Write.
         if (s.writesLeft && !s.mshr[n]) {
             const std::size_t wbase = out.size();
-            if (s.cache[n] == CState::M) {
+            if (s.cache[n] == LineState::Modified) {
                 State t = s;
                 t.mshrV[n] = t.cacheV[n];
                 --t.writesLeft;
@@ -395,7 +382,7 @@ ProtocolModel::transitions(const State &s,
                 out.push_back(std::move(t));
             } else {
                 MMsg req;
-                req.type = MType::ReqX;
+                req.type = MsgType::ReqExcl;
                 req.requester = static_cast<std::uint8_t>(n);
                 State t = s;
                 t.mshr[n] = 2;
@@ -423,9 +410,8 @@ ProtocolModel::transitions(const State &s,
             if (_listener) {
                 for (std::size_t i = wbase; i < out.size(); ++i) {
                     _listener->onTransition(
-                        0, static_cast<int>(s.cache[n]),
-                        TransitionListener::evCpuStore,
-                        static_cast<int>(out[i].cache[n]));
+                        Ctrl::Cache, specState(s.cache[n]),
+                        PEvent::CpuStore, specState(out[i].cache[n]));
                 }
             }
         }
@@ -437,8 +423,8 @@ ProtocolModel::transitions(const State &s,
         State t = s;
         t.intervPending = 0;
         const unsigned p = t.prodNode;
-        if (t.prodIsExcl && t.cache[p] == CState::M) {
-            t.cache[p] = CState::S;
+        if (t.prodIsExcl && t.cache[p] == LineState::Modified) {
+            t.cache[p] = LineState::Shared;
             t.prodV = t.cacheV[p];
             const std::uint8_t update_set =
                 t.prodSharers & ~(1u << p);
@@ -450,7 +436,7 @@ ProtocolModel::transitions(const State &s,
                     if (!(update_set & (1u << c)))
                         continue;
                     MMsg up;
-                    up.type = MType::Update;
+                    up.type = MsgType::Update;
                     up.version = t.prodV;
                     ok = send(t, p, c, up);
                 }
@@ -464,14 +450,13 @@ ProtocolModel::transitions(const State &s,
             const unsigned p = s.prodNode;
             for (std::size_t i = ibase; i < out.size(); ++i) {
                 _listener->onTransition(
-                    2, prodStateOf(s, p),
-                    TransitionListener::evDelayedInterv,
-                    prodStateOf(out[i], p));
+                    Ctrl::Producer, prodStateOf(s, p),
+                    PEvent::DelayedInterv, prodStateOf(out[i], p));
                 if (out[i].cache[p] != s.cache[p]) {
                     _listener->onTransition(
-                        0, static_cast<int>(s.cache[p]),
-                        TransitionListener::evLocalDowngrade,
-                        static_cast<int>(out[i].cache[p]));
+                        Ctrl::Cache, specState(s.cache[p]),
+                        PEvent::LocalDowngrade,
+                        specState(out[i].cache[p]));
                 }
             }
         }
@@ -483,11 +468,11 @@ ProtocolModel::transitions(const State &s,
     // completion; here the enabling condition stands in for that
     // event). Not reported to the listener: a drain replays a request
     // the spec already covers at its original delivery.
-    if (_cfg.homeQueue && s.parkedType && s.dir != DState::BusyR &&
-        s.dir != DState::BusyE && s.dir != DState::BusyUpd) {
+    if (_cfg.homeQueue && s.parkedType && s.dir != DirState::BusyRead &&
+        s.dir != DirState::BusyExcl && s.dir != DirState::BusyUpd) {
         State t = s;
         MMsg req;
-        req.type = t.parkedType == 1 ? MType::ReqS : MType::ReqX;
+        req.type = requestOf(t.parkedType);
         req.requester = t.parkedReq;
         req.seq = t.parkedSeq;
         t.parkedType = 0;
@@ -501,7 +486,7 @@ ProtocolModel::transitions(const State &s,
           s.intervPending)) {
         State t = s;
         MMsg req;
-        req.type = t.prodParkedType == 1 ? MType::ReqS : MType::ReqX;
+        req.type = requestOf(t.prodParkedType);
         req.requester = t.prodParkedReq;
         req.seq = t.prodParkedSeq;
         t.prodParkedType = 0;
@@ -534,10 +519,10 @@ ProtocolModel::deliver(State &t, unsigned src, unsigned dst,
     t.chan[src][dst][t.chanLen[src][dst]] = MMsg{};
 
     const bool for_home_side =
-        m.type == MType::ReqS || m.type == MType::ReqX ||
-        m.type == MType::Shwb || m.type == MType::XferAck ||
-        m.type == MType::IntervNack || m.type == MType::Undele ||
-        m.type == MType::UpdateWB || m.type == MType::UpdDrop;
+        m.type == MsgType::ReqShared || m.type == MsgType::ReqExcl ||
+        m.type == MsgType::SharedWriteback || m.type == MsgType::TransferAck ||
+        m.type == MsgType::IntervNack || m.type == MsgType::Undele ||
+        m.type == MsgType::UpdateWB || m.type == MsgType::UpdateDrop;
 
     // Which controller handles this delivery: the home directory, a
     // producer table acting as the home, a plain cache, or a
@@ -545,7 +530,7 @@ ProtocolModel::deliver(State &t, unsigned src, unsigned dst,
     enum class Side { Home, Producer, Cache, Bounce };
     Side side;
     if (for_home_side) {
-        if ((m.type == MType::ReqS || m.type == MType::ReqX) &&
+        if ((m.type == MsgType::ReqShared || m.type == MsgType::ReqExcl) &&
             t.prodValid && t.prodNode == dst) {
             side = Side::Producer;
         } else if (dst == _cfg.home) {
@@ -554,16 +539,16 @@ ProtocolModel::deliver(State &t, unsigned src, unsigned dst,
             side = Side::Bounce;
         }
     } else {
-        side = m.type == MType::Delegate ? Side::Producer
+        side = m.type == MsgType::Delegate ? Side::Producer
                                          : Side::Cache;
     }
 
     // Snapshot pre-states before dispatch (t is moved below).
     const std::size_t base = out.size();
-    const int preCache = static_cast<int>(t.cache[dst]);
-    const int preDir = static_cast<int>(t.dir);
-    const int preProd = prodStateOf(t, dst);
-    const int event = static_cast<int>(m.type);
+    const StateId preCache = specState(t.cache[dst]);
+    const StateId preDir = specState(t.dir);
+    const StateId preProd = prodStateOf(t, dst);
+    const PEvent event = verify::eventOf(m.type);
 
     switch (side) {
       case Side::Producer:
@@ -576,7 +561,7 @@ ProtocolModel::deliver(State &t, unsigned src, unsigned dst,
       case Side::Bounce: {
         // Stale hint: not the home, no producer entry.
         MMsg nack;
-        nack.type = MType::NackNotHome;
+        nack.type = MsgType::NackNotHome;
         nack.seq = m.seq;
         if (send(t, dst, m.requester, nack))
             out.push_back(std::move(t));
@@ -590,23 +575,22 @@ ProtocolModel::deliver(State &t, unsigned src, unsigned dst,
         const State &u = out[i];
         switch (side) {
           case Side::Home:
-            _listener->onTransition(1, preDir, event,
-                                    static_cast<int>(u.dir));
+            _listener->onTransition(Ctrl::Dir, preDir, event,
+                                    specState(u.dir));
             break;
           case Side::Producer:
-            _listener->onTransition(2, preProd, event,
+            _listener->onTransition(Ctrl::Producer, preProd, event,
                                     prodStateOf(u, dst));
             // On-demand downgrade of the producer's own copy.
-            if (static_cast<int>(u.cache[dst]) != preCache) {
-                _listener->onTransition(
-                    0, preCache,
-                    TransitionListener::evLocalDowngrade,
-                    static_cast<int>(u.cache[dst]));
+            if (specState(u.cache[dst]) != preCache) {
+                _listener->onTransition(Ctrl::Cache, preCache,
+                                        PEvent::LocalDowngrade,
+                                        specState(u.cache[dst]));
             }
             break;
           case Side::Cache:
-            _listener->onTransition(0, preCache, event,
-                                    static_cast<int>(u.cache[dst]));
+            _listener->onTransition(Ctrl::Cache, preCache, event,
+                                    specState(u.cache[dst]));
             break;
           case Side::Bounce:
             break;
@@ -623,7 +607,7 @@ ProtocolModel::applyAtHome(State t, unsigned src, const MMsg &m,
 
     auto nack = [&](State &st, unsigned to) {
         MMsg n;
-        n.type = MType::Nack;
+        n.type = MsgType::Nack;
         n.seq = m.seq;
         return send(st, home, to, n);
     };
@@ -641,21 +625,21 @@ ProtocolModel::applyAtHome(State t, unsigned src, const MMsg &m,
     };
 
     switch (m.type) {
-      case MType::ReqS: {
+      case MsgType::ReqShared: {
         switch (t.dir) {
-          case DState::U:
-          case DState::S: {
-            t.dir = DState::S;
+          case DirState::Unowned:
+          case DirState::Shared: {
+            t.dir = DirState::Shared;
             t.sharers |= (1u << r);
             MMsg resp;
-            resp.type = MType::RespS;
+            resp.type = MsgType::RespSharedData;
             resp.version = t.memV;
             resp.seq = m.seq;
             if (send(t, home, r, resp))
                 out.push_back(std::move(t));
             break;
           }
-          case DState::E: {
+          case DirState::Excl: {
             if (t.owner == r) {
                 if (nack(t, r))
                     out.push_back(std::move(t));
@@ -665,22 +649,22 @@ ProtocolModel::applyAtHome(State t, unsigned src, const MMsg &m,
             t.pendOwner = t.owner;
             t.pendIsWrite = 0;
             t.pendSeq = m.seq;
-            t.dir = DState::BusyR;
+            t.dir = DirState::BusyRead;
             MMsg iv;
-            iv.type = MType::IntervDown;
+            iv.type = MsgType::IntervDowngrade;
             iv.requester = static_cast<std::uint8_t>(r);
             iv.seq = m.seq;
             if (send(t, home, t.pendOwner, iv))
                 out.push_back(std::move(t));
             break;
           }
-          case DState::BusyR:
-          case DState::BusyE:
-          case DState::BusyUpd:
+          case DirState::BusyRead:
+          case DirState::BusyExcl:
+          case DirState::BusyUpd:
             if (nackOrPark(t, r, /*is_write=*/false))
                 out.push_back(std::move(t));
             break;
-          case DState::Dele: {
+          case DirState::Dele: {
             if (r == t.owner) {
                 if (nack(t, r))
                     out.push_back(std::move(t));
@@ -695,44 +679,44 @@ ProtocolModel::applyAtHome(State t, unsigned src, const MMsg &m,
         break;
       }
 
-      case MType::ReqX: {
+      case MsgType::ReqExcl: {
         // Write-update: the home opens an update episode instead of
         // granting ownership -- the directory only ever visits U, S
         // and BusyUpd under this policy.
         if (_cfg.writeUpdate) {
             switch (t.dir) {
-              case DState::U:
-              case DState::S: {
-                t.dir = DState::BusyUpd;
+              case DirState::Unowned:
+              case DirState::Shared: {
+                t.dir = DirState::BusyUpd;
                 t.pendReq = static_cast<std::uint8_t>(r);
                 t.pendSeq = m.seq;
                 MMsg grant;
-                grant.type = MType::UpdGrant;
+                grant.type = MsgType::UpdGrant;
                 grant.version = t.memV;
                 grant.seq = m.seq;
                 if (send(t, home, r, grant))
                     out.push_back(std::move(t));
                 break;
               }
-              case DState::BusyUpd:
+              case DirState::BusyUpd:
                 if (nackOrPark(t, r, /*is_write=*/true))
                     out.push_back(std::move(t));
                 break;
               default:
                 throw McError(
-                    "write-update directory outside U/S/BusyUpd");
+                    "write-update directory outside Unowned/Shared/BusyUpd");
             }
             break;
         }
         // Nondeterministic delegation decision (over-approximates the
         // detector): branch both ways when permitted.
         if (_cfg.delegation &&
-            (t.dir == DState::U || t.dir == DState::S)) {
+            (t.dir == DirState::Unowned || t.dir == DirState::Shared)) {
             State d = t;
-            d.dir = DState::Dele;
+            d.dir = DirState::Dele;
             d.owner = static_cast<std::uint8_t>(r);
             MMsg del;
-            del.type = MType::Delegate;
+            del.type = MsgType::Delegate;
             del.version = d.memV;
             del.sharers = d.sharers;
             del.seq = m.seq;
@@ -743,12 +727,12 @@ ProtocolModel::applyAtHome(State t, unsigned src, const MMsg &m,
                 out.push_back(std::move(d));
         }
         switch (t.dir) {
-          case DState::U: {
-            t.dir = DState::E;
+          case DirState::Unowned: {
+            t.dir = DirState::Excl;
             t.owner = static_cast<std::uint8_t>(r);
             t.sharers = 0;
             MMsg resp;
-            resp.type = MType::RespX;
+            resp.type = MsgType::RespExclData;
             resp.version = t.memV;
             resp.acks = 0;
             resp.seq = m.seq;
@@ -756,14 +740,14 @@ ProtocolModel::applyAtHome(State t, unsigned src, const MMsg &m,
                 out.push_back(std::move(t));
             break;
           }
-          case DState::S: {
+          case DirState::Shared: {
             const std::uint8_t targets = t.sharers & ~(1u << r);
             bool ok = true;
             for (unsigned c = 0; c < _cfg.nodes && ok; ++c) {
                 if (!(targets & (1u << c)))
                     continue;
                 MMsg iv;
-                iv.type = MType::Inval;
+                iv.type = MsgType::Inval;
                 iv.requester = static_cast<std::uint8_t>(r);
                 iv.version = t.memV;
                 iv.seq = m.seq;
@@ -771,11 +755,11 @@ ProtocolModel::applyAtHome(State t, unsigned src, const MMsg &m,
             }
             if (!ok)
                 break;
-            t.dir = DState::E;
+            t.dir = DirState::Excl;
             t.owner = static_cast<std::uint8_t>(r);
             t.sharers = 0;
             MMsg resp;
-            resp.type = MType::RespX;
+            resp.type = MsgType::RespExclData;
             resp.version = t.memV;
             resp.acks = popcount(targets);
             resp.seq = m.seq;
@@ -783,7 +767,7 @@ ProtocolModel::applyAtHome(State t, unsigned src, const MMsg &m,
                 out.push_back(std::move(t));
             break;
           }
-          case DState::E: {
+          case DirState::Excl: {
             if (t.owner == r) {
                 if (nack(t, r))
                     out.push_back(std::move(t));
@@ -793,22 +777,22 @@ ProtocolModel::applyAtHome(State t, unsigned src, const MMsg &m,
             t.pendOwner = t.owner;
             t.pendIsWrite = 1;
             t.pendSeq = m.seq;
-            t.dir = DState::BusyE;
+            t.dir = DirState::BusyExcl;
             MMsg iv;
-            iv.type = MType::IntervXfer;
+            iv.type = MsgType::IntervTransfer;
             iv.requester = static_cast<std::uint8_t>(r);
             iv.seq = m.seq;
             if (send(t, home, t.pendOwner, iv))
                 out.push_back(std::move(t));
             break;
           }
-          case DState::BusyR:
-          case DState::BusyE:
-          case DState::BusyUpd:
+          case DirState::BusyRead:
+          case DirState::BusyExcl:
+          case DirState::BusyUpd:
             if (nackOrPark(t, r, /*is_write=*/true))
                 out.push_back(std::move(t));
             break;
-          case DState::Dele: {
+          case DirState::Dele: {
             if (r == t.owner) {
                 if (nack(t, r))
                     out.push_back(std::move(t));
@@ -823,8 +807,8 @@ ProtocolModel::applyAtHome(State t, unsigned src, const MMsg &m,
         break;
       }
 
-      case MType::UpdateWB: {
-        if (t.dir != DState::BusyUpd || t.pendReq != m.requester)
+      case MsgType::UpdateWB: {
+        if (t.dir != DirState::BusyUpd || t.pendReq != m.requester)
             throw McError("UpdateWB outside an open BusyUpd episode");
         if (_cfg.defectStallUpdateWB) {
             // Seeded liveness defect: swallow the writeback without
@@ -841,20 +825,20 @@ ProtocolModel::applyAtHome(State t, unsigned src, const MMsg &m,
             if (!(targets & (1u << c)))
                 continue;
             MMsg up;
-            up.type = MType::Update;
+            up.type = MsgType::Update;
             up.version = t.memV;
             ok = send(t, home, c, up);
         }
         if (!ok)
             break;
         t.sharers |= (1u << m.requester);
-        t.dir = DState::S;
+        t.dir = DirState::Shared;
         t.pendReq = none;
         out.push_back(std::move(t));
         break;
       }
 
-      case MType::UpdDrop: {
+      case MsgType::UpdateDrop: {
         // A consumer left the update stream; pure unsubscription (the
         // model's sharer vector is exact, so always drop the bit).
         t.sharers &= ~(1u << m.requester);
@@ -862,11 +846,11 @@ ProtocolModel::applyAtHome(State t, unsigned src, const MMsg &m,
         break;
       }
 
-      case MType::Shwb: {
-        if (t.dir != DState::BusyR)
-            throw McError("SHWB outside BusyR");
+      case MsgType::SharedWriteback: {
+        if (t.dir != DirState::BusyRead)
+            throw McError("SharedWriteback outside BusyRead");
         t.memV = m.version;
-        t.dir = DState::S;
+        t.dir = DirState::Shared;
         t.sharers = static_cast<std::uint8_t>((1u << t.pendOwner) |
                                               (1u << t.pendReq));
         t.owner = none;
@@ -876,10 +860,10 @@ ProtocolModel::applyAtHome(State t, unsigned src, const MMsg &m,
         break;
       }
 
-      case MType::XferAck: {
-        if (t.dir != DState::BusyE)
-            throw McError("XferAck outside BusyE");
-        t.dir = DState::E;
+      case MsgType::TransferAck: {
+        if (t.dir != DirState::BusyExcl)
+            throw McError("TransferAck outside BusyExcl");
+        t.dir = DirState::Excl;
         t.owner = t.pendReq;
         t.sharers = 0;
         t.pendReq = none;
@@ -888,14 +872,14 @@ ProtocolModel::applyAtHome(State t, unsigned src, const MMsg &m,
         break;
       }
 
-      case MType::IntervNack: {
-        if ((t.dir == DState::BusyR || t.dir == DState::BusyE) &&
+      case MsgType::IntervNack: {
+        if ((t.dir == DirState::BusyRead || t.dir == DirState::BusyExcl) &&
             t.pendOwner == src) {
             const std::uint8_t req = t.pendReq;
             MMsg nk;
-            nk.type = MType::Nack;
+            nk.type = MsgType::Nack;
             nk.seq = t.pendSeq;
-            t.dir = DState::E;
+            t.dir = DirState::Excl;
             t.owner = t.pendOwner;
             t.sharers = 0;
             t.pendReq = none;
@@ -908,27 +892,27 @@ ProtocolModel::applyAtHome(State t, unsigned src, const MMsg &m,
         break;
       }
 
-      case MType::Undele: {
-        if (t.dir != DState::Dele || t.owner != src)
+      case MsgType::Undele: {
+        if (t.dir != DirState::Dele || t.owner != src)
             throw McError("Undele in wrong state");
         t.memV = m.version;
         if (m.owner != none) {
-            t.dir = DState::E;
+            t.dir = DirState::Excl;
             t.owner = m.owner;
             t.sharers = 0;
         } else if (m.sharers) {
-            t.dir = DState::S;
+            t.dir = DirState::Shared;
             t.sharers = m.sharers;
             t.owner = none;
         } else {
-            t.dir = DState::U;
+            t.dir = DirState::Unowned;
             t.owner = none;
             t.sharers = 0;
         }
         if (m.requester != none) {
             // Re-handle the pending request that forced this.
             MMsg req;
-            req.type = m.acks ? MType::ReqX : MType::ReqS;
+            req.type = m.acks ? MsgType::ReqExcl : MsgType::ReqShared;
             req.requester = m.requester;
             req.seq = m.seq;
             if (!send(t, home, home, req))
@@ -954,8 +938,8 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
     const unsigned n = dst;
 
     switch (m.type) {
-      case MType::ReqS:
-      case MType::ReqX: {
+      case MsgType::ReqShared:
+      case MsgType::ReqExcl: {
         // Producer-table service (delegated home).
         if (!t.prodValid || t.prodNode != n)
             throw McError("request at node without producer entry");
@@ -964,13 +948,13 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
         // request parks in the producer's slot, a second NACKs.
         auto prodNackOrPark = [&](State &st) {
             if (_cfg.homeQueue && st.prodParkedType == 0) {
-                st.prodParkedType = m.type == MType::ReqS ? 1 : 2;
+                st.prodParkedType = m.type == MsgType::ReqShared ? 1 : 2;
                 st.prodParkedReq = static_cast<std::uint8_t>(r);
                 st.prodParkedSeq = m.seq;
                 return true;
             }
             MMsg nk;
-            nk.type = MType::Nack;
+            nk.type = MsgType::Nack;
             nk.seq = m.seq;
             return send(st, n, r, nk);
         };
@@ -979,7 +963,7 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
                 out.push_back(std::move(t));
             break;
         }
-        if (m.type == MType::ReqS) {
+        if (m.type == MsgType::ReqShared) {
             if (t.prodIsExcl) {
                 if (_cfg.updates && t.intervPending) {
                     if (prodNackOrPark(t))
@@ -987,8 +971,8 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
                     break;
                 }
                 // On-demand downgrade.
-                if (t.cache[n] == CState::M) {
-                    t.cache[n] = CState::S;
+                if (t.cache[n] == LineState::Modified) {
+                    t.cache[n] = LineState::Shared;
                     t.prodV = t.cacheV[n];
                 }
                 t.prodIsExcl = 0;
@@ -996,14 +980,14 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
             }
             t.prodSharers |= (1u << r);
             MMsg resp;
-            resp.type = MType::RespS;
+            resp.type = MsgType::RespSharedData;
             resp.version = t.prodV;
             resp.seq = m.seq;
             if (send(t, n, r, resp))
                 out.push_back(std::move(t));
             break;
         }
-        // ReqX.
+        // ReqExcl.
         if (r == n) {
             // Local write through the producer entry.
             if (t.prodIsExcl)
@@ -1014,7 +998,7 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
                 if (!(targets & (1u << c)))
                     continue;
                 MMsg iv;
-                iv.type = MType::Inval;
+                iv.type = MsgType::Inval;
                 iv.requester = static_cast<std::uint8_t>(n);
                 iv.version = t.prodV;
                 iv.seq = m.seq;
@@ -1024,7 +1008,7 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
                 break;
             t.prodIsExcl = 1;
             MMsg grant;
-            grant.type = MType::RespX;
+            grant.type = MsgType::RespExclData;
             grant.version = t.prodV;
             grant.acks = popcount(targets);
             grant.seq = m.seq;
@@ -1040,65 +1024,65 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
         break;
       }
 
-      case MType::Inval: {
+      case MsgType::Inval: {
         t.tombV[n] = std::max(t.tombV[n], m.version);
-        t.cache[n] = CState::I;
+        t.cache[n] = LineState::Invalid;
         t.racMask &= ~(1u << n);
         if (t.mshr[n] == 1)
             t.fillInval[n] = 1;
         MMsg ack;
-        ack.type = MType::InvalAck;
+        ack.type = MsgType::InvalAck;
         ack.seq = m.seq;
         if (send(t, n, m.requester, ack))
             out.push_back(std::move(t));
         break;
       }
 
-      case MType::IntervDown: {
-        if (t.mshr[n] == 2 || t.cache[n] == CState::I) {
+      case MsgType::IntervDowngrade: {
+        if (t.mshr[n] == 2 || t.cache[n] == LineState::Invalid) {
             MMsg nk;
-            nk.type = MType::IntervNack;
+            nk.type = MsgType::IntervNack;
             if (send(t, n, home, nk))
                 out.push_back(std::move(t));
             break;
         }
-        t.cache[n] = CState::S;
+        t.cache[n] = LineState::Shared;
         MMsg data;
-        data.type = MType::SharedResp;
+        data.type = MsgType::SharedResp;
         data.version = t.cacheV[n];
         data.seq = m.seq;
         MMsg wb;
-        wb.type = MType::Shwb;
+        wb.type = MsgType::SharedWriteback;
         wb.version = t.cacheV[n];
         if (send(t, n, m.requester, data) && send(t, n, home, wb))
             out.push_back(std::move(t));
         break;
       }
 
-      case MType::IntervXfer: {
-        if (t.mshr[n] == 2 || t.cache[n] == CState::I) {
+      case MsgType::IntervTransfer: {
+        if (t.mshr[n] == 2 || t.cache[n] == LineState::Invalid) {
             MMsg nk;
-            nk.type = MType::IntervNack;
+            nk.type = MsgType::IntervNack;
             if (send(t, n, home, nk))
                 out.push_back(std::move(t));
             break;
         }
         const std::uint8_t v = t.cacheV[n];
-        t.cache[n] = CState::I;
+        t.cache[n] = LineState::Invalid;
         t.racMask &= ~(1u << n);
         MMsg data;
-        data.type = MType::XferResp;
+        data.type = MsgType::ExclResp;
         data.version = v;
         data.seq = m.seq;
         MMsg ack;
-        ack.type = MType::XferAck;
+        ack.type = MsgType::TransferAck;
         if (send(t, n, m.requester, data) && send(t, n, home, ack))
             out.push_back(std::move(t));
         break;
       }
 
-      case MType::RespS:
-      case MType::SharedResp: {
+      case MsgType::RespSharedData:
+      case MsgType::SharedResp: {
         if (t.mshr[n] != 1 || m.seq != t.mshrSeq[n]) {
             out.push_back(std::move(t)); // stale: drop
             break;
@@ -1110,8 +1094,8 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
         break;
       }
 
-      case MType::RespX:
-      case MType::XferResp: {
+      case MsgType::RespExclData:
+      case MsgType::ExclResp: {
         if (t.mshr[n] != 2 || m.seq != t.mshrSeq[n]) {
             out.push_back(std::move(t));
             break;
@@ -1119,14 +1103,14 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
         t.mshrHaveData[n] = 1;
         t.mshrV[n] = m.version;
         t.mshrAcksNeed[n] =
-            m.type == MType::RespX ? static_cast<std::int8_t>(m.acks)
+            m.type == MsgType::RespExclData ? static_cast<std::int8_t>(m.acks)
                                    : 0;
         maybeComplete(t, n);
         out.push_back(std::move(t));
         break;
       }
 
-      case MType::InvalAck: {
+      case MsgType::InvalAck: {
         if (t.mshr[n] == 2 && m.seq == t.mshrSeq[n]) {
             ++t.mshrAcksGot[n];
             maybeComplete(t, n);
@@ -1135,7 +1119,7 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
         break;
       }
 
-      case MType::Nack: {
+      case MsgType::Nack: {
         if (!t.mshr[n] || m.seq != t.mshrSeq[n]) {
             out.push_back(std::move(t));
             break;
@@ -1151,7 +1135,7 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
             break;
         }
         MMsg req;
-        req.type = t.mshr[n] == 1 ? MType::ReqS : MType::ReqX;
+        req.type = requestOf(t.mshr[n]);
         req.requester = static_cast<std::uint8_t>(n);
         req.seq = t.mshrSeq[n]; // same transaction, same tag
         if (t.prodValid && t.prodNode == n) {
@@ -1170,13 +1154,13 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
         break;
       }
 
-      case MType::NackNotHome: {
+      case MsgType::NackNotHome: {
         if (!t.mshr[n] || m.seq != t.mshrSeq[n]) {
             out.push_back(std::move(t));
             break;
         }
         MMsg req;
-        req.type = t.mshr[n] == 1 ? MType::ReqS : MType::ReqX;
+        req.type = requestOf(t.mshr[n]);
         req.requester = static_cast<std::uint8_t>(n);
         req.seq = t.mshrSeq[n];
         if (send(t, n, home, req))
@@ -1184,7 +1168,7 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
         break;
       }
 
-      case MType::Delegate: {
+      case MsgType::Delegate: {
         t.prodValid = 1;
         t.prodNode = static_cast<std::uint8_t>(n);
         t.prodIsExcl = 0;
@@ -1198,7 +1182,7 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
                 if (!(targets & (1u << c)))
                     continue;
                 MMsg iv;
-                iv.type = MType::Inval;
+                iv.type = MsgType::Inval;
                 iv.requester = static_cast<std::uint8_t>(n);
                 iv.version = t.prodV;
                 iv.seq = m.seq;
@@ -1208,7 +1192,7 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
                 break;
             t.prodIsExcl = 1;
             MMsg grant;
-            grant.type = MType::RespX;
+            grant.type = MsgType::RespExclData;
             grant.version = t.prodV;
             grant.acks = popcount(targets);
             grant.seq = m.seq;
@@ -1220,7 +1204,7 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
         break;
       }
 
-      case MType::UpdGrant: {
+      case MsgType::UpdGrant: {
         if (t.mshr[n] != 2 || m.seq != t.mshrSeq[n]) {
             out.push_back(std::move(t)); // stale: drop
             break;
@@ -1236,7 +1220,7 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
                 std::to_string(t.curV));
         }
         ++t.curV;
-        t.cache[n] = CState::S;
+        t.cache[n] = LineState::Shared;
         t.cacheV[n] = t.curV;
         t.lastSeen[n] = t.curV;
         t.mshr[n] = 0;
@@ -1244,7 +1228,7 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
         t.mshrAcksNeed[n] = -1;
         t.mshrAcksGot[n] = 0;
         MMsg wb;
-        wb.type = MType::UpdateWB;
+        wb.type = MsgType::UpdateWB;
         wb.requester = static_cast<std::uint8_t>(n);
         wb.version = t.curV;
         if (send(t, n, home, wb))
@@ -1252,17 +1236,17 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
         break;
       }
 
-      case MType::Update: {
+      case MsgType::Update: {
         if (_cfg.writeUpdate) {
-            if (t.cache[n] != CState::I) {
+            if (t.cache[n] != LineState::Invalid) {
                 if (_cfg.adaptive) {
                     // Nondeterministic self-invalidation: leave the
                     // update stream (over-approximates the stale-
                     // update counter reaching its threshold).
                     State d = t;
-                    d.cache[n] = CState::I;
+                    d.cache[n] = LineState::Invalid;
                     MMsg drop;
-                    drop.type = MType::UpdDrop;
+                    drop.type = MsgType::UpdateDrop;
                     drop.requester = static_cast<std::uint8_t>(n);
                     if (send(d, n, home, drop))
                         out.push_back(std::move(d));
@@ -1297,7 +1281,7 @@ ProtocolModel::applyAtNode(State t, unsigned dst,
             out.push_back(std::move(t));
             break;
         }
-        if (t.mshr[n] == 2 || t.cache[n] != CState::I) {
+        if (t.mshr[n] == 2 || t.cache[n] != LineState::Invalid) {
             out.push_back(std::move(t));
             break;
         }
@@ -1317,29 +1301,29 @@ ProtocolModel::checkInvariants(const State &s) const
 {
     unsigned owners = 0;
     for (unsigned n = 0; n < _cfg.nodes; ++n) {
-        if (s.cache[n] == CState::M) {
+        if (s.cache[n] == LineState::Modified) {
             ++owners;
             if (s.cacheV[n] != s.curV)
                 throw McError("M copy is not the current version");
             for (unsigned m = 0; m < _cfg.nodes; ++m) {
-                if (m != n && s.cache[m] != CState::I)
+                if (m != n && s.cache[m] != LineState::Invalid)
                     throw McError("M coexists with another copy");
             }
             if (s.racMask)
                 throw McError("M coexists with a RAC copy");
         }
-        if (s.cache[n] == CState::S && s.cacheV[n] != s.curV) {
+        if (s.cache[n] == LineState::Shared && s.cacheV[n] != s.curV) {
             // Write-update sharers are refreshed asynchronously: a
             // stale copy is legal while the episode is still open
             // (BusyUpd) or while its refresh is still in flight.
             bool excused = false;
             if (_cfg.writeUpdate) {
-                if (s.dir == DState::BusyUpd)
+                if (s.dir == DirState::BusyUpd)
                     excused = true;
                 for (unsigned i = 0;
                      !excused && i < s.chanLen[_cfg.home][n]; ++i) {
                     const MMsg &m = s.chan[_cfg.home][n][i];
-                    if (m.type == MType::Update &&
+                    if (m.type == MsgType::Update &&
                         m.version > s.cacheV[n])
                         excused = true;
                 }
@@ -1355,13 +1339,13 @@ ProtocolModel::checkInvariants(const State &s) const
 
     // Directory consistency (outside transients, which are covered by
     // the Busy/Dele states).
-    if (s.dir == DState::U && !s.prodValid) {
+    if (s.dir == DirState::Unowned && !s.prodValid) {
         for (unsigned n = 0; n < _cfg.nodes; ++n) {
-            if (s.cache[n] != CState::I)
+            if (s.cache[n] != LineState::Invalid)
                 throw McError("holder under Unowned directory");
         }
     }
-    if (s.dir == DState::Dele) {
+    if (s.dir == DirState::Dele) {
         if (!s.prodValid) {
             // Legal transiently (Delegate or Undele in flight);
             // illegal when no such message exists.
@@ -1369,15 +1353,15 @@ ProtocolModel::checkInvariants(const State &s) const
             for (unsigned a = 0; a < _cfg.nodes; ++a) {
                 for (unsigned b = 0; b < _cfg.nodes; ++b) {
                     for (unsigned i = 0; i < s.chanLen[a][b]; ++i) {
-                        const MType ty = s.chan[a][b][i].type;
-                        if (ty == MType::Delegate ||
-                            ty == MType::Undele)
+                        const MsgType ty = s.chan[a][b][i].type;
+                        if (ty == MsgType::Delegate ||
+                            ty == MsgType::Undele)
                             in_flight = true;
                     }
                 }
             }
             if (!in_flight)
-                throw McError("DELE with no delegate and no handoff "
+                throw McError("Dele with no delegate and no handoff "
                               "in flight");
         }
     }
@@ -1395,15 +1379,12 @@ std::string
 ProtocolModel::describe(const State &s) const
 {
     std::ostringstream os;
-    os << "dir=" << static_cast<int>(s.dir)
+    os << "dir=" << dirStateName(s.dir)
        << " sharers=" << int(s.sharers) << " owner=" << int(s.owner)
        << " memV=" << int(s.memV) << " curV=" << int(s.curV)
        << " writesLeft=" << int(s.writesLeft) << "\n";
     for (unsigned n = 0; n < _cfg.nodes; ++n) {
-        os << "  node" << n << ": cache="
-           << (s.cache[n] == CState::I
-                   ? "I"
-                   : s.cache[n] == CState::S ? "S" : "M")
+        os << "  node" << n << ": cache=" << lineStateName(s.cache[n])
            << " v=" << int(s.cacheV[n]) << " mshr=" << int(s.mshr[n])
            << " readsLeft=" << int(s.readsLeft[n]) << "\n";
     }
@@ -1429,7 +1410,7 @@ ProtocolModel::describe(const State &s) const
             for (unsigned i = 0; i < s.chanLen[a][b]; ++i) {
                 const MMsg &m = s.chan[a][b][i];
                 os << "  msg " << a << "->" << b << " type="
-                   << mtypeName(m.type)
+                   << msgTypeName(m.type)
                    << " req=" << int(m.requester) << " v="
                    << int(m.version) << " acks=" << int(m.acks)
                    << " seq=" << int(m.seq) << "\n";
@@ -1495,7 +1476,7 @@ ProtocolModel::blockedSummary(const State &s) const
             os << "\n  " << a << "->" << b << ": "
                << int(s.chanLen[a][b]) << "/" << chanDepth << " [";
             for (unsigned i = 0; i < s.chanLen[a][b]; ++i) {
-                os << mtypeName(s.chan[a][b][i].type)
+                os << msgTypeName(s.chan[a][b][i].type)
                    << (i + 1 < s.chanLen[a][b] ? ", " : "");
             }
             os << "]";

@@ -10,6 +10,11 @@
  * be switched on and off so the base protocol and each extension are
  * verified separately.
  *
+ * The model speaks the simulator's vocabulary: its messages are
+ * MsgTypes (ReqExcl also stands for ReqUpgrade), its caches hold
+ * Invalid, Shared or Modified LineStates and its home a DirState, so
+ * the lint cross-check reads its transitions in the spec's encoding.
+ *
  * Invariants checked at every reachable state:
  *  - single writer: at most one M copy, and no other readable copy
  *    coexists with it once its write has performed,
@@ -30,8 +35,11 @@
 #include <string>
 #include <vector>
 
+#include "src/cache/line_state.hh"
 #include "src/mc/explorer.hh"
-#include "src/mc/mtype.hh"
+#include "src/mem/directory.hh"
+#include "src/net/message.hh"
+#include "src/verify/spec.hh"
 
 namespace pcsim
 {
@@ -41,25 +49,22 @@ namespace mc
 constexpr unsigned maxNodes = 4;
 constexpr unsigned chanDepth = 4;
 
-/** Abstract cache state. */
-enum class CState : std::uint8_t { I, S, M };
-
-/** Abstract directory state. */
-enum class DState : std::uint8_t
+/** True for the message types the model carries. It never sends
+ *  the other four: WritebackM and WritebackAck (nothing is evicted),
+ *  RespUpgradeAck (a write from SHARED sends ReqExcl, which stands
+ *  for ReqUpgrade too, so that counts as carried) and HomeHint (a
+ *  requester picks the delegate nondeterministically instead). */
+constexpr bool
+modelCarries(MsgType t)
 {
-    U,
-    S,
-    E,
-    BusyR,
-    BusyE,
-    Dele,
-    BusyUpd, ///< write-update episode open (value matches DirState)
-};
+    return t != MsgType::WritebackM && t != MsgType::RespUpgradeAck &&
+           t != MsgType::WritebackAck && t != MsgType::HomeHint;
+}
 
 /** An abstract in-flight message. */
 struct MMsg
 {
-    MType type{};
+    MsgType type{};
     std::uint8_t requester = 0;
     std::uint8_t version = 0;
     std::uint8_t acks = 0;
@@ -96,8 +101,8 @@ struct ModelConfig
      *  refreshed in place; mutually exclusive with delegation. */
     bool writeUpdate = false;
     /** Adaptive hybrid on top of writeUpdate: a sharer receiving a
-     *  push may nondeterministically self-invalidate and UpdDrop,
-     *  which over-approximates the stale-update counter. */
+     *  push may nondeterministically self-invalidate and send
+     *  UpdateDrop, which over-approximates the stale-update counter. */
     bool adaptive = false;
     /** Seeded defect for the liveness lint's golden tests: the home
      *  consumes UpdateWB without closing the BusyUpd episode, so every
@@ -117,23 +122,18 @@ struct ModelConfig
 /**
  * Observer of abstract-model FSM transitions, used by the lint pass
  * to cross-check the declarative transition spec against the model's
- * reachable transition relation. Controllers are numbered 0 cache,
- * 1 directory, 2 producer; events are raw MType values or the
- * synthetic codes below; states are raw CState / DState values, and
- * 0 none / 1 shared / 2 exclusive for the producer table.
+ * reachable transition relation. Transitions arrive in the spec's own
+ * encoding (src/verify/spec.hh): LineState and DirState values, the
+ * producer table as prodNone / prodShared / prodExcl, and delivered
+ * messages as eventOf(type).
  */
 class TransitionListener
 {
   public:
     virtual ~TransitionListener() = default;
-    virtual void onTransition(int ctrl, int pre, int event,
-                              int post) = 0;
-
-    // Synthetic events with no MType (values clear of any MType).
-    static constexpr int evLocalDowngrade = 64;
-    static constexpr int evDelayedInterv = 65;
-    static constexpr int evCpuLoad = 66;
-    static constexpr int evCpuStore = 67;
+    virtual void onTransition(verify::Ctrl ctrl, verify::StateId pre,
+                              verify::PEvent event,
+                              verify::StateId post) = 0;
 };
 
 /** The abstract protocol model (see file header). */
@@ -143,7 +143,7 @@ class ProtocolModel
     struct State
     {
         // Per node.
-        std::array<CState, maxNodes> cache{};
+        std::array<LineState, maxNodes> cache{};
         std::array<std::uint8_t, maxNodes> cacheV{};
         // MSHR: 0 none, 1 read pending, 2 write pending.
         std::array<std::uint8_t, maxNodes> mshr{};
@@ -161,7 +161,7 @@ class ProtocolModel
         std::array<std::uint8_t, maxNodes> mshrSeq{};
 
         // Home directory.
-        DState dir = DState::U;
+        DirState dir = DirState::Unowned;
         std::uint8_t sharers = 0;
         std::uint8_t owner = 0xf;
         std::uint8_t pendReq = 0xf;
@@ -178,8 +178,8 @@ class ProtocolModel
         std::uint8_t prodV = 0;
         std::uint8_t intervPending = 0;
 
-        // Parked-request slots (homeQueue only): 0 none, 1 ReqS,
-        // 2 ReqX, for the home directory and the producer table.
+        // Parked-request slots (homeQueue only): 0 none, 1 ReqShared,
+        // 2 ReqExcl, for the home directory and the producer table.
         std::uint8_t parkedType = 0;
         std::uint8_t parkedReq = 0xf;
         std::uint8_t parkedSeq = 0;

@@ -120,20 +120,23 @@ lintUnreachable(const TransitionSpec &spec, LintReport &r)
 
 // --- Pass 4: model cross-check --------------------------------------
 
-/** Collects the distinct transitions the abstract model takes. */
+/** Collects the distinct transitions the abstract model takes, each
+ *  with the first configuration that took it. */
 class TupleCollector : public mc::TransitionListener
 {
   public:
+    std::string config; ///< credited with the tuples reported now
+    std::map<std::uint32_t, std::string> observed; // tuple -> config
+
     void
-    onTransition(int ctrl, int pre, int event, int post) override
+    onTransition(Ctrl c, StateId pre, PEvent event,
+                 StateId post) override
     {
-        _seen.insert(encodeTuple(ctrl, pre, event, post));
+        observed.try_emplace(
+            encodeTuple(static_cast<unsigned>(c), pre,
+                        static_cast<unsigned>(event), post),
+            config);
     }
-
-    const std::set<std::uint32_t> &seen() const { return _seen; }
-
-  private:
-    std::set<std::uint32_t> _seen;
 };
 
 void
@@ -142,10 +145,10 @@ lintModelCrossCheck(const TransitionSpec &spec, McCheckSet set,
 {
     // The configuration family is shared with the liveness pass (see
     // src/verify/liveness.hh) so both verify the same models.
-    std::map<std::uint32_t, std::string> observed; // tuple -> config
+    TupleCollector collector;
     for (const NamedModelConfig &mcfg : modelConfigsFor(set)) {
         mc::ProtocolModel model(mcfg.cfg);
-        TupleCollector collector;
+        collector.config = mcfg.name;
         model.setListener(&collector);
         try {
             r.mcStates += modelCheck(model).statesExplored;
@@ -156,56 +159,37 @@ lintModelCrossCheck(const TransitionSpec &spec, McCheckSet set,
             continue;
         }
         ++r.mcConfigs;
-        for (std::uint32_t t : collector.seen()) {
-            if (!observed.count(t))
-                observed[t] = mcfg.name;
-        }
     }
-    r.mcObserved = observed.size();
+    r.mcObserved = collector.observed.size();
 
-    for (const auto &[tuple, config] : observed) {
-        const unsigned ctrl = (tuple >> 24) & 0xff;
-        const unsigned pre = (tuple >> 16) & 0xff;
-        const unsigned ev = (tuple >> 8) & 0xff;
-        const unsigned post = tuple & 0xff;
+    for (const auto &[tuple, config] : collector.observed) {
+        const Ctrl c = static_cast<Ctrl>(tuple >> 24);
+        const StateId pre = (tuple >> 16) & 0xff;
+        const PEvent ev = static_cast<PEvent>((tuple >> 8) & 0xff);
+        const StateId post = tuple & 0xff;
 
-        const Ctrl c = static_cast<Ctrl>(ctrl);
-        StateId specPre, specPost;
-        PEvent specEv;
-        if (!mapMcState(ctrl, pre, specPre) ||
-            !mapMcState(ctrl, post, specPost) ||
-            !mapMcEvent(ev, specEv)) {
-            finding(r, "mc-mismatch", c, "", "",
-                    "unmappable model transition (ctrl " +
-                        std::to_string(ctrl) + ", pre " +
-                        std::to_string(pre) + ", event " +
-                        std::to_string(ev) + ", post " +
-                        std::to_string(post) + ")");
-            continue;
-        }
-
-        if (spec.isImpossible(c, specPre, specEv)) {
-            finding(r, "mc-mismatch", c,
-                    spec.stateName(c, specPre), eventName(specEv),
-                    std::string("model (") + config +
+        if (spec.isImpossible(c, pre, ev)) {
+            finding(r, "mc-mismatch", c, spec.stateName(c, pre),
+                    eventName(ev),
+                    "model (" + config +
                         ") exercises a pair the spec declares "
                         "impossible");
             continue;
         }
-        const TransitionRule *rule = spec.find(c, specPre, specEv);
+        const TransitionRule *rule = spec.find(c, pre, ev);
         if (!rule) {
-            finding(r, "mc-mismatch", c,
-                    spec.stateName(c, specPre), eventName(specEv),
-                    std::string("model (") + config +
+            finding(r, "mc-mismatch", c, spec.stateName(c, pre),
+                    eventName(ev),
+                    "model (" + config +
                         ") exercises a pair the spec has no rule "
                         "for");
             continue;
         }
-        if (!rule->allowsNext(specPost)) {
-            finding(r, "mc-mismatch", c,
-                    spec.stateName(c, specPre), eventName(specEv),
-                    std::string("model (") + config + ") reaches '" +
-                        spec.stateName(c, specPost) +
+        if (!rule->allowsNext(post)) {
+            finding(r, "mc-mismatch", c, spec.stateName(c, pre),
+                    eventName(ev),
+                    "model (" + config + ") reaches '" +
+                        spec.stateName(c, post) +
                         "', outside the rule's allowed set");
         }
     }

@@ -46,7 +46,7 @@ hopOps(const MState &a, const MState &b, unsigned nodes,
     if (a.writesLeft > b.writesLeft) {
         // Store hit on an M copy: performed in place, MSHR untouched.
         for (unsigned n = 0; n < nodes; ++n) {
-            if (b.cache[n] == mc::CState::M &&
+            if (b.cache[n] == LineState::Modified &&
                 b.cacheV[n] != a.cacheV[n]) {
                 ops.push_back({static_cast<std::uint8_t>(n), true});
                 return;
@@ -72,11 +72,11 @@ hopLabel(const MState &a, const MState &b, unsigned nodes)
             const unsigned la = a.chanLen[s][d], lb = b.chanLen[s][d];
             if (lb < la)
                 add(std::string("deliver ") +
-                    mc::mtypeName(a.chan[s][d][0].type) + " " +
+                    msgTypeName(a.chan[s][d][0].type) + " " +
                     std::to_string(s) + "->" + std::to_string(d));
             for (unsigned i = la; i < lb; ++i)
                 add(std::string("send ") +
-                    mc::mtypeName(b.chan[s][d][i].type) + " " +
+                    msgTypeName(b.chan[s][d][i].type) + " " +
                     std::to_string(s) + "->" + std::to_string(d));
         }
     }

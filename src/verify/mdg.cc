@@ -5,7 +5,6 @@
 #include <map>
 #include <set>
 
-#include "src/mc/mtype.hh"
 #include "src/mc/protocol_model.hh"
 
 namespace pcsim::verify
@@ -339,15 +338,8 @@ analyzeMdg(const TransitionSpec &spec)
     }
 
     // --- Types the abstract model does not carry --------------------
-    std::set<MsgType> modeled;
-    for (unsigned v = 0;
-         v < static_cast<unsigned>(mc::MType::NumMTypes); ++v)
-        modeled.insert(static_cast<MsgType>(static_cast<unsigned>(
-            eventOfMc(static_cast<mc::MType>(v)))));
-    // ReqUpgrade rides the model's collapsed ReqX (see kMcEventOf).
-    modeled.insert(MsgType::ReqUpgrade);
     for (MsgType t : r.messages)
-        if (!modeled.count(t))
+        if (!mc::modelCarries(t))
             r.unmodeled.push_back(t);
 
     return r;

@@ -140,19 +140,42 @@ TEST(Lint, DetectsUnreachableState)
 
 TEST(Lint, DetectsModelMismatch)
 {
-    TransitionSpec spec = buildProtocolSpec();
-    // Break the directory's ReqShared rule: pretend Unowned can only
-    // stay Unowned. The model takes Unowned -> Shared on the first
-    // read, which the cross-check must flag.
-    TransitionRule *rule =
-        spec.findMutable(Ctrl::Dir,
-                         static_cast<StateId>(DirState::Unowned),
-                         PEvent::ReqShared);
-    ASSERT_NE(rule, nullptr);
-    rule->next = {static_cast<StateId>(DirState::Unowned)};
-    ASSERT_TRUE(lintSpec(spec).clean()) << "defect must be mc-only";
-    const LintReport r = lintSpecWithModel(spec, McCheckSet::MesiDele);
-    EXPECT_TRUE(hasFinding(r, "mc-mismatch", "Unowned", "ReqShared"));
+    // Each defect narrows one rule to a next state the model never
+    // takes, keeping the static passes clean: the directory's first
+    // read (Unowned -> Shared), a store hit on a Modified copy and the
+    // delayed intervention of an exclusive producer entry (both
+    // downgrade). The model reports states in the spec's encoding, so
+    // each is flagged under its own state name.
+    struct Defect
+    {
+        Ctrl ctrl;
+        StateId state;
+        PEvent event;
+        StateId next;
+        const char *stateName;
+    };
+    const Defect defects[] = {
+        {Ctrl::Dir, static_cast<StateId>(DirState::Unowned),
+         PEvent::ReqShared, static_cast<StateId>(DirState::Unowned),
+         "Unowned"},
+        {Ctrl::Cache, static_cast<StateId>(LineState::Modified),
+         PEvent::CpuStore, static_cast<StateId>(LineState::Shared), "M"},
+        {Ctrl::Producer, prodExcl, PEvent::DelayedInterv, prodExcl,
+         "Excl"},
+    };
+    for (const Defect &d : defects) {
+        TransitionSpec spec = buildProtocolSpec();
+        TransitionRule *rule = spec.findMutable(d.ctrl, d.state, d.event);
+        ASSERT_NE(rule, nullptr) << d.stateName;
+        rule->next = {d.next};
+        ASSERT_TRUE(lintSpec(spec).clean())
+            << d.stateName << ": defect must be mc-only";
+        const LintReport r =
+            lintSpecWithModel(spec, McCheckSet::MesiDele);
+        EXPECT_TRUE(hasFinding(r, "mc-mismatch", d.stateName,
+                               eventName(d.event)))
+            << d.stateName;
+    }
 }
 
 TEST(Lint, CoverageFoldsObservedCounts)

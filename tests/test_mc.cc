@@ -309,6 +309,48 @@ TEST(ProtocolMc, UpdatesWithMoreReadsBounded)
     EXPECT_EQ(r.transitionsTaken, 2'267'926u);
 }
 
+TEST(ProtocolMc, CarriesExactlyTheTypesItSends)
+{
+    // modelCarries() is the vocabulary the mdg pass credits to the
+    // model: each type it names must sit in some reachable channel of
+    // the delegation+updates+queue or the adaptive-hybrid model, and
+    // each type found there must be named. ReqUpgrade is carried as
+    // ReqExcl, the model's one exclusive request.
+    ModelConfig dele;
+    dele.nodes = 3;
+    dele.maxWrites = 2;
+    dele.maxReads = 1;
+    dele.delegation = true;
+    dele.updates = true;
+    dele.homeQueue = true;
+    ModelConfig hybrid;
+    hybrid.nodes = 3;
+    hybrid.maxWrites = 2;
+    hybrid.maxReads = 1;
+    hybrid.writeUpdate = true;
+    hybrid.adaptive = true;
+
+    std::set<MsgType> sent;
+    for (const ModelConfig &cfg : {dele, hybrid}) {
+        const auto g = explore(ProtocolModel(cfg));
+        ASSERT_TRUE(g.completed);
+        for (const ProtocolModel::State &s : g.states)
+            for (unsigned a = 0; a < cfg.nodes; ++a)
+                for (unsigned b = 0; b < cfg.nodes; ++b)
+                    for (unsigned i = 0; i < s.chanLen[a][b]; ++i)
+                        sent.insert(s.chan[a][b][i].type);
+    }
+    EXPECT_FALSE(sent.count(MsgType::ReqUpgrade));
+    for (unsigned v = 0; v < unsigned(MsgType::NumMsgTypes); ++v) {
+        const auto t = static_cast<MsgType>(v);
+        if (std::string(msgTypeName(t)) == "Reserved")
+            continue; // 23..30 alias the spec's local events
+        EXPECT_EQ(modelCarries(t),
+                  sent.count(t) > 0 || t == MsgType::ReqUpgrade)
+            << msgTypeName(t);
+    }
+}
+
 // --- Systematic interleaving over the real implementation -----------
 
 TEST(ScheduleMc, BaseProtocolInterleavings)
