@@ -12,6 +12,18 @@ namespace pcsim
 namespace trace
 {
 
+void
+checkNodeCount(std::uint64_t nodes, const std::string &origin)
+{
+    if (nodes == 0)
+        throw TraceError(origin + ": header nodeCount is zero");
+    if (nodes > ProtocolConfig::maxNodes)
+        throw TraceError(origin + ": header nodeCount " +
+                         std::to_string(nodes) + " exceeds " +
+                         std::to_string(ProtocolConfig::maxNodes) +
+                         " nodes");
+}
+
 namespace
 {
 
@@ -135,20 +147,6 @@ encodeKind(MemOp::Kind k, const std::string &origin)
     }
     throw TraceError(origin + ": unencodable op kind " +
                      std::to_string(static_cast<unsigned>(k)));
-}
-
-/** Throw unless 0 < @p nodes <= ProtocolConfig::maxNodes: the node
- *  counts that the writer writes and the reader reads. */
-void
-checkNodeCount(std::uint32_t nodes, const std::string &origin)
-{
-    if (nodes == 0)
-        throw TraceError(origin + ": header nodeCount is zero");
-    if (nodes > ProtocolConfig::maxNodes)
-        throw TraceError(origin + ": header nodeCount " +
-                         std::to_string(nodes) + " exceeds " +
-                         std::to_string(ProtocolConfig::maxNodes) +
-                         " nodes");
 }
 
 using Streams = std::vector<const std::vector<MemOp> *>;

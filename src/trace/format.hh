@@ -97,6 +97,11 @@ struct TraceMeta
     std::string config;
 };
 
+/** Throw unless 0 < @p nodes <= ProtocolConfig::maxNodes, the node
+ *  counts a trace may carry; @p origin names the source in the
+ *  message. The encoder, the decoder and the text ingester apply it. */
+void checkNodeCount(std::uint64_t nodes, const std::string &origin);
+
 /** A fully-decoded trace: header plus one op stream per node. */
 struct TraceData
 {

@@ -118,6 +118,7 @@ ingestTextTraces(const std::vector<std::string> &paths,
 {
     if (paths.empty())
         throw TraceError("ingest: no trace files given");
+    checkNodeCount(paths.size(), "ingest");
     TraceData data;
     data.meta.nodeCount = static_cast<std::uint32_t>(paths.size());
     data.meta.lineBytes = line_bytes;

@@ -41,7 +41,9 @@ namespace trace
  * @param line_bytes coherence granularity recorded in the meta.
  * @throws TraceError naming file and 1-based line on malformed input
  *         (unknown label, bad hex value, an address of 2^56 or more,
- *         trailing garbage), or on an unreadable file.
+ *         trailing garbage), or on an unreadable file; before any
+ *         file is read, when @p paths holds more files than
+ *         ProtocolConfig::maxNodes.
  */
 TraceData ingestTextTraces(const std::vector<std::string> &paths,
                            const std::string &workload_name = "ingest",

@@ -394,6 +394,23 @@ TEST(TextIngest, AcceptsThePayloadLimits)
     EXPECT_EQ(ops[2].cycles(), 0xFFFFFFFFu);
 }
 
+TEST(TextIngest, NodeBoundFailsBeforeAnyFileIsRead)
+{
+    // One file per node: a path list longer than the largest machine
+    // fails on its length, before the first (missing) file is opened.
+    std::vector<std::string> paths;
+    for (unsigned i = 0; i <= ProtocolConfig::maxNodes; ++i)
+        paths.push_back(testing::TempDir() + "pcsim_missing_core" +
+                        std::to_string(i) + ".data");
+    try {
+        trace::ingestTextTraces(paths);
+        FAIL() << "ingested " << paths.size() << " paths";
+    } catch (const trace::TraceError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "ingest: header nodeCount 4097 exceeds 4096 nodes");
+    }
+}
+
 TEST(TextIngest, GoldenFilesIngestAndRun)
 {
     const std::string dir =
