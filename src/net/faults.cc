@@ -218,23 +218,4 @@ FaultPlan::dirWaysLimit(NodeId node, Tick now) const
                : 0;
 }
 
-std::string
-FaultPlan::describe() const
-{
-    unsigned stalled = 0;
-    for (std::uint8_t s : _stalled)
-        stalled += s;
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "faults: gray=%.0f%%/+%llu stallNodes=%u/%u "
-                  "hotspot=%d/+%llu dirWays=%u",
-                  _cfg.grayLinkFraction * 100.0,
-                  (unsigned long long)_cfg.grayExtraLatency, stalled,
-                  _numNodes,
-                  _hotspot == invalidNode ? -1 : int(_hotspot),
-                  (unsigned long long)_cfg.hotspotExtraLatency,
-                  _cfg.dirPressureWays);
-    return buf;
-}
-
 } // namespace pcsim

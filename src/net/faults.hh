@@ -136,9 +136,6 @@ class FaultPlan
     /** Is the ordered link (src,dst) gray? */
     bool linkIsGray(NodeId src, NodeId dst) const;
 
-    /** One-line human-readable summary for logs. */
-    std::string describe() const;
-
   private:
     static bool inWindow(Tick now, Tick phase, Tick period,
                          Tick duration);
