@@ -140,12 +140,13 @@ TEST(Lint, DetectsUnreachableState)
 
 TEST(Lint, DetectsModelMismatch)
 {
-    // Each defect narrows one rule to a next state the model never
-    // takes, keeping the static passes clean: the directory's first
-    // read (Unowned -> Shared), a store hit on a Modified copy and the
-    // delayed intervention of an exclusive producer entry (both
-    // downgrade). The model reports states in the spec's encoding, so
-    // each is flagged under its own state name.
+    // Each defect narrows one rule so that it no longer admits the
+    // next state the model takes, keeping the static passes clean: the
+    // directory's first read (the model goes Unowned -> Shared), a
+    // store hit on a Modified copy (stays Modified) and an exclusive
+    // producer's delayed intervention (downgrades to Shared). The model
+    // reports states in the spec's encoding, so each is flagged under
+    // its own state name.
     struct Defect
     {
         Ctrl ctrl;
