@@ -126,13 +126,8 @@ Network::sendAcquired(Message *pm)
     _stats.numBytes += bytes;
     ++_stats.perType[static_cast<std::size_t>(msg.type)];
 
-    Arrival a;
-    a.arrive = arrive;
-    a.key = (std::uint64_t(src) << 40) | seq;
-    a.pm = pm;
-    a.faultDelay = fault_delay;
-    a.data = data;
-    insertArrival(dst, a);
+    insertArrival(dst, Arrival{arrive, (std::uint64_t(src) << 40) | seq,
+                               pm, fault_delay, data, 0, 0});
 }
 
 void
@@ -154,7 +149,7 @@ Network::Port::reserveOne()
 }
 
 void
-Network::insertArrival(NodeId dst, const Arrival &a)
+Network::insertArrival(NodeId dst, Arrival a)
 {
     Port &p = _ports[dst];
     if (p.size == p.cap)
@@ -167,60 +162,86 @@ Network::insertArrival(NodeId dst, const Arrival &a)
         run[i] = run[i - 1];
         --i;
     }
-    run[i] = a;
     ++p.size;
-    // One phase-0 drain per distinct (node, arrival tick), so the
-    // event count is a function of content, never of insertion order.
-    // Same-tick entries are adjacent: a drain is already armed iff a
-    // neighbour shares the tick.
-    const bool armed = (i > p.head && run[i - 1].arrive == a.arrive) ||
-                       (i + 1 < p.size && run[i + 1].arrive == a.arrive);
-    if (!armed)
-        _eq.schedulePhase0(a.arrive, [this, dst]() { drainArrivals(dst); });
+    // Same-tick entries are adjacent and share their group's rank; a
+    // new (node, arrival tick) group takes the next one.
+    if (i > p.head && run[i - 1].arrive == a.arrive)
+        a.rank = run[i - 1].rank;
+    else if (i + 1 < p.size && run[i + 1].arrive == a.arrive)
+        a.rank = run[i + 1].rank;
+    else
+        a.rank = _nextRank++;
+    a.deliver = book(dst, a, i > p.head ? run[i - 1].deliver
+                                        : p.ingressFree);
+    run[i] = a;
+    Message *pm = a.pm;
+    _eq.scheduleAt(a.deliver,
+                   {EventQueue::appendKey(a.arrive, true), a.rank},
+                   [this, dst, pm]() { deliverArrival(dst, pm); });
+    // Filed ahead of later arrivals: push their bookings back until
+    // one stays put (every later one then does too).
+    Tick free = a.deliver;
+    for (std::uint32_t j = i + 1; j < p.size; ++j) {
+        const Tick d = book(dst, run[j], free);
+        if (d == run[j].deliver)
+            break;
+        run[j].deliver = free = d;
+    }
+}
+
+Tick
+Network::book(NodeId dst, const Arrival &e, Tick free) const
+{
+    // Serialize ejection at the destination NI (also stallable) in
+    // (arrive, src, seq) order.
+    Tick eject = std::max(e.arrive, free);
+    if (_faults)
+        eject = _faults->stallClearTick(dst, eject);
+    return eject + _niOccupancy[e.data];
 }
 
 void
-Network::drainArrivals(NodeId dst)
+Network::deliverArrival(NodeId dst, Message *pm)
 {
     Port &p = _ports[dst];
     const Tick now = _eq.curTick();
     const Arrival *run = p.run.get();
-    if (p.head == p.size || run[p.head].arrive != now)
-        panic("network: node %u drains at %llu without an arrival", dst,
+    std::uint32_t i = p.head;
+    while (i < p.size && run[i].pm != pm)
+        ++i;
+    if (i == p.size)
+        panic("network: node %u delivers an unfiled message at %llu", dst,
+              (unsigned long long)now);
+    const Arrival &e = run[i];
+    if (e.deliver > now) {
+        // Re-booked behind an arrival filed ahead of it: the same
+        // position, at the booked tick.
+        _eq.scheduleAt(e.deliver, _eq.executing(),
+                       [this, dst, pm]() { deliverArrival(dst, pm); });
+        return;
+    }
+    if (i != p.head || e.deliver != now)
+        panic("network: node %u delivers out of order at %llu", dst,
               (unsigned long long)now);
     MessageHandler *handler = p.handler;
     if (!handler)
         panic("send: no handler registered for node %u", dst);
-    do {
-        const Arrival &e = run[p.head++];
-
-        // Serialize ejection at the destination NI (also stallable)
-        // in (arrive, src, seq) order -- the content order, however
-        // the sends interleaved.
-        const Tick occupancy = _niOccupancy[e.data];
-        Tick eject = std::max(now, p.ingressFree);
+    if (e.arrive >= _statsFrom) {
         Tick fault_delay = e.faultDelay;
         if (_faults) {
-            const Tick clear = _faults->stallClearTick(dst, eject);
-            fault_delay += clear - eject;
-            eject = clear;
+            const Tick eject = std::max(e.arrive, p.ingressFree);
+            fault_delay += _faults->stallClearTick(dst, eject) - eject;
         }
-        const Tick deliver = eject + occupancy;
-        p.ingressFree = deliver;
-
         if (fault_delay) {
             ++_stats.faultDelayed;
             _stats.faultExtraTicks += fault_delay;
         }
-
-        Message *pm = e.pm;
-        _eq.schedule(deliver, [this, handler, pm]() {
-            handler->handleMessage(*pm);
-            releaseMessage(pm);
-        });
-    } while (p.head < p.size && run[p.head].arrive == now);
-    if (p.head == p.size)
+    }
+    p.ingressFree = now;
+    if (++p.head == p.size)
         p.head = p.size = 0;
+    handler->handleMessage(*pm);
+    releaseMessage(pm);
 }
 
 } // namespace pcsim

@@ -16,15 +16,19 @@
  *
  * Timing model: injection is booked at the source NI when the message
  * is sent; the in-flight message is then filed in the destination
- * port's arrival run, kept sorted by (arrive, src, seq), and ejection
- * is booked when the destination's phase-0 "drain" event runs at the
- * arrival tick. Ejection booking therefore depends only on the
+ * port's arrival run, kept sorted by (arrive, src, seq), and its
+ * ejection is booked there at once, behind the entry before it. A
+ * later send that arrives earlier is filed ahead and re-books the
+ * entries behind it, so each booking depends only on the
  * *content-ordered* arrival sequence at that node -- never on the
- * order in which same-tick sends happened to execute.
+ * order in which same-tick sends happened to execute. Each message
+ * costs one delivery event, placed at the start of its arrival tick
+ * (EventQueue::scheduleAt); a delivery whose booking moved later
+ * re-files itself there.
  *
  * Per-node NI state lives in one cache-line-aligned Port record; see
  * DESIGN.md, "Hot-path data structures", for the port layout, the
- * sorted arrival run and its armed-iff-live drain invariant.
+ * sorted arrival run and its booking rule.
  */
 
 #ifndef PCSIM_NET_NETWORK_HH
@@ -145,11 +149,20 @@ class Network : public SimObject
     }
     /// @}
 
-    void resetStats() { _stats = Stats{}; }
+    /** Zero the traffic counters at the stats-reset @p boundary
+     *  (between events: every event before it has run, none at or
+     *  after it). Fault delay is counted at delivery, for messages
+     *  arriving at or after the boundary. */
+    void
+    resetStats(Tick boundary)
+    {
+        _stats = Stats{};
+        _statsFrom = boundary;
+    }
 
   private:
     /** One remote message in flight between injection and ejection,
-     *  filed in its destination port's arrival run (32 bytes). */
+     *  filed in its destination port's arrival run (48 bytes). */
     struct Arrival
     {
         Tick arrive;
@@ -162,6 +175,11 @@ class Network : public SimObject
         Tick faultDelay : 63;
         /** Packet class, indexing _niOccupancy: 1 = data-carrying. */
         Tick data : 1;
+        /** Booked delivery tick: ejection ends here. */
+        Tick deliver;
+        /** Send-order rank of this (node, arrive) group's first
+         *  arrival: the delivery's same-tick tie-break. */
+        std::uint64_t rank;
 
         /** Sorts after @p o in (arrive, src, seq) order. */
         bool
@@ -170,23 +188,25 @@ class Network : public SimObject
             return arrive != o.arrive ? arrive > o.arrive : key > o.key;
         }
     };
-    static_assert(sizeof(Arrival) == 32, "arrival entries are 32 bytes");
+    static_assert(sizeof(Arrival) == 48, "arrival entries are 48 bytes");
 
     /**
      * One node's network interface. The first cache line holds
-     * everything a send or a drain touches, and the alignment keeps
-     * neighbouring nodes' ports out of each other's lines.
+     * everything a send or a delivery touches, and the alignment
+     * keeps neighbouring nodes' ports out of each other's lines.
      *
-     * The arrival run holds the in-flight arrivals at this node in
+     * The arrival run holds the undelivered arrivals at this node in
      * run[head, size), sorted by (arrive, src, seq); run[0, head) is
-     * the consumed prefix. A drain is armed for tick T exactly when a
-     * live entry has arrive == T.
+     * the consumed prefix. Each entry's booked delivery tick follows
+     * from the one before it (from ingressFree at the head), so the
+     * ticks strictly increase along the run and the head is always
+     * the next message to eject.
      */
     struct alignas(64) Port
     {
         MessageHandler *handler = nullptr;
         /** NI next-free ticks (egress = injection, ingress =
-         *  ejection). */
+         *  ejection: the last delivered message's tick). */
         Tick egressFree = 0;
         Tick ingressFree = 0;
         /** Last per-source sequence number (ids are (src, seq), so
@@ -219,8 +239,10 @@ class Network : public SimObject
             perType{};
     };
 
-    void insertArrival(NodeId dst, const Arrival &a);
-    void drainArrivals(NodeId dst);
+    void insertArrival(NodeId dst, Arrival a);
+    /** Delivery tick of @p e when the NI frees at @p free. */
+    Tick book(NodeId dst, const Arrival &e, Tick free) const;
+    void deliverArrival(NodeId dst, Message *pm);
 
     NetworkConfig _cfg;
     FatTreeTopology _topo;
@@ -234,6 +256,11 @@ class Network : public SimObject
     bool _fifoClamp = false;
 
     Stats _stats;
+    /** First arrival tick whose fault delay counts (resetStats). */
+    Tick _statsFrom = 0;
+    /** Next (node, arrive) group's rank: one per group, in send
+     *  order, so same-tick deliveries keep a content order. */
+    std::uint64_t _nextRank = 0;
 
     const FaultPlan *_faults = nullptr;
 

@@ -70,7 +70,7 @@ CoherenceChecker::storePerformed(NodeId node, Addr line,
     }
 
     const Version nv = _authority.bump(line);
-    _lastSeen[key(node, line)] = nv;
+    *_lastSeen.tryEmplace(key(node, line)).first = nv;
     return nv;
 }
 
@@ -87,7 +87,7 @@ CoherenceChecker::loadPerformed(NodeId node, Addr line, Version version)
                   "load from the future: read version %u, current %u",
                   version, cur);
     }
-    auto &seen = _lastSeen[key(node, line)];
+    Version &seen = *_lastSeen.tryEmplace(key(node, line)).first;
     if (version < seen) {
         violation(node, line,
                   "non-monotonic read: read version %u after having "

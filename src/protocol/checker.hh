@@ -23,7 +23,6 @@
 #define PCSIM_PROTOCOL_CHECKER_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cache/line_state.hh"
@@ -160,7 +159,7 @@ class CoherenceChecker
     std::vector<CheckerNodeView *> _nodes;
     VersionAuthority _authority;
     /** Monotonic-read tracking: (node, line) -> last observed. */
-    mutable std::unordered_map<std::uint64_t, Version> _lastSeen;
+    FlatMap<std::uint64_t, Version> _lastSeen;
     mutable std::uint64_t _numChecks = 0;
 
     static std::uint64_t

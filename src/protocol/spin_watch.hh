@@ -71,7 +71,7 @@ class SpinWatch
      *  as credited from now on (the generation-1 stats reset). */
     std::uint64_t settle(Tick boundary);
 
-    /** Stop the chain at the executing normal-phase event (@p now,
+    /** Stop the chain at the executing event (@p now,
      *  @p executing) and disarm. */
     Resume wake(Tick now, EventOrder executing);
 

@@ -2,29 +2,31 @@
  * @file
  * Discrete event simulation kernel.
  *
- * The EventQueue executes callbacks in (tick, sequence) order:
- * sequence numbers break same-tick ties in schedule order, so a
+ * The EventQueue executes callbacks in (tick, order, sequence)
+ * order: sequence numbers break exact ties in schedule order, so a
  * simulation run is fully reproducible for a given seed.
  *
  * Same-tick order is also explicit. Every event carries an
- * EventOrder: the append key (2 * tick + phase) of the event that
- * scheduled it, and that event's own key. Events are scheduled in
- * execution order, so each tick's list is sorted by EventOrder and
- * schedule order breaks only exact ties; scheduleAsIf() uses this to
- * insert an event at the position it would hold had some earlier,
- * elided event scheduled it (barrier-spin fast-forward, see
- * src/protocol/spin_watch.hh).
+ * EventOrder: the append key (2 * tick + 1) of the event that
+ * scheduled it, and that event's own key. Each tick's list is kept
+ * sorted by EventOrder, and schedule order breaks only exact ties.
+ * Events scheduled by running events arrive in that order anyway;
+ * scheduleAt() and scheduleAsIf() name a position instead: the
+ * network books a delivery at its arrival's tick-start position when
+ * the message is sent (src/net/network.hh), and the barrier-spin
+ * fast-forward re-inserts an elided event where its elided scheduler
+ * would have put it (src/protocol/spin_watch.hh).
  *
  * Internals (see DESIGN.md, "Simulation kernel internals"): the queue
  * is a two-level calendar. Events less than 4096 ticks ahead of the
- * current tick land in a ring of per-tick FIFO lists of pooled event
- * nodes (append = schedule order, so same-tick FIFO is structural);
- * the horizon rolls with the current tick. Rarer far-future events
- * wait in a (tick, order, seq)-ordered binary heap and migrate into
- * the ring as soon as the current tick brings them inside the
- * horizon. A callback is constructed in place inside a recycled node
- * and never moves afterwards, so the common scheduleIn(delta, lambda)
- * path performs zero heap allocations and reuses cache-warm storage.
+ * current tick land in a ring of per-tick lists of pooled event
+ * nodes, sorted by order with FIFO ties; the horizon rolls with the
+ * current tick. Rarer far-future events wait in a (tick, order,
+ * seq)-ordered binary heap and migrate into the ring as soon as the
+ * current tick brings them inside the horizon. A callback is
+ * constructed in place inside a recycled node and never moves
+ * afterwards, so the common scheduleIn(delta, lambda) path performs
+ * zero heap allocations and reuses cache-warm storage.
  */
 
 #ifndef PCSIM_SIM_EVENT_QUEUE_HH
@@ -65,10 +67,12 @@ struct EventQueueStats
 
 /**
  * Same-tick position of an event. @c key is the append key
- * (2 * tick + phase, phase 0 for tick-start events and 1 for normal
- * ones) of the event that scheduled it; @c parent is that event's own
- * key. Within one tick and phase, events execute in ascending
- * (key, parent) order, and in schedule order on exact ties.
+ * (2 * tick + 1) of the event that scheduled it; @c parent is that
+ * event's own key. Within one tick, events execute in ascending
+ * (key, parent) order, and in schedule order on exact ties. An even
+ * key 2 * tick names the start of that tick: it sorts after every
+ * event scheduled before the tick and before every event scheduled
+ * at it (network deliveries, see EventQueue::scheduleAt).
  */
 struct EventOrder
 {
@@ -82,8 +86,8 @@ struct EventOrder
  * The central simulation event queue.
  *
  * Components schedule closures at absolute or relative ticks; run()
- * drains the queue in (tick, sequence) order until it is empty, a
- * stop condition triggers, or a tick limit is reached.
+ * drains the queue in (tick, order, sequence) order until it is
+ * empty, a stop condition triggers, or a tick limit is reached.
  */
 class EventQueue
 {
@@ -108,21 +112,36 @@ class EventQueue
     void
     schedule(Tick when, F &&f)
     {
-        scheduleImpl(when, std::forward<F>(f), false);
+        if (when < _curTick)
+            panic("scheduling event in the past (%llu < %llu)",
+                  (unsigned long long)when, (unsigned long long)_curTick);
+        EventNode *n = allocNode();
+        emplace(n, std::forward<F>(f));
+        n->order = childOrder();
+        insert(when, n);
     }
 
     /**
-     * Schedule @p f at tick @p when, ahead of every normal event at
-     * that tick. Phase-0 events model "the tick begins" work (the
-     * network's arrival drains) whose results must be visible to all
-     * same-tick protocol events regardless of schedule order; within
-     * the phase they keep FIFO schedule order like normal events.
+     * Schedule @p f at future tick @p when with the explicit same-tick
+     * position @p order: it runs after every event at @p when whose
+     * order is <= @p order, and before every event whose order is
+     * greater, whenever those were scheduled. The network books each
+     * delivery this way when its message is sent, at
+     * {appendKey(arrive, true), rank}. Panics unless @p when lies
+     * after the current tick.
      */
     template <typename F>
     void
-    schedulePhase0(Tick when, F &&f)
+    scheduleAt(Tick when, EventOrder order, F &&f)
     {
-        scheduleImpl(when, std::forward<F>(f), true);
+        if (when <= _curTick)
+            panic("scheduleAt: tick %llu is not after the current tick "
+                  "%llu",
+                  (unsigned long long)when, (unsigned long long)_curTick);
+        EventNode *n = allocNode();
+        emplace(n, std::forward<F>(f));
+        n->order = order;
+        insert(when, n);
     }
 
     /** Schedule callable @p f @p delta ticks from now. */
@@ -133,12 +152,13 @@ class EventQueue
         schedule(_curTick + delta, std::forward<F>(f));
     }
 
-    /** Append key of a tick and phase: the EventOrder::key an event
-     *  scheduled by an event at that position carries. */
+    /** Append key of @p tick: the EventOrder::key an event scheduled
+     *  by an event at that tick carries (odd), or with @p tick_start
+     *  the even key of the tick's start, which sorts before those. */
     static constexpr std::uint64_t
-    appendKey(Tick tick, bool phase0)
+    appendKey(Tick tick, bool tick_start)
     {
-        return 2 * tick + (phase0 ? 0 : 1);
+        return 2 * tick + (tick_start ? 0 : 1);
     }
 
     /** Order of the event now executing (of the last one executed,
@@ -149,25 +169,25 @@ class EventQueue
     EventOrder
     childOrder() const
     {
-        return {appendKey(_curTick, _curPhase0), _curOrder.key};
+        return {appendKey(_curTick, false), _curOrder.key};
     }
 
     /**
-     * Schedule normal-phase callable @p f at tick @p when as if an
-     * event at @p order had scheduled it: it runs after every event
-     * at @p when whose order is <= @p order and before every event
-     * whose order is greater. Replaying a chain of elided events
-     * this way puts its next real event exactly where the chain
-     * would have. The position must lie after the executing event,
-     * and @p order must be no later than childOrder(): the elided
-     * scheduler ran before now.
+     * Schedule callable @p f at tick @p when as if an event at
+     * @p order had scheduled it: it runs after every event at @p when
+     * whose order is <= @p order and before every event whose order
+     * is greater. Replaying a chain of elided events this way puts
+     * its next real event exactly where the chain would have. The
+     * position must lie after the executing event, and @p order must
+     * be no later than childOrder(): the elided scheduler ran before
+     * now.
      */
     template <typename F>
     void
     scheduleAsIf(Tick when, EventOrder order, F &&f)
     {
         if (when < _curTick ||
-            (when == _curTick && !_curPhase0 && order < executing()) ||
+            (when == _curTick && order < executing()) ||
             childOrder() < order)
             panic("scheduleAsIf: position (%llu, %llu, %llu) is not "
                   "between the executing event and its children",
@@ -177,7 +197,7 @@ class EventQueue
         EventNode *n = allocNode();
         emplace(n, std::forward<F>(f));
         n->order = order;
-        insert<true>(when, n, false);
+        insert(when, n);
     }
 
     /** Number of events not yet executed. */
@@ -255,7 +275,6 @@ class EventQueue
         destroyPending();
         _ringCount = 0;
         _curTick = 0;
-        _curPhase0 = false;
         _curOrder = EventOrder{};
         _nextFarSeq = 0;
         _stopRequested = false;
@@ -265,18 +284,15 @@ class EventQueue
     /** Kernel telemetry accumulated since construction / reset(). */
     const EventQueueStats &stats() const { return _stats; }
 
-    /** Invariant probe (tests): every pending tick's phase-0 and
-     *  normal lists are sorted by EventOrder. */
+    /** Invariant probe (tests): every pending tick's list is sorted
+     *  by EventOrder. */
     bool
     sameTickOrderHolds() const
     {
         for (const Slot &s : _slots) {
-            for (const EventNode *list : {s.head0, s.head}) {
-                for (const EventNode *n = list; n && n->next;
-                     n = n->next) {
-                    if (n->next->order < n->order)
-                        return false;
-                }
+            for (const EventNode *n = s.head; n && n->next; n = n->next) {
+                if (n->next->order < n->order)
+                    return false;
             }
         }
         return true;
@@ -300,7 +316,7 @@ class EventQueue
      */
     struct EventNode
     {
-        /** FIFO link within a tick slot / free-list link. */
+        /** Link within a tick slot / free-list link. */
         EventNode *next;
         void (*invoke)(void *);
         /** Null for trivially-destructible inline callables; frees
@@ -315,27 +331,23 @@ class EventQueue
                   "node stride must preserve buffer alignment");
     static_assert(sizeof(EventNode) == 128, "two cache lines per node");
 
-    /** One tick's worth of events: a phase-0 FIFO (drained first)
-     *  and the normal FIFO, each in schedule order. */
+    /** One tick's worth of events, sorted by order (FIFO ties). */
     struct Slot
     {
-        EventNode *head0 = nullptr;
-        EventNode *tail0 = nullptr;
         EventNode *head = nullptr;
         EventNode *tail = nullptr;
-        bool empty() const { return !head0 && !head; }
     };
 
     /** An event beyond the horizon, heap-ordered by (when,
-     *  order, seq). Real events are scheduled in order, so for them
-     *  this is (when, seq); scheduleAsIf events take their place. */
+     *  order, seq). Events scheduled by running events arrive in
+     *  order, so for them this is (when, seq); scheduleAt and
+     *  scheduleAsIf events take their place. */
     struct FarEvent
     {
         Tick when;
         EventOrder order;
         std::uint64_t seq;
         EventNode *node;
-        bool phase0;
     };
 
     /** Comparator making std::push_heap/pop_heap a min-heap. */
@@ -399,38 +411,24 @@ class EventQueue
         }
     }
 
-    template <typename F>
+    /** File @p n (order already stamped) under tick @p when, after
+     *  every pending event there whose order is <= its own. */
     void
-    scheduleImpl(Tick when, F &&f, bool phase0)
-    {
-        if (when < _curTick)
-            panic("scheduling event in the past (%llu < %llu)",
-                  (unsigned long long)when, (unsigned long long)_curTick);
-        EventNode *n = allocNode();
-        emplace(n, std::forward<F>(f));
-        n->order = childOrder();
-        insert<false>(when, n, phase0);
-    }
-
-    /** File @p n (order already stamped) under tick @p when: appended
-     *  to its list, or placed by order when @p Sorted (a template
-     *  parameter so the append path stays small enough to inline). */
-    template <bool Sorted>
-    void
-    insert(Tick when, EventNode *n, bool phase0)
+    insert(Tick when, EventNode *n)
     {
         ++_stats.scheduled;
         if (when - _curTick < kNumBuckets) {
             const auto slot = static_cast<std::size_t>(when & kSlotMask);
-            if constexpr (Sorted)
-                insertSlot(slot, n);
+            Slot &s = _slots[slot];
+            // Most events sort last: append inline, walk out of line.
+            if (!s.head || !(n->order < s.tail->order))
+                appendSlot(slot, n);
             else
-                appendSlot(slot, n, phase0);
+                insertSorted(s, n);
             ++_ringCount;
         } else {
             ++_stats.overflowEvents;
-            _overflow.push_back(FarEvent{when, n->order, _nextFarSeq++,
-                                         n, phase0});
+            _overflow.push_back(FarEvent{when, n->order, _nextFarSeq++, n});
             std::push_heap(_overflow.begin(), _overflow.end(),
                            FarLater{});
         }
@@ -440,31 +438,24 @@ class EventQueue
     }
 
     void
-    appendSlot(std::size_t slot, EventNode *n, bool phase0)
+    appendSlot(std::size_t slot, EventNode *n)
     {
         n->next = nullptr;
         Slot &s = _slots[slot];
-        if (s.empty())
+        if (s.head) {
+            s.tail->next = n;
+        } else {
             _occupied[slot >> 6] |= std::uint64_t(1) << (slot & 63);
-        EventNode *&head = phase0 ? s.head0 : s.head;
-        EventNode *&tail = phase0 ? s.tail0 : s.tail;
-        if (head)
-            tail->next = n;
-        else
-            head = n;
-        tail = n;
+            s.head = n;
+        }
+        s.tail = n;
     }
 
-    /** Place @p n in @p slot's normal list after every node whose
-     *  order is <= its own. */
-    void
-    insertSlot(std::size_t slot, EventNode *n)
+    /** Place @p n inside @p s's non-empty list, whose tail's order
+     *  exceeds its own: after every node whose order is <= its own. */
+    [[gnu::noinline]] static void
+    insertSorted(Slot &s, EventNode *n)
     {
-        Slot &s = _slots[slot];
-        if (!s.head || !(n->order < s.tail->order)) {
-            appendSlot(slot, n, false);
-            return;
-        }
         if (n->order < s.head->order) {
             n->next = s.head;
             s.head = n;
@@ -524,10 +515,9 @@ class EventQueue
 
     /** Move every overflow event less than a horizon past @p now (the
      *  tick about to become current) into the ring. Heap order is
-     *  (when, order, seq); the ring never accepted those ticks while
-     *  they lay beyond the horizon, and any later append to them is
-     *  scheduled later, hence carries no earlier order, so each list
-     *  stays sorted. */
+     *  (when, order, seq) and the ring never accepted those ticks
+     *  while they lay beyond the horizon, so appending keeps each
+     *  list sorted; later inserts place themselves by order. */
     void
     migrate(Tick now)
     {
@@ -538,7 +528,7 @@ class EventQueue
             const FarEvent fe = _overflow.back();
             _overflow.pop_back();
             appendSlot(static_cast<std::size_t>(fe.when & kSlotMask),
-                       fe.node, fe.phase0);
+                       fe.node);
             ++_ringCount;
         } while (!_overflow.empty() &&
                  _overflow.front().when - now < kNumBuckets);
@@ -556,21 +546,17 @@ class EventQueue
         const std::size_t slot =
             static_cast<std::size_t>(when & kSlotMask);
         Slot &s = _slots[slot];
-        // Detach before invoking: the callback may append same-tick
-        // events to this very slot. Phase-0 events drain first.
-        const bool phase0 = s.head0 != nullptr;
-        EventNode *&head = phase0 ? s.head0 : s.head;
-        EventNode *&tail = phase0 ? s.tail0 : s.tail;
-        EventNode *n = head;
-        head = n->next;
-        if (!head)
-            tail = nullptr;
-        if (s.empty())
+        // Detach before invoking: the callback may add same-tick
+        // events to this very slot.
+        EventNode *n = s.head;
+        s.head = n->next;
+        if (!s.head) {
+            s.tail = nullptr;
             _occupied[slot >> 6] &=
                 ~(std::uint64_t(1) << (slot & 63));
+        }
         --_ringCount;
         _curTick = when;
-        _curPhase0 = phase0;
         _curOrder = n->order;
         n->invoke(n->buf);
         if (n->dtor)
@@ -585,14 +571,12 @@ class EventQueue
     destroyPending()
     {
         for (Slot &s : _slots) {
-            for (EventNode *list : {s.head0, s.head}) {
-                for (EventNode *n = list; n;) {
-                    EventNode *next = n->next;
-                    if (n->dtor)
-                        n->dtor(n->buf);
-                    freeNode(n);
-                    n = next;
-                }
+            for (EventNode *n = s.head; n;) {
+                EventNode *next = n->next;
+                if (n->dtor)
+                    n->dtor(n->buf);
+                freeNode(n);
+                n = next;
             }
             s = Slot{};
         }
@@ -617,9 +601,8 @@ class EventQueue
     std::size_t _slabUsed = kNodesPerSlab;
 
     Tick _curTick = 0;
-    /** Phase and order of the executing event (the last executed one
-     *  between runs); childOrder() derives new events' order. */
-    bool _curPhase0 = false;
+    /** Order of the executing event (the last executed one between
+     *  runs); childOrder() derives new events' order. */
     EventOrder _curOrder;
     bool _stopRequested = false;
     EventQueueStats _stats;

@@ -63,13 +63,13 @@ System::System(const MachineConfig &cfg)
 System::~System() = default;
 
 void
-System::resetStats()
+System::resetStats(Tick boundary)
 {
     for (auto &hub : _hubs)
         hub->stats().reset();
-    _net.resetStats();
+    _net.resetStats(boundary);
     _consumerHist.reset();
-    _statsResetTick = _eq.curTick();
+    _statsResetTick = boundary;
 }
 
 /**
@@ -125,8 +125,7 @@ System::drain(Tick limit)
         _resetBoundary = 0;
         for (auto &hub : _hubs)
             hub->settleSpin(boundary);
-        resetStats();
-        _statsResetTick = boundary;
+        resetStats(boundary);
     }
 }
 

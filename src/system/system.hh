@@ -132,8 +132,10 @@ class System
      */
     RunResult run(Workload &workload, Tick max_ticks = maxTick);
 
-    /** Zero all node and network statistics. */
-    void resetStats();
+    /** Zero all node and network statistics at the stats-reset
+     *  @p boundary: every event before it has run, none at or after
+     *  it. */
+    void resetStats(Tick boundary);
 
   private:
     /** Trace-scan first-touch pre-placement + map freeze (see .cc). */

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -347,8 +348,9 @@ TEST(EventQueue, RandomizedStressMatchesReferenceModel)
     // same randomized schedule (deltas inside, at the edge of and
     // beyond the 4096-tick horizon, same-tick bursts, events
     // scheduling events, scheduleAsIf insertions at earlier events'
-    // child positions) and demand identical execution order, with
-    // every tick's list sorted by EventOrder throughout.
+    // child positions, scheduleAt insertions at tick-start and child
+    // orders that tie often) and demand identical execution order,
+    // with every tick's list sorted by EventOrder throughout.
     for (std::uint64_t seed : {1ull, 42ull, 0xdeadbeefull}) {
         EventQueue eq;
         std::priority_queue<RefEvent, std::vector<RefEvent>, RefLater>
@@ -381,6 +383,27 @@ TEST(EventQueue, RandomizedStressMatchesReferenceModel)
                 ref.push(RefEvent{eq.curTick() + delta, order, refSeq++,
                                   child});
                 eq.scheduleIn(delta,
+                              [&, child, depth]() {
+                                  spawn(child, depth - 1);
+                              });
+            }
+            if (depth > 0 && (rng.next() & 7) == 0) {
+                // Or book one at a later tick W with an order any
+                // event before W could name (the network's deliveries
+                // name their arrival tick's start), drawn from few
+                // values so that it ties often.
+                const std::uint64_t r = rng.next();
+                const Tick delta =
+                    1 + ((r & 2) ? r % 16 : r % (2 * 4096));
+                const EventOrder order{
+                    EventQueue::appendKey(
+                        eq.curTick() + (r >> 20) % std::min<Tick>(delta, 4),
+                        (r & 1) == 0),
+                    (r >> 8) % 4};
+                const int child = nextId++;
+                ref.push(RefEvent{eq.curTick() + delta, order, refSeq++,
+                                  child});
+                eq.scheduleAt(eq.curTick() + delta, order,
                               [&, child, depth]() {
                                   spawn(child, depth - 1);
                               });
@@ -537,19 +560,24 @@ TEST(EventQueue, ScheduleAsIfAtTheCurrentTick)
 TEST(EventQueue, ExecutingReportsTheScheduledOrder)
 {
     EventQueue eq;
-    EventOrder stamped, seen;
+    EventOrder stamped, seen, explicitSeen, explicitChild;
     eq.schedule(3, [&]() {
         stamped = eq.childOrder();
-        eq.schedulePhase0(8, [&]() {
-            // Phase-0 schedulers stamp even keys.
-            EXPECT_EQ(eq.childOrder().key, EventQueue::appendKey(8, true));
-            eq.schedule(9, [&]() { seen = eq.executing(); });
+        eq.schedule(9, [&]() { seen = eq.executing(); });
+        // An explicit order is reported as given, and the event's
+        // children carry its key as their parent.
+        eq.scheduleAt(8, {EventQueue::appendKey(8, true), 5}, [&]() {
+            explicitSeen = eq.executing();
+            eq.schedule(10, [&]() { explicitChild = eq.executing(); });
         });
     });
     eq.run();
     EXPECT_EQ(stamped.key, 7u);
-    EXPECT_EQ(seen.key, EventQueue::appendKey(8, true));
-    EXPECT_EQ(seen.parent, stamped.key);
+    EXPECT_TRUE(seen == stamped);
+    EXPECT_EQ(explicitSeen.key, EventQueue::appendKey(8, true));
+    EXPECT_EQ(explicitSeen.parent, 5u);
+    EXPECT_EQ(explicitChild.key, EventQueue::appendKey(8, false));
+    EXPECT_EQ(explicitChild.parent, EventQueue::appendKey(8, true));
 }
 
 TEST(EventQueueDeath, ScheduleAsIfRejectsExecutedPositions)
@@ -575,63 +603,76 @@ TEST(EventQueueDeath, ScheduleAsIfRejectsFutureSchedulers)
     EXPECT_DEATH(eq.run(), "scheduleAsIf");
 }
 
-TEST(EventQueue, Phase0RunsBeforeNormalEventsAtTheSameTick)
+TEST(EventQueue, ScheduleAtTakesItsPlaceWheneverInserted)
 {
+    // Booked at tick 1 for tick 50 at the start of tick 20 (key 40),
+    // the event runs after tick-50 events scheduled before tick 20
+    // and before those scheduled at or after it, although every one
+    // of them was inserted later.
     EventQueue eq;
     std::vector<int> order;
-    eq.schedule(10, [&]() { order.push_back(1); });
-    eq.schedule(10, [&]() { order.push_back(2); });
-    // Scheduled last, still drains first: phase 0 models "the tick
-    // begins" work like the network's arrival drains.
-    eq.schedulePhase0(10, [&]() { order.push_back(0); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(EventQueue, Phase0KeepsFifoOrderWithinThePhase)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    for (int i = 0; i < 8; ++i)
-        eq.schedulePhase0(5, [&order, i]() { order.push_back(i); });
-    eq.run();
-    for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(order[i], i);
-}
-
-TEST(EventQueue, Phase0InterleavesAcrossTicks)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(10, [&]() { order.push_back(11); });
-    eq.schedulePhase0(20, [&]() { order.push_back(20); });
-    eq.schedulePhase0(10, [&]() { order.push_back(10); });
-    eq.schedule(20, [&]() { order.push_back(21); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{10, 11, 20, 21}));
-}
-
-TEST(EventQueue, Phase0SchedulesFromEventsAndFarFuture)
-{
-    EventQueue eq;
-    std::vector<Tick> ticks;
-    // A normal event books a far-future phase-0 event (overflow path)
-    // plus in-horizon ones; each drains at the head of its tick.
     eq.schedule(1, [&]() {
-        eq.schedulePhase0(1000000, [&]() {
-            ticks.push_back(eq.curTick());
-        });
-        eq.schedulePhase0(50, [&]() { ticks.push_back(eq.curTick()); });
+        eq.scheduleAt(50, {EventQueue::appendKey(20, true), 0},
+                      [&]() { order.push_back(0); });
     });
-    eq.schedule(50, [&]() { ticks.push_back(0); });
+    eq.schedule(10, [&]() {
+        eq.schedule(50, [&]() { order.push_back(1); });
+    });
+    eq.schedule(19, [&]() {
+        eq.schedule(50, [&]() { order.push_back(2); });
+    });
+    eq.schedule(20, [&]() {
+        eq.schedule(50, [&]() { order.push_back(3); });
+    });
     eq.run();
-    ASSERT_EQ(ticks.size(), 3u);
-    EXPECT_EQ(ticks[0], 50u);
-    EXPECT_EQ(ticks[1], 0u);
-    EXPECT_EQ(ticks[2], 1000000u);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 0, 3}));
 }
 
-TEST(EventQueue, PeekNextTickSeesBothPhases)
+TEST(EventQueue, ScheduleAtKeepsFifoAmongEqualOrders)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(1, [&]() {
+        eq.scheduleAt(30, {EventQueue::appendKey(5, true), 2},
+                      [&]() { order.push_back(3); });
+        for (int i = 0; i < 3; ++i) {
+            eq.scheduleAt(30, {EventQueue::appendKey(5, true), 1},
+                          [&order, i]() { order.push_back(i); });
+        }
+        eq.scheduleAt(30, {EventQueue::appendKey(5, true), 2},
+                      [&]() { order.push_back(4); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_TRUE(eq.sameTickOrderHolds());
+}
+
+TEST(EventQueue, ScheduleAtBeyondTheHorizon)
+{
+    // Booked more than a horizon ahead, explicit-order events wait in
+    // the overflow heap and migrate into the ring by order: ahead of
+    // an event scheduled earlier with a larger order, behind one it
+    // ties (FIFO), and ahead of one scheduled later from a later
+    // tick.
+    EventQueue eq;
+    const Tick far = 100000;
+    std::vector<int> order;
+    eq.schedule(far, [&]() { order.push_back(1); }); // order {1, 0}
+    eq.schedule(5, [&]() {
+        eq.scheduleAt(far, {EventQueue::appendKey(0, false), 0},
+                      [&]() { order.push_back(2); });
+        eq.scheduleAt(far, {EventQueue::appendKey(0, true), 0},
+                      [&]() { order.push_back(0); });
+    });
+    eq.schedule(6, [&]() {
+        eq.schedule(far, [&]() { order.push_back(3); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(eq.stats().overflowEvents, 4u);
+}
+
+TEST(EventQueue, PeekNextTickSeesScheduleAt)
 {
     EventQueue eq;
     Tick when = 0;
@@ -639,9 +680,20 @@ TEST(EventQueue, PeekNextTickSeesBothPhases)
     eq.schedule(30, []() {});
     ASSERT_TRUE(eq.peekNextTick(when));
     EXPECT_EQ(when, 30u);
-    eq.schedulePhase0(10, []() {});
+    eq.scheduleAt(10, {EventQueue::appendKey(10, true), 0}, []() {});
     ASSERT_TRUE(eq.peekNextTick(when));
     EXPECT_EQ(when, 10u);
     eq.run();
     EXPECT_FALSE(eq.peekNextTick(when));
+}
+
+TEST(EventQueueDeath, ScheduleAtRejectsTicksNotInTheFuture)
+{
+    EventQueue eq;
+    eq.schedule(10, [&]() { eq.scheduleAt(10, {0, 0}, []() {}); });
+    EXPECT_DEATH(eq.run(), "scheduleAt: tick 10 is not after");
+    EventQueue past;
+    past.schedule(10, []() {});
+    past.run();
+    EXPECT_DEATH(past.scheduleAt(5, {0, 0}, []() {}), "scheduleAt");
 }

@@ -4,7 +4,7 @@
  * must not touch the heap per access or per message (DESIGN.md,
  * "Hot-path data structures"). The test counts global operator new
  * calls made during System::run -- event callbacks, MSHRs, messages,
- * drain arming, tombstones, completion continuations -- and allows
+ * arrival filing, tombstones, completion continuations -- and allows
  * fewer than one per thousand executed events. Node-based hash tables
  * or a type-erased callback on the access path cost about one
  * allocation every three events.
@@ -91,7 +91,7 @@ expectAllocationFree(MachineConfig machine, Workload &wl)
 TEST(HotPathAlloc, PcmicroLargeSixteenNodes)
 {
     ProducerConsumerMicro::Params p;
-    p.iterations = 1000; // about 1.3M events
+    p.iterations = 1500; // about 1.4M events
     ProducerConsumerMicro wl(16, p);
     expectAllocationFree(presets::large(16), wl);
 }
@@ -99,7 +99,7 @@ TEST(HotPathAlloc, PcmicroLargeSixteenNodes)
 TEST(HotPathAlloc, KvServeBaseSixtyFourNodes)
 {
     KvServingWorkload::Params p;
-    p.requestsPerNode = 12000; // about 9.5M events
+    p.requestsPerNode = 12000; // about 6.9M events
     KvServingWorkload wl(64, p);
     expectAllocationFree(presets::base(64), wl);
 }

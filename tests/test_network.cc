@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -212,25 +211,48 @@ TEST_F(NetFixture, EarlierArrivalOvertakesEarlierSend)
     EXPECT_EQ(sinks[0].got[1].when, 216u);
 }
 
-TEST_F(NetFixture, OneDrainPerNodeAndArrivalTick)
+TEST_F(NetFixture, OneEventPerMessagePlusRefiles)
 {
-    // k = 7 messages over m = 3 distinct (node, arrival tick) pairs:
-    // nodes 1-3 reach node 0 at 108, nodes 8-10 reach it at 208, and
-    // node 5 reaches node 4 at 108. Sends interleave the two ticks so
-    // arrivals are filed out of order. Each pair costs one drain
-    // event, each message one delivery.
+    // Seven messages: nodes 1-3 reach node 0 at 108, nodes 8-10 reach
+    // it at 208, and node 5 reaches node 4 at 108. Sends interleave
+    // the two ticks so arrivals are filed out of order, but the
+    // 108-tick group has ejected by 132, before the 208-tick group
+    // arrives, so no booking moves: one delivery event per message
+    // and no re-file.
     for (NodeId src : {NodeId(8), NodeId(1), NodeId(9), NodeId(2),
                        NodeId(10), NodeId(3)})
         net.send(msg(src, 0));
     net.send(msg(5, 4));
-    const std::uint64_t before = eq.stats().executed;
+    EXPECT_EQ(eq.stats().scheduled, 7u);
     eq.run();
-    EXPECT_EQ(eq.stats().executed - before, 3u + 7u);
+    EXPECT_EQ(eq.stats().executed, 7u);
     ASSERT_EQ(sinks[0].got.size(), 6u);
     const NodeId want[] = {1, 2, 3, 8, 9, 10};
-    for (unsigned i = 0; i < 6; ++i)
+    for (unsigned i = 0; i < 6; ++i) {
         EXPECT_EQ(sinks[0].got[i].msg.src, want[i]);
+        EXPECT_EQ(sinks[0].got[i].when,
+                  (i < 3 ? 116u : 216u) + 8 * (i % 3));
+    }
     EXPECT_EQ(sinks[4].got.size(), 1u);
+}
+
+TEST_F(NetFixture, EarlierArrivalMovesABookedDelivery)
+{
+    // Node 8's header message arrives at 208 and is booked to eject
+    // by 216. Node 1's data message, sent at tick 60, arrives earlier
+    // (200) and holds the ingress NI until 240, so node 8's delivery
+    // moves to 248: its event fires at 216, re-files itself at 248
+    // and runs there, one event later than a message never moved.
+    net.send(msg(8, 0));
+    eq.schedule(60, [&]() { net.send(msg(1, 0, MsgType::RespSharedData)); });
+    eq.run();
+    ASSERT_EQ(sinks[0].got.size(), 2u);
+    EXPECT_EQ(sinks[0].got[0].msg.src, 1);
+    EXPECT_EQ(sinks[0].got[0].when, 240u);
+    EXPECT_EQ(sinks[0].got[1].msg.src, 8);
+    EXPECT_EQ(sinks[0].got[1].when, 248u);
+    // The send, two deliveries and one re-file.
+    EXPECT_EQ(eq.stats().executed, 4u);
 }
 
 TEST_F(NetFixture, PointToPointOrderingSurvivesLinkLatencyFaults)
@@ -264,6 +286,39 @@ TEST_F(NetFixture, PointToPointOrderingSurvivesLinkLatencyFaults)
     EXPECT_LT(net.faultDelayedMessages(), 100u);
 }
 
+TEST_F(NetFixture, FaultDelayCountsArrivalsFromTheResetBoundary)
+{
+    // Two messages on gray links, each 5000 ticks late. The stats
+    // reset falls one tick after the first arrives, while it is still
+    // ejecting: only the second, arriving at or after the boundary,
+    // counts as fault-delayed.
+    FaultConfig f;
+    f.enabled = true;
+    f.grayLinkFraction = 1.0;
+    f.grayExtraLatency = 5000;
+    f.grayPeriod = 4000;
+    f.grayDuration = 2000;
+    FaultPlan plan(f, 16, Rng(3));
+    net.setFaultPlan(&plan);
+    const auto grayFrom = [&](NodeId src, Tick t) {
+        while (plan.extraLatency(src, 9, t) == 0)
+            ++t;
+        return t;
+    };
+    const Tick t0 = grayFrom(4, 0);
+    const Tick t1 = grayFrom(5, t0 + 1);
+    eq.schedule(t0, [&]() { net.send(msg(4, 9)); });
+    eq.schedule(t1, [&]() { net.send(msg(5, 9)); });
+    const Tick first = t0 + 8 + 2 * 100 + 5000;
+    eq.run(first);
+    net.resetStats(first + 1);
+    eq.run();
+    ASSERT_EQ(sinks[9].got.size(), 2u);
+    EXPECT_EQ(sinks[9].got[0].when, first + 8);
+    EXPECT_EQ(net.faultDelayedMessages(), 1u);
+    EXPECT_EQ(net.faultExtraTicks(), 5000u);
+}
+
 TEST_F(NetFixture, RandomTrafficMatchesTheTimingModel)
 {
     // 3000 remote messages of both packet classes between random
@@ -271,9 +326,10 @@ TEST_F(NetFixture, RandomTrafficMatchesTheTimingModel)
     // grow, compact and take out-of-order inserts. An independent
     // model of the NI timing -- injection booked in send order,
     // ejection in (arrive, src, seq) order per node -- must predict
-    // every delivery's node, order and tick, and the event count
-    // must be one send, one drain per (node, arrival tick) and one
-    // delivery per message.
+    // every delivery's node, order and tick. The event count must be
+    // one send and one delivery per message, plus one re-file per
+    // message whose first booking (made when it was sent, behind the
+    // arrivals filed at its node so far) is not its final tick.
     struct Send
     {
         Tick when;
@@ -293,12 +349,20 @@ TEST_F(NetFixture, RandomTrafficMatchesTheTimingModel)
                          return a.when < b.when;
                      });
 
-    // (arrive, src, seq, occupancy, id) per destination.
+    // (arrive, src, seq, occupancy, id) per destination, sorted.
     using Arr = std::tuple<Tick, NodeId, std::uint64_t, Tick, Version>;
     std::vector<std::vector<Arr>> arrivals(16);
     std::vector<Tick> egress(16, 0);
     std::vector<std::uint64_t> seq(16, 0);
-    std::set<std::pair<NodeId, Tick>> drains;
+    // Ejection ends of node n's sorted arrivals; entry `id`'s first.
+    const auto ejections = [](const std::vector<Arr> &run) {
+        std::vector<Tick> out;
+        Tick ingress = 0;
+        for (const auto &[arrive, src, sq, occ, id] : run)
+            out.push_back(ingress = std::max(arrive, ingress) + occ);
+        return out;
+    };
+    std::vector<Tick> firstBooking(sends.size());
     for (std::size_t i = 0; i < sends.size(); ++i) {
         const Send &x = sends[i];
         const Tick occ = x.data ? 40 : 8;
@@ -306,9 +370,12 @@ TEST_F(NetFixture, RandomTrafficMatchesTheTimingModel)
         egress[x.src] = inject + occ;
         const Tick arrive = inject + occ +
                             cfg.hopLatency * net.topology().hops(x.src, x.dst);
-        arrivals[x.dst].emplace_back(arrive, x.src, ++seq[x.src], occ,
-                                     static_cast<Version>(i));
-        drains.emplace(x.dst, arrive);
+        const Arr a{arrive, x.src, ++seq[x.src], occ,
+                    static_cast<Version>(i)};
+        std::vector<Arr> &run = arrivals[x.dst];
+        const auto at = run.insert(
+            std::upper_bound(run.begin(), run.end(), a), a);
+        firstBooking[i] = ejections(run)[at - run.begin()];
         eq.schedule(x.when, [this, x, i]() {
             Message m = msg(x.src, x.dst,
                             x.data ? MsgType::RespSharedData
@@ -318,19 +385,20 @@ TEST_F(NetFixture, RandomTrafficMatchesTheTimingModel)
         });
     }
     eq.run();
-    EXPECT_EQ(eq.stats().executed, 2 * sends.size() + drains.size());
 
+    std::size_t refiles = 0;
     for (NodeId n = 0; n < 16; ++n) {
-        std::sort(arrivals[n].begin(), arrivals[n].end());
         ASSERT_EQ(sinks[n].got.size(), arrivals[n].size()) << "node " << n;
-        Tick ingress = 0;
+        const std::vector<Tick> ejected = ejections(arrivals[n]);
         for (std::size_t k = 0; k < arrivals[n].size(); ++k) {
-            const auto &[arrive, src, sq, occ, id] = arrivals[n][k];
-            ingress = std::max(arrive, ingress) + occ;
+            const Version id = std::get<4>(arrivals[n][k]);
             EXPECT_EQ(sinks[n].got[k].msg.version, id) << "node " << n;
-            EXPECT_EQ(sinks[n].got[k].when, ingress) << "node " << n;
+            EXPECT_EQ(sinks[n].got[k].when, ejected[k]) << "node " << n;
+            refiles += firstBooking[id] != ejected[k];
         }
     }
+    EXPECT_GT(refiles, 0u);
+    EXPECT_EQ(eq.stats().executed, 2 * sends.size() + refiles);
 }
 
 TEST_F(NetFixture, StatsTrackMessagesAndBytes)
@@ -342,7 +410,7 @@ TEST_F(NetFixture, StatsTrackMessagesAndBytes)
     EXPECT_EQ(net.numBytes(), 32u + 160u);
     EXPECT_EQ(net.numByType(MsgType::Update), 1u);
     EXPECT_EQ(net.numByType(MsgType::ReqShared), 1u);
-    net.resetStats();
+    net.resetStats(eq.curTick());
     EXPECT_EQ(net.numMessages(), 0u);
     EXPECT_EQ(net.numBytes(), 0u);
 }
