@@ -62,11 +62,9 @@ show(const char *phase)
             std::printf("  RAC=v%u%s%s", rv, pinned ? " (pinned)" : "",
                         "");
         if (pe)
-            std::printf("  [delegated here: %s, sharers=%s, "
-                        "epochs=%u]",
+            std::printf("  [delegated here: %s, sharers=%s]",
                         dirStateName(pe->dir.state),
-                        pe->dir.sharers.toString().c_str(),
-                        pe->epochs);
+                        pe->dir.sharers.toString().c_str());
         std::printf("\n");
     }
 }

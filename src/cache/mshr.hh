@@ -30,8 +30,6 @@ struct Mshr
     bool isWrite = false;
     /** The request currently outstanding (ReqShared/ReqExcl/ReqUpgrade). */
     MsgType reqType = MsgType::ReqShared;
-    /** Node the request was last sent to (home or delegated home). */
-    NodeId sentTo = invalidNode;
 
     /** Data reply received (version captured below). */
     bool haveData = false;
@@ -61,8 +59,6 @@ struct Mshr
     Tick issued = 0;
     /** Any network message was needed to resolve this miss. */
     bool usedNetwork = false;
-    /** Resolved entirely from the local RAC. */
-    bool racHit = false;
     /** Data was supplied by a third party (3-hop transaction). */
     bool thirdParty = false;
     /** Completion callback back into the CPU (receives the final

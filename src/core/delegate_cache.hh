@@ -50,8 +50,6 @@ struct ProducerEntry
      *  (the paper's curves imply readers cannot stall for the whole
      *  interval at large delays). */
     std::uint8_t pendingNacks = 0;
-    /** Write epochs completed while delegated (stats/age). */
-    std::uint32_t epochs = 0;
 };
 
 /** A consumer-table entry: where the line's acting home is. */

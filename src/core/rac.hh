@@ -40,7 +40,6 @@ struct RacEntry
 {
     Version version = 0;
     bool pinned = false;     ///< surrogate memory for a delegated line
-    bool dirtyHome = false;  ///< differs from the real home's memory
     bool fromUpdate = false; ///< arrived via a speculative push
 };
 
@@ -78,7 +77,6 @@ class Rac
             return false;
         e->version = version;
         e->pinned = false;
-        e->dirtyHome = false;
         return true;
     }
 
@@ -102,7 +100,6 @@ class Rac
             if (e) {
                 e->version = version;
                 e->pinned = true;
-                e->dirtyHome = true;
                 return e;
             }
             if (attempt == 0 && evict_pinned) {
@@ -135,7 +132,6 @@ class Rac
             return;
         if (keep_data) {
             e->pinned = false;
-            e->dirtyHome = false;
         } else {
             _array.invalidate(line);
         }

@@ -62,7 +62,6 @@ struct DirEntry
 
     /** Pending-transaction bookkeeping while Busy*. */
     NodeId pendingReq = invalidNode;
-    MsgType pendingType = MsgType::ReqShared;
     NodeId pendingOwner = invalidNode; ///< intervention target
     std::uint64_t pendingTxnId = 0;    ///< requester's transaction id
     /** The owner's writeback raced our intervention and already

@@ -253,7 +253,6 @@ CacheController::sendRequest(Mshr &m)
             target = _hub.homeOf(m.addr);
     }
 
-    m.sentTo = target;
     if (target != _hub.id())
         m.usedNetwork = true;
     m.txnId = ++_nextTxnId;
@@ -791,8 +790,7 @@ CacheController::handleUpdate(const Message &msg)
         // Update-based policies refresh the copy in place (possibly
         // leaving the update stream); invalidate-based ones already
         // hold the current epoch.
-        if (_cfg.updateBased())
-            _hub.policy().updateSharedCopy(*this, msg, *e);
+        _hub.policy().updateSharedCopy(*this, msg, *e);
         return;
     }
 

@@ -70,7 +70,7 @@ CoherenceChecker::storePerformed(NodeId node, Addr line,
     }
 
     const Version nv = _authority.bump(line);
-    *_lastSeen.tryEmplace(key(node, line)).first = nv;
+    _lastSeen[node][line] = nv;
     return nv;
 }
 
@@ -87,7 +87,7 @@ CoherenceChecker::loadPerformed(NodeId node, Addr line, Version version)
                   "load from the future: read version %u, current %u",
                   version, cur);
     }
-    Version &seen = *_lastSeen.tryEmplace(key(node, line)).first;
+    Version &seen = _lastSeen[node][line];
     if (version < seen) {
         violation(node, line,
                   "non-monotonic read: read version %u after having "

@@ -23,6 +23,7 @@
 #define PCSIM_PROTOCOL_CHECKER_HH
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "src/cache/line_state.hh"
@@ -90,7 +91,12 @@ class CoherenceChecker
   public:
     explicit CoherenceChecker(bool enabled) : _enabled(enabled) {}
 
-    void addNode(CheckerNodeView *view) { _nodes.push_back(view); }
+    void
+    addNode(CheckerNodeView *view)
+    {
+        _nodes.push_back(view);
+        _lastSeen.emplace_back();
+    }
 
     bool enabled() const { return _enabled; }
 
@@ -158,15 +164,11 @@ class CoherenceChecker
     const verify::MessageTrace *_trace = nullptr;
     std::vector<CheckerNodeView *> _nodes;
     VersionAuthority _authority;
-    /** Monotonic-read tracking: (node, line) -> last observed. */
-    FlatMap<std::uint64_t, Version> _lastSeen;
+    /** Monotonic-read tracking: per node, line -> last observed. One
+     *  map per node keeps every (node, line) pair apart, whatever bits
+     *  the line address uses. */
+    std::deque<FlatMap<Addr, Version>> _lastSeen;
     mutable std::uint64_t _numChecks = 0;
-
-    static std::uint64_t
-    key(NodeId node, Addr line)
-    {
-        return (static_cast<std::uint64_t>(node) << 48) ^ line;
-    }
 };
 
 } // namespace pcsim

@@ -71,52 +71,121 @@ latencyPercentile(const Histogram &h, double p)
 }
 /// @}
 
+/** How a run total (NodeStats::operator+=) combines one counter over
+ *  the nodes. */
+enum class CounterMerge : std::uint8_t
+{
+    Sum,
+    Max,
+};
+
+/** The results-document block that carries a counter
+ *  (src/runner/results.cc). `nodes` is in every document. The others
+ *  appear only when they can be nonzero, which keeps default-mode
+ *  documents byte-identical to the goldens: `retry` in fault-injected
+ *  runs, `fairness` there or under a non-default arbitration mode, and
+ *  `policy` under an update-based kind. */
+enum class CounterBlock : std::uint8_t
+{
+    Nodes,
+    Retry,
+    Fairness,
+    Policy,
+};
+
+/**
+ * Every scalar NodeStats counter, named once, in declaration order:
+ * X(name, merge, block). It declares the members and fills
+ * nodeCounters, the table that operator+=, the results JSON and CSV
+ * and the per-node golden documents walk, so adding a counter is one
+ * line here.
+ */
+#define PCSIM_NODE_COUNTERS(X)                                            \
+    /* CPU-visible accesses. */                                           \
+    X(reads, Sum, Nodes)                                                  \
+    X(writes, Sum, Nodes)                                                 \
+    X(l1Hits, Sum, Nodes)                                                 \
+    X(l2Hits, Sum, Nodes)                                                 \
+    /* Misses by where they were served: localMisses at the local home    \
+       or RAC, remoteMisses over the network. racHits is a subset of      \
+       localMisses. */                                                    \
+    X(localMisses, Sum, Nodes)                                            \
+    X(remoteMisses, Sum, Nodes)                                           \
+    X(racHits, Sum, Nodes)                                                \
+    /* Transaction shapes. */                                             \
+    X(twoHopMisses, Sum, Nodes)                                           \
+    X(threeHopMisses, Sum, Nodes)                                         \
+    /* Retry behaviour. */                                                \
+    X(nacksReceived, Sum, Nodes)                                          \
+    X(retries, Sum, Nodes)                                                \
+    /* Retry-storm telemetry. Two subsets of retries: MSHR-conflict       \
+       reschedules, and directory-side writeback/undelegation             \
+       re-handles under directory-cache pressure. Then the worst retry    \
+       count any single line reached (see noteRetryAttempt) and the       \
+       peak NACKs sent within one Hub::nackStormWindow-tick window. */    \
+    X(mshrConflictRetries, Sum, Retry)                                    \
+    X(dirRehandleRetries, Sum, Retry)                                     \
+    X(maxRetriesPerLine, Max, Retry)                                      \
+    X(nackStormPeak, Max, Retry)                                          \
+    /* Fairness telemetry (src/protocol/arbiter.hh): the longest any      \
+       single request waited for one line, from first issue (or arbiter   \
+       park) to service, and the deepest any per-line parked-request      \
+       queue grew (0 under nack-retry arbitration). */                    \
+    X(maxLineWaitTicks, Max, Fairness)                                    \
+    X(queueDepthPeak, Max, Fairness)                                      \
+    /* Home-side activity. */                                             \
+    X(homeRequests, Sum, Nodes)                                           \
+    X(nacksSent, Sum, Nodes)                                              \
+    X(interventionsSent, Sum, Nodes)                                      \
+    X(dirCacheHits, Sum, Nodes)                                           \
+    X(dirCacheMisses, Sum, Nodes)                                         \
+    /* Delegation (Section 2.3): granted as home, received as             \
+       producer. */                                                       \
+    X(delegationsGranted, Sum, Nodes)                                     \
+    X(delegationsReceived, Sum, Nodes)                                    \
+    X(undelegationsCapacity, Sum, Nodes)                                  \
+    X(undelegationsFlush, Sum, Nodes)                                     \
+    X(undelegationsConflict, Sum, Nodes)                                  \
+    X(forwardedRequests, Sum, Nodes)                                      \
+    X(delegatedLocalOps, Sum, Nodes)                                      \
+    /* Speculative updates (Section 2.4). updatesConsumed led to a        \
+       local hit; updatesDropped found the RAC set pinned-full;           \
+       extraWriteMisses re-upgraded after an early delayed                \
+       intervention. */                                                   \
+    X(delayedInterventions, Sum, Nodes)                                   \
+    X(updatesSent, Sum, Nodes)                                            \
+    X(updatesReceived, Sum, Nodes)                                        \
+    X(updatesConsumed, Sum, Nodes)                                        \
+    X(updatesDropped, Sum, Nodes)                                         \
+    X(extraWriteMisses, Sum, Nodes)                                       \
+    /* Writebacks. */                                                     \
+    X(writebacks, Sum, Nodes)                                             \
+    /* Update-based policies (write-update / adaptive hybrid): write      \
+       episodes opened at this home (UpdGrant issued), update pushes      \
+       applied in place to a valid local copy, and adaptive-hybrid        \
+       copies self-invalidated out of the update stream (UpdateDrop       \
+       sent). */                                                          \
+    X(updateEpisodes, Sum, Policy)                                        \
+    X(updatesApplied, Sum, Policy)                                        \
+    X(adaptiveDrops, Sum, Policy)
+
 /** Counters one node accumulates during a run. */
 struct NodeStats
 {
-    // CPU-visible accesses.
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t l1Hits = 0;
-    std::uint64_t l2Hits = 0;
+#define PCSIM_MEMBER(name, merge, block) std::uint64_t name = 0;
+    PCSIM_NODE_COUNTERS(PCSIM_MEMBER)
+#undef PCSIM_MEMBER
 
-    // Misses classified by where they were served.
-    std::uint64_t localMisses = 0;  ///< local home / local RAC
-    std::uint64_t remoteMisses = 0; ///< needed the network
-    std::uint64_t racHits = 0;      ///< subset of localMisses
-
-    // Transaction shapes.
-    std::uint64_t twoHopMisses = 0;
-    std::uint64_t threeHopMisses = 0;
-
-    // Retry behaviour.
-    std::uint64_t nacksReceived = 0;
-    std::uint64_t retries = 0;
-
-    /** @name Retry-storm telemetry.
-     *
-     * Finer-grained robustness counters introduced with the
-     * fault-injection layer. Deliberately NOT in the serialized
-     * per-node results schema (PCSIM_NODE_STATS_FIELDS): they are
-     * aggregated into an optional "retry" block in the results JSON
-     * only when faults are active, keeping fault-free output
-     * byte-identical to the goldens.
-     */
-    /// @{
-    /** Retries caused by MSHR-conflict rescheduling (a subset of
-     *  `retries`). */
-    std::uint64_t mshrConflictRetries = 0;
-    /** Directory-side writeback/undelegation re-handle retries under
-     *  directory-cache pressure (a subset of `retries`). */
-    std::uint64_t dirRehandleRetries = 0;
-    /** Worst retry count any single line reached (merged by max). */
-    std::uint64_t maxRetriesPerLine = 0;
-    /** Peak NACKs sent within one Hub::nackStormWindow-tick window
-     *  (merged by max). */
-    std::uint64_t nackStormPeak = 0;
     /** Capped backoff exponent per retry (bucket k = attempts that
-     *  waited retryBase << k, see src/protocol/backoff.hh). */
+     *  waited retryBase << k, see src/protocol/backoff.hh); in the
+     *  `retry` block. */
     Histogram backoffHist{16};
+    /** Miss-completion latency (issue -> fill), latencyBucketOf
+     *  encoding, in the `fairness` block. Sampled unconditionally:
+     *  pure accounting, no control-flow or RNG impact. Merged
+     *  bucket-wise; p50/p95/p99 are derived per node and reported as
+     *  the worst node's value. */
+    Histogram missLatencyHist{256};
 
     /** Record one observation of a line's 0-based retry-attempt index
      *  for `maxRetriesPerLine`. Every site that touches the counter
@@ -128,125 +197,44 @@ struct NodeStats
     {
         maxRetriesPerLine = std::max(maxRetriesPerLine, attempt);
     }
-    /// @}
-
-    /** @name Fairness telemetry (src/protocol/arbiter.hh).
-     *
-     * Like the retry-storm block, deliberately NOT in the serialized
-     * per-node schema (PCSIM_NODE_STATS_FIELDS): these aggregate into
-     * an optional "fairness" block in the results JSON only when
-     * faults or a non-default arbitration mode are active, keeping
-     * default-mode goldens byte-identical. The histogram itself is
-     * sampled unconditionally — pure accounting, no control-flow or
-     * RNG impact.
-     */
-    /// @{
-    /** Miss-completion latency (issue -> fill), latencyBucketOf
-     *  encoding. Merged bucket-wise; p50/p95/p99 are derived per node
-     *  and reported as the worst node's value. */
-    Histogram missLatencyHist{256};
-    /** Longest any single request waited for one line, from first
-     *  issue (or arbiter park) to service (merged by max). */
-    std::uint64_t maxLineWaitTicks = 0;
-    /** Deepest any per-line parked-request queue grew (merged by
-     *  max; 0 under nack-retry arbitration). */
-    std::uint64_t queueDepthPeak = 0;
-    /// @}
-
-    // Home-side activity.
-    std::uint64_t homeRequests = 0;
-    std::uint64_t nacksSent = 0;
-    std::uint64_t interventionsSent = 0;
-    std::uint64_t dirCacheHits = 0;
-    std::uint64_t dirCacheMisses = 0;
-
-    // Delegation (Section 2.3).
-    std::uint64_t delegationsGranted = 0;  ///< as home
-    std::uint64_t delegationsReceived = 0; ///< as producer
-    std::uint64_t undelegationsCapacity = 0;
-    std::uint64_t undelegationsFlush = 0;
-    std::uint64_t undelegationsConflict = 0;
-    std::uint64_t forwardedRequests = 0;
-    std::uint64_t delegatedLocalOps = 0;
-
-    // Speculative updates (Section 2.4).
-    std::uint64_t delayedInterventions = 0;
-    std::uint64_t updatesSent = 0;
-    std::uint64_t updatesReceived = 0;
-    std::uint64_t updatesConsumed = 0; ///< led to a local hit
-    std::uint64_t updatesDropped = 0;  ///< RAC set pinned-full
-    std::uint64_t extraWriteMisses = 0; ///< re-upgrade after early
-                                        ///< delayed intervention
-
-    // Writebacks.
-    std::uint64_t writebacks = 0;
-
-    /** @name Update-based policies (write-update / adaptive hybrid).
-     *
-     * Like the retry-storm block, deliberately NOT in the serialized
-     * per-node schema (PCSIM_NODE_STATS_FIELDS): they aggregate into
-     * an optional "policy" block in the results JSON only under an
-     * update-based kind, keeping existing goldens byte-identical.
-     */
-    /// @{
-    /** Write episodes opened at this home (UpdGrant issued). */
-    std::uint64_t updateEpisodes = 0;
-    /** Update pushes applied in place to a valid local copy. */
-    std::uint64_t updatesApplied = 0;
-    /** Adaptive hybrid: copies self-invalidated out of the update
-     *  stream (UpdateDrop sent). */
-    std::uint64_t adaptiveDrops = 0;
-    /// @}
 
     void reset() { *this = NodeStats{}; }
 
-    NodeStats &
-    operator+=(const NodeStats &o)
-    {
-        reads += o.reads;
-        writes += o.writes;
-        l1Hits += o.l1Hits;
-        l2Hits += o.l2Hits;
-        localMisses += o.localMisses;
-        remoteMisses += o.remoteMisses;
-        racHits += o.racHits;
-        twoHopMisses += o.twoHopMisses;
-        threeHopMisses += o.threeHopMisses;
-        nacksReceived += o.nacksReceived;
-        retries += o.retries;
-        mshrConflictRetries += o.mshrConflictRetries;
-        dirRehandleRetries += o.dirRehandleRetries;
-        maxRetriesPerLine = std::max(maxRetriesPerLine, o.maxRetriesPerLine);
-        nackStormPeak = std::max(nackStormPeak, o.nackStormPeak);
-        backoffHist.merge(o.backoffHist);
-        missLatencyHist.merge(o.missLatencyHist);
-        maxLineWaitTicks = std::max(maxLineWaitTicks, o.maxLineWaitTicks);
-        queueDepthPeak = std::max(queueDepthPeak, o.queueDepthPeak);
-        homeRequests += o.homeRequests;
-        nacksSent += o.nacksSent;
-        interventionsSent += o.interventionsSent;
-        dirCacheHits += o.dirCacheHits;
-        dirCacheMisses += o.dirCacheMisses;
-        delegationsGranted += o.delegationsGranted;
-        delegationsReceived += o.delegationsReceived;
-        undelegationsCapacity += o.undelegationsCapacity;
-        undelegationsFlush += o.undelegationsFlush;
-        undelegationsConflict += o.undelegationsConflict;
-        forwardedRequests += o.forwardedRequests;
-        delegatedLocalOps += o.delegatedLocalOps;
-        delayedInterventions += o.delayedInterventions;
-        updatesSent += o.updatesSent;
-        updatesReceived += o.updatesReceived;
-        updatesConsumed += o.updatesConsumed;
-        updatesDropped += o.updatesDropped;
-        extraWriteMisses += o.extraWriteMisses;
-        writebacks += o.writebacks;
-        updateEpisodes += o.updateEpisodes;
-        updatesApplied += o.updatesApplied;
-        adaptiveDrops += o.adaptiveDrops;
-        return *this;
-    }
+    NodeStats &operator+=(const NodeStats &o);
 };
+
+/** One scalar NodeStats counter: its name, member, merge rule and
+ *  results-document block. */
+struct NodeCounter
+{
+    const char *name;
+    std::uint64_t NodeStats::*field;
+    CounterMerge merge;
+    CounterBlock block;
+};
+
+/** Every scalar NodeStats counter, in declaration order. */
+inline constexpr NodeCounter nodeCounters[] = {
+#define PCSIM_ROW(name, merge, block)                                     \
+    {#name, &NodeStats::name, CounterMerge::merge, CounterBlock::block},
+    PCSIM_NODE_COUNTERS(PCSIM_ROW)
+#undef PCSIM_ROW
+};
+
+#undef PCSIM_NODE_COUNTERS
+
+inline NodeStats &
+NodeStats::operator+=(const NodeStats &o)
+{
+    for (const NodeCounter &c : nodeCounters) {
+        std::uint64_t &v = this->*c.field;
+        v = c.merge == CounterMerge::Max ? std::max(v, o.*c.field)
+                                         : v + o.*c.field;
+    }
+    backoffHist.merge(o.backoffHist);
+    missLatencyHist.merge(o.missLatencyHist);
+    return *this;
+}
 
 } // namespace pcsim
 

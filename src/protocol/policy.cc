@@ -92,7 +92,6 @@ class MesiDelePolicy : public CoherencePolicy
                 break;
             }
             d.pendingReq = req;
-            d.pendingType = MsgType::ReqShared;
             d.pendingOwner = d.owner;
             d.pendingTxnId = msg.txnId;
             d.state = DirState::BusyRead;
@@ -225,7 +224,6 @@ class MesiDelePolicy : public CoherencePolicy
                 break;
             }
             d.pendingReq = req;
-            d.pendingType = msg.type;
             d.pendingOwner = d.owner;
             d.pendingTxnId = msg.txnId;
             d.state = DirState::BusyExcl;
@@ -341,7 +339,6 @@ class WriteUpdatePolicy : public CoherencePolicy
             // writers and keeps the lost-update check sound.
             d.state = DirState::BusyUpd;
             d.pendingReq = req;
-            d.pendingType = msg.type;
             d.pendingTxnId = msg.txnId;
             ++hub.stats().updateEpisodes;
             Message grant;

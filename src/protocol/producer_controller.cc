@@ -362,7 +362,6 @@ ProducerController::onLocalWriteComplete(Addr line)
     ProducerEntry *e = dc ? dc->producerFind(line) : nullptr;
     if (!e)
         return;
-    ++e->epochs;
     e->pendingNacks = 0;
 
     const bool arm = _cfg.updatesEnabled() && !e->intervPending &&

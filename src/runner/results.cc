@@ -12,74 +12,45 @@ namespace pcsim
 namespace runner
 {
 
-/** Every NodeStats counter, in declaration order. The JSON and CSV
- *  writers both expand this list, so they cannot drift. */
-#define PCSIM_NODE_STATS_FIELDS(X)                                        \
-    X(reads)                                                              \
-    X(writes)                                                             \
-    X(l1Hits)                                                             \
-    X(l2Hits)                                                             \
-    X(localMisses)                                                        \
-    X(remoteMisses)                                                       \
-    X(racHits)                                                            \
-    X(twoHopMisses)                                                       \
-    X(threeHopMisses)                                                     \
-    X(nacksReceived)                                                      \
-    X(retries)                                                            \
-    X(homeRequests)                                                       \
-    X(nacksSent)                                                          \
-    X(interventionsSent)                                                  \
-    X(dirCacheHits)                                                       \
-    X(dirCacheMisses)                                                     \
-    X(delegationsGranted)                                                 \
-    X(delegationsReceived)                                                \
-    X(undelegationsCapacity)                                              \
-    X(undelegationsFlush)                                                 \
-    X(undelegationsConflict)                                              \
-    X(forwardedRequests)                                                  \
-    X(delegatedLocalOps)                                                  \
-    X(delayedInterventions)                                               \
-    X(updatesSent)                                                        \
-    X(updatesReceived)                                                    \
-    X(updatesConsumed)                                                    \
-    X(updatesDropped)                                                     \
-    X(extraWriteMisses)                                                   \
-    X(writebacks)
+namespace
+{
 
-/** RunPerf counters that are pure functions of the simulated content:
- *  byte-identical across hosts and thread counts. Only these go into
- *  default (determinism-checked) JSON. */
-#define PCSIM_RUN_PERF_DET_FIELDS(X)                                      \
-    X(eventsExecuted)                                                     \
-    X(eventsScheduled)                                                    \
-    X(inlineCallbacks)                                                    \
-    X(heapCallbacks)                                                      \
-    X(poolAcquires)                                                       \
-    X(simTicks)
+/** @p h as {"total": N, "buckets": [N, ...]}. */
+JsonValue
+histJson(const Histogram &h)
+{
+    JsonValue v = JsonValue::object();
+    v["total"] = JsonValue(h.total());
+    JsonValue buckets = JsonValue::array();
+    for (std::size_t i = 0; i < h.numBuckets(); ++i)
+        buckets.push(JsonValue(h.bucket(i)));
+    v["buckets"] = std::move(buckets);
+    return v;
+}
 
-/** Queue-shape and pool-recycling counters. They are deterministic
- *  too, but schemaVersion 3 moved them behind with_timing, next to the
- *  wall-clock rates, and moving them back would change every committed
- *  golden document. */
-#define PCSIM_RUN_PERF_SHAPE_FIELDS(X)                                    \
-    X(peakQueueDepth)                                                     \
-    X(overflowEvents)                                                     \
-    X(windowAdvances)                                                     \
-    X(poolReuses)
+/** Add @p s's counters that @p block carries to @p out, in
+ *  nodeCounters order. */
+void
+addCounters(JsonValue &out, const NodeStats &s, CounterBlock block)
+{
+    for (const NodeCounter &c : nodeCounters) {
+        if (c.block == block)
+            out[c.name] = JsonValue(s.*c.field);
+    }
+}
 
-/** All scalar counters in the historic (schemaVersion 2) order; the
- *  CSV keeps this column layout. */
-#define PCSIM_RUN_PERF_FIELDS(X)                                          \
-    X(eventsExecuted)                                                     \
-    X(eventsScheduled)                                                    \
-    X(peakQueueDepth)                                                     \
-    X(inlineCallbacks)                                                    \
-    X(heapCallbacks)                                                      \
-    X(overflowEvents)                                                     \
-    X(windowAdvances)                                                     \
-    X(poolAcquires)                                                       \
-    X(poolReuses)                                                         \
-    X(simTicks)
+/** Add @p p's counters whose timingOnly is @p timing_only to @p out,
+ *  in runPerfCounters order. */
+void
+addPerf(JsonValue &out, const RunPerf &p, bool timing_only)
+{
+    for (const RunPerfCounter &c : runPerfCounters) {
+        if (c.timingOnly == timing_only)
+            out[c.name] = JsonValue(p.*c.field);
+    }
+}
+
+} // namespace
 
 JsonValue
 toJson(const RunResult &r, bool with_timing)
@@ -94,27 +65,14 @@ toJson(const RunResult &r, bool with_timing)
     v["updateMessages"] = JsonValue(r.updateMessages);
 
     JsonValue nodes = JsonValue::object();
-#define X(field) nodes[#field] = JsonValue(r.nodes.field);
-    PCSIM_NODE_STATS_FIELDS(X)
-#undef X
+    addCounters(nodes, r.nodes, CounterBlock::Nodes);
     v["nodes"] = std::move(nodes);
-
-    JsonValue hist = JsonValue::object();
-    hist["total"] = JsonValue(r.consumerHist.total());
-    JsonValue buckets = JsonValue::array();
-    for (std::size_t i = 0; i < r.consumerHist.numBuckets(); ++i)
-        buckets.push(JsonValue(r.consumerHist.bucket(i)));
-    hist["buckets"] = std::move(buckets);
-    v["consumerHist"] = std::move(hist);
+    v["consumerHist"] = histJson(r.consumerHist);
 
     JsonValue perf = JsonValue::object();
-#define X(field) perf[#field] = JsonValue(r.perf.field);
-    PCSIM_RUN_PERF_DET_FIELDS(X)
-#undef X
+    addPerf(perf, r.perf, /*timing_only=*/false);
     if (with_timing) {
-#define X(field) perf[#field] = JsonValue(r.perf.field);
-        PCSIM_RUN_PERF_SHAPE_FIELDS(X)
-#undef X
+        addPerf(perf, r.perf, /*timing_only=*/true);
         perf["wallSeconds"] = JsonValue(r.perf.wallSeconds);
         perf["eventsPerSec"] = JsonValue(r.perf.eventsPerSec());
         perf["ticksPerSec"] = JsonValue(r.perf.ticksPerSec());
@@ -144,20 +102,8 @@ toJson(const RunResult &r, bool with_timing)
     // fault-free documents stay byte-identical to the goldens.
     if (r.faultsActive) {
         JsonValue retry = JsonValue::object();
-        retry["mshrConflictRetries"] =
-            JsonValue(r.nodes.mshrConflictRetries);
-        retry["dirRehandleRetries"] =
-            JsonValue(r.nodes.dirRehandleRetries);
-        retry["maxRetriesPerLine"] = JsonValue(r.nodes.maxRetriesPerLine);
-        retry["nackStormPeak"] = JsonValue(r.nodes.nackStormPeak);
-        JsonValue bh = JsonValue::object();
-        bh["total"] = JsonValue(r.nodes.backoffHist.total());
-        JsonValue bb = JsonValue::array();
-        for (std::size_t i = 0; i < r.nodes.backoffHist.numBuckets();
-             ++i)
-            bb.push(JsonValue(r.nodes.backoffHist.bucket(i)));
-        bh["buckets"] = std::move(bb);
-        retry["backoffHist"] = std::move(bh);
+        addCounters(retry, r.nodes, CounterBlock::Retry);
+        retry["backoffHist"] = histJson(r.nodes.backoffHist);
         retry["faultDelayedMessages"] =
             JsonValue(r.faultDelayedMessages);
         retry["faultExtraTicks"] = JsonValue(r.faultExtraTicks);
@@ -169,9 +115,7 @@ toJson(const RunResult &r, bool with_timing)
     // byte-identical to the goldens.
     if (r.updateBased) {
         JsonValue pol = JsonValue::object();
-        pol["updateEpisodes"] = JsonValue(r.nodes.updateEpisodes);
-        pol["updatesApplied"] = JsonValue(r.nodes.updatesApplied);
-        pol["adaptiveDrops"] = JsonValue(r.nodes.adaptiveDrops);
+        addCounters(pol, r.nodes, CounterBlock::Policy);
         v["policy"] = std::move(pol);
     }
 
@@ -184,16 +128,8 @@ toJson(const RunResult &r, bool with_timing)
         fair["missLatencyP50"] = JsonValue(r.missLatencyP50);
         fair["missLatencyP95"] = JsonValue(r.missLatencyP95);
         fair["missLatencyP99"] = JsonValue(r.missLatencyP99);
-        fair["maxLineWaitTicks"] = JsonValue(r.nodes.maxLineWaitTicks);
-        fair["queueDepthPeak"] = JsonValue(r.nodes.queueDepthPeak);
-        JsonValue mh = JsonValue::object();
-        mh["total"] = JsonValue(r.nodes.missLatencyHist.total());
-        JsonValue mb = JsonValue::array();
-        for (std::size_t i = 0;
-             i < r.nodes.missLatencyHist.numBuckets(); ++i)
-            mb.push(JsonValue(r.nodes.missLatencyHist.bucket(i)));
-        mh["buckets"] = std::move(mb);
-        fair["missLatencyHist"] = std::move(mh);
+        addCounters(fair, r.nodes, CounterBlock::Fairness);
+        fair["missLatencyHist"] = histJson(r.nodes.missLatencyHist);
         v["fairness"] = std::move(fair);
     }
     return v;
@@ -269,12 +205,12 @@ resultsToCsv(const std::vector<JobResult> &results, bool with_timing)
     std::string out = "workload,config,label,seed,scale,ok,error,"
                       "cycles,netMessages,netBytes,nackMessages,"
                       "updateMessages";
-#define X(field) out += ",nodes." #field;
-    PCSIM_NODE_STATS_FIELDS(X)
-#undef X
-#define X(field) out += ",perf." #field;
-    PCSIM_RUN_PERF_FIELDS(X)
-#undef X
+    for (const NodeCounter &c : nodeCounters) {
+        if (c.block == CounterBlock::Nodes)
+            out += std::string(",nodes.") + c.name;
+    }
+    for (const RunPerfCounter &c : runPerfCounters)
+        out += std::string(",perf.") + c.name;
     if (with_timing)
         out += ",perf.wallSeconds,perf.eventsPerSec";
     out += '\n';
@@ -298,12 +234,12 @@ resultsToCsv(const std::vector<JobResult> &results, bool with_timing)
                num(jr.result.netBytes) + ',' +
                num(jr.result.nackMessages) + ',' +
                num(jr.result.updateMessages);
-#define X(field) out += ',' + num(jr.result.nodes.field);
-        PCSIM_NODE_STATS_FIELDS(X)
-#undef X
-#define X(field) out += ',' + num(jr.result.perf.field);
-        PCSIM_RUN_PERF_FIELDS(X)
-#undef X
+        for (const NodeCounter &c : nodeCounters) {
+            if (c.block == CounterBlock::Nodes)
+                out += ',' + num(jr.result.nodes.*c.field);
+        }
+        for (const RunPerfCounter &c : runPerfCounters)
+            out += ',' + num(jr.result.perf.*c.field);
         if (with_timing) {
             char t[64];
             std::snprintf(t, sizeof(t), ",%.6f,%.0f",

@@ -32,6 +32,13 @@
  *     ]
  *   }
  *
+ * Each counter is named once: nodeCounters (src/protocol/node_stats.hh)
+ * gives every NodeStats counter the block that carries it -- "nodes",
+ * or the optional "retry", "fairness" and "policy" blocks -- and
+ * runPerfCounters (src/sim/perf.hh) every "perf" counter. The CSV has
+ * one nodes.X column per "nodes" counter and one perf.X column per
+ * RunPerf counter, in list order.
+ *
  * The default "perf" counters are pure functions of the simulated
  * machine + workload; wall-clock rates are host noise. The default
  * (with_timing = false) drops the rates, and with them the

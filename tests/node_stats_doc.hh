@@ -19,40 +19,14 @@
 namespace pcsim::golden
 {
 
-/** Every scalar NodeStats counter, serialized or not. */
-#define PCSIM_NODE_STATS_FIELDS(X)                                        \
-    X(reads) X(writes) X(l1Hits) X(l2Hits) X(localMisses)                 \
-    X(remoteMisses) X(racHits) X(twoHopMisses) X(threeHopMisses)          \
-    X(nacksReceived) X(retries) X(mshrConflictRetries)                    \
-    X(dirRehandleRetries) X(maxRetriesPerLine) X(nackStormPeak)           \
-    X(maxLineWaitTicks) X(queueDepthPeak) X(homeRequests) X(nacksSent)    \
-    X(interventionsSent) X(dirCacheHits) X(dirCacheMisses)                \
-    X(delegationsGranted) X(delegationsReceived)                          \
-    X(undelegationsCapacity) X(undelegationsFlush)                        \
-    X(undelegationsConflict) X(forwardedRequests) X(delegatedLocalOps)    \
-    X(delayedInterventions) X(updatesSent) X(updatesReceived)             \
-    X(updatesConsumed) X(updatesDropped) X(extraWriteMisses)              \
-    X(writebacks) X(updateEpisodes) X(updatesApplied) X(adaptiveDrops)
-
-inline const std::vector<std::string> &
-fieldNames()
-{
-    static const std::vector<std::string> names = {
-#define X(f) #f,
-        PCSIM_NODE_STATS_FIELDS(X)
-#undef X
-    };
-    return names;
-}
-
+/** Every scalar NodeStats counter of @p s, in nodeCounters order. */
 inline std::vector<std::uint64_t>
 fieldValues(const NodeStats &s)
 {
-    return {
-#define X(f) static_cast<std::uint64_t>(s.f),
-        PCSIM_NODE_STATS_FIELDS(X)
-#undef X
-    };
+    std::vector<std::uint64_t> v;
+    for (const NodeCounter &c : nodeCounters)
+        v.push_back(s.*c.field);
+    return v;
 }
 
 /** What a run leaves behind: cycles plus every node's counters. */
@@ -81,8 +55,8 @@ nodeStatsDoc(const std::vector<std::string> &names,
 {
     std::ostringstream out;
     out << "{\n  \"fields\": [";
-    for (std::size_t i = 0; i < fieldNames().size(); ++i)
-        out << (i ? ", " : "") << '"' << fieldNames()[i] << '"';
+    for (const NodeCounter &c : nodeCounters)
+        out << (&c == nodeCounters ? "" : ", ") << '"' << c.name << '"';
     out << "],\n  \"cases\": [\n";
     for (std::size_t c = 0; c < names.size(); ++c) {
         out << "    {\"name\": \"" << JsonValue::escape(names[c])

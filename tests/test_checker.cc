@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/protocol/checker.hh"
 
 using namespace pcsim;
@@ -65,6 +67,29 @@ TEST(Checker, LegalHistoryAccepted)
     c.loadPerformed(1, 0x100, 1);
     EXPECT_EQ(c.storePerformed(1, 0x100, 1), 2u);
     EXPECT_GT(c.numChecks(), 0u);
+}
+
+TEST(Checker, ReadHistoryKeepsEveryNodeLinePairApart)
+{
+    // Line addresses may use bits up to 55 and node ids go to 4095.
+    // A read-history key of (node << 48) ^ line made (node k, line 0)
+    // and (node 0, line k << 48) one slot, so node k's first read of
+    // line 0 looked older than node 0's store to line k << 48.
+    CoherenceChecker c(true);
+    std::vector<FakeNode> nodes(4096);
+    for (FakeNode &n : nodes)
+        c.addNode(&n);
+
+    for (const NodeId k : {1, 255, 4095}) {
+        const Addr high = Addr(k) << 48;
+        EXPECT_EQ(c.storePerformed(0, high, 0), 1u);
+        c.loadPerformed(k, 0x0, 0);
+        c.loadPerformed(0, high, 1);
+    }
+    const Addr top = (Addr(1) << 56) - 64;
+    EXPECT_EQ(c.storePerformed(4095, top, 0), 1u);
+    c.loadPerformed(0, top, 1);
+    c.loadPerformed(4095, top, 1);
 }
 
 TEST(CheckerDeath, LostUpdateDetected)

@@ -163,36 +163,12 @@ sampleResult()
     r.nackMessages = 17;
     r.updateMessages = 42;
 
-    r.nodes.reads = 1;
-    r.nodes.writes = 2;
-    r.nodes.l1Hits = 3;
-    r.nodes.l2Hits = 4;
-    r.nodes.localMisses = 5;
-    r.nodes.remoteMisses = 6;
-    r.nodes.racHits = 7;
-    r.nodes.twoHopMisses = 8;
-    r.nodes.threeHopMisses = 9;
-    r.nodes.nacksReceived = 10;
-    r.nodes.retries = 11;
-    r.nodes.homeRequests = 12;
-    r.nodes.nacksSent = 13;
-    r.nodes.interventionsSent = 14;
-    r.nodes.dirCacheHits = 15;
-    r.nodes.dirCacheMisses = 16;
-    r.nodes.delegationsGranted = 17;
-    r.nodes.delegationsReceived = 18;
-    r.nodes.undelegationsCapacity = 19;
-    r.nodes.undelegationsFlush = 20;
-    r.nodes.undelegationsConflict = 21;
-    r.nodes.forwardedRequests = 22;
-    r.nodes.delegatedLocalOps = 23;
-    r.nodes.delayedInterventions = 24;
-    r.nodes.updatesSent = 25;
-    r.nodes.updatesReceived = 26;
-    r.nodes.updatesConsumed = 27;
-    r.nodes.updatesDropped = 28;
-    r.nodes.extraWriteMisses = 29;
-    r.nodes.writebacks = 30;
+    // The 30 counters of the `nodes` block, numbered 1..30.
+    std::uint64_t next = 1;
+    for (const NodeCounter &c : nodeCounters) {
+        if (c.block == CounterBlock::Nodes)
+            r.nodes.*c.field = next++;
+    }
 
     for (std::size_t i = 0; i < 17; ++i)
         for (std::size_t n = 0; n < i * 3 + 1; ++n)
@@ -216,7 +192,7 @@ TEST(Json, RunResultSerializesEveryField)
     EXPECT_EQ(v.at("nackMessages").asUInt(), r.nackMessages);
     EXPECT_EQ(v.at("updateMessages").asUInt(), r.updateMessages);
 
-    // sampleResult() numbers the 30 NodeStats counters 1..30 in
+    // sampleResult() numbers the 30 `nodes` counters 1..30 in
     // declaration order, which is the serialized order.
     const auto &nodes = v.at("nodes").members();
     ASSERT_EQ(nodes.size(), 30u);

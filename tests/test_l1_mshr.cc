@@ -159,7 +159,6 @@ TEST(MshrTable, ReusedSlotStartsFromDefault)
     m->reqAddr = 0x104;
     m->isWrite = true;
     m->reqType = MsgType::ReqExcl;
-    m->sentTo = 3;
     m->haveData = true;
     m->version = 9;
     m->exclusiveGrant = true;
@@ -171,7 +170,6 @@ TEST(MshrTable, ReusedSlotStartsFromDefault)
     m->txnId = 12;
     m->issued = 400;
     m->usedNetwork = true;
-    m->racHit = true;
     m->thirdParty = true;
     m->onComplete = [](Version) {};
     t.free(0x100);
@@ -183,7 +181,6 @@ TEST(MshrTable, ReusedSlotStartsFromDefault)
     EXPECT_EQ(r->reqAddr, fresh.reqAddr);
     EXPECT_EQ(r->isWrite, fresh.isWrite);
     EXPECT_EQ(r->reqType, fresh.reqType);
-    EXPECT_EQ(r->sentTo, fresh.sentTo);
     EXPECT_EQ(r->haveData, fresh.haveData);
     EXPECT_EQ(r->version, fresh.version);
     EXPECT_EQ(r->exclusiveGrant, fresh.exclusiveGrant);
@@ -195,7 +192,6 @@ TEST(MshrTable, ReusedSlotStartsFromDefault)
     EXPECT_EQ(r->txnId, fresh.txnId);
     EXPECT_EQ(r->issued, fresh.issued);
     EXPECT_EQ(r->usedNetwork, fresh.usedNetwork);
-    EXPECT_EQ(r->racHit, fresh.racHit);
     EXPECT_EQ(r->thirdParty, fresh.thirdParty);
     EXPECT_FALSE(r->onComplete);
 }

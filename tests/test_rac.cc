@@ -60,7 +60,6 @@ TEST(Rac, PinnedInsertEvictsUnpinnedFirst)
     RacEntry *e = r.insertPinned(2 * 128, 3, nullptr);
     ASSERT_NE(e, nullptr);
     EXPECT_TRUE(e->pinned);
-    EXPECT_TRUE(e->dirtyHome);
 }
 
 TEST(Rac, PinnedPressureInvokesUndelegationCallback)
@@ -122,7 +121,6 @@ TEST(Rac, UnpinKeepData)
     RacEntry *e = r.find(0x1000);
     ASSERT_NE(e, nullptr);
     EXPECT_FALSE(e->pinned);
-    EXPECT_FALSE(e->dirtyHome);
 }
 
 TEST(Rac, UnpinDropData)

@@ -166,10 +166,10 @@ expectMatches(const JsonValue &rec, const Observed &got,
     ASSERT_EQ(nodes.size(), got.nodes.size()) << what;
     for (std::size_t n = 0; n < got.nodes.size(); ++n) {
         const JsonValue &row = nodes.at(n);
-        ASSERT_EQ(row.size(), fieldNames().size()) << what;
-        for (std::size_t f = 0; f < fieldNames().size(); ++f) {
+        ASSERT_EQ(row.size(), std::size(nodeCounters)) << what;
+        for (std::size_t f = 0; f < std::size(nodeCounters); ++f) {
             EXPECT_EQ(row.at(f).asUInt(), got.nodes[n][f])
-                << what << ": node " << n << " " << fieldNames()[f];
+                << what << ": node " << n << " " << nodeCounters[f].name;
         }
     }
 }
@@ -190,9 +190,9 @@ TEST(SpinFastForward, NodeStatsMatchRecordedPollingRuns)
 
     const JsonValue doc = readGolden();
     const JsonValue &fields = doc.at("fields");
-    ASSERT_EQ(fields.size(), fieldNames().size());
-    for (std::size_t f = 0; f < fieldNames().size(); ++f)
-        ASSERT_EQ(fields.at(f).asString(), fieldNames()[f]);
+    ASSERT_EQ(fields.size(), std::size(nodeCounters));
+    for (std::size_t f = 0; f < std::size(nodeCounters); ++f)
+        ASSERT_EQ(fields.at(f).asString(), nodeCounters[f].name);
     const JsonValue &recorded = doc.at("cases");
     ASSERT_EQ(recorded.size(), all.size());
 
