@@ -42,6 +42,7 @@
 #include "src/verify/lint.hh"
 #include "src/verify/liveness.hh"
 #include "src/verify/spec.hh"
+#include "src/workload/suite.hh"
 
 using namespace pcsim;
 
@@ -285,7 +286,7 @@ int
 listCommand(Options &)
 {
     std::printf("workloads:\n");
-    for (const auto &w : runner::workloadNames())
+    for (const auto &w : workloadNames())
         std::printf("  %s\n", w.c_str());
     std::printf("\nconfigurations (16-node presets, see "
                 "src/system/presets.hh):\n");

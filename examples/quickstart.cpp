@@ -5,17 +5,16 @@
  * delegation + speculative-update configuration, and compare.
  *
  * Usage: quickstart [workload]
- *   workload: PCmicro (default) or one of
- *             Barnes Ocean Em3D LU CG MG Appbt
+ *   workload: PCmicro (default) or any name `pcsim list` shows
  */
 
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "src/system/presets.hh"
 #include "src/system/system.hh"
-#include "src/workload/micro.hh"
 #include "src/workload/suite.hh"
 
 using namespace pcsim;
@@ -51,10 +50,12 @@ main(int argc, char **argv)
     const std::string which = argc > 1 ? argv[1] : "PCmicro";
 
     std::unique_ptr<Workload> wl;
-    if (which == "PCmicro")
-        wl = std::make_unique<ProducerConsumerMicro>(cpus);
-    else
-        wl = makeWorkload(which, cpus, 0.5);
+    try {
+        wl = makeWorkload(which, cpus);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "quickstart: %s\n", e.what());
+        return 1;
+    }
 
     std::printf("pcsim quickstart: workload %s on %u nodes\n",
                 wl->name().c_str(), cpus);

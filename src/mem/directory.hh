@@ -226,9 +226,6 @@ class DirectoryCache
         _array.clear();
     }
 
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-
   private:
     DirectoryStore &_store;
     CacheArray<DirCacheEntry> _array;

@@ -5,65 +5,62 @@
 namespace pcsim
 {
 
+namespace
+{
+
+/** The list's payload column. */
+enum class Payload : std::uint8_t { Header, Data };
+
+} // namespace
+
 const char *
 msgTypeName(MsgType t)
 {
     switch (t) {
-      case MsgType::ReqShared: return "ReqShared";
-      case MsgType::ReqExcl: return "ReqExcl";
-      case MsgType::ReqUpgrade: return "ReqUpgrade";
-      case MsgType::WritebackM: return "WritebackM";
-      case MsgType::RespSharedData: return "RespSharedData";
-      case MsgType::RespExclData: return "RespExclData";
-      case MsgType::RespUpgradeAck: return "RespUpgradeAck";
-      case MsgType::WritebackAck: return "WritebackAck";
-      case MsgType::Nack: return "Nack";
-      case MsgType::NackNotHome: return "NackNotHome";
-      case MsgType::HomeHint: return "HomeHint";
-      case MsgType::Inval: return "Inval";
-      case MsgType::IntervDowngrade: return "IntervDowngrade";
-      case MsgType::IntervTransfer: return "IntervTransfer";
-      case MsgType::InvalAck: return "InvalAck";
-      case MsgType::SharedResp: return "SharedResp";
-      case MsgType::SharedWriteback: return "SharedWriteback";
-      case MsgType::ExclResp: return "ExclResp";
-      case MsgType::TransferAck: return "TransferAck";
-      case MsgType::IntervNack: return "IntervNack";
-      case MsgType::Delegate: return "Delegate";
-      case MsgType::Undele: return "Undele";
-      case MsgType::Update: return "Update";
-      case MsgType::UpdGrant: return "UpdGrant";
-      case MsgType::UpdateWB: return "UpdateWB";
-      case MsgType::UpdateDrop: return "UpdateDrop";
-      default:
-        // 23..30 are reserved so MsgType stays value-aliased with
-        // PEvent across the synthetic local-event block.
-        return static_cast<unsigned>(t) >= 23 &&
-                       static_cast<unsigned>(t) <= 30
-                   ? "Reserved"
-                   : "Unknown";
+#define PCSIM_CASE(name, ...)                                             \
+      case MsgType::name: return #name;
+      PCSIM_MSG_TYPES(PCSIM_CASE)
+#undef PCSIM_CASE
+      case MsgType::NumMsgTypes: break;
     }
+    return t < MsgType::NumMsgTypes ? "Reserved" : "Unknown";
 }
 
 bool
 msgCarriesData(MsgType t)
 {
     switch (t) {
-      case MsgType::WritebackM:
-      case MsgType::RespSharedData:
-      case MsgType::RespExclData:
-      case MsgType::SharedResp:
-      case MsgType::SharedWriteback:
-      case MsgType::ExclResp:
-      case MsgType::Delegate:
-      case MsgType::Undele:
-      case MsgType::Update:
-      case MsgType::UpdGrant:
-      case MsgType::UpdateWB:
-        return true;
-      default:
-        return false;
+#define PCSIM_CASE(name, value, payload, cls)                             \
+      case MsgType::name: return Payload::payload == Payload::Data;
+      PCSIM_MSG_TYPES(PCSIM_CASE)
+#undef PCSIM_CASE
+      case MsgType::NumMsgTypes: break;
     }
+    return false;
+}
+
+const char *
+msgClassName(MsgClass c)
+{
+    switch (c) {
+      case MsgClass::Request: return "request";
+      case MsgClass::Intervention: return "intervention";
+      case MsgClass::Response: return "response";
+    }
+    return "?";
+}
+
+MsgClass
+msgClassOf(MsgType t)
+{
+    switch (t) {
+#define PCSIM_CASE(name, value, payload, cls)                             \
+      case MsgType::name: return MsgClass::cls;
+      PCSIM_MSG_TYPES(PCSIM_CASE)
+#undef PCSIM_CASE
+      case MsgType::NumMsgTypes: break;
+    }
+    return MsgClass::Response;
 }
 
 std::uint32_t

@@ -21,64 +21,108 @@
 namespace pcsim
 {
 
+/**
+ * Every message type, named once, in code order:
+ * X(name, code, payload, class).
+ *  - payload: Header (the 32-byte minimum packet) or Data (plus one
+ *    128-byte line). It sets the wire size and NI occupancy.
+ *  - class: the channel class (MsgClass) that `pcsim lint --mdg`
+ *    reasons about.
+ * It expands into MsgType, msgTypeName, msgCarriesData, msgClassOf,
+ * isMessageType and the delivery events of verify::PEvent
+ * (src/verify/spec.hh), so adding a message type is one line here.
+ * Codes are pinned (committed conformance documents embed them), and
+ * 23..30 are left to PEvent's local events.
+ */
+#define PCSIM_MSG_TYPES(X)                                                \
+    /* Requests (requester -> home or delegated home): read miss, write   \
+       miss, write hit on a SHARED copy, eviction of a modified line. */  \
+    X(ReqShared, 0, Header, Request)                                      \
+    X(ReqExcl, 1, Header, Request)                                        \
+    X(ReqUpgrade, 2, Header, Request)                                     \
+    X(WritebackM, 3, Data, Request)                                       \
+    /* Home -> requester replies: read-only data; exclusive data, or      \
+       ownership without data, each with the count of invalidation acks   \
+       to await; writeback accepted; busy, retry the same target; the     \
+       target no longer manages the line, retry at home; the line is      \
+       delegated to node X, cache the hint. */                            \
+    X(RespSharedData, 4, Data, Response)                                  \
+    X(RespExclData, 5, Data, Response)                                    \
+    X(RespUpgradeAck, 6, Header, Response)                                \
+    X(WritebackAck, 7, Header, Response)                                  \
+    X(Nack, 8, Header, Response)                                          \
+    X(NackNotHome, 9, Header, Response)                                   \
+    X(HomeHint, 10, Header, Response)                                     \
+    /* Home -> third party interventions: invalidate and ack the          \
+       requester; downgrade M->S with data to the requester and a         \
+       SharedWriteback to the home; yield M with data to the requester    \
+       and a TransferAck to the home. */                                  \
+    X(Inval, 11, Header, Intervention)                                    \
+    X(IntervDowngrade, 12, Header, Intervention)                          \
+    X(IntervTransfer, 13, Header, Intervention)                           \
+    /* Third party responses: invalidation done (to the requester);       \
+       downgraded data to the reader and back to the home; exclusive      \
+       data to the requester; transfer done (to the home); the target     \
+       no longer holds the line. */                                       \
+    X(InvalAck, 14, Header, Response)                                     \
+    X(SharedResp, 15, Data, Response)                                     \
+    X(SharedWriteback, 16, Data, Response)                                \
+    X(ExclResp, 17, Data, Response)                                       \
+    X(TransferAck, 18, Header, Response)                                  \
+    X(IntervNack, 19, Header, Response)                                   \
+    /* Directory delegation (Section 2.3): directory info and data, home  \
+       -> producer and back. */                                           \
+    X(Delegate, 20, Data, Intervention)                                   \
+    X(Undele, 21, Data, Request)                                          \
+    /* Speculative updates (Section 2.4): producer -> consumer. */        \
+    X(Update, 22, Data, Intervention)                                     \
+    /* Write-update policies (src/protocol/policy.hh): home -> writer,    \
+       leaving the home BUSY_UPD; writer -> home with the new data,       \
+       closing the episode and fanning out Updates; consumer -> home,     \
+       stop updating me (adaptive self-invalidation). */                  \
+    X(UpdGrant, 31, Data, Response)                                       \
+    X(UpdateWB, 32, Data, Request)                                        \
+    X(UpdateDrop, 33, Header, Response)
+
 /** All message types exchanged between node hubs. */
 enum class MsgType : std::uint8_t
 {
-    // Requests (requester -> home or delegated home).
-    ReqShared,       ///< read miss: request a read-only copy
-    ReqExcl,         ///< write miss: request an exclusive copy
-    ReqUpgrade,      ///< write hit on SHARED copy: request ownership
-    WritebackM,      ///< eviction of a modified line (carries data)
-
-    // Home -> requester replies.
-    RespSharedData,  ///< read-only data reply
-    RespExclData,    ///< exclusive data reply (+ count of invals to wait)
-    RespUpgradeAck,  ///< ownership granted without data (+ inval count)
-    WritebackAck,    ///< writeback accepted
-    Nack,            ///< busy; retry the same target later
-    NackNotHome,     ///< target no longer manages the line; retry at home
-    HomeHint,        ///< "line is delegated to node X"; cache the hint
-
-    // Home -> third party interventions.
-    Inval,           ///< invalidate your copy; ack the requester
-    IntervDowngrade, ///< downgrade M->S; data to requester, SHWB to home
-    IntervTransfer,  ///< yield M to requester; data to req, ack to home
-
-    // Third party responses.
-    InvalAck,        ///< invalidation done (sent to requester)
-    SharedResp,      ///< downgraded data to the reading requester
-    SharedWriteback, ///< downgraded data back to the home (SHWB)
-    ExclResp,        ///< transferred exclusive data to the requester
-    TransferAck,     ///< ownership transfer complete (sent to home)
-    IntervNack,      ///< intervention target no longer holds the line
-
-    // Directory delegation (Section 2.3).
-    Delegate,        ///< home -> producer: directory info + data
-    Undele,          ///< producer -> home: directory info + data back
-
-    // Speculative updates (Section 2.4).
-    Update,          ///< producer -> consumer: pushed line contents
-
-    // Write-update policies (src/protocol/policy.hh). Numbered after
-    // the verify layer's synthetic local-event block (PEvent values
-    // 23..30) so MsgType and PEvent stay value-aliased for every
-    // message type without renumbering any existing event code --
-    // committed conformance documents embed the numeric codes.
-    UpdGrant = 31,   ///< home -> writer: write permission + data,
-                     ///< home is BUSY_UPD until the UpdateWB returns
-    UpdateWB,        ///< writer -> home: the new data, closes the
-                     ///< write episode and fans out Updates
-    UpdateDrop,      ///< consumer -> home: stop updating me
-                     ///< (adaptive self-invalidation)
-
+#define PCSIM_ENUMERATOR(name, value, ...) name = value,
+    PCSIM_MSG_TYPES(PCSIM_ENUMERATOR)
+#undef PCSIM_ENUMERATOR
     NumMsgTypes
 };
 
-/** Human-readable message type name (for traces and stats). */
+/** True when @p code is a MsgType's code. */
+constexpr bool
+isMessageType(unsigned code)
+{
+    switch (code) {
+#define PCSIM_CASE(name, value, ...) case value:
+      PCSIM_MSG_TYPES(PCSIM_CASE)
+#undef PCSIM_CASE
+        return true;
+      default:
+        return false;
+    }
+}
+
+/** Human-readable message type name (for traces and stats);
+ *  "Reserved" for a code below NumMsgTypes that is no type. */
 const char *msgTypeName(MsgType t);
 
 /** True for message types that carry a full cache line of data. */
 bool msgCarriesData(MsgType t);
+
+/** Coarse channel class of a message type (consumption discipline,
+ *  not direction): requests open transactions and may be forwarded or
+ *  NACKed; interventions are home/producer-generated fan-outs bounded
+ *  by the transaction they serve; responses terminate or bounce a
+ *  transaction and must always be consumable. */
+enum class MsgClass : std::uint8_t { Request, Intervention, Response };
+
+const char *msgClassName(MsgClass c);
+MsgClass msgClassOf(MsgType t);
 
 /**
  * A network message. Field usage varies by type; unused fields keep

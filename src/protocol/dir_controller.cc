@@ -58,12 +58,10 @@ DirController::access(Addr line, Tick &ready)
     DirCacheEntry *e = _dirCache.access(line, was_miss, ways_limit);
     if (was_miss) {
         ++_hub.stats().dirCacheMisses;
-        ++_dirCache.misses;
         // Fetch the entry from the in-memory directory.
         ready = std::max(ready, _dram.access(now));
     } else {
         ++_hub.stats().dirCacheHits;
-        ++_dirCache.hits;
     }
     return e;
 }

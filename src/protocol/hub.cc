@@ -20,11 +20,6 @@ Hub::Hub(EventQueue &eq, Network &net, MemoryMap &mem_map,
       _checker(checker),
       _policy(&policyFor(cfg.kind))
 {
-    if (cfg.delegationEnabled() && !cfg.racEnabled)
-        fatal("delegation requires a RAC (pinned surrogate memory)");
-    if (cfg.updatesEnabled() && !cfg.delegationEnabled())
-        fatal("speculative updates require delegation");
-
     if (cfg.racEnabled)
         _rac = std::make_unique<Rac>(cfg.rac, cfg.lineBytes, rng.fork());
     if (cfg.delegationEnabled())

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <stdexcept>
 
-#include "src/workload/micro.hh"
-#include "src/workload/serving.hh"
 #include "src/workload/suite.hh"
 
 namespace pcsim
@@ -51,19 +48,7 @@ JobSet::sweep(const std::vector<std::string> &workloads,
     return *this;
 }
 
-// --- workload registry -------------------------------------------
-
-std::vector<std::string>
-workloadNames()
-{
-    std::vector<std::string> names = suiteNames();
-    names.push_back("PCmicro");
-    names.push_back("Migratory");
-    names.push_back("Random");
-    for (const auto &n : servingNames())
-        names.push_back(n);
-    return names;
-}
+// --- configuration registry --------------------------------------
 
 namespace
 {
@@ -77,76 +62,6 @@ lowered(const std::string &s)
     });
     return out;
 }
-
-} // namespace
-
-std::string
-canonicalWorkload(const std::string &name)
-{
-    const std::string key = lowered(name);
-    for (const auto &canonical : workloadNames())
-        if (lowered(canonical) == key)
-            return canonical;
-    // Friendly aliases for the micro patterns.
-    if (key == "micro" || key == "pc" || key == "producer-consumer")
-        return "PCmicro";
-    return "";
-}
-
-std::unique_ptr<Workload>
-makeRunnerWorkload(const std::string &name, unsigned num_cpus,
-                   double scale)
-{
-    const std::string canonical = canonicalWorkload(name);
-    if (canonical.empty())
-        throw std::invalid_argument("unknown workload '" + name + "'");
-
-    const auto scaled = [&](unsigned count) {
-        return scaledCount(canonical, count, scale, 1);
-    };
-
-    if (canonical == "PCmicro") {
-        ProducerConsumerMicro::Params p;
-        p.iterations = scaled(p.iterations);
-        return std::make_unique<ProducerConsumerMicro>(num_cpus, p);
-    }
-    if (canonical == "Migratory") {
-        MigratoryMicro::Params p;
-        p.iterations = scaled(p.iterations);
-        return std::make_unique<MigratoryMicro>(num_cpus, p);
-    }
-    if (canonical == "Random") {
-        RandomMicro::Params p;
-        p.opsPerCpu = scaled(p.opsPerCpu);
-        return std::make_unique<RandomMicro>(num_cpus, p);
-    }
-    if (canonical == "KVServe") {
-        KvServingWorkload::Params p;
-        p.requestsPerNode = scaled(p.requestsPerNode);
-        return std::make_unique<KvServingWorkload>(num_cpus, p);
-    }
-    if (canonical == "WorkQueue") {
-        WorkQueueWorkload::Params p;
-        p.rounds = scaled(p.rounds);
-        return std::make_unique<WorkQueueWorkload>(num_cpus, p);
-    }
-    if (canonical == "RCU") {
-        RcuWorkload::Params p;
-        p.rounds = scaled(p.rounds);
-        return std::make_unique<RcuWorkload>(num_cpus, p);
-    }
-    if (canonical == "PubSub") {
-        PubSubWorkload::Params p;
-        p.rounds = scaled(p.rounds);
-        return std::make_unique<PubSubWorkload>(num_cpus, p);
-    }
-    return makeWorkload(canonical, num_cpus, scale);
-}
-
-// --- configuration registry --------------------------------------
-
-namespace
-{
 
 MachineConfig
 makeRac32k(unsigned n)

@@ -82,26 +82,6 @@ class JobSet
     std::vector<Job> _jobs;
 };
 
-// --- workload registry -------------------------------------------
-
-/** All runnable workload names: the Table 2 suite, the directed micro
- *  patterns ("PCmicro", "Migratory", "Random"), and the datacenter
- *  serving family ("KVServe", "WorkQueue", "RCU", "PubSub"). */
-std::vector<std::string> workloadNames();
-
-/** Case-insensitive canonicalization ("em3d" -> "Em3D", "micro" ->
- *  "PCmicro"); returns "" for unknown names. */
-std::string canonicalWorkload(const std::string &name);
-
-/**
- * Instantiate a registry workload.
- * @throws std::invalid_argument for unknown names (the runner turns
- *         this into a failed job instead of exiting).
- */
-std::unique_ptr<Workload> makeRunnerWorkload(const std::string &name,
-                                             unsigned num_cpus,
-                                             double scale = 1.0);
-
 // --- configuration registry --------------------------------------
 
 /** One named machine configuration usable from the CLI. */

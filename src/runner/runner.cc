@@ -8,6 +8,8 @@
 #include <numeric>
 #include <thread>
 
+#include "src/workload/suite.hh"
+
 namespace pcsim
 {
 namespace runner
@@ -36,9 +38,8 @@ executeJob(const Job &job, JobResult &out)
 
         std::unique_ptr<Workload> wl =
             job.factory ? job.factory()
-                        : makeRunnerWorkload(job.workload,
-                                             cfg.proto.numNodes,
-                                             job.scale);
+                        : makeWorkload(job.workload, cfg.proto.numNodes,
+                                       job.scale);
         if (!wl)
             throw std::runtime_error("workload factory returned null");
 

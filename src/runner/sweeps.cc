@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "src/runner/results.hh"
-#include "src/workload/serving.hh"
 #include "src/workload/suite.hh"
 
 namespace pcsim
@@ -757,7 +756,7 @@ printTable2(const std::vector<JobResult> &, const SweepArgs &a)
     std::printf("---------+-------------------------------------------"
                 "-+---------------------------\n");
     for (const auto &name : suiteNames()) {
-        auto w = makeRunnerWorkload(name, size(a), a.scale);
+        auto w = makeWorkload(name, size(a), a.scale);
         std::printf("%-8s | %-42s | %s\n", name.c_str(),
                     w->paperProblemSize().c_str(),
                     w->scaledProblemSize().c_str());
@@ -765,7 +764,7 @@ printTable2(const std::vector<JobResult> &, const SweepArgs &a)
     std::printf("\nTrace volumes (parallel phase, all %u CPUs):\n",
                 size(a));
     for (const auto &name : suiteNames()) {
-        auto w = makeRunnerWorkload(name, size(a), a.scale);
+        auto w = makeWorkload(name, size(a), a.scale);
         auto *t = dynamic_cast<TraceWorkload *>(w.get());
         std::printf("  %-8s %10zu operations\n", name.c_str(),
                     t ? t->totalOps() : 0);

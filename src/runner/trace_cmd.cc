@@ -6,6 +6,7 @@
 
 #include "src/trace/replay.hh"
 #include "src/trace/text_ingest.hh"
+#include "src/workload/suite.hh"
 
 namespace pcsim
 {
@@ -17,7 +18,7 @@ writeJobTrace(const Job &job, const std::string &path, bool quiet)
 {
     const ProtocolConfig &p = job.cfg.proto;
     const std::unique_ptr<Workload> wl =
-        makeRunnerWorkload(job.workload, p.numNodes, job.scale);
+        makeWorkload(job.workload, p.numNodes, job.scale);
     trace::TraceMeta meta;
     meta.nodeCount = p.numNodes;
     meta.lineBytes = p.lineBytes;

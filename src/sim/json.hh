@@ -73,15 +73,7 @@ class JsonValue
     static JsonValue array();
 
     Type type() const { return _type; }
-    bool isNull() const { return _type == Type::Null; }
-    bool isBool() const { return _type == Type::Bool; }
-    bool isNumber() const
-    {
-        return _type == Type::UInt || _type == Type::Double;
-    }
-    bool isString() const { return _type == Type::String; }
     bool isArray() const { return _type == Type::Array; }
-    bool isObject() const { return _type == Type::Object; }
 
     bool asBool() const;
     std::uint64_t asUInt() const;

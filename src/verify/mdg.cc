@@ -13,15 +13,11 @@ namespace
 {
 
 /** True when @p e is delivery of a message (not a synthetic local
- *  event): PEvent values alias MsgType except the 23..30 block. */
+ *  event). */
 bool
 isMessageEvent(PEvent e)
 {
-    const auto v = static_cast<unsigned>(e);
-    if (v >= static_cast<unsigned>(PEvent::NumPEvents))
-        return false;
-    return v < static_cast<unsigned>(PEvent::CpuLoad) ||
-           v > static_cast<unsigned>(PEvent::RacPressure);
+    return isMessageType(static_cast<unsigned>(e));
 }
 
 MsgType
@@ -43,64 +39,6 @@ listNames(const std::vector<MsgType> &ts)
 }
 
 } // namespace
-
-const char *
-msgClassName(MsgClass c)
-{
-    switch (c) {
-      case MsgClass::Request: return "request";
-      case MsgClass::Intervention: return "intervention";
-      case MsgClass::Response: return "response";
-    }
-    return "?";
-}
-
-MsgClass
-msgClassOf(MsgType t)
-{
-    switch (t) {
-      // Transaction-opening (or -reopening) messages a home may hold
-      // off, forward, or NACK.
-      case MsgType::ReqShared:
-      case MsgType::ReqExcl:
-      case MsgType::ReqUpgrade:
-      case MsgType::WritebackM:
-      case MsgType::UpdateWB:
-      case MsgType::Undele:
-        return MsgClass::Request;
-
-      // Home/producer-generated fan-outs bounded by the transaction
-      // they serve.
-      case MsgType::Inval:
-      case MsgType::IntervDowngrade:
-      case MsgType::IntervTransfer:
-      case MsgType::Delegate:
-      case MsgType::Update:
-        return MsgClass::Intervention;
-
-      // Terminators and bounces: must always be consumable.
-      case MsgType::RespSharedData:
-      case MsgType::RespExclData:
-      case MsgType::RespUpgradeAck:
-      case MsgType::WritebackAck:
-      case MsgType::Nack:
-      case MsgType::NackNotHome:
-      case MsgType::HomeHint:
-      case MsgType::InvalAck:
-      case MsgType::SharedResp:
-      case MsgType::SharedWriteback:
-      case MsgType::ExclResp:
-      case MsgType::TransferAck:
-      case MsgType::IntervNack:
-      case MsgType::UpdGrant:
-      case MsgType::UpdateDrop:
-        return MsgClass::Response;
-
-      case MsgType::NumMsgTypes:
-        break;
-    }
-    return MsgClass::Response;
-}
 
 MdgReport
 analyzeMdg(const TransitionSpec &spec)

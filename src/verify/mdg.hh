@@ -54,16 +54,6 @@
 namespace pcsim::verify
 {
 
-/** Coarse channel class of a message type (consumption discipline,
- *  not direction): requests open transactions and may be forwarded or
- *  NACKed; interventions are home/producer-generated fan-outs bounded
- *  by the transaction they serve; responses terminate or bounce a
- *  transaction and must always be consumable. */
-enum class MsgClass : std::uint8_t { Request, Intervention, Response };
-
-const char *msgClassName(MsgClass c);
-MsgClass msgClassOf(MsgType t);
-
 /** One dependency edge with its provenance rule. */
 struct MdgEdge
 {

@@ -25,31 +25,15 @@ ctrlName(Ctrl c)
 const char *
 eventName(PEvent e)
 {
-    // The synthetic local events occupy the 23..30 gap in MsgType, so
-    // name them first; everything else is a message-delivery event.
     switch (e) {
-      case PEvent::CpuLoad:
-        return "CpuLoad";
-      case PEvent::CpuStore:
-        return "CpuStore";
-      case PEvent::Evict:
-        return "Evict";
-      case PEvent::LocalDowngrade:
-        return "LocalDowngrade";
-      case PEvent::DelayedInterv:
-        return "DelayedInterv";
-      case PEvent::LocalFlush:
-        return "LocalFlush";
-      case PEvent::LocalWriteComplete:
-        return "LocalWriteComplete";
-      case PEvent::RacPressure:
-        return "RacPressure";
-      default:
-        if (static_cast<unsigned>(e) <
-            static_cast<unsigned>(MsgType::NumMsgTypes))
-            return msgTypeName(static_cast<MsgType>(e));
-        return "?";
+#define PCSIM_CASE(name, ...)                                             \
+      case PEvent::name: return #name;
+      PCSIM_MSG_TYPES(PCSIM_CASE)
+      PCSIM_LOCAL_EVENTS(PCSIM_CASE)
+#undef PCSIM_CASE
+      case PEvent::NumPEvents: break;
     }
+    return "?";
 }
 
 TransitionSpec::TransitionSpec()

@@ -52,68 +52,40 @@ enum class Ctrl : std::uint8_t
 const char *ctrlName(Ctrl c);
 
 /**
- * Protocol events. The first NumMsgTypes values alias MsgType one to
- * one (a delivered message *is* the event); the tail adds synthetic
- * local events with no message on the wire.
+ * The synthetic local events, with no message on the wire:
+ * X(name, code). Their codes fill the 23..30 gap PCSIM_MSG_TYPES
+ * leaves, and are pinned: committed conformance documents embed them.
+ */
+#define PCSIM_LOCAL_EVENTS(X)                                             \
+    X(CpuLoad, 23)            /* processor load presented to the L2 */    \
+    X(CpuStore, 24)           /* processor store presented to the L2 */   \
+    X(Evict, 25)              /* replacement victim leaves the array */   \
+    X(LocalDowngrade, 26)     /* producer downgrades its own M copy */    \
+    X(DelayedInterv, 27)      /* delayed self-intervention fires */       \
+    X(LocalFlush, 28)         /* delegated line's M copy evicted */       \
+    X(LocalWriteComplete, 29) /* local write to a delegated line done */  \
+    X(RacPressure, 30)        /* pinned RAC entry wants its slot back */
+
+/**
+ * Protocol events: the delivery of each message type, at its MsgType
+ * code (a delivered message *is* the event), and the local events.
  */
 enum class PEvent : std::uint8_t
 {
-    // Message-delivery events (values alias MsgType).
-    ReqShared,
-    ReqExcl,
-    ReqUpgrade,
-    WritebackM,
-    RespSharedData,
-    RespExclData,
-    RespUpgradeAck,
-    WritebackAck,
-    Nack,
-    NackNotHome,
-    HomeHint,
-    Inval,
-    IntervDowngrade,
-    IntervTransfer,
-    InvalAck,
-    SharedResp,
-    SharedWriteback,
-    ExclResp,
-    TransferAck,
-    IntervNack,
-    Delegate,
-    Undele,
-    Update,
-
-    // Synthetic local events. Pinned at 23..30: committed conformance
-    // documents embed the numeric codes, and the write-update message
-    // types continue the MsgType aliasing right after this block.
-    CpuLoad = 23,      ///< processor load presented to the L2
-    CpuStore,          ///< processor store presented to the L2
-    Evict,             ///< replacement victim leaves the array
-    LocalDowngrade,    ///< producer downgrades its own M copy
-    DelayedInterv,     ///< delayed self-intervention timer fires
-    LocalFlush,        ///< delegated line's M copy evicted locally
-    LocalWriteComplete,///< local write to a delegated line completed
-    RacPressure,       ///< pinned RAC entry wants its slot back
-
-    // Message-delivery events again (values alias MsgType).
-    UpdGrant = 31,     ///< write permission + data from the home
-    UpdateWB,          ///< writer returns new data to the home
-    UpdateDrop,        ///< consumer leaves the update stream
-
-    NumPEvents
+#define PCSIM_ENUMERATOR(name, value, ...) name = value,
+    PCSIM_MSG_TYPES(PCSIM_ENUMERATOR)
+    PCSIM_LOCAL_EVENTS(PCSIM_ENUMERATOR)
+#undef PCSIM_ENUMERATOR
+    NumPEvents = static_cast<std::uint8_t>(MsgType::NumMsgTypes)
 };
 
-static_assert(static_cast<unsigned>(PEvent::Update) == 22 &&
-                  static_cast<unsigned>(PEvent::CpuLoad) == 23,
-              "the synthetic local-event block follows the original "
-              "message vocabulary");
-static_assert(static_cast<unsigned>(PEvent::UpdGrant) ==
-                      static_cast<unsigned>(MsgType::UpdGrant) &&
-                  static_cast<unsigned>(PEvent::UpdateDrop) ==
-                      static_cast<unsigned>(MsgType::UpdateDrop) &&
-                  static_cast<unsigned>(PEvent::NumPEvents) ==
-                      static_cast<unsigned>(MsgType::NumMsgTypes),
-              "PEvent must alias MsgType exactly");
+#define PCSIM_FREE_CODE(name, value)                                      \
+    static_assert(value < static_cast<unsigned>(MsgType::NumMsgTypes) &&  \
+                      !isMessageType(value),                              \
+                  "local event " #name " must take a free code below "    \
+                  "NumMsgTypes");
+PCSIM_LOCAL_EVENTS(PCSIM_FREE_CODE)
+#undef PCSIM_FREE_CODE
 
 /** The event corresponding to delivery of a message of type @p t. */
 constexpr PEvent

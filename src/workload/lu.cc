@@ -6,7 +6,7 @@ namespace pcsim
 {
 
 LuWorkload::LuWorkload(unsigned num_cpus, LuParams p)
-    : TraceWorkload("LU", num_cpus), _p(p), _numCpus(num_cpus)
+    : TraceWorkload("LU", num_cpus), _p(p)
 {
     // Init: first-touch own boundary and interior data.
     for (unsigned cpu = 0; cpu < num_cpus; ++cpu) {

@@ -51,7 +51,6 @@ class LuWorkload : public TraceWorkload
     Addr interiorLine(unsigned cpu, unsigned row, unsigned l) const;
 
     LuParams _p;
-    unsigned _numCpus;
 };
 
 } // namespace pcsim

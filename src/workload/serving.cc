@@ -247,10 +247,4 @@ PubSubWorkload::PubSubWorkload(unsigned num_cpus, Params p)
     }
 }
 
-std::vector<std::string>
-servingNames()
-{
-    return {"KVServe", "WorkQueue", "RCU", "PubSub"};
-}
-
 } // namespace pcsim

@@ -157,9 +157,6 @@ class PubSubWorkload : public TraceWorkload
     Params _p;
 };
 
-/** The family's registry names, in sweep order. */
-std::vector<std::string> servingNames();
-
 } // namespace pcsim
 
 #endif // PCSIM_WORKLOAD_SERVING_HH

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -48,15 +49,53 @@ TEST(Topology, LargerSystems)
 
 TEST(Message, SizesFollowPayload)
 {
+    // Exactly these 11 of the 26 types carry a 128-byte line.
+    const std::set<MsgType> data = {
+        MsgType::WritebackM,      MsgType::RespSharedData,
+        MsgType::RespExclData,    MsgType::SharedResp,
+        MsgType::SharedWriteback, MsgType::ExclResp,
+        MsgType::Delegate,        MsgType::Undele,
+        MsgType::Update,          MsgType::UpdGrant,
+        MsgType::UpdateWB};
+    unsigned types = 0;
     Message m;
-    m.type = MsgType::ReqShared;
-    EXPECT_EQ(m.sizeBytes(), 32u); // header only
-    m.type = MsgType::RespSharedData;
-    EXPECT_EQ(m.sizeBytes(), 32u + 128u);
-    m.type = MsgType::Update;
-    EXPECT_EQ(m.sizeBytes(), 160u);
-    m.type = MsgType::InvalAck;
-    EXPECT_EQ(m.sizeBytes(), 32u);
+    for (unsigned t = 0; t < unsigned(MsgType::NumMsgTypes); ++t) {
+        if (!isMessageType(t))
+            continue;
+        ++types;
+        m.type = static_cast<MsgType>(t);
+        EXPECT_EQ(m.sizeBytes(), data.count(m.type) ? 160u : 32u)
+            << msgTypeName(m.type);
+        EXPECT_EQ(msgCarriesData(m.type), data.count(m.type) > 0)
+            << msgTypeName(m.type);
+    }
+    EXPECT_EQ(types, 26u);
+}
+
+TEST(Message, ChannelClassesSplitSixFiveFifteen)
+{
+    const std::set<MsgType> requests = {
+        MsgType::ReqShared,  MsgType::ReqExcl,  MsgType::ReqUpgrade,
+        MsgType::WritebackM, MsgType::UpdateWB, MsgType::Undele};
+    const std::set<MsgType> interventions = {
+        MsgType::Inval, MsgType::IntervDowngrade, MsgType::IntervTransfer,
+        MsgType::Delegate, MsgType::Update};
+    unsigned per_class[3] = {0, 0, 0};
+    for (unsigned t = 0; t < unsigned(MsgType::NumMsgTypes); ++t) {
+        if (!isMessageType(t))
+            continue;
+        const auto type = static_cast<MsgType>(t);
+        MsgClass want = MsgClass::Response;
+        if (requests.count(type))
+            want = MsgClass::Request;
+        else if (interventions.count(type))
+            want = MsgClass::Intervention;
+        EXPECT_EQ(msgClassOf(type), want) << msgTypeName(type);
+        ++per_class[static_cast<unsigned>(msgClassOf(type))];
+    }
+    EXPECT_EQ(per_class[0], 6u);
+    EXPECT_EQ(per_class[1], 5u);
+    EXPECT_EQ(per_class[2], 15u);
 }
 
 namespace

@@ -13,6 +13,7 @@
 #include "src/runner/runner.hh"
 #include "src/runner/sweeps.hh"
 #include "src/workload/micro.hh"
+#include "src/workload/suite.hh"
 
 using namespace pcsim;
 using namespace pcsim::runner;
@@ -193,10 +194,9 @@ TEST(Runner, WorkloadRegistryCanonicalizes)
     EXPECT_EQ(canonicalWorkload("micro"), "PCmicro");
     EXPECT_EQ(canonicalWorkload("lu"), "LU");
     EXPECT_EQ(canonicalWorkload("bogus"), "");
-    EXPECT_THROW(makeRunnerWorkload("bogus", 4),
-                 std::invalid_argument);
+    EXPECT_THROW(makeWorkload("bogus", 4), std::invalid_argument);
 
-    auto wl = makeRunnerWorkload("random", 4, 0.25);
+    auto wl = makeWorkload("random", 4, 0.25);
     ASSERT_NE(wl, nullptr);
     EXPECT_EQ(wl->numCpus(), 4u);
 }

@@ -10,6 +10,7 @@
 #include "src/system/presets.hh"
 #include "src/system/system.hh"
 #include "src/workload/serving.hh"
+#include "src/workload/suite.hh"
 
 using namespace pcsim;
 
@@ -55,17 +56,8 @@ expectBalancedBarriers(Workload &wl)
 TEST(Serving, GenerationIsDeterministic)
 {
     for (const auto &name : servingNames()) {
-        auto make = [&](unsigned n) -> std::unique_ptr<Workload> {
-            if (name == "KVServe")
-                return std::make_unique<KvServingWorkload>(n);
-            if (name == "WorkQueue")
-                return std::make_unique<WorkQueueWorkload>(n);
-            if (name == "RCU")
-                return std::make_unique<RcuWorkload>(n);
-            return std::make_unique<PubSubWorkload>(n);
-        };
-        auto a = make(16);
-        auto b = make(16);
+        auto a = makeWorkload(name, 16);
+        auto b = makeWorkload(name, 16);
         const auto sa = drain(*a);
         const auto sb = drain(*b);
         ASSERT_EQ(sa.size(), sb.size()) << name;

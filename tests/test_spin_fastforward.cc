@@ -37,6 +37,7 @@
 #include "src/sim/json.hh"
 #include "src/system/presets.hh"
 #include "src/system/system.hh"
+#include "src/workload/suite.hh"
 #include "node_stats_doc.hh"
 
 using namespace pcsim;
@@ -123,8 +124,8 @@ cases()
 Observed
 runCase(const Case &c)
 {
-    std::unique_ptr<Workload> wl = runner::makeRunnerWorkload(
-        c.workload, c.cfg.proto.numNodes, c.scale);
+    std::unique_ptr<Workload> wl =
+        makeWorkload(c.workload, c.cfg.proto.numNodes, c.scale);
     System sys(c.cfg);
     const RunResult r = sys.run(*wl);
     return observe(sys, r);

@@ -7,7 +7,9 @@
 
 #include "harness.hh"
 #include "src/runner/job.hh"
+#include "src/verify/spec.hh"
 #include "src/workload/micro.hh"
+#include "src/workload/suite.hh"
 
 using namespace pcsim;
 
@@ -276,9 +278,8 @@ TEST(SystemTest, OpStreamsHaveNoSlackWhenTheRunStarts)
     // Generators grow their streams op by op; the run must not carry
     // the growth slack.
     unsigned built_loose = 0;
-    for (const std::string &name : runner::workloadNames()) {
-        std::unique_ptr<Workload> wl =
-            runner::makeRunnerWorkload(name, 16, 0.02);
+    for (const std::string &name : workloadNames()) {
+        std::unique_ptr<Workload> wl = makeWorkload(name, 16, 0.02);
         SlackProbe probe(*wl);
         unsigned before = 0;
         for (unsigned c = 0; c < probe.numCpus(); ++c)
@@ -308,8 +309,7 @@ TEST(SystemTest, EveryArrayRunsAtTheProtocolLineSize)
             cfg.proto.lineBytes = line;
             cfg.proto.checkerEnabled = true;
             cfg.proto.conformanceEnabled = true;
-            const std::unique_ptr<Workload> wl =
-                runner::makeRunnerWorkload(name, 16, 0.25);
+            const std::unique_ptr<Workload> wl = makeWorkload(name, 16, 0.25);
             const RunResult r = runWorkload(cfg, *wl, "small");
             EXPECT_GT(r.cycles, 0u) << name << " at " << line;
             EXPECT_FALSE(r.conformance.empty()) << name << " at " << line;
@@ -323,11 +323,17 @@ TEST(MessageNames, AllTypesHaveNames)
          t < static_cast<unsigned>(MsgType::NumMsgTypes); ++t) {
         const char *name = msgTypeName(static_cast<MsgType>(t));
         EXPECT_STRNE(name, "Unknown") << "type " << t;
-        // 23..30 are the reserved PEvent-alias gap (no wire type).
-        if (t >= 23 && t <= 30)
+        // 23..30 are the codes of the spec's local events, no wire type.
+        const bool local = t >= 23 && t <= 30;
+        EXPECT_EQ(isMessageType(t), !local) << "type " << t;
+        if (local) {
             EXPECT_STREQ(name, "Reserved") << "type " << t;
-        else
-            EXPECT_STRNE(name, "Reserved") << "type " << t;
+            continue;
+        }
+        EXPECT_STRNE(name, "Reserved") << "type " << t;
+        EXPECT_STREQ(verify::eventName(verify::eventOf(
+                         static_cast<MsgType>(t))),
+                     name);
     }
 }
 
